@@ -90,8 +90,8 @@ fn bench_timer_wheel(c: &mut Criterion) {
 
 /// Drive an egress port through `n` enqueue/drain cycles with the given
 /// subscriber attached — the telemetry hot path in isolation. The port
-/// arrives from `iter_batched` setup so its 1 MB FIFO pre-allocation
-/// never lands inside the timed region.
+/// arrives from `iter_batched` setup so its construction never lands
+/// inside the timed region.
 fn port_churn<S: ecnsharp_net::Subscriber>(
     port: &mut ecnsharp_net::EgressPort,
     arena: &mut ecnsharp_net::RingArena,

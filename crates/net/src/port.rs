@@ -84,22 +84,17 @@ impl PortSched {
     }
 }
 
-/// Slots a port's ring window gets in its node's arena: one buffer's
-/// worth of MTU packets, the same pre-sizing the inline FIFO uses.
-pub(crate) fn ring_slots(capacity_bytes: u64) -> usize {
-    (capacity_bytes / 1538).clamp(16, 4096) as usize
-}
-
-/// Window size for a *pooled* ring: the MTU-packet estimate plus a thin
-/// slack margin. The slack matters — a queue held at byte capacity by tail
-/// drop packs slightly more sub-MTU packets than `ring_slots` predicts,
-/// and a window that is even one slot too small routes every enqueue
-/// through the overflow deque exactly when the port is hottest (each
-/// packet then gets copied twice). The margin stays thin on purpose:
-/// window footprint is the whole point of pooling, and a saturated ring
-/// walks its entire window cyclically.
+/// Most slots a pooled ring's window grows to: one buffer's worth of MTU
+/// packets (wire MTU ≈ 1538 B) plus a thin slack margin. The slack
+/// matters — a queue held at byte capacity by tail drop packs slightly
+/// more sub-MTU packets than the MTU estimate predicts, and a window that
+/// is even one slot too small routes every enqueue through the overflow
+/// deque exactly when the port is hottest (each packet then gets copied
+/// twice). Windows start far below this and double on demand (see
+/// [`crate::arena`]), so the ceiling costs nothing until a port really
+/// queues that deep.
 pub(crate) fn pooled_ring_slots(capacity_bytes: u64) -> usize {
-    let est = ring_slots(capacity_bytes);
+    let est = (capacity_bytes / 1538).clamp(16, 4096) as usize;
     est + est / 8 + 8
 }
 
@@ -126,13 +121,13 @@ pub struct PortConfig {
 impl PortConfig {
     /// A FIFO port with the given buffer and AQM, no fault injection.
     pub fn fifo(capacity_bytes: u64, aqm: Box<dyn Aqm>) -> Self {
-        // Pre-size for a buffer's worth of MTU packets (wire MTU ≈ 1538 B)
-        // so steady-state queueing never grows the deque.
-        let pkts = ring_slots(capacity_bytes);
         PortConfig {
             capacity_bytes,
             aqm,
-            sched: PortSched::Fifo(Fifo::with_capacity(pkts)),
+            // Unallocated until the first packet: switch ports trade this
+            // FIFO for a pooled ring at `connect`, and a NIC queue grows
+            // to what its backlog actually needs.
+            sched: PortSched::Fifo(Fifo::new()),
             fault_drop_p: 0.0,
             corrupt_p: 0.0,
             ge: None,
@@ -770,6 +765,54 @@ mod tests {
             last = Some(tx.pkt.ecn());
         }
         assert_eq!(last, Some(Ecn::Ce), "marked packet dequeues last");
+    }
+
+    #[test]
+    fn pooled_port_and_private_fifo_agree_on_a_mixed_trace() {
+        // Same arrivals and service opportunities through both storage
+        // kinds: bursts that wrap, grow and (with tiny packets under a
+        // byte-capacity buffer) spill the pooled window, drains that
+        // rewind it. Every observable must match at every step.
+        let cfg = || PortConfig::fifo(20_000, Box::new(DctcpRed::with_threshold(6_000)));
+        let mut private = port(cfg());
+        let (mut pooled, mut arena) = pooled(cfg());
+        let mut none = RingArena::new();
+        let mut rng = Rng::seed_from_u64(0xF1F0);
+        let mut now = SimTime::ZERO;
+        let mut spilled = false;
+        for step in 0..4_000u64 {
+            // Phases of mostly-arrivals and mostly-service, so the queue
+            // both saturates and drains dry.
+            let arrive = rng.f64() < if (step / 400) % 2 == 0 { 0.7 } else { 0.3 };
+            if arrive {
+                let payload = [1, 100, 1460][(rng.f64() * 3.0) as usize];
+                let mut p = Packet::data(FlowId(1), NodeId(0), NodeId(2), step, payload);
+                p.set_ecn(Ecn::Ect);
+                let a = private.enqueue(now, p.clone(), &mut none, &mut NoopSubscriber);
+                let b = pooled.enqueue(now, p, &mut arena, &mut NoopSubscriber);
+                assert_eq!(a, b, "admission differs at step {step}");
+            } else {
+                let a = private.next_tx(now, || 1.0, &mut none, &mut NoopSubscriber);
+                let b = pooled.next_tx(now, || 1.0, &mut arena, &mut NoopSubscriber);
+                assert_eq!(
+                    a.map(|t| (t.pkt.seq(), t.pkt.ecn(), t.tx_time)),
+                    b.map(|t| (t.pkt.seq(), t.pkt.ecn(), t.tx_time)),
+                    "transmission differs at step {step}"
+                );
+            }
+            assert_eq!(private.backlog_pkts(), pooled.backlog_pkts());
+            assert_eq!(private.backlog_bytes(), pooled.backlog_bytes());
+            spilled |= pooled.backlog_pkts() > pooled_ring_slots(20_000) as u64;
+            now += Duration::from_nanos(500);
+        }
+        assert_eq!(private.stats(), pooled.stats());
+        let st = pooled.stats();
+        assert!(st.tail_drops > 0 && st.enq_marks > 0 && st.dequeued > 1_000);
+        assert!(
+            spilled,
+            "trace never pushed the pooled ring past its window"
+        );
+        assert!(arena.overflow_breach().is_none());
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Single-queue FIFO scheduler: the default for every port that doesn't
 //! need service differentiation.
+//!
+//! Storage follows backlog: the deque starts unallocated and doubles on
+//! demand, and a dequeue that empties it rewinds its cursor to the first
+//! slot, so a NIC queue holding a packet or two keeps reusing the same
+//! cache line instead of walking a buffer-sized ring.
 
 use crate::{Dequeued, Scheduler};
 use std::collections::VecDeque;
@@ -15,14 +20,6 @@ impl<P> Fifo<P> {
     pub fn new() -> Self {
         Fifo {
             q: VecDeque::new(),
-            bytes: 0,
-        }
-    }
-
-    /// Create an empty FIFO with room for `n` packets before reallocating.
-    pub fn with_capacity(n: usize) -> Self {
-        Fifo {
-            q: VecDeque::with_capacity(n),
             bytes: 0,
         }
     }
@@ -48,6 +45,11 @@ impl<P: Send> Scheduler<P> for Fifo<P> {
     fn dequeue(&mut self) -> Option<Dequeued<P>> {
         let (bytes, item) = self.q.pop_front()?;
         self.bytes -= bytes;
+        if self.q.is_empty() {
+            // Rewind on drain: `pop_front` leaves the head wherever it
+            // got to; `clear` on the (already empty) deque resets it.
+            self.q.clear();
+        }
         Some(Dequeued {
             class: 0,
             bytes,
@@ -98,6 +100,27 @@ mod tests {
         drain(&mut f);
         assert!(f.is_empty());
         assert_eq!(f.backlog_bytes(), 0);
+    }
+
+    #[test]
+    fn drain_rewinds_to_first_slot() {
+        // Perf property, not a correctness one: after a drain the next
+        // packet lands in the slot the first one used.
+        let mut f = Fifo::new();
+        f.enqueue(0, 1, 0u32);
+        let first = f.q.as_slices().0.as_ptr();
+        for i in 1..100u32 {
+            assert_eq!(f.dequeue().map(|d| d.item), Some(i - 1));
+            f.enqueue(0, 1, i);
+            assert_eq!(f.q.as_slices().0.as_ptr(), first, "cycle {i}");
+        }
+        // While backlog is held the head advances as usual, FIFO intact.
+        f.enqueue(0, 1, 100);
+        assert_eq!(f.dequeue().map(|d| d.item), Some(99));
+        assert_ne!(f.q.as_slices().0.as_ptr(), first);
+        assert_eq!(f.dequeue().map(|d| d.item), Some(100));
+        f.enqueue(0, 1, 101);
+        assert_eq!(f.q.as_slices().0.as_ptr(), first);
     }
 
     #[test]

@@ -35,6 +35,26 @@
 //!   the earlier of the next occupied lane and the heap head; heap events
 //!   that have come inside that bucket are merged in before the sort.
 //!
+//! # Buffers follow occupancy
+//!
+//! A lane or outer slot owns a buffer only while it holds events. The
+//! buffer of a bucket that has just been drained (and the scratch of the
+//! two-run merge, and a cascaded outer slot's) goes onto a LIFO pool, and
+//! a slot that becomes occupied takes the most recently freed one. Two
+//! invariants follow:
+//!
+//! - an empty lane or outer slot has a zero-capacity `Vec` (nothing is
+//!   parked in a slot the cursor will not revisit for a whole ring
+//!   revolution);
+//! - the buffers alive at any time are the occupied slots plus the pool,
+//!   so retained capacity is bounded by (peak simultaneously occupied
+//!   slots + a handful) × peak bucket size rather than by
+//!   `LANE_COUNT` × peak bucket — and the buffer a schedule pushes into
+//!   was written a few buckets ago, not a ring revolution ago.
+//!
+//! Recycling only changes *which allocation* a slot's events sit in,
+//! never their order.
+//!
 //! The observable order is exactly the `(time, seq)` total order of the
 //! plain-heap implementation — the `strict-invariants` feature rechecks it
 //! on every pop — and the unit + property tests below drive lane
@@ -157,12 +177,33 @@ impl Default for LaneMeta {
     }
 }
 
+/// A buffer of `(time, key, event)` entries: one bucket's events, in a
+/// lane, an outer slot, the drain batch or the recycle pool.
+type Batch<E> = Vec<(SimTime, u64, E)>;
+
 /// One calendar slot: its pending entries plus the run bookkeeping,
 /// co-located so the per-schedule slot access touches a single cache
-/// region (the `Vec` header and the meta share a line).
+/// region (the `Vec` header and the meta share a line). `entries` has
+/// zero capacity whenever the slot is empty (see "Buffers follow
+/// occupancy" in the module docs).
 struct Lane<E> {
-    entries: Vec<(SimTime, u64, E)>,
+    entries: Batch<E>,
     meta: LaneMeta,
+}
+
+/// The most recently recycled buffer, or a fresh unallocated one.
+#[inline]
+fn take_buf<E>(pool: &mut Vec<Batch<E>>) -> Batch<E> {
+    pool.pop().unwrap_or_default()
+}
+
+/// Return an emptied buffer to the pool (unallocated ones are dropped).
+#[inline]
+fn recycle<E>(pool: &mut Vec<Batch<E>>, buf: Batch<E>) {
+    debug_assert!(buf.is_empty(), "recycling a buffer that still holds events");
+    if buf.capacity() > 0 {
+        pool.push(buf);
+    }
 }
 
 impl<E> Default for Lane<E> {
@@ -185,7 +226,7 @@ const _: () = assert!(std::mem::size_of::<Lane<u64>>() <= 64);
 pub struct EventQueue<E> {
     /// Entries of the bucket currently being drained (`cursor`), sorted
     /// by `(time, seq)` **descending** so the earliest is at the back.
-    current: Vec<(SimTime, u64, E)>,
+    current: Batch<E>,
     /// Events scheduled *into* the draining bucket mid-drain (the ACK
     /// turnaround pattern: a sub-lane tx-done lands in the same bucket).
     /// A sorted-`Vec::insert` into `current` would memmove O(batch) per
@@ -214,7 +255,7 @@ pub struct EventQueue<E> {
     /// cursor can reach them, so the events pop in exact `(time, key)`
     /// order — the outer ring only changes *where they wait*, never the
     /// observable order.
-    outer: Vec<Vec<(SimTime, u64, E)>>,
+    outer: Vec<Batch<E>>,
     /// One bit per outer slot: slot non-empty.
     outer_occ: [u64; OUTER_WORDS],
     /// Total entries across all outer slots.
@@ -226,9 +267,8 @@ pub struct EventQueue<E> {
     /// global sequence counter so fired timers replay in exactly the
     /// `(time, seq)` order a plain `schedule` would have given them.
     wheel: TimerWheel<E>,
-    /// Scratch buffers reused by the two-run refill merge.
-    scratch: Vec<(SimTime, u64, E)>,
-    spare: Vec<(SimTime, u64, E)>,
+    /// Emptied buffers awaiting reuse, most recently freed last.
+    pool: Vec<Batch<E>>,
     next_seq: u64,
     now: SimTime,
     len: usize,
@@ -267,8 +307,7 @@ impl<E> EventQueue<E> {
             outer_len: 0,
             heap: BinaryHeap::new(),
             wheel: TimerWheel::new(),
-            scratch: Vec::new(),
-            spare: Vec::new(),
+            pool: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             len: 0,
@@ -387,10 +426,12 @@ impl<E> EventQueue<E> {
             // refill cascade moves them into inner lanes before they come
             // due, so no per-schedule ordering work happens here at all.
             let slot = ((b >> OUTER_SHIFT) & OUTER_MASK) as usize;
-            if self.outer[slot].is_empty() {
+            let parked = &mut self.outer[slot];
+            if parked.is_empty() {
                 self.outer_occ[slot >> 6] |= 1u64 << (slot & 63);
+                *parked = take_buf(&mut self.pool);
             }
-            self.outer[slot].push((at, seq, event));
+            parked.push((at, seq, event));
             self.outer_len += 1;
         } else {
             self.heap.push(Entry {
@@ -420,6 +461,7 @@ impl<E> EventQueue<E> {
         let lane = &mut self.lanes[slot];
         if lane.entries.is_empty() {
             self.occupied[slot >> 6] |= 1u64 << (slot & 63);
+            lane.entries = take_buf(&mut self.pool);
             lane.meta = LaneMeta {
                 runs: 1,
                 first_run_len: 1,
@@ -571,8 +613,12 @@ impl<E> EventQueue<E> {
                 // barrier peeks do this routinely). If it is still there
                 // (sorted batch or inbox overlay), remove it and undo the
                 // delivery-time fired count; otherwise it already popped
-                // and the cancel is stale.
-                if let Some(pos) = self.current.iter().position(|e| (e.0, e.1) == (t, s)) {
+                // and the cancel is stale. The batch is sorted
+                // descending, so a binary search finds the entry and the
+                // order-preserving `remove` shifts only what is due
+                // before it — little for a soon-due timer, however large
+                // the bucket.
+                if let Ok(pos) = self.current.binary_search_by(|e| (t, s).cmp(&(e.0, e.1))) {
                     self.current.remove(pos);
                     self.len -= 1;
                     self.perf.timers_fired -= 1;
@@ -674,8 +720,7 @@ impl<E> EventQueue<E> {
             debug_assert!(b > self.cursor && b - self.cursor < LANE_COUNT as u64);
             self.insert_lane(b, at, seq, event);
         }
-        // Hand the emptied allocation back to the slot for reuse.
-        self.outer[slot] = entries;
+        recycle(&mut self.pool, entries);
     }
 
     /// Refill `current` with the earliest pending bucket's events (lanes,
@@ -720,7 +765,11 @@ impl<E> EventQueue<E> {
         let mut meta = LaneMeta::default();
         if lane_bucket == Some(b) {
             let slot = (b & LANE_MASK) as usize;
-            std::mem::swap(&mut self.current, &mut self.lanes[slot].entries);
+            // The lane's buffer becomes the batch; the drained batch's
+            // goes to the pool rather than being parked in this slot.
+            let lane = std::mem::take(&mut self.lanes[slot].entries);
+            let drained = std::mem::replace(&mut self.current, lane);
+            recycle(&mut self.pool, drained);
             self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
             self.lanes_len -= self.current.len();
             meta = self.lanes[slot].meta;
@@ -769,20 +818,19 @@ impl<E> EventQueue<E> {
                 .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
             return;
         }
-        self.scratch.clear();
-        self.scratch.extend(self.current.drain(split..));
-        let mut merged = std::mem::take(&mut self.spare);
-        merged.clear();
-        merged.reserve(self.current.len() + self.scratch.len());
+        let mut second = take_buf(&mut self.pool);
+        second.extend(self.current.drain(split..));
+        let mut merged = take_buf(&mut self.pool);
+        merged.reserve(self.current.len() + second.len());
         loop {
-            let take_second = match (self.current.last(), self.scratch.last()) {
+            let take_second = match (self.current.last(), second.last()) {
                 (Some(a), Some(s)) => (s.0, s.1) > (a.0, a.1),
                 (None, Some(_)) => true,
                 (Some(_), None) => false,
                 (None, None) => break,
             };
             let popped = if take_second {
-                self.scratch.pop()
+                second.pop()
             } else {
                 self.current.pop()
             };
@@ -790,7 +838,9 @@ impl<E> EventQueue<E> {
                 merged.push(x);
             }
         }
-        self.spare = std::mem::replace(&mut self.current, merged);
+        let first = std::mem::replace(&mut self.current, merged);
+        recycle(&mut self.pool, second);
+        recycle(&mut self.pool, first);
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.
@@ -917,13 +967,13 @@ impl<E> EventQueue<E> {
         );
         if self.lanes_len > 0 {
             for lane in &mut self.lanes {
-                out.append(&mut lane.entries);
+                out.extend(std::mem::take(&mut lane.entries));
                 lane.meta = LaneMeta::default();
             }
         }
         if self.outer_len > 0 {
             for slot in &mut self.outer {
-                out.append(slot);
+                out.extend(std::mem::take(slot));
             }
         }
         out.extend(
@@ -991,20 +1041,41 @@ impl<E> EventQueue<E> {
         self.heap.clear();
         if self.lanes_len > 0 {
             for lane in &mut self.lanes {
-                lane.entries.clear();
+                lane.entries = Batch::new();
             }
         }
         self.occupied = [0; WORDS];
         self.lanes_len = 0;
         if self.outer_len > 0 {
             for slot in &mut self.outer {
-                slot.clear();
+                *slot = Batch::new();
             }
         }
         self.outer_occ = [0; OUTER_WORDS];
         self.outer_len = 0;
         self.wheel.clear();
         self.len = 0;
+    }
+
+    /// Entries' worth of buffer capacity held anywhere in the calendar:
+    /// the drain batch, every lane and outer slot, and the recycle pool.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
+        self.current.capacity()
+            + self
+                .lanes
+                .iter()
+                .map(|l| l.entries.capacity())
+                .sum::<usize>()
+            + self.outer.iter().map(Vec::capacity).sum::<usize>()
+            + self.pool.iter().map(Vec::capacity).sum::<usize>()
+    }
+
+    /// Lanes plus outer slots currently holding events.
+    #[cfg(test)]
+    fn occupied_slots(&self) -> usize {
+        let bits = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        bits(&self.occupied) + bits(&self.outer_occ)
     }
 }
 
@@ -1438,6 +1509,49 @@ mod tests {
         assert!(!q.cancel_timer(tok));
     }
 
+    /// A timer already drained into a large sorted batch is still
+    /// cancellable, wherever its key falls in the batch, and the
+    /// delivery-time `timers_fired` count is undone.
+    #[test]
+    fn cancels_a_drained_timer_out_of_a_large_batch() {
+        for timer_at in [1_030u64, 1_500, 2_040] {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            q.schedule(SimTime::from_nanos(10), 0);
+            // 500 events across bucket 1 (1024..2047 ns), two per tick.
+            for i in 0..500u64 {
+                q.schedule(SimTime::from_nanos(1_024 + 2 * i), 1 + i);
+            }
+            let tok = q.schedule_timer(SimTime::from_nanos(timer_at), u64::MAX);
+            let keep = q.schedule_timer(SimTime::from_nanos(timer_at), u64::MAX - 1);
+            assert_eq!(q.pop().unwrap().1, 0);
+            // Popping the bucket's first event drains both timers into
+            // the batch (counted as fired on delivery).
+            assert_eq!(q.pop().unwrap().1, 1);
+            assert_eq!(q.perf().timers_fired, 2);
+            assert_eq!(q.current.len(), 501);
+            assert!(q.cancel_timer(tok));
+            assert!(!q.cancel_timer(tok), "second cancel is stale");
+            assert_eq!(q.len(), 500);
+            let p = q.perf();
+            assert_eq!((p.timers_fired, p.timers_cancelled), (1, 1));
+            // The batch keeps its order and only the cancelled entry is gone.
+            let mut rest = Vec::new();
+            let mut last = SimTime::ZERO;
+            while let Some((t, e)) = q.pop() {
+                assert!(t >= last);
+                last = t;
+                rest.push(e);
+            }
+            let events: Vec<u64> = rest.iter().copied().filter(|&e| e < u64::MAX - 1).collect();
+            assert_eq!(events, (2..=500).collect::<Vec<_>>());
+            assert_eq!(rest.iter().filter(|&&e| e == u64::MAX - 1).count(), 1);
+            assert!(!rest.contains(&u64::MAX), "cancelled timer popped");
+            assert_eq!(q.perf().timers_fired, 1);
+            // Cancelling the survivor after it fired is stale.
+            assert!(!q.cancel_timer(keep));
+        }
+    }
+
     #[test]
     fn timer_keeps_queue_alive_for_run_until_idle_loops() {
         let mut q: EventQueue<&str> = EventQueue::new();
@@ -1630,6 +1744,103 @@ mod tests {
                 got.push((t.as_nanos(), e));
             }
             prop_assert_eq!(got, oracle);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+        /// Fig9-like density — a steady ~200 events per 1 µs bucket for
+        /// over 3 000 buckets — against a plain binary heap: identical
+        /// pop order through mid-drain inserts into the draining bucket,
+        /// outer-ring cascades, heap spills and a mid-run `drain_entries`
+        /// + re-schedule, while buffer capacity follows the occupied
+        /// slots instead of growing on all `LANE_COUNT` lanes.
+        #[test]
+        fn prop_dense_buckets_match_heap_order_and_recycle_buffers(
+            seed in any::<u64>(),
+            spread_us in 20u64..60,
+            drain_at in 100_000u64..500_000,
+        ) {
+            use std::cmp::Reverse;
+            const PENDING: u64 = 200;
+            const POPS: u64 = 3_300 * PENDING;
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut rng = crate::rng::Rng::seed_from_u64(seed);
+            let mut seq = 0u64;
+            // Steady state: every pop schedules one successor a uniform
+            // 0..spread µs ahead (mean spread/2), so `PENDING * spread / 2`
+            // events in flight put ~PENDING in every bucket. A sliver of the successors
+            // land in the draining bucket (inbox), in the outer ring, or
+            // past both horizons (heap).
+            let delay = |rng: &mut crate::rng::Rng| -> u64 {
+                let r = rng.f64();
+                if r < 0.02 {
+                    (rng.f64() * 300.0) as u64
+                } else if r < 0.021 {
+                    2_000_000 + (rng.f64() * 20_000_000.0) as u64
+                } else if r < 0.0211 {
+                    80_000_000 + (rng.f64() * 5_000_000.0) as u64
+                } else {
+                    (rng.f64() * (spread_us * 1_000) as f64) as u64
+                }
+            };
+            for _ in 0..PENDING * spread_us / 2 {
+                let at = delay(&mut rng);
+                q.schedule(SimTime::from_nanos(at), seq);
+                heap.push(Reverse((at, seq)));
+                seq += 1;
+            }
+            let (mut peak_slots, mut peak_bucket) = (0usize, 0usize);
+            let first_bucket = q.cursor;
+            for n in 0..POPS {
+                let Some(Reverse((at, key))) = heap.pop() else { break };
+                let (t, e) = q.pop().expect("queue ran dry before the reference");
+                prop_assert_eq!((t.as_nanos(), e), (at, key));
+                peak_bucket = peak_bucket.max(q.current.len() + 1);
+                let next = at + delay(&mut rng);
+                q.schedule(SimTime::from_nanos(next), seq);
+                heap.push(Reverse((next, seq)));
+                seq += 1;
+                peak_slots = peak_slots.max(q.occupied_slots());
+                if n == drain_at {
+                    // The shard-split primitive, mid-drain: everything
+                    // comes out in order and goes back in under its key.
+                    let all = q.drain_entries();
+                    let mut want: Vec<(u64, u64)> = heap.iter().map(|r| r.0).collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(
+                        all.iter().map(|e| (e.0.as_nanos(), e.2)).collect::<Vec<_>>(),
+                        want
+                    );
+                    prop_assert_eq!(q.occupied_slots(), 0);
+                    for (t, k, e) in all {
+                        q.schedule_tagged(t, k, e);
+                    }
+                }
+            }
+            prop_assert!(q.cursor - first_bucket >= 3_000, "run too short");
+            prop_assert!(peak_bucket >= PENDING as usize, "buckets too sparse");
+            prop_assert!(q.perf().heap_spills > 0, "no event reached the heap tier");
+            // `Vec` growth doubles, so a buffer holds at most twice the
+            // largest bucket it ever carried; a handful of buffers beyond
+            // the occupied slots are in flight (batch, merge scratch).
+            let bound = (peak_slots + 4) * 2 * peak_bucket;
+            let retained = q.retained_capacity();
+            prop_assert!(
+                retained <= bound,
+                "retained {retained} entries > ({peak_slots} slots + 4) * 2 * {peak_bucket}"
+            );
+            prop_assert!(
+                retained < LANE_COUNT * peak_bucket / 4,
+                "retained {retained} entries scales with LANE_COUNT ({peak_slots} slots peak)"
+            );
+            // And the tail drains in order too.
+            while let Some(Reverse((at, key))) = heap.pop() {
+                let (t, e) = q.pop().expect("queue ran dry before the reference");
+                prop_assert_eq!((t.as_nanos(), e), (at, key));
+            }
+            prop_assert!(q.pop().is_none());
         }
     }
 }

@@ -336,7 +336,7 @@ pub fn diff(old_path: &str, new_path: &str) -> bool {
 /// the baseline by more than its group budget fails the gate. Entries
 /// whose median (on either side) sits below [`MEASUREMENT_FLOOR_NS`] are
 /// skipped: sub-floor medians are quantization noise, not signal. The
-/// [`PAIRED_GATES`] groups are gated on their same-run pair ratio
+/// `PAIRED_GATES` benches are gated on their same-run pair ratio
 /// instead of against the committed baseline.
 pub fn check(root: &Path) -> bool {
     let baseline_path = root.join("BENCH_sim.json");
@@ -404,13 +404,6 @@ pub fn check(root: &Path) -> bool {
 pub fn max_regression_for(group: &str) -> f64 {
     match group {
         "telemetry_noop" => 1.03,
-        // Armed-but-untriggered watchdogs are one branch and a counter
-        // per popped event; like the no-op subscriber, they carry a
-        // zero-cost-when-quiet claim (DESIGN.md "Run supervision") and
-        // are held to measurement noise. Applied to the same-run
-        // armed-vs-off pair ratio ([`PAIRED_GATES`]), not to the
-        // committed baseline.
-        "supervision_cost" => 1.03,
         // Whole-simulation wall times (seconds per sample, 5 samples):
         // noisier than the microbenches, so the budget is wider. The
         // group still gates the sharded engine against gross slowdowns.
@@ -424,30 +417,68 @@ pub fn max_regression_for(group: &str) -> f64 {
     }
 }
 
-/// Paired same-run zero-cost gates: `(group, off bench, armed bench)`.
-/// These groups skip the entry-vs-committed-baseline comparison — on a
-/// shared box, co-tenant bursts move a whole-simulation median far past
-/// any honest zero-cost budget, and binary layout alone drifts absolute
-/// numbers across commits. Instead the two benches of the pair, measured
-/// seconds apart in the same run, are compared to *each other* on
-/// per-sample minima (interference is strictly additive, so the minimum
-/// is the stable statistic), holding the armed side within the group
-/// budget of the off side.
-const PAIRED_GATES: [(&str, &str, &str); 1] = [(
-    "supervision_cost",
-    "dctcp_10mb_guards_off",
-    "dctcp_10mb_guards_armed",
-)];
+/// A same-run pair gate: `subject` may cost at most `budget` × `control`.
+struct PairedGate {
+    /// Benchmark group both benches report under.
+    group: &'static str,
+    /// The in-run control.
+    control: &'static str,
+    /// The bench held against it.
+    subject: &'static str,
+    /// Largest allowed `subject / control` ratio of per-sample minima.
+    budget: f64,
+}
+
+/// Paired same-run gates. These benches skip the
+/// entry-vs-committed-baseline comparison — on a shared box, co-tenant
+/// bursts move a whole-simulation median far past any honest budget, and
+/// binary layout alone drifts absolute numbers across commits. Instead
+/// the two benches of a pair, measured seconds apart in the same run, are
+/// compared to *each other* on per-sample minima (interference is
+/// strictly additive, so the minimum is the stable statistic).
+const PAIRED_GATES: [PairedGate; 3] = [
+    // Armed-but-untriggered watchdogs are one branch and a counter per
+    // popped event; like the no-op subscriber, they carry a
+    // zero-cost-when-quiet claim (DESIGN.md "Run supervision") and are
+    // held to measurement noise.
+    PairedGate {
+        group: "supervision_cost",
+        control: "dctcp_10mb_guards_off",
+        subject: "dctcp_10mb_guards_armed",
+        budget: 1.03,
+    },
+    // Working-set gates (PERFORMANCE.md "Footprint follows backlog"):
+    // equal work, wider footprint. With lane buffers recycled the dense
+    // calendar costs 1.05-1.10x the sparse one per event (1.46x when every
+    // lane kept its own buffer); with rings rewinding on drain 384 ports
+    // cost 1.05x what 16 do per packet (1.77x when each walked its whole
+    // window).
+    PairedGate {
+        group: "event_queue",
+        control: "sparse_bucket_8",
+        subject: "dense_bucket_200",
+        budget: 1.25,
+    },
+    PairedGate {
+        group: "cache_pressure",
+        control: "port_ring_sparse_16",
+        subject: "port_ring_sparse_384",
+        budget: 1.25,
+    },
+];
 
 /// The comparison half of [`check`], split out for unit testing: `true`
 /// iff no fresh entry regressed beyond its group's budget
 /// ([`max_regression_for`]) against its baseline counterpart, and every
-/// [`PAIRED_GATES`] pair present in `fresh` holds its same-run ratio.
+/// `PAIRED_GATES` pair present in `fresh` holds its same-run ratio.
 pub fn check_entries(baseline: &[BenchEntry], fresh: &[BenchEntry]) -> bool {
     let mut ok = true;
     let mut compared = 0usize;
     for n in fresh {
-        if PAIRED_GATES.iter().any(|(g, _, _)| *g == n.group) {
+        if PAIRED_GATES
+            .iter()
+            .any(|p| p.group == n.group && (p.control == n.bench || p.subject == n.bench))
+        {
             continue; // gated as a same-run pair below
         }
         let Some(o) = baseline
@@ -483,41 +514,41 @@ pub fn check_entries(baseline: &[BenchEntry], fresh: &[BenchEntry]) -> bool {
             );
         }
     }
-    for (group, off_name, armed_name) in PAIRED_GATES {
-        let off = fresh
-            .iter()
-            .find(|e| e.group == group && e.bench == off_name);
-        let armed = fresh
-            .iter()
-            .find(|e| e.group == group && e.bench == armed_name);
-        let (off, armed) = match (off, armed) {
-            (Some(o), Some(a)) => (o, a),
-            (None, None) => continue, // group not in this run
+    for gate in &PAIRED_GATES {
+        let PairedGate {
+            group,
+            control,
+            subject,
+            budget,
+        } = *gate;
+        let find = |name: &str| fresh.iter().find(|e| e.group == group && e.bench == name);
+        let (c, s) = match (find(control), find(subject)) {
+            (Some(c), Some(s)) => (c, s),
+            (None, None) => continue, // pair not in this run
             _ => {
                 eprintln!(
-                    "  {group}: paired gate needs both {off_name} and {armed_name} — bench names diverged?"
+                    "  {group}: paired gate needs both {control} and {subject} — bench names diverged?"
                 );
                 ok = false;
                 continue;
             }
         };
-        let off_ns = off.min_ns.unwrap_or(off.median_ns);
-        let armed_ns = armed.min_ns.unwrap_or(armed.median_ns);
-        if off_ns < MEASUREMENT_FLOOR_NS || armed_ns < MEASUREMENT_FLOOR_NS {
-            println!("  {group}: below {MEASUREMENT_FLOOR_NS} ns floor — skipped");
+        let control_ns = c.min_ns.unwrap_or(c.median_ns);
+        let subject_ns = s.min_ns.unwrap_or(s.median_ns);
+        if control_ns < MEASUREMENT_FLOOR_NS || subject_ns < MEASUREMENT_FLOOR_NS {
+            println!("  {group}/{subject}: below {MEASUREMENT_FLOOR_NS} ns floor — skipped");
             continue;
         }
         compared += 1;
-        let budget = max_regression_for(group);
-        let ratio = armed_ns as f64 / off_ns as f64;
+        let ratio = subject_ns as f64 / control_ns as f64;
         if ratio > budget {
             eprintln!(
-                "  {group}: PAIR REGRESSION {ratio:.2}x, budget {budget:.2}x (same-run min {off_ns} ns off, {armed_ns} ns armed)"
+                "  {group}/{subject}: PAIR REGRESSION {ratio:.2}x {control}, budget {budget:.2}x (same-run min {control_ns} ns -> {subject_ns} ns)"
             );
             ok = false;
         } else {
             println!(
-                "  {group}: ok (armed {ratio:.2}x off, budget {budget:.2}x, same-run min {off_ns} ns -> {armed_ns} ns)"
+                "  {group}/{subject}: ok ({ratio:.2}x {control}, budget {budget:.2}x, same-run min {control_ns} ns -> {subject_ns} ns)"
             );
         }
     }
@@ -634,7 +665,7 @@ mod tests {
     #[test]
     fn telemetry_noop_group_holds_the_3_percent_line() {
         assert!((max_regression_for("telemetry_noop") - 1.03).abs() < 1e-9);
-        assert!((max_regression_for("supervision_cost") - 1.03).abs() < 1e-9);
+        assert!((PAIRED_GATES[0].budget - 1.03).abs() < 1e-9);
         assert!((max_regression_for("event_queue") - 1.25).abs() < 1e-9);
         assert!((max_regression_for("shard_scaling") - 1.50).abs() < 1e-9);
         assert!((max_regression_for("cache_pressure") - 1.40).abs() < 1e-9);
@@ -673,6 +704,41 @@ mod tests {
         assert!(!check_entries(&base, &[off.clone(), armed]));
         // Half a pair is a wiring error, not a skip.
         assert!(!check_entries(&base, &[off]));
+    }
+
+    #[test]
+    fn working_set_pairs_gate_on_the_ratio_and_leave_their_groups_alone() {
+        let with_min = |group: &str, bench: &str, ns: u64| {
+            let mut e = entry(group, bench, ns);
+            e.min_ns = Some(ns);
+            e
+        };
+        // The committed baseline is far off for every paired bench (old
+        // layout, other machine): it has no say. The unpaired bench in
+        // the same group is still held to the baseline.
+        let base = vec![
+            entry("event_queue", "push_pop_10k", 100_000),
+            entry("event_queue", "dense_bucket_200", 1_000),
+            entry("cache_pressure", "port_ring_sparse_384", 1_000),
+        ];
+        let run = |dense: u64, wide: u64, push_pop: u64| {
+            check_entries(
+                &base,
+                &[
+                    entry("event_queue", "push_pop_10k", push_pop),
+                    with_min("event_queue", "sparse_bucket_8", 27_000_000),
+                    with_min("event_queue", "dense_bucket_200", dense),
+                    with_min("cache_pressure", "port_ring_sparse_16", 6_200_000),
+                    with_min("cache_pressure", "port_ring_sparse_384", wide),
+                ],
+            )
+        };
+        assert!(run(28_800_000, 6_500_000, 100_000));
+        // Per-lane buffers again (1.46x) or rings walking their windows
+        // (1.77x) trip their pair.
+        assert!(!run(39_400_000, 6_500_000, 100_000));
+        assert!(!run(28_800_000, 11_000_000, 100_000));
+        assert!(!run(28_800_000, 6_500_000, 130_000));
     }
 
     #[test]

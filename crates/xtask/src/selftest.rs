@@ -160,8 +160,14 @@ pub fn run(workspace_root: &Path) -> Result<(), String> {
     // End-to-end: a seeded violation in a scratch workspace tree drives
     // the same walk `cargo xtask lint` uses to a non-empty finding set
     // (i.e. a non-zero process exit).
-    let scratch =
-        std::env::temp_dir().join(format!("ecnsharp-lint-selftest-{}", std::process::id()));
+    // Keyed by thread as well as process: two tests of one test binary
+    // run this concurrently, and one's cleanup must not empty the tree
+    // under the other's walk.
+    let scratch = std::env::temp_dir().join(format!(
+        "ecnsharp-lint-selftest-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
     let sim_src = scratch.join("crates/sim/src");
     fs::create_dir_all(&sim_src).map_err(|e| format!("scratch dir: {e}"))?;
     let result = (|| -> Result<(), String> {
