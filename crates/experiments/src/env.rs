@@ -14,7 +14,6 @@
 //! | `ECNSHARP_TELEMETRY_JSON` | writable file path | unset = no sink |
 //! | `ECNSHARP_PERF_JSON` | writable file path | unset = no sink |
 //! | `ECNSHARP_DELACK` | u32 ≥ 1 | transport default |
-//! | `ECNSHARP_TIMER_BACKEND` | `wheel`/`legacy` | `wheel` |
 //! | `ECNSHARP_INJECT_PANIC` | `worker` | unset = no injection |
 //! | `ECNSHARP_SHARDS` | u32 ≥ 1 | `1` (serial) |
 //! | `ECNSHARP_INJECT_STALL` | `window` | unset = no injection |
@@ -27,7 +26,6 @@
 
 use crate::runner::{parse_fault_seed, DEFAULT_FAULT_SEED};
 use crate::Scale;
-use ecnsharp_transport::TimerBackend;
 use std::path::PathBuf;
 
 /// Read one knob. `Ok(None)` when unset; an unreadable (non-unicode)
@@ -99,23 +97,6 @@ pub fn delack() -> Result<Option<u32>, String> {
             Ok(n) if n >= 1 => Ok(Some(n)),
             _ => Err(format!(
                 "unrecognized ECNSHARP_DELACK value {v:?} (expected an integer >= 1)"
-            )),
-        },
-        None => Ok(None),
-    }
-}
-
-/// `ECNSHARP_TIMER_BACKEND`: timer backend selection, used by the
-/// wheel/legacy equivalence test. Unset means the transport default
-/// (the wheel); set values must be exactly `wheel` or `legacy`.
-pub fn timer_backend() -> Result<Option<TimerBackend>, String> {
-    match read("ECNSHARP_TIMER_BACKEND")? {
-        Some(v) => match v.as_str() {
-            "wheel" => Ok(Some(TimerBackend::Wheel)),
-            "legacy" => Ok(Some(TimerBackend::Legacy)),
-            other => Err(format!(
-                "unrecognized ECNSHARP_TIMER_BACKEND value {other:?} \
-                 (expected \"wheel\" or \"legacy\")"
             )),
         },
         None => Ok(None),

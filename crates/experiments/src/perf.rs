@@ -141,10 +141,10 @@ pub struct Snapshot {
     pub timers_cancelled: u64,
     /// Wheel timers that fired, summed over runs.
     pub timers_fired: u64,
-    /// Stale timers suppressed by in-place re-arm — queue events the
-    /// legacy backend would have pushed and popped for nothing.
+    /// Stale timers suppressed by in-place re-arm — queue events an
+    /// epoch-filtering design would have pushed and popped for nothing.
     pub timers_stale_suppressed: u64,
-    /// Events that bypassed both calendar horizons into the heap,
+    /// Events scheduled beyond the 1 ms lane horizon (into the heap),
     /// summed over runs.
     pub heap_spills: u64,
     /// Flows aborted after exhausting their RTO retries, summed over runs.

@@ -116,18 +116,13 @@ fn env_shards() -> u32 {
 }
 
 /// Endpoint transport used by every scenario. `ECNSHARP_DELACK` overrides
-/// the delayed-ACK count (calibration experiments); `ECNSHARP_TIMER_BACKEND`
-/// (`wheel` | `legacy`) selects the timer backend — the equivalence test
-/// uses it to prove both produce byte-identical figures. Both knobs are
-/// strict (see [`crate::env`]): a set-but-invalid value exits 2 instead of
+/// the delayed-ACK count (calibration experiments). The knob is strict
+/// (see [`crate::env`]): a set-but-invalid value exits 2 instead of
 /// silently running the default configuration.
 fn endpoint_tcp() -> TcpConfig {
     let mut cfg = TcpConfig::dctcp();
     if let Some(n) = crate::env::or_exit(crate::env::delack()) {
         cfg.delack_count = n;
-    }
-    if let Some(backend) = crate::env::or_exit(crate::env::timer_backend()) {
-        cfg.timer_backend = backend;
     }
     cfg
 }

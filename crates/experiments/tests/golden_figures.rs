@@ -1,14 +1,20 @@
-//! Golden regression pins for the cache-level host-path pass: figure
-//! CSVs and a chaos-sweep point are pinned byte-identical to fixtures
-//! captured from the engine *before* the packed `Packet` layout, pooled
-//! per-switch rings, wheel-batched delayed ACKs, and the second calendar
-//! horizon landed.
+//! Golden regression pins: figure CSVs and a chaos-sweep point are pinned
+//! byte-identical to fixtures captured from a reference engine, so the
+//! reference is a file on disk, not a second production code path.
 //!
-//! The in-build equivalence suites (`shard_equivalence`,
-//! `timer_equivalence`, `delack_equivalence`) compare two modes of the
-//! same build, so a behaviour shift that hits *both* modes equally would
-//! slip through them. These fixtures close that hole: they are a
-//! snapshot of the pre-pass engine's actual output.
+//! `fig2_quick.csv`, `fig9_quick.csv` and `chaos_point.txt` were captured
+//! *before* the packed `Packet` layout, pooled per-switch rings and
+//! wheel-batched delayed ACKs landed. `fig2_quick_delack2.csv` (fig2 at
+//! `ECNSHARP_DELACK=2`) was captured at the last commit that still
+//! carried the un-batched, epoch-filtered one-shot timer path, where an
+//! in-build test proved that path and the wheel produce this exact CSV.
+//! The in-build equivalence suite that remains (`shard_equivalence`)
+//! compares two modes of the same build, so a behaviour shift that hits
+//! both modes equally would slip through it; these fixtures do not.
+//!
+//! The test also carries the absolute timer-wheel assertions: timers are
+//! armed, re-arms suppress stale deadlines in place, and with delayed
+//! ACKs one long-lived token serves a whole quiet period.
 //!
 //! Regenerate only after an *intentional* behaviour change:
 //! `ECNSHARP_BLESS_GOLDEN=1 cargo test --release -p ecnsharp-experiments
@@ -16,11 +22,11 @@
 //! code change.
 //!
 //! Single test in its own binary: it mutates process environment
-//! (`ECNSHARP_SHARDS`, `ECNSHARP_RESULTS`), which would race with any
-//! concurrently running test in the same process.
+//! (`ECNSHARP_SHARDS`, `ECNSHARP_DELACK`, `ECNSHARP_RESULTS`), which
+//! would race with any concurrently running test in the same process.
 
 use ecnsharp_experiments::{
-    figures, run_chaos_leaf_spine, ChaosResult, Scale, Scheme, DEFAULT_FAULT_SEED,
+    figures, perf, run_chaos_leaf_spine, ChaosResult, Scale, Scheme, DEFAULT_FAULT_SEED,
 };
 use ecnsharp_sim::Duration;
 use ecnsharp_stats::FctSummary;
@@ -68,12 +74,34 @@ fn engine_output_matches_prepass_golden() {
     std::env::set_var("ECNSHARP_RESULTS", &dir);
     std::env::remove_var("ECNSHARP_SHARDS");
 
-    // The four pinned outputs: fig2 (testbed star threshold sweep), fig9
-    // serial and under the sharded engine (leaf-spine grid — the pooled
-    // rings' main consumer), and one adversarial chaos point (flapping
-    // link + 1% GE burst loss crossing shard cuts).
+    // The pinned outputs: fig2 (testbed star threshold sweep) with
+    // per-segment and with delayed ACKs, fig9 serial and under the sharded
+    // engine (leaf-spine grid — the pooled rings' main consumer), and one
+    // adversarial chaos point (flapping link + 1% GE burst loss crossing
+    // shard cuts).
     let mut outputs: Vec<(&str, String)> = Vec::new();
-    outputs.push(("fig2_quick.csv", figures::fig2(Scale::Quick).to_csv()));
+    let fig2 = perf::timed(|| figures::fig2(Scale::Quick));
+    outputs.push(("fig2_quick.csv", fig2.result.to_csv()));
+    // Every RTO lives on the wheel: timers were armed, and re-arms
+    // replaced stale deadlines in place instead of letting them pop.
+    assert!(fig2.perf.timers_armed > 0);
+    assert!(fig2.perf.timers_stale_suppressed > 0);
+    assert!(fig2.perf.timers_fired <= fig2.perf.timers_armed);
+
+    std::env::set_var("ECNSHARP_DELACK", "2");
+    let delack2 = perf::timed(|| figures::fig2(Scale::Quick));
+    std::env::remove_var("ECNSHARP_DELACK");
+    outputs.push(("fig2_quick_delack2.csv", delack2.result.to_csv()));
+    assert!(delack2.perf.timers_armed > 0);
+    assert!(delack2.perf.timers_fired <= delack2.perf.timers_armed);
+    // One long-lived token per receiver quiet period, not one arm per
+    // in-order packet: arms must be far rarer than forwarded packets.
+    assert!(
+        delack2.perf.timers_armed * 4 < delack2.perf.packets_forwarded,
+        "batched delack armed {} timers for {} packets",
+        delack2.perf.timers_armed,
+        delack2.perf.packets_forwarded
+    );
     outputs.push(("fig9_quick.csv", figures::fig9(Scale::Quick).to_csv()));
     for shards in [2u32, 4] {
         std::env::set_var("ECNSHARP_SHARDS", shards.to_string());
@@ -116,7 +144,7 @@ fn engine_output_matches_prepass_golden() {
         });
         assert_eq!(
             got, &want,
-            "output #{i} ({name}) drifted from the pre-pass golden fixture; \
+            "output #{i} ({name}) drifted from its golden fixture; \
              if the change is intentional, re-bless and audit the diff"
         );
     }

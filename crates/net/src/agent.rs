@@ -75,9 +75,6 @@ pub enum Action {
     /// Transmit a packet from this host's NIC, after an artificial
     /// processing delay (the netem knob; [`Duration::ZERO`] for none).
     Send(Packet, Duration),
-    /// Fire [`Agent::on_timer`] with `key` at absolute time `at`
-    /// (one-shot, not cancellable — see [`Ctx::set_timer`]).
-    SetTimer(SimTime, u64),
     /// Arm (or re-arm) the cancellable timer identified by `key` on this
     /// node to fire [`Agent::on_timer`] at absolute time `at`. Backed by
     /// the engine's hierarchical timer wheel: a previously armed timer
@@ -188,20 +185,6 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::Send(pkt, delay));
     }
 
-    /// Request a one-shot timer callback `after` from now, tagged with
-    /// `key`.
-    ///
-    /// These timers are not cancellable; agents using them implement
-    /// cancellation by tagging timers with epochs and ignoring stale ones.
-    /// That lazy pattern pushes one soon-to-be-garbage event through the
-    /// queue per re-arm — prefer [`Ctx::arm_timer`]/[`Ctx::cancel_timer`],
-    /// which re-arm in place on the engine's timer wheel. `set_timer` is
-    /// kept for the legacy transport backend and as the equivalence
-    /// baseline the determinism tests compare the wheel against.
-    pub fn set_timer(&mut self, after: Duration, key: u64) {
-        self.actions.push(Action::SetTimer(self.now + after, key));
-    }
-
     /// Arm — or re-arm, replacing any pending deadline — the cancellable
     /// timer `key` to fire `after` from now. Re-arming never pushes a
     /// stale event through the queue (see [`Action::ArmTimer`]).
@@ -239,7 +222,7 @@ pub trait Agent: Send {
     /// A packet addressed to this host has arrived.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet);
 
-    /// A timer requested via [`Ctx::set_timer`] has fired.
+    /// A timer armed via [`Ctx::arm_timer`] has reached its deadline.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: u64);
 
     /// The workload driver wants this host to start sending a flow.
@@ -282,11 +265,11 @@ mod tests {
         let mut actions = Vec::new();
         let mut ctx = Ctx::detached(SimTime::from_micros(5), NodeId(0), &mut actions);
         ctx.send(Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 100));
-        ctx.set_timer(Duration::from_micros(10), 7);
+        ctx.arm_timer(Duration::from_micros(10), 7);
         ctx.flow_done(FlowId(1), 0);
         assert_eq!(actions.len(), 3);
         match &actions[1] {
-            Action::SetTimer(at, key) => {
+            Action::ArmTimer(at, key) => {
                 assert_eq!(*at, SimTime::from_micros(15));
                 assert_eq!(*key, 7);
             }

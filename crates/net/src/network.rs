@@ -73,11 +73,11 @@ pub struct PerfCounters {
     pub timers_cancelled: u64,
     /// Timers that reached their deadline and were delivered.
     pub timers_fired: u64,
-    /// Live timers displaced by a re-arm — stale events the legacy
-    /// epoch-filtering path would have pushed through the queue.
+    /// Live timers displaced by a re-arm — stale events an
+    /// epoch-filtering design would have pushed through the queue.
     pub timers_stale_suppressed: u64,
-    /// Events scheduled beyond both calendar horizons, falling back to
-    /// the event queue's `BinaryHeap` (see `QueuePerf::heap_spills`).
+    /// Events scheduled beyond the 1 ms lane horizon, which wait in the
+    /// event queue's `BinaryHeap` (see `QueuePerf::heap_spills`).
     pub heap_spills: u64,
     /// Flows aborted by their sender (graceful degradation after
     /// `max_rto_retries` consecutive timeouts).
@@ -952,8 +952,7 @@ impl<S: Subscriber> Network<S> {
                 // A wheel-armed timer that fires is spent: drop its token
                 // so a later cancel/re-arm for the key starts fresh, and
                 // hand it back so the wheel can free the drained cell's
-                // marker. (One-shot `SetTimer` events share the variant
-                // and have no token; the remove is then a no-op.)
+                // marker.
                 if let Some((tok, _, _)) = self.timer_tokens.remove(&(node, key)) {
                     self.events.timer_fired(tok);
                 }
@@ -1223,9 +1222,6 @@ impl<S: Subscriber> Network<S> {
                     } else {
                         self.push_event(now + delay, Event::NicSend { node, pkt });
                     }
-                }
-                Action::SetTimer(at, key) => {
-                    self.push_event(at.max(now), Event::Timer { node, key });
                 }
                 Action::ArmTimer(at, key) => {
                     // Entry API: one tree descent per arm instead of a

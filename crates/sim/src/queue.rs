@@ -13,22 +13,17 @@
 //! # Implementation: calendar lanes in front of a heap
 //!
 //! Almost every event a packet simulator schedules lands a few link-delays
-//! into the future (serialization ≈ 1.2 µs, propagation 1–5 µs); only RTO
-//! timers and experiment bookkeeping reach further out. The queue exploits
-//! that skew with a calendar-queue front end:
+//! into the future (serialization ≈ 1.2 µs, propagation 1–5 µs). The only
+//! things that reach further out are cancellable deadlines (RTOs, delayed
+//! ACKs), which live on the timer wheel, and flow arrivals pushed at
+//! set-up. The queue exploits that skew with a calendar-queue front end:
 //!
 //! - the near future (`LANE_COUNT` buckets of `1 << LANE_BITS` ns each,
 //!   ≈ 1 ms of horizon) is a ring of *lanes*; scheduling into it is an
 //!   O(1) `Vec::push`, and an occupancy bitmap finds the next non-empty
 //!   lane with a couple of word scans;
-//! - the mid future (a second ring of `OUTER_COUNT` slots, each spanning
-//!   `1 << OUTER_SHIFT` inner buckets ≈ 65.5 µs, together ≈ 67 ms of
-//!   horizon) parks events unsorted; a refill *cascades* the earliest
-//!   outer slot into the inner lanes before the cursor can reach it, so
-//!   multi-RTT timers (RTOs at 5–10 ms, experiment sampling) stay O(1)
-//!   per schedule instead of spilling to the heap;
-//! - events beyond both horizons fall back to a [`BinaryHeap`] (counted
-//!   as [`QueuePerf::heap_spills`]);
+//! - events beyond that horizon wait in a [`BinaryHeap`] (counted as
+//!   [`QueuePerf::heap_spills`]);
 //! - the lane whose bucket is being drained (the *current* batch) is kept
 //!   sorted by `(time, seq)` descending, so popping the earliest event is
 //!   a `Vec::pop`. When the batch empties, the next bucket is chosen as
@@ -37,18 +32,16 @@
 //!
 //! # Buffers follow occupancy
 //!
-//! A lane or outer slot owns a buffer only while it holds events. The
-//! buffer of a bucket that has just been drained (and the scratch of the
-//! two-run merge, and a cascaded outer slot's) goes onto a LIFO pool, and
-//! a slot that becomes occupied takes the most recently freed one. Two
-//! invariants follow:
+//! A lane owns a buffer only while it holds events. The buffer of a
+//! bucket that has just been drained (and the scratch of the two-run
+//! merge) goes onto a LIFO pool, and a lane that becomes occupied takes
+//! the most recently freed one. Two invariants follow:
 //!
-//! - an empty lane or outer slot has a zero-capacity `Vec` (nothing is
-//!   parked in a slot the cursor will not revisit for a whole ring
-//!   revolution);
-//! - the buffers alive at any time are the occupied slots plus the pool,
+//! - an empty lane has a zero-capacity `Vec` (nothing is parked in a slot
+//!   the cursor will not revisit for a whole ring revolution);
+//! - the buffers alive at any time are the occupied lanes plus the pool,
 //!   so retained capacity is bounded by (peak simultaneously occupied
-//!   slots + a handful) × peak bucket size rather than by
+//!   lanes + a handful) × peak bucket size rather than by
 //!   `LANE_COUNT` × peak bucket — and the buffer a schedule pushes into
 //!   was written a few buckets ago, not a ring revolution ago.
 //!
@@ -73,18 +66,6 @@ const LANE_COUNT: usize = 1024;
 const LANE_MASK: u64 = LANE_COUNT as u64 - 1;
 /// Words in the lane-occupancy bitmap.
 const WORDS: usize = LANE_COUNT / 64;
-
-/// log2 of inner buckets per outer slot: each outer slot spans 64 inner
-/// buckets, making an outer lane `1 << (LANE_BITS + OUTER_SHIFT)` ns
-/// ≈ 65.5 µs wide.
-const OUTER_SHIFT: u32 = 6;
-/// Number of outer slots (must be a power of two). With 65.5 µs lanes the
-/// outer horizon reaches ≈ 67 ms past the cursor — multi-RTT timers and
-/// experiment bookkeeping land here instead of the [`BinaryHeap`].
-const OUTER_COUNT: usize = 1024;
-const OUTER_MASK: u64 = OUTER_COUNT as u64 - 1;
-/// Words in the outer-occupancy bitmap.
-const OUTER_WORDS: usize = OUTER_COUNT / 64;
 
 /// Absolute calendar bucket of a timestamp.
 #[inline]
@@ -146,9 +127,8 @@ pub struct QueuePerf {
     /// epoch-filtering design would have pushed through (and popped from)
     /// the queue.
     pub timers_stale_suppressed: u64,
-    /// Events scheduled beyond *both* calendar horizons (inner ≈ 1 ms,
-    /// outer ≈ 67 ms) that fell back to the `BinaryHeap`. The second-wheel
-    /// win is observable here: near-zero means no `O(log n)` heap traffic.
+    /// Events scheduled beyond the 1 ms lane horizon, which wait in the
+    /// `BinaryHeap`.
     pub heap_spills: u64,
 }
 
@@ -178,7 +158,7 @@ impl Default for LaneMeta {
 }
 
 /// A buffer of `(time, key, event)` entries: one bucket's events, in a
-/// lane, an outer slot, the drain batch or the recycle pool.
+/// lane, the drain batch or the recycle pool.
 type Batch<E> = Vec<(SimTime, u64, E)>;
 
 /// One calendar slot: its pending entries plus the run bookkeeping,
@@ -248,20 +228,8 @@ pub struct EventQueue<E> {
     occupied: [u64; WORDS],
     /// Total entries across all lanes (excluding `current` and the heap).
     lanes_len: usize,
-    /// Second, coarser calendar horizon: slot `ob & OUTER_MASK` holds the
-    /// (unsorted) events of outer bucket `ob = inner_bucket >> OUTER_SHIFT`
-    /// for outer buckets within `(cursor >> OUTER_SHIFT, + OUTER_COUNT)`.
-    /// Slots cascade into the inner lanes at refill time, before the
-    /// cursor can reach them, so the events pop in exact `(time, key)`
-    /// order — the outer ring only changes *where they wait*, never the
-    /// observable order.
-    outer: Vec<Batch<E>>,
-    /// One bit per outer slot: slot non-empty.
-    outer_occ: [u64; OUTER_WORDS],
-    /// Total entries across all outer slots.
-    outer_len: usize,
-    /// Far-future fallback (beyond both calendar horizons at scheduling
-    /// time); each push here is counted as a [`QueuePerf::heap_spills`].
+    /// Far-future fallback (beyond the lane horizon at scheduling time);
+    /// each push here is counted as a [`QueuePerf::heap_spills`].
     heap: BinaryHeap<Entry<E>>,
     /// Cancellable timers (see [`EventQueue::schedule_timer`]); shares the
     /// global sequence counter so fired timers replay in exactly the
@@ -302,9 +270,6 @@ impl<E> EventQueue<E> {
             lanes: (0..LANE_COUNT).map(|_| Lane::default()).collect(),
             occupied: [0; WORDS],
             lanes_len: 0,
-            outer: (0..OUTER_COUNT).map(|_| Vec::new()).collect(),
-            outer_occ: [0; OUTER_WORDS],
-            outer_len: 0,
             heap: BinaryHeap::new(),
             wheel: TimerWheel::new(),
             pool: Vec::new(),
@@ -340,14 +305,6 @@ impl<E> EventQueue<E> {
         } else {
             None
         }
-    }
-
-    /// Create an empty queue with room for `n` in-flight events in the
-    /// drain batch before reallocating.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut q = Self::new();
-        q.current.reserve(n);
-        q
     }
 
     /// Current simulation time: the timestamp of the last popped event (or
@@ -421,18 +378,6 @@ impl<E> EventQueue<E> {
             });
         } else if b - self.cursor < LANE_COUNT as u64 {
             self.insert_lane(b, at, seq, event);
-        } else if (b >> OUTER_SHIFT) - (self.cursor >> OUTER_SHIFT) < OUTER_COUNT as u64 {
-            // Second horizon: outer slots are unsorted parking space; the
-            // refill cascade moves them into inner lanes before they come
-            // due, so no per-schedule ordering work happens here at all.
-            let slot = ((b >> OUTER_SHIFT) & OUTER_MASK) as usize;
-            let parked = &mut self.outer[slot];
-            if parked.is_empty() {
-                self.outer_occ[slot >> 6] |= 1u64 << (slot & 63);
-                *parked = take_buf(&mut self.pool);
-            }
-            parked.push((at, seq, event));
-            self.outer_len += 1;
         } else {
             self.heap.push(Entry {
                 time: at,
@@ -451,10 +396,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Insert an entry into its inner lane, maintaining the occupancy bit
-    /// and the per-slot run bookkeeping. Caller guarantees
-    /// `cursor < b < cursor + LANE_COUNT`; `len`/perf attribution stays
-    /// with the caller (the refill cascade moves already-counted entries).
+    /// Insert an entry into its lane, maintaining the occupancy bit and
+    /// the per-slot run bookkeeping. Caller guarantees
+    /// `cursor < b < cursor + LANE_COUNT` and owns `len`/perf attribution.
     #[inline]
     fn insert_lane(&mut self, b: u64, at: SimTime, seq: u64, event: E) {
         let slot = (b & LANE_MASK) as usize;
@@ -671,95 +615,35 @@ impl<E> EventQueue<E> {
         Some(self.cursor + 1 + delta)
     }
 
-    /// First inner bucket (`ob << OUTER_SHIFT`) of the earliest non-empty
-    /// outer slot, scanning the outer occupancy bitmap in ring order from
-    /// just past the outer cursor. `None` when the outer ring is empty.
-    fn next_outer_first_bucket(&self) -> Option<u64> {
-        if self.outer_len == 0 {
-            return None;
-        }
-        let ocur = self.cursor >> OUTER_SHIFT;
-        let start = ((ocur + 1) & OUTER_MASK) as usize;
-        let (sw, sb) = (start >> 6, start & 63);
-        let w = self.outer_occ[sw] >> sb;
-        let slot = if w != 0 {
-            start + w.trailing_zeros() as usize
-        } else {
-            let mut found = None;
-            for i in 1..=OUTER_WORDS {
-                let wi = (sw + i) % OUTER_WORDS;
-                let mut word = self.outer_occ[wi];
-                if i == OUTER_WORDS {
-                    word &= (1u64 << sb).wrapping_sub(1);
-                }
-                if word != 0 {
-                    found = Some((wi << 6) + word.trailing_zeros() as usize);
-                    break;
-                }
-            }
-            found?
-        };
-        let delta = (slot + OUTER_COUNT - start) as u64 & OUTER_MASK;
-        Some((ocur + 1 + delta) << OUTER_SHIFT)
-    }
-
-    /// Cascade the earliest outer slot (first inner bucket `first`, from
-    /// [`Self::next_outer_first_bucket`]) into the inner lanes. The cursor
-    /// is advanced to `first - 1` — sound because the caller has already
-    /// established that no pending event (lane, heap, wheel or outer) has
-    /// a bucket below `first` — so every cascaded entry lands within the
-    /// inner window (an outer slot spans 64 inner buckets ≪ `LANE_COUNT`).
-    fn cascade_outer_slot(&mut self, first: u64) {
-        self.cursor = self.cursor.max(first - 1);
-        let slot = ((first >> OUTER_SHIFT) & OUTER_MASK) as usize;
-        let mut entries = std::mem::take(&mut self.outer[slot]);
-        self.outer_occ[slot >> 6] &= !(1u64 << (slot & 63));
-        self.outer_len -= entries.len();
-        for (at, seq, event) in entries.drain(..) {
-            let b = bucket(at);
-            debug_assert!(b > self.cursor && b - self.cursor < LANE_COUNT as u64);
-            self.insert_lane(b, at, seq, event);
-        }
-        recycle(&mut self.pool, entries);
-    }
-
     /// Refill `current` with the earliest pending bucket's events (lanes,
     /// heap and/or timer wheel), advancing the cursor. Caller guarantees
     /// `len > 0`.
     fn refill(&mut self) {
-        let (b, wheel_due, lane_bucket) = loop {
-            let heap_bucket = self.heap.peek().map(|e| bucket(e.time));
-            let lane_bucket = self.next_occupied_bucket();
-            let near = match (lane_bucket, heap_bucket) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            // The wheel's exact minimum can require walking a higher-level
-            // slot's cell list, so first rule it out with the bitmap-only
-            // lower bound; the exact scan only runs when a timer might
-            // actually own this batch (typically: the engine has gone quiet
-            // and an RTO is the next thing to happen).
-            let resolved = match (near, self.wheel.min_bucket_lower_bound()) {
-                (Some(nb), Some(lb)) if nb < lb => Some((nb, false)),
-                (near, Some(_)) => match (near, self.wheel.min_bucket()) {
-                    (Some(nb), Some(wm)) if nb <= wm => Some((nb, nb == wm)),
-                    (_, Some(wm)) => Some((wm, true)),
-                    // Unreachable: a Some lower bound means a non-empty wheel.
-                    (Some(nb), None) => Some((nb, false)),
-                    (None, None) => None,
-                },
+        let heap_bucket = self.heap.peek().map(|e| bucket(e.time));
+        let lane_bucket = self.next_occupied_bucket();
+        let near = match (lane_bucket, heap_bucket) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        // The wheel's exact minimum can require walking a higher-level
+        // slot's cell list, so first rule it out with the bitmap-only
+        // lower bound; the exact scan only runs when a timer might
+        // actually own this batch (typically: the engine has gone quiet
+        // and an RTO is the next thing to happen).
+        let resolved = match (near, self.wheel.min_bucket_lower_bound()) {
+            (Some(nb), Some(lb)) if nb < lb => Some((nb, false)),
+            (near, Some(_)) => match (near, self.wheel.min_bucket()) {
+                (Some(nb), Some(wm)) if nb <= wm => Some((nb, nb == wm)),
+                (_, Some(wm)) => Some((wm, true)),
+                // Unreachable: a Some lower bound means a non-empty wheel.
                 (Some(nb), None) => Some((nb, false)),
                 (None, None) => None,
-            };
-            // The outer ring may own (or tie for) the earliest bucket:
-            // cascade its first slot into the inner lanes and re-resolve.
-            // Each pass drains one outer slot, so this terminates.
-            match (resolved, self.next_outer_first_bucket()) {
-                (Some((rb, _)), Some(f)) if f <= rb => self.cascade_outer_slot(f),
-                (None, Some(f)) => self.cascade_outer_slot(f),
-                (None, None) => return,
-                (Some((rb, due)), _) => break (rb, due, lane_bucket),
-            }
+            },
+            (Some(nb), None) => Some((nb, false)),
+            (None, None) => None,
+        };
+        let Some((b, wheel_due)) = resolved else {
+            return;
         };
         self.cursor = b;
         let mut meta = LaneMeta::default();
@@ -971,11 +855,6 @@ impl<E> EventQueue<E> {
                 lane.meta = LaneMeta::default();
             }
         }
-        if self.outer_len > 0 {
-            for slot in &mut self.outer {
-                out.extend(std::mem::take(slot));
-            }
-        }
         out.extend(
             std::mem::take(&mut self.heap)
                 .into_iter()
@@ -988,8 +867,6 @@ impl<E> EventQueue<E> {
         );
         self.occupied = [0; WORDS];
         self.lanes_len = 0;
-        self.outer_occ = [0; OUTER_WORDS];
-        self.outer_len = 0;
         self.len = 0;
         out.sort_unstable_by_key(|e| (e.0, e.1));
         out
@@ -1046,19 +923,12 @@ impl<E> EventQueue<E> {
         }
         self.occupied = [0; WORDS];
         self.lanes_len = 0;
-        if self.outer_len > 0 {
-            for slot in &mut self.outer {
-                *slot = Batch::new();
-            }
-        }
-        self.outer_occ = [0; OUTER_WORDS];
-        self.outer_len = 0;
         self.wheel.clear();
         self.len = 0;
     }
 
     /// Entries' worth of buffer capacity held anywhere in the calendar:
-    /// the drain batch, every lane and outer slot, and the recycle pool.
+    /// the drain batch, every lane, and the recycle pool.
     #[cfg(test)]
     fn retained_capacity(&self) -> usize {
         self.current.capacity()
@@ -1067,15 +937,13 @@ impl<E> EventQueue<E> {
                 .iter()
                 .map(|l| l.entries.capacity())
                 .sum::<usize>()
-            + self.outer.iter().map(Vec::capacity).sum::<usize>()
             + self.pool.iter().map(Vec::capacity).sum::<usize>()
     }
 
-    /// Lanes plus outer slots currently holding events.
+    /// Lanes currently holding events.
     #[cfg(test)]
     fn occupied_slots(&self) -> usize {
-        let bits = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        bits(&self.occupied) + bits(&self.outer_occ)
+        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -1317,80 +1185,20 @@ mod tests {
         assert_eq!(popped, scheduled);
     }
 
-    /// Events beyond the lane horizon land in the outer ring (or heap)
-    /// and merge back in time order when the cursor reaches them.
+    /// Events beyond the lane horizon land in the heap, are counted as
+    /// spills, and merge back in time order when the cursor reaches them.
     #[test]
     fn heap_fallback_beyond_horizon() {
         let mut q = EventQueue::new();
         let horizon = (1u64 << LANE_BITS) * LANE_COUNT as u64;
-        // Far events first (outer ring), then near events (lanes).
+        // Far events first (heap), then near events (lanes).
         q.schedule(SimTime::from_nanos(3 * horizon), "far2");
         q.schedule(SimTime::from_nanos(2 * horizon + 5), "far1");
         q.schedule(SimTime::from_nanos(100), "near1");
         q.schedule(SimTime::from_nanos(horizon - 1), "near2");
+        assert_eq!(q.perf().heap_spills, 2);
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["near1", "near2", "far1", "far2"]);
-    }
-
-    /// The outer ring absorbs multi-RTT range events without heap
-    /// traffic: only events beyond ≈ 67 ms spill, and the counter sees
-    /// exactly those.
-    #[test]
-    fn outer_horizon_absorbs_multi_rtt_events() {
-        let mut q = EventQueue::new();
-        let inner = (1u64 << LANE_BITS) * LANE_COUNT as u64; // ≈ 1.05 ms
-        let outer = inner << OUTER_SHIFT; // ≈ 67 ms
-        q.schedule(SimTime::from_nanos(inner + 5), "rto-ish"); // outer ring
-        q.schedule(SimTime::from_nanos(10 * inner), "sample"); // outer ring
-        q.schedule(SimTime::from_nanos(outer - 1), "outer-edge"); // outer ring
-        assert_eq!(q.perf().heap_spills, 0, "nothing spilled yet");
-        q.schedule(SimTime::from_nanos(outer + inner), "spill");
-        assert_eq!(q.perf().heap_spills, 1);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["rto-ish", "sample", "outer-edge", "spill"]);
-    }
-
-    /// An outer-ring event and inner-lane events sharing the same inner
-    /// bucket interleave in exact `(time, seq)` order after the cascade.
-    #[test]
-    fn outer_cascade_merges_with_inner_lane_bucket() {
-        let mut q = EventQueue::new();
-        let inner = (1u64 << LANE_BITS) * LANE_COUNT as u64;
-        let far = 2 * inner + 500;
-        q.schedule(SimTime::from_nanos(far), "outer-first"); // beyond inner ⇒ outer ring
-        q.schedule(SimTime::from_nanos(10), "near");
-        q.pop(); // "near": cursor still at bucket 0, outer entry pending
-        q.schedule(SimTime::from_nanos(inner), "mid");
-        q.pop(); // "mid": `far` now within the inner horizon
-        q.schedule(SimTime::from_nanos(far), "lane-second"); // same time, later seq
-        q.schedule(SimTime::from_nanos(far - 1), "lane-earlier");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["lane-earlier", "outer-first", "lane-second"]);
-        assert_eq!(q.perf().heap_spills, 0, "outer ring kept the heap idle");
-    }
-
-    /// Outer ring slots are reused across ring revolutions (buckets
-    /// `OUTER_COUNT` outer-widths apart) without mixing entries up.
-    #[test]
-    fn outer_ring_wraparound() {
-        let mut q = EventQueue::new();
-        let ow = 1u64 << (LANE_BITS + OUTER_SHIFT); // one outer lane
-        let span = ow * OUTER_COUNT as u64;
-        let mut scheduled = Vec::new();
-        for rev in 0..3u64 {
-            for k in 0..2u64 {
-                let t = rev * span + k * ow * 5 + ow * 20 + 17;
-                q.schedule(SimTime::from_nanos(t), t);
-                scheduled.push(t);
-            }
-        }
-        let mut popped = Vec::new();
-        while let Some((t, e)) = q.pop() {
-            assert_eq!(t.as_nanos(), e);
-            popped.push(e);
-        }
-        scheduled.sort_unstable();
-        assert_eq!(popped, scheduled);
     }
 
     /// A heap event and a lane event in the *same* bucket (possible when
@@ -1412,6 +1220,68 @@ mod tests {
         q.schedule(SimTime::from_nanos(far - 1), "lane-earlier");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["lane-earlier", "heap-first", "lane-second"]);
+    }
+
+    /// Far-future events must not populate the calendar's buffers. Steady
+    /// traffic of 50 events per bucket, each pop scheduling its successor
+    /// 40 buckets ahead, plus one event 5 ms out every 100 µs (a flow
+    /// arrival): buffers alive stay at the occupied lanes plus a handful,
+    /// and retained capacity is flat once the ring has gone round once.
+    #[test]
+    fn far_events_do_not_populate_the_buffer_pool() {
+        const PER_BUCKET: u64 = 50;
+        const AHEAD: u64 = 40;
+        const BUCKETS: u64 = 8_000;
+        const FAR: u64 = u64::MAX;
+        let width = 1u64 << LANE_BITS;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for k in 0..AHEAD {
+            for j in 0..PER_BUCKET {
+                q.schedule(SimTime::from_nanos(k * width + j * 20), j);
+            }
+        }
+        let mut next_far = 0u64;
+        let mut peak_slots = 0usize;
+        let mut settled = None;
+        let mut checked = 0u64;
+        while q.cursor < BUCKETS {
+            let (t, e) = q.pop().expect("steady traffic never runs dry");
+            if e == FAR {
+                continue;
+            }
+            let now = t.as_nanos();
+            q.schedule(SimTime::from_nanos(now + AHEAD * width), e);
+            if now >= next_far {
+                q.schedule(SimTime::from_nanos(now + 5_000_000), FAR);
+                next_far += 100_000;
+            }
+            // Once per bucket is enough: buffers change hands at refill.
+            if q.cursor == checked {
+                continue;
+            }
+            checked = q.cursor;
+            let slots = q.occupied_slots();
+            peak_slots = peak_slots.max(slots);
+            let alive = q.pool.len() + slots;
+            assert!(
+                alive <= peak_slots + 4,
+                "{alive} buffers alive at bucket {} for {peak_slots} slots at peak",
+                q.cursor
+            );
+            if q.cursor >= LANE_COUNT as u64 {
+                let retained = q.retained_capacity();
+                let settled = *settled.get_or_insert(retained);
+                assert!(
+                    retained <= settled,
+                    "retained capacity grew {settled} -> {retained} at bucket {}",
+                    q.cursor
+                );
+            }
+        }
+        assert!(
+            q.perf().heap_spills >= 70,
+            "far events never left the lanes"
+        );
     }
 
     /// Scheduling into the bucket currently being drained inserts in
@@ -1752,7 +1622,7 @@ mod tests {
         /// Fig9-like density — a steady ~200 events per 1 µs bucket for
         /// over 3 000 buckets — against a plain binary heap: identical
         /// pop order through mid-drain inserts into the draining bucket,
-        /// outer-ring cascades, heap spills and a mid-run `drain_entries`
+        /// heap spills at two far distances and a mid-run `drain_entries`
         /// + re-schedule, while buffer capacity follows the occupied
         /// slots instead of growing on all `LANE_COUNT` lanes.
         #[test]
@@ -1770,9 +1640,9 @@ mod tests {
             let mut seq = 0u64;
             // Steady state: every pop schedules one successor a uniform
             // 0..spread µs ahead (mean spread/2), so `PENDING * spread / 2`
-            // events in flight put ~PENDING in every bucket. A sliver of the successors
-            // land in the draining bucket (inbox), in the outer ring, or
-            // past both horizons (heap).
+            // events in flight put ~PENDING in every bucket. A sliver of
+            // the successors land in the draining bucket (inbox) or past
+            // the lane horizon (heap), a few ms and ~80 ms out.
             let delay = |rng: &mut crate::rng::Rng| -> u64 {
                 let r = rng.f64();
                 if r < 0.02 {

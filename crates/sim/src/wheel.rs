@@ -521,8 +521,7 @@ impl<E> TimerWheel<E> {
 
     /// Free the External marker behind `tok` after its drained event
     /// popped and fired. No-op on stale tokens and on wheel-resident
-    /// cells (a one-shot `SetTimer` sharing an armed timer's key pops
-    /// without consuming the armed cell).
+    /// cells.
     pub fn release_external(&mut self, tok: TimerToken) {
         let i = tok.idx as usize;
         if i < self.slab.len()

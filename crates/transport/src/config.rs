@@ -26,21 +26,6 @@ impl CcKind {
     }
 }
 
-/// How the stack schedules its RTO and delayed-ACK timers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimerBackend {
-    /// Cancellable timers on the engine's hierarchical wheel
-    /// ([`ecnsharp_net::Ctx::arm_timer`]): re-arming replaces the pending
-    /// deadline in place, so no stale timer event ever enters the event
-    /// queue. The default.
-    Wheel,
-    /// One-shot timers ([`ecnsharp_net::Ctx::set_timer`]) with per-timer
-    /// epochs; stale firings are filtered at dispatch. Kept as the
-    /// equivalence baseline: both backends must produce byte-identical
-    /// experiment output (see `crates/experiments/tests/timer_equivalence.rs`).
-    Legacy,
-}
-
 /// Endpoint transport parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
@@ -66,8 +51,6 @@ pub struct TcpConfig {
     pub dctcp_init_alpha: f64,
     /// Upper bound on cwnd in bytes (receive-window stand-in).
     pub max_cwnd: u64,
-    /// Timer scheduling backend (wheel vs legacy epoch filtering).
-    pub timer_backend: TimerBackend,
     /// Give up after this many *consecutive* retransmission timeouts
     /// without forward progress: the flow aborts with a `Failed` outcome
     /// instead of backing off forever (a permanently dead path would
@@ -95,7 +78,6 @@ impl Default for TcpConfig {
             cc: CcKind::dctcp_default(),
             dctcp_init_alpha: 1.0,
             max_cwnd: 10_000_000,
-            timer_backend: TimerBackend::Wheel,
             max_rto_retries: 8,
             ooo_budget: None,
         }

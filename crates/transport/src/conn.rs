@@ -8,7 +8,7 @@
 //! [`CcKind`]. This is the fidelity class of the ns-3 models the paper's
 //! simulations use.
 
-use crate::config::{CcKind, TcpConfig, TimerBackend};
+use crate::config::{CcKind, TcpConfig};
 use crate::rtt::RttEstimator;
 use ecnsharp_net::{Ctx, Ecn, FlowCmd, FlowId, NodeId, Packet};
 use ecnsharp_sim::SimTime;
@@ -48,8 +48,6 @@ pub struct Sender {
     recover: Option<u64>,
     /// RTT/RTO estimation.
     pub rtt: RttEstimator,
-    /// Monotonic epoch distinguishing live from stale RTO timers.
-    pub rto_epoch: u32,
     backoff: u32,
     /// Consecutive RTOs without an intervening new ACK; at
     /// `max_rto_retries` the sender gives up (see [`SenderState::Failed`]).
@@ -80,7 +78,6 @@ impl Sender {
             dupacks: 0,
             recover: None,
             rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto, cfg.init_rto),
-            rto_epoch: 0,
             backoff: 1,
             rto_streak: 0,
             timeouts: 0,
@@ -133,36 +130,16 @@ impl Sender {
         }
     }
 
-    /// (Re-)arm the retransmission timer. On the wheel backend the pending
-    /// deadline is replaced in place; on the legacy backend old timers are
-    /// invalidated via the epoch and filtered when they pop.
+    /// (Re-)arm the retransmission timer: the pending deadline on the
+    /// engine's timer wheel is replaced in place.
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
         let timeout = self.rtt.rto() * self.backoff as u64;
-        match self.cfg.timer_backend {
-            TimerBackend::Wheel => {
-                ctx.arm_timer(timeout, timer_key(self.cmd.flow, TimerKind::Rto, 0));
-            }
-            TimerBackend::Legacy => {
-                self.rto_epoch = self.rto_epoch.wrapping_add(1);
-                ctx.set_timer(
-                    timeout,
-                    timer_key(self.cmd.flow, TimerKind::Rto, self.rto_epoch),
-                );
-            }
-        }
+        ctx.arm_timer(timeout, timer_key(self.cmd.flow, TimerKind::Rto));
     }
 
-    /// Cancel the retransmission timer — on the wheel for real, on the
-    /// legacy backend logically (any pending firing becomes stale).
+    /// Cancel the retransmission timer.
     fn disarm_rto(&mut self, ctx: &mut Ctx<'_>) {
-        match self.cfg.timer_backend {
-            TimerBackend::Wheel => {
-                ctx.cancel_timer(timer_key(self.cmd.flow, TimerKind::Rto, 0));
-            }
-            TimerBackend::Legacy => {
-                self.rto_epoch = self.rto_epoch.wrapping_add(1);
-            }
-        }
+        ctx.cancel_timer(timer_key(self.cmd.flow, TimerKind::Rto));
     }
 
     /// Handle an incoming ACK / SYN-ACK for this flow.
@@ -306,7 +283,7 @@ impl Sender {
         }
     }
 
-    /// RTO fired (stack verified the epoch matches).
+    /// RTO fired.
     pub fn on_rto(&mut self, ctx: &mut Ctx<'_>) {
         match self.state {
             SenderState::Done | SenderState::Failed => {}
@@ -383,18 +360,17 @@ pub struct Receiver {
     ce_state: bool,
     /// Data segments received since the last ACK.
     pending: u32,
-    /// Epoch for the delayed-ACK timer (legacy backend only).
-    pub delack_epoch: u32,
     /// Whether a wheel delayed-ACK timer is currently armed.
     delack_armed: bool,
-    /// Logical delayed-ACK deadline (wheel backend, `delack_count > 1`
-    /// only). The physical wheel token is *not* cancelled when an ACK goes
-    /// out and *not* re-armed on every data packet; instead this field
-    /// tracks the deadline the receiver actually owes. A token firing with
-    /// no deadline (`None`) is suppressed; one firing early (deadline still
+    /// Logical delayed-ACK deadline (only ever set with
+    /// `delack_count > 1`; per-segment ACKs never wait). The physical
+    /// wheel token is *not* cancelled when an ACK goes out and *not*
+    /// re-armed on every data packet; instead this field tracks the
+    /// deadline the receiver actually owes. A token firing with no
+    /// deadline (`None`) is suppressed; one firing early (deadline still
     /// in the future) pushes the token forward in place. Cuts per-packet
     /// wheel traffic to at most one arm per quiet period while keeping ACK
-    /// emission times identical to the un-batched reference.
+    /// emission times identical to cancelling and re-arming per packet.
     delack_deadline: Option<SimTime>,
     /// Timestamp to echo on the next ACK.
     echo_ts: SimTime,
@@ -413,7 +389,6 @@ impl Receiver {
             ooo: BTreeMap::new(),
             ce_state: false,
             pending: 0,
-            delack_epoch: 0,
             delack_armed: false,
             delack_deadline: None,
             echo_ts: SimTime::ZERO,
@@ -430,24 +405,11 @@ impl Receiver {
         a.set_ecn(Ecn::NotEct);
         ctx.send(a);
         self.pending = 0;
-        match self.cfg.timer_backend {
-            TimerBackend::Wheel => {
-                if self.cfg.delack_count > 1 {
-                    // Batched bookkeeping: leave the physical wheel token
-                    // armed and only clear the logical deadline — the
-                    // eventual firing is suppressed in
-                    // [`Receiver::on_delack_timer`]. Saves one cancel per
-                    // count-triggered ACK on the hot path.
-                    self.delack_deadline = None;
-                } else if self.delack_armed {
-                    self.delack_armed = false;
-                    ctx.cancel_timer(timer_key(self.flow, TimerKind::DelAck, 0));
-                }
-            }
-            TimerBackend::Legacy => {
-                self.delack_epoch = self.delack_epoch.wrapping_add(1);
-            }
-        }
+        // Batched bookkeeping: leave the physical wheel token (if any)
+        // armed and only clear the logical deadline — the eventual firing
+        // is suppressed in [`Receiver::on_delack_timer`]. Saves one cancel
+        // per count-triggered ACK on the hot path.
+        self.delack_deadline = None;
     }
 
     /// Handle an arriving SYN or data packet.
@@ -516,62 +478,42 @@ impl Receiver {
         if out_of_order || self.pending >= self.cfg.delack_count {
             self.send_ack(ctx, ce);
         } else {
-            // Arm the delayed-ACK timer.
-            match self.cfg.timer_backend {
-                TimerBackend::Wheel if self.cfg.delack_count > 1 => {
-                    // Batched: record the deadline; only touch the wheel if
-                    // no token is in flight. An in-flight token always has a
-                    // physical deadline ≤ this logical one (deadlines are
-                    // `now + timeout` and `now` is monotone), so the early
-                    // firing re-arms forward rather than missing it.
-                    self.delack_deadline = Some(ctx.now + self.cfg.delack_timeout);
-                    if !self.delack_armed {
-                        self.delack_armed = true;
-                        ctx.arm_timer(
-                            self.cfg.delack_timeout,
-                            timer_key(self.flow, TimerKind::DelAck, 0),
-                        );
-                    }
-                }
-                TimerBackend::Wheel => {
-                    self.delack_armed = true;
-                    ctx.arm_timer(
-                        self.cfg.delack_timeout,
-                        timer_key(self.flow, TimerKind::DelAck, 0),
-                    );
-                }
-                TimerBackend::Legacy => {
-                    self.delack_epoch = self.delack_epoch.wrapping_add(1);
-                    ctx.set_timer(
-                        self.cfg.delack_timeout,
-                        timer_key(self.flow, TimerKind::DelAck, self.delack_epoch),
-                    );
-                }
+            // Owe a delayed ACK (reachable only with `delack_count > 1`):
+            // record the deadline; only touch the wheel if no token is in
+            // flight. An in-flight token always has a physical deadline ≤
+            // this logical one (deadlines are `now + timeout` and `now` is
+            // monotone), so the early firing re-arms forward rather than
+            // missing it.
+            self.delack_deadline = Some(ctx.now + self.cfg.delack_timeout);
+            if !self.delack_armed {
+                self.delack_armed = true;
+                ctx.arm_timer(
+                    self.cfg.delack_timeout,
+                    timer_key(self.flow, TimerKind::DelAck),
+                );
             }
         }
     }
 
-    /// Delayed-ACK timer fired (stack verified the epoch).
+    /// Delayed-ACK timer fired.
     pub fn on_delack_timer(&mut self, ctx: &mut Ctx<'_>) {
         // The firing spent the wheel timer; nothing left to cancel.
         self.delack_armed = false;
-        if self.cfg.timer_backend == TimerBackend::Wheel && self.cfg.delack_count > 1 {
-            match self.delack_deadline {
-                // The token outlived its ACK (batched bookkeeping never
-                // cancels); nothing is owed.
-                None => return,
-                // Fired at a stale earlier deadline; push the token forward
-                // to the live one in place.
-                Some(d) if d > ctx.now => {
-                    self.delack_armed = true;
-                    ctx.arm_timer(
-                        d.saturating_since(ctx.now),
-                        timer_key(self.flow, TimerKind::DelAck, 0),
-                    );
-                    return;
-                }
-                Some(_) => self.delack_deadline = None,
+        match self.delack_deadline {
+            // The token outlived its ACK (batched bookkeeping never
+            // cancels); nothing is owed.
+            None => return,
+            // Fired at a stale earlier deadline; push the token forward
+            // to the live one in place.
+            Some(d) if d > ctx.now => {
+                self.delack_armed = true;
+                ctx.arm_timer(
+                    d.saturating_since(ctx.now),
+                    timer_key(self.flow, TimerKind::DelAck),
+                );
+                return;
             }
+            Some(_) => self.delack_deadline = None,
         }
         if self.pending > 0 {
             let ce = self.ce_state;
@@ -589,25 +531,24 @@ pub enum TimerKind {
     DelAck,
 }
 
-/// Pack `(flow, kind, epoch)` into a timer key. Flow ids must fit 31 bits.
-pub fn timer_key(flow: FlowId, kind: TimerKind, epoch: u32) -> u64 {
+/// Pack `(flow, kind)` into a timer key. Flow ids must fit 31 bits.
+pub fn timer_key(flow: FlowId, kind: TimerKind) -> u64 {
     debug_assert!(flow.0 < (1 << 31), "flow id too large for timer key");
     let kind_bit = match kind {
         TimerKind::Rto => 0u64,
         TimerKind::DelAck => 1u64,
     };
-    (kind_bit << 63) | (flow.0 << 32) | epoch as u64
+    (kind_bit << 63) | (flow.0 << 32)
 }
 
 /// Unpack a timer key.
-pub fn parse_timer_key(key: u64) -> (FlowId, TimerKind, u32) {
+pub fn parse_timer_key(key: u64) -> (FlowId, TimerKind) {
     let kind = if key >> 63 == 0 {
         TimerKind::Rto
     } else {
         TimerKind::DelAck
     };
-    let flow = FlowId((key >> 32) & 0x7FFF_FFFF);
-    (flow, kind, key as u32)
+    (FlowId((key >> 32) & 0x7FFF_FFFF), kind)
 }
 
 #[cfg(test)]
@@ -618,13 +559,12 @@ mod tests {
 
     #[test]
     fn timer_key_roundtrip() {
-        for (flow, kind, epoch) in [
-            (FlowId(0), TimerKind::Rto, 0u32),
-            (FlowId(12345), TimerKind::DelAck, 77),
-            (FlowId((1 << 31) - 1), TimerKind::Rto, u32::MAX),
+        for (flow, kind) in [
+            (FlowId(0), TimerKind::Rto),
+            (FlowId(12345), TimerKind::DelAck),
+            (FlowId((1 << 31) - 1), TimerKind::Rto),
         ] {
-            let k = timer_key(flow, kind, epoch);
-            assert_eq!(parse_timer_key(k), (flow, kind, epoch));
+            assert_eq!(parse_timer_key(timer_key(flow, kind)), (flow, kind));
         }
     }
 
@@ -1009,7 +949,6 @@ mod tests {
     #[test]
     fn batched_delack_never_cancels_and_suppresses_spent_token() {
         let cfg = delack2_cfg();
-        assert_eq!(cfg.timer_backend, TimerBackend::Wheel);
         let timeout = cfg.delack_timeout;
         let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, cfg);
 
@@ -1091,92 +1030,64 @@ mod tests {
 
     #[test]
     fn batched_delack_ack_cadence_matches_legacy_reference() {
-        // Drive the identical arrival schedule through the batched wheel
-        // receiver and the un-batched legacy receiver, replaying recorded
-        // timer actions through each backend's real dispatch rules (legacy:
-        // stale events stay queued and are epoch-filtered like in
-        // `stack::on_timer`; wheel: one live token per key, cancellable,
-        // re-armable in place). The emitted ACK streams must be identical.
-        fn run(backend: TimerBackend) -> Vec<(SimTime, u64, bool)> {
-            let cfg = TcpConfig {
-                timer_backend: backend,
-                ..delack2_cfg()
+        // Drive a fixed arrival schedule through the batched receiver,
+        // replaying its timer actions the way the wheel dispatches them
+        // (one live token per key, cancellable, re-armable in place), and
+        // compare the emitted ACK stream with the one the un-batched
+        // receiver — a one-shot, epoch-filtered timer per in-order packet —
+        // produced for the same arrivals at the last commit that carried
+        // it, written out below.
+        let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, delack2_cfg());
+        let mut acks: Vec<(SimTime, u64, bool)> = Vec::new();
+        let mut token: Option<SimTime> = None;
+        // Pairs complete immediately; a CE flip forces an immediate
+        // mid-count ACK; the trailing odd segment is owed to the timer.
+        let mut ce = data(4380);
+        ce.set_ecn(Ecn::Ce);
+        let mut arrivals = [data(0), data(1460), data(2920), ce, data(5840)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (SimTime::from_micros(5 * i as u64), p));
+        loop {
+            // Arrivals first (all land before the first deadline), then
+            // the quiet period: fire the token until nothing is armed.
+            let (now, pkt) = match arrivals.next() {
+                Some((at, p)) => (at, Some(p)),
+                None => match token.take() {
+                    Some(at) => (at, None),
+                    None => break,
+                },
             };
-            let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, cfg);
-            let mut acks = Vec::new();
-            // Legacy `SetTimer` events (never removed, epoch-checked at
-            // fire) and the wheel's single live token.
-            let mut legacy_q: Vec<(SimTime, u64)> = Vec::new();
-            let mut wheel_tok: Option<(SimTime, u64)> = None;
-            let apply = |r: &mut Receiver,
-                         now: SimTime,
-                         ev: Option<&Packet>,
-                         acks: &mut Vec<(SimTime, u64, bool)>,
-                         legacy_q: &mut Vec<(SimTime, u64)>,
-                         wheel_tok: &mut Option<(SimTime, u64)>| {
-                let mut actions = Vec::new();
-                let mut ctx = Ctx::detached(now, NodeId(1), &mut actions);
-                match ev {
-                    Some(p) => r.on_packet(&mut ctx, p),
-                    None => r.on_delack_timer(&mut ctx),
-                }
-                for a in actions {
-                    match a {
-                        ecnsharp_net::Action::Send(p, _) => {
-                            acks.push((now, p.ack_no(), p.flags().ece));
-                        }
-                        ecnsharp_net::Action::SetTimer(at, key) => legacy_q.push((at, key)),
-                        ecnsharp_net::Action::ArmTimer(at, key) => *wheel_tok = Some((at, key)),
-                        ecnsharp_net::Action::CancelTimer(_) => *wheel_tok = None,
-                        _ => {}
-                    }
-                }
-            };
-            // Pairs complete immediately; a CE flip forces an immediate
-            // mid-count ACK; the trailing odd segment is owed to the timer.
-            let mut ce = data(4380);
-            ce.set_ecn(Ecn::Ce);
-            let arrivals = [data(0), data(1460), data(2920), ce, data(5840)];
-            for (i, p) in arrivals.iter().enumerate() {
-                let now = SimTime::from_micros(5 * i as u64);
-                apply(
-                    &mut r,
-                    now,
-                    Some(p),
-                    &mut acks,
-                    &mut legacy_q,
-                    &mut wheel_tok,
-                );
+            let mut actions = Vec::new();
+            let mut ctx = Ctx::detached(now, NodeId(1), &mut actions);
+            match &pkt {
+                Some(p) => r.on_packet(&mut ctx, p),
+                None => r.on_delack_timer(&mut ctx),
             }
-            // Quiet period: drain every pending timer event in time order.
-            loop {
-                let fire = match backend {
-                    TimerBackend::Wheel => wheel_tok.take(),
-                    TimerBackend::Legacy => {
-                        legacy_q.sort_by_key(|&(at, _)| at);
-                        if legacy_q.is_empty() {
-                            None
-                        } else {
-                            Some(legacy_q.remove(0))
-                        }
+            for a in actions {
+                match a {
+                    ecnsharp_net::Action::Send(p, _) => {
+                        acks.push((now, p.ack_no(), p.flags().ece));
                     }
-                };
-                let Some((at, key)) = fire else { break };
-                let (_, kind, epoch) = parse_timer_key(key);
-                assert_eq!(kind, TimerKind::DelAck);
-                // Legacy stale-epoch filter, exactly as the stack applies it.
-                if backend == TimerBackend::Legacy && epoch != r.delack_epoch {
-                    continue;
+                    ecnsharp_net::Action::ArmTimer(at, key) => {
+                        assert_eq!(parse_timer_key(key).1, TimerKind::DelAck);
+                        token = Some(at);
+                    }
+                    ecnsharp_net::Action::CancelTimer(_) => token = None,
+                    _ => {}
                 }
-                apply(&mut r, at, None, &mut acks, &mut legacy_q, &mut wheel_tok);
             }
-            acks
         }
-        let legacy = run(TimerBackend::Legacy);
-        let wheel = run(TimerBackend::Wheel);
-        assert_eq!(legacy, wheel, "ACK cadence must not depend on batching");
-        // The trailing segment's ACK is timer-driven: 500us after arrival.
-        let t_last = SimTime::from_micros(20) + TcpConfig::dctcp().delack_timeout;
-        assert_eq!(*legacy.last().unwrap(), (t_last, 7300, false));
+        let us = SimTime::from_micros;
+        assert_eq!(
+            acks,
+            [
+                (us(5), 2920, false),
+                (us(15), 5840, false),
+                (us(20), 7300, true),
+                // Timer-driven: `delack_timeout` after the last arrival.
+                (us(20) + TcpConfig::dctcp().delack_timeout, 7300, false),
+            ]
+        );
     }
 }

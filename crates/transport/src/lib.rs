@@ -48,7 +48,7 @@ pub mod conn;
 pub mod rtt;
 pub mod stack;
 
-pub use config::{CcKind, TcpConfig, TimerBackend};
+pub use config::{CcKind, TcpConfig};
 pub use conn::{Receiver, Sender, SenderState};
 pub use rtt::RttEstimator;
 pub use stack::TcpStack;

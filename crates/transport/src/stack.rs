@@ -62,22 +62,18 @@ impl Agent for TcpStack {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: u64) {
-        let (flow, kind, epoch) = parse_timer_key(key);
+        let (flow, kind) = parse_timer_key(key);
         match kind {
             TimerKind::Rto => {
                 if let Some(s) = self.senders.get_mut(&flow) {
-                    if s.rto_epoch == epoch
-                        && !matches!(s.state, SenderState::Done | SenderState::Failed)
-                    {
+                    if !matches!(s.state, SenderState::Done | SenderState::Failed) {
                         s.on_rto(ctx);
                     }
                 }
             }
             TimerKind::DelAck => {
                 if let Some(r) = self.receivers.get_mut(&flow) {
-                    if r.delack_epoch == epoch {
-                        r.on_delack_timer(ctx);
-                    }
+                    r.on_delack_timer(ctx);
                 }
             }
         }

@@ -8,7 +8,8 @@
 //!   machine-readable violation + waiver inventory to stdout instead.
 //! - `selftest` — prove each rule fires on its seeded fixture violation.
 //! - `ci` — fmt-check → clippy → lint (+ JSON artifact) → selftest →
-//!   release build → tests (default features, then `strict-invariants`)
+//!   release build → `benchmark/` package tests (release) → tests
+//!   (default features, then `strict-invariants`)
 //!   → race harness (release) → sharded-determinism gate (the
 //!   serial-vs-sharded byte-equivalence suite under `strict-invariants`;
 //!   see CONCURRENCY.md) → quick-scale chaos smoke run under
@@ -328,6 +329,23 @@ fn ci() -> ExitCode {
                 let mut c = cargo();
                 c.args(["build", "--release", "--workspace"]);
                 run_step("build --release", c, true)
+            }),
+        ),
+        (
+            "benchmark package",
+            Box::new(|| {
+                // `benchmark/` is a workspace of its own that the steps
+                // above never build, yet it calls this workspace's public
+                // API: its contract, parity and `--quick` tests are what
+                // notices an API removal.
+                let mut c = cargo();
+                c.args([
+                    "test",
+                    "--release",
+                    "--manifest-path",
+                    "benchmark/Cargo.toml",
+                ]);
+                run_step("test benchmark/ (release)", c, true)
             }),
         ),
         (
