@@ -3,12 +3,12 @@
 //! The armed path pays one branch and a counter per popped event
 //! (`ProgressGuard::on_event`) plus the memory-breach poll per dispatch;
 //! the claim (DESIGN.md "Run supervision") is that this stays within
-//! measurement noise, so `bench-diff --check` holds armed within 3% of
-//! off — as a same-run pair ratio on per-sample minima, not against the
-//! committed baseline, because co-tenant bursts on a shared box move
-//! absolute medians of a whole-simulation bench far beyond 3%.
+//! measurement noise, so `cargo xtask bench` holds armed within 3% of
+//! off — as a same-run pair ratio on per-sample minima, because
+//! co-tenant bursts on a shared box move absolute medians of a
+//! whole-simulation bench far beyond 3%.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ecnsharp_aqm::{DctcpRed, DropTail};
 use ecnsharp_net::topology::{dumbbell, Dumbbell};
 use ecnsharp_net::{FlowCmd, FlowId, PortConfig, Supervision};
@@ -48,7 +48,6 @@ fn bench_supervision_cost(c: &mut Criterion) {
     let mut g = c.benchmark_group("supervision_cost");
     g.sample_size(20);
     let mb = 10_000_000u64;
-    g.throughput(Throughput::Bytes(mb));
     g.bench_function("dctcp_10mb_guards_off", |b| {
         b.iter_batched(
             rig,

@@ -1,14 +1,20 @@
 //! # ecnsharp-bench
 //!
-//! Criterion benchmark crate. The actual benchmarks live in `benches/`:
+//! The paired microbenches behind `cargo xtask bench`. Every
+//! `bench_function` under `benches/` is one side of a same-run ratio gate
+//! in xtask's `PAIRED_GATES` table, and the command fails on a row no
+//! gate names:
 //!
-//! - `engine` — event-queue and end-to-end packet-forwarding throughput of
-//!   the simulator core;
-//! - `aqm_cost` — per-packet decision cost of every AQM, including the
-//!   Tofino match-action pipeline (the §4 line-rate claim: the decision
-//!   path is a handful of register accesses and one table lookup);
-//! - `figures` — scaled-down regenerations of every paper table/figure so
-//!   `cargo bench` exercises the complete reproduction matrix.
+//! - `engine` — `telemetry_noop/port_churn_40k_noop`, run from the default
+//!   build and from a `--no-default-features` build (the zero-cost claim
+//!   of OBSERVABILITY.md);
+//! - `cache_pressure` — the two working-set pairs: calendar lanes at ~8
+//!   vs ~200 events per bucket, pooled port rings over 16 vs 384 ports;
+//! - `supervision_cost` — one DCTCP transfer with the run guards off vs
+//!   armed.
+//!
+//! Whole-simulation wall time, per-layer probe costs and everything
+//! compared across commits live in `benchmark/` (`BENCHMARK.json`).
 //!
 //! This lib target exists to document the crate; it intentionally exports
 //! nothing.

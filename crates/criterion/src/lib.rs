@@ -9,8 +9,8 @@
 //! Unlike real criterion there is no statistical analysis: each benchmark
 //! is warmed up briefly, timed for a bounded number of samples, and the
 //! median ns/iteration (plus derived throughput) is printed. That is
-//! enough to compare hot-path costs run-over-run while keeping the
-//! workspace free of registry dependencies.
+//! enough to compare the two sides of a same-run pair (`cargo xtask
+//! bench`) while keeping the workspace free of registry dependencies.
 //!
 //! This crate is a *host tool*: it measures wall-clock execution of the
 //! benchmark body, so `std::time::Instant` is legitimate here (see lint
@@ -22,15 +22,13 @@
 // crate is not sim-facing (see xtask rule R1's crate scope).
 #![allow(clippy::disallowed_methods)]
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Throughput annotation for a benchmark group, mirroring criterion's.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     /// The benchmark body processes this many logical elements.
     Elements(u64),
-    /// The benchmark body processes this many bytes.
-    Bytes(u64),
 }
 
 /// Batch sizing hint for [`Bencher::iter_batched`]; the shim times each
@@ -40,10 +38,6 @@ pub enum Throughput {
 pub enum BatchSize {
     /// Small per-iteration inputs.
     SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One input per batch.
-    PerIteration,
 }
 
 /// Top-level benchmark driver handed to every `criterion_group!` function.
@@ -63,9 +57,6 @@ impl Criterion {
             sample_size: 20,
         }
     }
-
-    /// Finalize (no-op; exists for API compatibility).
-    pub fn final_summary(&mut self) {}
 }
 
 /// A group of benchmarks sharing throughput/sample settings.
@@ -86,12 +77,6 @@ impl BenchmarkGroup<'_> {
     /// Cap the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1) as u32;
-        self
-    }
-
-    /// Soft time budget (accepted for API compatibility; the shim's
-    /// budget is fixed per sample count).
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 
@@ -153,64 +138,40 @@ impl Bencher {
         }
         self.samples_ns.sort_unstable();
         let median = self.samples_ns[self.samples_ns.len() / 2];
-        // Sub-microsecond medians are clock-quantization noise; a derived
-        // rate from them is meaningless (and used to print absurd numbers
-        // for the cheapest AQM benches), so elide it below the floor.
-        const RATE_FLOOR_NS: u128 = 1_000;
         let rate = match throughput {
-            Some(Throughput::Elements(n)) if median >= RATE_FLOOR_NS => {
+            Some(Throughput::Elements(n)) => {
                 format!("  {:>10.1} Melem/s", n as f64 / median as f64 * 1e3)
             }
-            Some(Throughput::Bytes(n)) if median >= RATE_FLOOR_NS => {
-                format!(
-                    "  {:>10.1} MiB/s",
-                    n as f64 / median as f64 * 1e9 / (1 << 20) as f64
-                )
-            }
-            _ => String::new(),
+            None => String::new(),
         };
         println!(
             "{id:<32} median {:>12} ns/iter ({} samples){rate}",
             median,
             self.samples_ns.len(),
         );
-        self.emit_machine_line(group, id, median, throughput);
+        self.emit_machine_line(group, id, median);
     }
 
     /// When `ECNSHARP_BENCH_JSON` names a file, append one JSON object per
-    /// benchmark (JSON-lines) so harnesses like `cargo xtask bench` can
-    /// collate results without parsing the human-readable output.
-    fn emit_machine_line(
-        &self,
-        group: &str,
-        id: &str,
-        median_ns: u128,
-        throughput: Option<Throughput>,
-    ) {
+    /// benchmark (JSON-lines) so `cargo xtask bench` can gate the pairs
+    /// without parsing the human-readable output.
+    fn emit_machine_line(&self, group: &str, id: &str, median_ns: u128) {
         let Ok(path) = std::env::var("ECNSHARP_BENCH_JSON") else {
             return;
         };
         if path.is_empty() {
             return;
         }
-        let (elements, bytes) = match throughput {
-            Some(Throughput::Elements(n)) => (n.to_string(), "null".into()),
-            Some(Throughput::Bytes(n)) => ("null".into(), n.to_string()),
-            None => ("null".into(), "null".to_string()),
-        };
-        // `min_ns` rides along for paired same-run comparisons (the
-        // `bench-diff --check` zero-cost gates): co-tenant interference
-        // only ever adds time, so the per-bench minimum is the stable
-        // statistic on a shared box where the median can swing 30%.
+        // `min_ns` rides along for the same-binary pairs: co-tenant
+        // interference only ever adds time, so the per-bench minimum is
+        // the stable statistic on a shared box where the median can swing
+        // 30%. (`samples_ns` is sorted and non-empty here.)
         let line = format!(
-            "{{\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{},\"min_ns\":{},\"samples\":{},\"elements\":{},\"bytes\":{}}}\n",
+            "{{\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{},\"min_ns\":{}}}\n",
             group.escape_default(),
             id.escape_default(),
             median_ns,
-            self.samples_ns.first().copied().unwrap_or(0),
-            self.samples_ns.len(),
-            elements,
-            bytes,
+            self.samples_ns[0],
         );
         use std::io::Write;
         let file = std::fs::OpenOptions::new()
@@ -299,7 +260,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(s.contains("\"group\":\"mr\""), "{s}");
         assert!(s.contains("\"bench\":\"noop\""), "{s}");
-        assert!(s.contains("\"elements\":100"), "{s}");
+        assert!(s.contains("\"median_ns\":"), "{s}");
+        assert!(s.contains("\"min_ns\":"), "{s}");
     }
 
     #[test]

@@ -24,17 +24,14 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{FlowId, NodeId};
 use crate::node::{Node, NodeKind};
 use crate::port::{EgressPort, PortConfig, PortStats};
-use crate::trace::TraceKind;
-#[cfg(feature = "packet-trace")]
-use crate::trace::Tracer;
 use ecnsharp_sim::supervise::{MemBreach, MemComponent, ProgressGuard, SimError, Supervision};
 use ecnsharp_sim::{hash_mix, DetMap, Duration, EventQueue, Rate, Rng, SimTime, TimerToken};
 #[cfg(feature = "telemetry")]
 use ecnsharp_telemetry::{
-    AlphaUpdated, CwndUpdated, FlowCompleted, LinkStateChanged, Meta, PacketDropped, RtoFired,
-    TransportEvent,
+    AlphaUpdated, CwndUpdated, DropReason, FlowCompleted, LinkStateChanged, Meta, PacketDropped,
+    RtoFired, TransportEvent,
 };
-use ecnsharp_telemetry::{DropReason, NoopSubscriber, Subscriber};
+use ecnsharp_telemetry::{NoopSubscriber, Subscriber};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -233,8 +230,6 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     /// entry points. Agent callbacks ([`Ctx::report_mem_breach`]) and the
     /// per-event breach poll both land here.
     pub(crate) tripped: Option<SimError>,
-    #[cfg(feature = "packet-trace")]
-    pub(crate) tracer: Option<Tracer>,
 }
 
 impl Network {
@@ -286,8 +281,6 @@ impl<S: Subscriber> Network<S> {
             supervision: Supervision::default(),
             mem_armed: false,
             tripped: None,
-            #[cfg(feature = "packet-trace")]
-            tracer: None,
         }
     }
 
@@ -359,8 +352,6 @@ impl<S: Subscriber> Network<S> {
             supervision: self.supervision,
             mem_armed: false,
             tripped: None,
-            #[cfg(feature = "packet-trace")]
-            tracer: None,
         }
     }
 
@@ -407,31 +398,6 @@ impl<S: Subscriber> Network<S> {
     /// trips ([`SimError::Livelock`]) and for the CI livelock drill.
     pub fn inject_livelock_at(&mut self, at: SimTime) {
         self.push_event(at, Event::LivelockDrill { node: NodeId(0) });
-    }
-
-    /// Enable packet tracing with a bounded ring of `capacity` events
-    /// (optionally restricted to `flow`). Disabled by default.
-    #[cfg(feature = "packet-trace")]
-    pub fn enable_trace(&mut self, capacity: usize, flow: Option<FlowId>) {
-        let mut t = Tracer::new(capacity);
-        t.flow_filter = flow;
-        self.tracer = Some(t);
-    }
-
-    /// The tracer, if enabled.
-    #[cfg(feature = "packet-trace")]
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    #[inline]
-    fn trace(&mut self, at: SimTime, node: NodeId, kind: TraceKind, pkt: &crate::packet::Packet) {
-        #[cfg(feature = "packet-trace")]
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(at, node, kind, pkt);
-        }
-        #[cfg(not(feature = "packet-trace"))]
-        let _ = (at, node, kind, pkt);
     }
 
     // ── topology construction ──────────────────────────────────────────
@@ -939,7 +905,6 @@ impl<S: Subscriber> Network<S> {
         match ev {
             Event::Arrive { node, pkt } => {
                 self.cur_node = node.0;
-                self.trace(now, node, TraceKind::Arrive, &pkt);
                 self.on_arrive(now, node, pkt);
             }
             Event::TxDone { node, port } => {
@@ -970,7 +935,6 @@ impl<S: Subscriber> Network<S> {
             }
             Event::NicSend { node, pkt } => {
                 self.cur_node = node.0;
-                self.trace(now, node, TraceKind::Enqueue, &pkt);
                 let n = &mut self.nodes[node.0];
                 n.ports[0].enqueue(now, pkt, &mut n.arena, &mut self.sub);
                 self.kick(now, node, 0);
@@ -1077,7 +1041,6 @@ impl<S: Subscriber> Network<S> {
                             reason: DropReason::NoRoute,
                         }
                     );
-                    self.trace(now, node, TraceKind::Drop(DropReason::NoRoute), &pkt);
                     return;
                 }
                 let port = if hops.len() == 1 {
@@ -1097,7 +1060,6 @@ impl<S: Subscriber> Network<S> {
                     };
                     hops[idx as usize] as usize
                 };
-                self.trace(now, node, TraceKind::Enqueue, &pkt);
                 let n = &mut self.nodes[node.0];
                 n.ports[port].enqueue(now, pkt, &mut n.arena, &mut self.sub);
                 self.kick(now, node, port);
@@ -1117,11 +1079,6 @@ impl<S: Subscriber> Network<S> {
             p.busy = true;
             let peer = p.peer;
             let delay = p.delay;
-            // Clone only if this packet will actually be recorded — the
-            // common (untraced) path moves the packet straight into the
-            // Arrive event without copying.
-            #[cfg(feature = "packet-trace")]
-            let traced_pkt = self.tracer.is_some().then(|| tx.pkt.clone());
             // Draw both tags before routing: TxDone then Arrive, always in
             // that order, so the pusher's counter advances identically
             // whether the arrival stays local or crosses a shard boundary.
@@ -1146,10 +1103,6 @@ impl<S: Subscriber> Network<S> {
                         pkt: tx.pkt,
                     },
                 ),
-            }
-            #[cfg(feature = "packet-trace")]
-            if let Some(pkt) = traced_pkt {
-                self.trace(now, node, TraceKind::TxStart, &pkt);
             }
         }
     }
@@ -1390,7 +1343,11 @@ mod tests {
 
     /// host A -- switch -- host B, 10 Gbps, 1 us links.
     fn two_hosts() -> (Network, NodeId, NodeId, NodeId) {
-        let mut net = Network::new(1);
+        two_hosts_with(NoopSubscriber)
+    }
+
+    fn two_hosts_with<S: Subscriber>(sub: S) -> (Network<S>, NodeId, NodeId, NodeId) {
+        let mut net = Network::with_subscriber(1, sub);
         let a = net.add_host(Box::new(NullAgent));
         let b = net.add_host(Box::new(EchoAgent));
         let s = net.add_switch();
@@ -1417,7 +1374,7 @@ mod tests {
 
     /// Inject a raw packet send from a host (test helper). Uses the setup
     /// tag range, like any other before-the-run push.
-    fn inject(net: &mut Network, from: NodeId, pkt: Packet) {
+    fn inject<S: Subscriber>(net: &mut Network<S>, from: NodeId, pkt: Packet) {
         let at = net.now();
         net.push_event(at, Event::NicSend { node: from, pkt });
     }
@@ -1648,19 +1605,22 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "packet-trace")]
+    #[cfg(feature = "telemetry")]
     fn tracing_records_packet_lifecycle() {
-        let (mut net, a, b, _s) = two_hosts();
-        net.enable_trace(1000, Some(FlowId(3)));
+        let mut tracer = crate::trace::Tracer::new(1000);
+        tracer.flow_filter = Some(FlowId(3));
+        let (mut net, a, b, s) = two_hosts_with(tracer);
         inject(&mut net, a, Packet::data(FlowId(2), a, b, 0, 1460)); // filtered out
         inject(&mut net, a, Packet::data(FlowId(3), a, b, 0, 1460));
         net.run_until_idle();
-        let t = net.tracer().unwrap();
-        assert!(t.observed >= 3, "observed {}", t.observed);
-        let kinds: Vec<crate::trace::TraceKind> = t.events().map(|e| e.kind).collect();
-        assert!(kinds.contains(&crate::trace::TraceKind::Enqueue));
-        assert!(kinds.contains(&crate::trace::TraceKind::TxStart));
-        assert!(kinds.contains(&crate::trace::TraceKind::Arrive));
+        let t = net.subscriber();
+        // Data a->s->b and the echo ACK b->s->a: one ENQ per egress port.
+        assert_eq!(t.observed, 4);
+        assert!(t
+            .events()
+            .all(|e| e.kind == crate::trace::TraceKind::Enqueue));
+        let nodes: Vec<NodeId> = t.events().map(|e| e.node).collect();
+        assert_eq!(nodes, [a, s, b, s]);
         assert!(t.events().all(|e| e.flow == FlowId(3)), "filter leaked");
     }
 

@@ -121,8 +121,7 @@ impl<S: ShardSubscriber> Network<S> {
     ///
     /// Must be called on a freshly built network (`steps() == 0`):
     /// topology, routes, fault plans, scheduled flows and monitors are
-    /// installed first, then the run is sharded once. Packet tracing
-    /// ([`Network::enable_trace`]) is serial-only.
+    /// installed first, then the run is sharded once.
     ///
     /// The subscriber must implement
     /// [`ShardSubscriber`] — the
@@ -132,9 +131,8 @@ impl<S: ShardSubscriber> Network<S> {
     /// # Panics
     ///
     /// If the network already ran (`steps() > 0`), if `plan` does not
-    /// cover exactly this network's nodes, if a cross-shard link has zero
-    /// propagation delay (no conservative lookahead), or if packet tracing
-    /// is enabled.
+    /// cover exactly this network's nodes, or if a cross-shard link has
+    /// zero propagation delay (no conservative lookahead).
     ///
     /// ```
     /// use ecnsharp_net::{topology, FlowCmd, FlowId, Network, NullAgent, PortConfig, ShardPlan};
@@ -205,11 +203,6 @@ impl<S: ShardSubscriber> Network<S> {
         assert_eq!(
             self.steps, 0,
             "sharded runs must start from a fresh network (steps() == 0)"
-        );
-        #[cfg(feature = "packet-trace")]
-        assert!(
-            self.tracer.is_none(),
-            "packet tracing is serial-only; drop enable_trace or run serially"
         );
         if plan.shard_count() == 1 {
             return self.try_run_until_idle();

@@ -2,30 +2,25 @@
 //! packets as they moved through the network — the simulator's analogue of
 //! the `--pcap` switches that event-driven stacks ship for debugging.
 //!
-//! Tracing is off by default (zero cost); enable it with
-//! [`crate::Network::enable_trace`]. Events are kept in a bounded ring so
-//! a runaway simulation cannot exhaust memory.
+//! The [`Tracer`] is a telemetry [`Subscriber`]: attach one with
+//! [`crate::Network::with_subscriber`] (alone or in a composition tuple)
+//! and it records the `ENQ`/`DRP`/`MRK` lifecycle from the typed event
+//! stream. Events are kept in a bounded ring so a runaway simulation
+//! cannot exhaust memory.
 
 use crate::ids::{FlowId, NodeId};
-use crate::packet::Packet;
 use ecnsharp_sim::SimTime;
 use ecnsharp_telemetry::DropReason;
 #[cfg(feature = "telemetry")]
-use ecnsharp_telemetry::{
-    CeMarked, Meta, PacketDropped, PacketEnqueued, SojournSampled, Subscriber,
-};
+use ecnsharp_telemetry::{CeMarked, Meta, PacketDropped, PacketEnqueued, Subscriber};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// Packet arrived at a node (delivered to host or entering switching).
-    Arrive,
     /// Packet was admitted to an egress queue.
     Enqueue,
-    /// Packet started transmission.
-    TxStart,
     /// Packet was dropped, with the cause (tail, AQM, wire faults,
     /// no-route — the same taxonomy as the per-port drop counters).
     Drop(DropReason),
@@ -36,9 +31,7 @@ pub enum TraceKind {
 impl fmt::Display for TraceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceKind::Arrive => f.write_str("ARR"),
             TraceKind::Enqueue => f.write_str("ENQ"),
-            TraceKind::TxStart => f.write_str("TX "),
             TraceKind::Drop(reason) => write!(f, "DRP:{reason}"),
             TraceKind::Mark => f.write_str("MRK"),
         }
@@ -115,14 +108,9 @@ impl Tracer {
         self.capacity
     }
 
-    /// Record an event for `pkt`.
-    pub fn record(&mut self, at: SimTime, node: NodeId, kind: TraceKind, pkt: &Packet) {
-        self.record_raw(at, node, kind, pkt.flow, pkt.seq(), pkt.payload());
-    }
-
-    /// Record an event from raw fields (the packet may no longer exist,
-    /// e.g. when fed from telemetry events). Honors the flow filter and
-    /// the ring bound exactly like [`Tracer::record`].
+    /// Record an event from raw fields (the telemetry events the tracer
+    /// is fed from carry no packet). Honors the flow filter and the ring
+    /// bound.
     pub fn record_raw(
         &mut self,
         at: SimTime,
@@ -176,11 +164,6 @@ impl Tracer {
     }
 }
 
-/// The [`Tracer`] doubles as a telemetry [`Subscriber`], making the legacy
-/// packet trace "just another subscriber": attach one via
-/// [`crate::Network::with_subscriber`] (or in a composition tuple) and it
-/// records the same `ENQ`/`DRP`/`MRK` lifecycle it always has, now sourced
-/// from the typed event stream.
 #[cfg(feature = "telemetry")]
 impl Subscriber for Tracer {
     #[inline]
@@ -218,37 +201,21 @@ impl Subscriber for Tracer {
             0,
         );
     }
-
-    #[inline]
-    fn on_sojourn_sampled(&mut self, _meta: &Meta, _ev: &SojournSampled) {
-        // Sojourn samples map to TxStart in the embedded trace path; the
-        // subscriber view keeps the ring focused on lifecycle transitions.
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pkt(flow: u64, seq: u64) -> Packet {
-        Packet::data(FlowId(flow), NodeId(0), NodeId(1), seq, 1460)
+    fn rec(t: &mut Tracer, at: SimTime, node: usize, kind: TraceKind, flow: u64, seq: u64) {
+        t.record_raw(at, NodeId(node), kind, FlowId(flow), seq, 1460);
     }
 
     #[test]
     fn records_and_dumps() {
         let mut t = Tracer::new(10);
-        t.record(
-            SimTime::from_micros(1),
-            NodeId(2),
-            TraceKind::Enqueue,
-            &pkt(7, 0),
-        );
-        t.record(
-            SimTime::from_micros(2),
-            NodeId(2),
-            TraceKind::Mark,
-            &pkt(7, 1460),
-        );
+        rec(&mut t, SimTime::from_micros(1), 2, TraceKind::Enqueue, 7, 0);
+        rec(&mut t, SimTime::from_micros(2), 2, TraceKind::Mark, 7, 1460);
         assert_eq!(t.len(), 2);
         let dump = t.dump();
         assert!(dump.contains("ENQ"));
@@ -260,12 +227,7 @@ mod tests {
     fn ring_bounds_memory() {
         let mut t = Tracer::new(3);
         for k in 0..100u64 {
-            t.record(
-                SimTime::from_micros(k),
-                NodeId(0),
-                TraceKind::Arrive,
-                &pkt(1, k),
-            );
+            rec(&mut t, SimTime::from_micros(k), 0, TraceKind::Enqueue, 1, k);
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.observed, 100);
@@ -277,8 +239,8 @@ mod tests {
     fn flow_filter() {
         let mut t = Tracer::new(10);
         t.flow_filter = Some(FlowId(5));
-        t.record(SimTime::ZERO, NodeId(0), TraceKind::Arrive, &pkt(4, 0));
-        t.record(SimTime::ZERO, NodeId(0), TraceKind::Arrive, &pkt(5, 0));
+        rec(&mut t, SimTime::ZERO, 0, TraceKind::Enqueue, 4, 0);
+        rec(&mut t, SimTime::ZERO, 0, TraceKind::Enqueue, 5, 0);
         assert_eq!(t.len(), 1);
         assert_eq!(t.events().next().unwrap().flow, FlowId(5));
     }
@@ -292,12 +254,7 @@ mod tests {
         assert_eq!(t.capacity(), MAX_TRACE_CAPACITY);
         let initial_alloc = t.ring.capacity();
         for k in 0..(MAX_TRACE_CAPACITY as u64 + 100) {
-            t.record(
-                SimTime::from_nanos(k),
-                NodeId(0),
-                TraceKind::Arrive,
-                &pkt(1, k),
-            );
+            rec(&mut t, SimTime::from_nanos(k), 0, TraceKind::Enqueue, 1, k);
         }
         assert_eq!(t.len(), MAX_TRACE_CAPACITY);
         assert_eq!(t.observed, MAX_TRACE_CAPACITY as u64 + 100);
@@ -364,7 +321,7 @@ mod tests {
         let e = TraceEvent {
             at: SimTime::from_micros(3),
             node: NodeId(1),
-            kind: TraceKind::TxStart,
+            kind: TraceKind::Mark,
             flow: FlowId(9),
             seq: 100,
             payload: 1460,

@@ -1,102 +1,35 @@
-//! `cargo xtask bench` — the standing benchmark harness.
+//! `cargo xtask bench` — the paired microbench gates.
 //!
-//! Runs the six `ecnsharp-bench` targets (`engine`, `aqm_cost`,
-//! `figures`, `shard_scaling`, `cache_pressure`, `supervision_cost`) with
-//! `ECNSHARP_BENCH_JSON` pointed at a scratch file, then
-//! collates the criterion shim's JSON-lines into `BENCH_sim.json` at the
-//! workspace root: median ns/iter, derived events/sec and ns/event, wall
-//! seconds per quick-scale figure, and a machine fingerprint. The file is
-//! committed as the perf baseline; `cargo xtask bench-diff old new`
-//! compares two of them.
+//! A performance number in this repository is compared against exactly one
+//! of two things: its same-run control in `PAIRED_GATES`, or the parent
+//! commit through `benchmark/` (`BENCHMARK.json`). This module is the
+//! first half. It runs the `ecnsharp-bench` targets with
+//! `ECNSHARP_BENCH_JSON` pointed at scratch files under `target/`, then
+//! holds each pair to its budget on the ratio of its two rows, measured
+//! seconds apart in the one run. Nothing is compared against a committed
+//! number: absolute medians on a shared box drift 1.5–2× between the day
+//! a baseline is taken and the day it is read (PERFORMANCE.md), the pair
+//! ratios do not.
 //!
-//! Everything is hand-rolled JSON (one bench entry per line) so the
-//! workspace stays registry-free and the file diffs cleanly in review.
+//! The table is closed in both directions: a gate whose rows are absent
+//! from the run fails, and so does a row no gate names — renaming or
+//! adding a bench cannot silently drop or dodge a gate.
 
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
-/// One collated benchmark result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
+/// One row of shim output: a bench and its timing statistics.
+#[derive(Debug, PartialEq)]
+struct BenchEntry {
     /// Benchmark group (e.g. `event_queue`).
-    pub group: String,
-    /// Benchmark id within the group (e.g. `push_pop_10k`).
-    pub bench: String,
+    group: String,
+    /// Benchmark id within the group (e.g. `sparse_bucket_8`); rows from
+    /// the compiled-out build carry the [`NO_DEFAULT`] tag.
+    bench: String,
     /// Median wall nanoseconds per iteration.
-    pub median_ns: u64,
-    /// Minimum wall nanoseconds per iteration, when the shim emitted it.
-    /// Co-tenant interference is strictly additive, so the minimum is the
-    /// robust statistic for the paired same-run gates; committed
-    /// `BENCH_sim.json` baselines predating the field parse as `None`.
-    pub min_ns: Option<u64>,
-    /// Timed samples taken.
-    pub samples: u64,
-    /// Logical elements processed per iteration, when annotated.
-    pub elements: Option<u64>,
-    /// Bytes processed per iteration, when annotated.
-    pub bytes: Option<u64>,
-}
-
-/// Medians below this many nanoseconds are dominated by clock quantization
-/// and harness overhead, and rates derived from them are garbage (a 33 ns
-/// median over 100 elements reads as three billion events/sec — the
-/// `aqm_per_packet` entries used to report exactly that). Below the floor
-/// the derived fields render as `null` and comparisons skip the entry.
-pub const MEASUREMENT_FLOOR_NS: u64 = 1_000;
-
-impl BenchEntry {
-    /// Elements per second (events/sec for the engine benches). `None`
-    /// when unannotated or the median is below [`MEASUREMENT_FLOOR_NS`].
-    pub fn rate_per_sec(&self) -> Option<f64> {
-        match (self.elements, self.median_ns) {
-            (Some(n), m) if m >= MEASUREMENT_FLOOR_NS => Some(n as f64 * 1e9 / m as f64),
-            _ => None,
-        }
-    }
-
-    /// Nanoseconds per element (ns/event for the engine benches). `None`
-    /// when unannotated or the median is below [`MEASUREMENT_FLOOR_NS`].
-    pub fn ns_per_element(&self) -> Option<f64> {
-        if self.median_ns < MEASUREMENT_FLOOR_NS {
-            return None;
-        }
-        self.elements
-            .filter(|&n| n > 0)
-            .map(|n| self.median_ns as f64 / n as f64)
-    }
-
-    fn to_json_line(&self) -> String {
-        let mut s = format!(
-            "    {{\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{},\"samples\":{}",
-            self.group, self.bench, self.median_ns, self.samples
-        );
-        match self.elements {
-            Some(n) => match (self.rate_per_sec(), self.ns_per_element()) {
-                (Some(rate), Some(ns)) => {
-                    let _ = write!(
-                        s,
-                        ",\"elements\":{n},\"events_per_sec\":{rate:.0},\"ns_per_event\":{ns:.2}"
-                    );
-                }
-                _ => {
-                    let _ = write!(
-                        s,
-                        ",\"elements\":{n},\"events_per_sec\":null,\"ns_per_event\":null"
-                    );
-                }
-            },
-            None => s.push_str(",\"elements\":null"),
-        }
-        match self.bytes {
-            Some(n) => {
-                let _ = write!(s, ",\"bytes\":{n}");
-            }
-            None => s.push_str(",\"bytes\":null"),
-        }
-        let _ = write!(s, ",\"wall_secs\":{:.6}}}", self.median_ns as f64 / 1e9);
-        s
-    }
+    median_ns: u64,
+    /// Minimum wall nanoseconds per iteration.
+    min_ns: u64,
 }
 
 // ── minimal JSON-line field extraction (registry-free, format is ours) ──
@@ -117,304 +50,34 @@ fn json_u64_field(line: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Parse one shim-emitted (or BENCH_sim.json) bench line.
-pub fn parse_bench_line(line: &str) -> Option<BenchEntry> {
+/// Parse one shim-emitted bench line.
+fn parse_bench_line(line: &str) -> Option<BenchEntry> {
     Some(BenchEntry {
         group: json_str_field(line, "group")?,
         bench: json_str_field(line, "bench")?,
         median_ns: json_u64_field(line, "median_ns")?,
-        min_ns: json_u64_field(line, "min_ns"),
-        samples: json_u64_field(line, "samples").unwrap_or(0),
-        elements: json_u64_field(line, "elements"),
-        bytes: json_u64_field(line, "bytes"),
+        min_ns: json_u64_field(line, "min_ns")?,
     })
 }
 
-/// Parse every bench entry out of a `BENCH_sim.json` (or raw JSON-lines)
-/// file body.
-pub fn parse_bench_file(body: &str) -> Vec<BenchEntry> {
-    body.lines().filter_map(parse_bench_line).collect()
-}
+/// The cargo flag of the compiled-out build, and (bracketed, appended to
+/// the bench name) the tag of every row measured in it — so one bench run
+/// from both builds yields two distinct `(group, bench)` rows.
+const NO_DEFAULT: &str = "--no-default-features";
 
-// ── machine fingerprint ────────────────────────────────────────────────
-
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn rustc_version() -> String {
-    Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// Render the collated `BENCH_sim.json` body. Deliberately carries no
-/// timestamp: two runs on the same machine and tree diff clean.
-pub fn render_bench_json(entries: &[BenchEntry]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"machine\": {{\"cpu\": \"{}\", \"cores\": {}, \"rustc\": \"{}\"}},",
-        cpu_model().escape_default(),
-        cores(),
-        rustc_version().escape_default()
-    );
-    out.push_str("  \"benches\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&e.to_json_line());
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn cargo() -> Command {
-    Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()))
-}
-
-/// Run the standing benches and write `BENCH_sim.json` at `root`.
-/// Returns false on any failure.
-pub fn run(root: &Path) -> bool {
-    let scratch: PathBuf = root.join("target").join("bench_raw.jsonl");
-    let _ = std::fs::create_dir_all(scratch.parent().expect("target dir"));
-    let _ = std::fs::remove_file(&scratch);
-    for target in [
-        "engine",
-        "aqm_cost",
-        "figures",
-        "shard_scaling",
-        "cache_pressure",
-        "supervision_cost",
-    ] {
-        println!("bench: running `cargo bench -p ecnsharp-bench --bench {target}` ...");
-        let status = cargo()
-            .args(["bench", "-p", "ecnsharp-bench", "--bench", target])
-            .env("ECNSHARP_BENCH_JSON", &scratch)
-            .current_dir(root)
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("bench: `{target}` failed ({s})");
-                return false;
-            }
-            Err(e) => {
-                eprintln!("bench: could not launch cargo: {e}");
-                return false;
-            }
-        }
-    }
-    let raw = match std::fs::read_to_string(&scratch) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench: no shim output at {}: {e}", scratch.display());
-            return false;
-        }
-    };
-    let entries = parse_bench_file(&raw);
-    if entries.is_empty() {
-        eprintln!("bench: shim output parsed to zero entries");
-        return false;
-    }
-    let out_path = root.join("BENCH_sim.json");
-    let body = render_bench_json(&entries);
-    if let Err(e) = std::fs::write(&out_path, body) {
-        eprintln!("bench: could not write {}: {e}", out_path.display());
-        return false;
-    }
-    println!(
-        "\nbench: wrote {} ({} entries)",
-        out_path.display(),
-        entries.len()
-    );
-    for e in &entries {
-        match e.rate_per_sec() {
-            Some(r) => println!(
-                "  {}/{}: {} ns median, {:.2} M/s",
-                e.group,
-                e.bench,
-                e.median_ns,
-                r / 1e6
-            ),
-            None => println!("  {}/{}: {} ns median", e.group, e.bench, e.median_ns),
-        }
-    }
-    true
-}
-
-/// `cargo xtask bench-diff old.json new.json` — per-bench comparison.
-pub fn diff(old_path: &str, new_path: &str) -> bool {
-    let read = |p: &str| -> Option<Vec<BenchEntry>> {
-        match std::fs::read_to_string(p) {
-            Ok(s) => Some(parse_bench_file(&s)),
-            Err(e) => {
-                eprintln!("bench-diff: cannot read {p}: {e}");
-                None
-            }
-        }
-    };
-    let (Some(old), Some(new)) = (read(old_path), read(new_path)) else {
-        return false;
-    };
-    if old.is_empty() || new.is_empty() {
-        eprintln!("bench-diff: no bench entries parsed");
-        return false;
-    }
-    println!(
-        "{:<34} {:>14} {:>14} {:>9}",
-        "bench", "old ns", "new ns", "speedup"
-    );
-    let mut matched = 0usize;
-    for n in &new {
-        let Some(o) = old
-            .iter()
-            .find(|o| o.group == n.group && o.bench == n.bench)
-        else {
-            println!(
-                "{:<34} {:>14} {:>14} {:>9}",
-                format!("{}/{}", n.group, n.bench),
-                "-",
-                n.median_ns,
-                "new"
-            );
-            continue;
-        };
-        matched += 1;
-        let speedup = if n.median_ns > 0 {
-            o.median_ns as f64 / n.median_ns as f64
-        } else {
-            f64::INFINITY
-        };
-        println!(
-            "{:<34} {:>14} {:>14} {:>8.2}x",
-            format!("{}/{}", n.group, n.bench),
-            o.median_ns,
-            n.median_ns,
-            speedup
-        );
-    }
-    for o in &old {
-        if !new.iter().any(|n| n.group == o.group && n.bench == o.bench) {
-            println!(
-                "{:<34} {:>14} {:>14} {:>9}",
-                format!("{}/{}", o.group, o.bench),
-                o.median_ns,
-                "-",
-                "gone"
-            );
-        }
-    }
-    println!(
-        "\nbench-diff: {matched} matched entr{}",
-        if matched == 1 { "y" } else { "ies" }
-    );
-    true
-}
-
-/// `cargo xtask bench-diff --check` — the perf regression gate. Re-runs
-/// the `engine`, `shard_scaling`, `cache_pressure`, and
-/// `supervision_cost` bench targets and
-/// compares their medians against the committed `BENCH_sim.json`; any bench slower than
-/// the baseline by more than its group budget fails the gate. Entries
-/// whose median (on either side) sits below [`MEASUREMENT_FLOOR_NS`] are
-/// skipped: sub-floor medians are quantization noise, not signal. The
-/// `PAIRED_GATES` benches are gated on their same-run pair ratio
-/// instead of against the committed baseline.
-pub fn check(root: &Path) -> bool {
-    let baseline_path = root.join("BENCH_sim.json");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(s) => parse_bench_file(&s),
-        Err(e) => {
-            eprintln!(
-                "bench-diff --check: cannot read {}: {e}",
-                baseline_path.display()
-            );
-            return false;
-        }
-    };
-    if baseline.is_empty() {
-        eprintln!("bench-diff --check: baseline parsed to zero entries");
-        return false;
-    }
-    let scratch: PathBuf = root.join("target").join("bench_check.jsonl");
-    let _ = std::fs::create_dir_all(scratch.parent().expect("target dir"));
-    let _ = std::fs::remove_file(&scratch);
-    for target in [
-        "engine",
-        "shard_scaling",
-        "cache_pressure",
-        "supervision_cost",
-    ] {
-        println!(
-            "bench-diff --check: running `cargo bench -p ecnsharp-bench --bench {target}` ..."
-        );
-        let status = cargo()
-            .args(["bench", "-p", "ecnsharp-bench", "--bench", target])
-            .env("ECNSHARP_BENCH_JSON", &scratch)
-            .current_dir(root)
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("bench-diff --check: {target} bench failed ({s})");
-                return false;
-            }
-            Err(e) => {
-                eprintln!("bench-diff --check: could not launch cargo: {e}");
-                return false;
-            }
-        }
-    }
-    let fresh = match std::fs::read_to_string(&scratch) {
-        Ok(s) => parse_bench_file(&s),
-        Err(e) => {
-            eprintln!(
-                "bench-diff --check: no shim output at {}: {e}",
-                scratch.display()
-            );
-            return false;
-        }
-    };
-    check_entries(&baseline, &fresh)
-}
-
-/// Per-group regression budget. The `telemetry_noop` group carries the
-/// zero-cost-observability claim (OBSERVABILITY.md): with only the no-op
-/// subscriber attached, the port fast path must stay within measurement
-/// noise of the committed baseline, so it is held to 3% where ordinary
-/// engine groups get the routine 25%.
-pub fn max_regression_for(group: &str) -> f64 {
-    match group {
-        "telemetry_noop" => 1.03,
-        // Whole-simulation wall times (seconds per sample, 5 samples):
-        // noisier than the microbenches, so the budget is wider. The
-        // group still gates the sharded engine against gross slowdowns.
-        "shard_scaling" => 1.50,
-        // Mixed group: one whole-simulation leaf-spine run (noisy, like
-        // shard_scaling) next to copy/ring microbenches — sized for its
-        // noisiest member so the working-set bench can gate the pooled
-        // rings without flaking.
-        "cache_pressure" => 1.40,
-        _ => 1.25,
-    }
+/// Which per-bench statistic a pair is compared on (PERFORMANCE.md "One
+/// harness" has the 26-run record behind the choice).
+#[derive(Debug, Clone, Copy)]
+enum Stat {
+    /// Per-sample minimum. Both rows come from one process, seconds
+    /// apart, and co-tenant interference is strictly additive, so the
+    /// minimum is the stable statistic where a median can swing 30%.
+    Min,
+    /// Median. The rows come from two processes, and a process's single
+    /// fastest sample is hostage to where its pages and that instant of
+    /// co-tenant load fell: the ratio of two such minima has the heavier
+    /// tail.
+    Median,
 }
 
 /// A same-run pair gate: `subject` may cost at most `budget` × `control`.
@@ -425,18 +88,15 @@ struct PairedGate {
     control: &'static str,
     /// The bench held against it.
     subject: &'static str,
-    /// Largest allowed `subject / control` ratio of per-sample minima.
+    /// The statistic compared.
+    stat: Stat,
+    /// Largest allowed `subject / control` ratio.
     budget: f64,
 }
 
-/// Paired same-run gates. These benches skip the
-/// entry-vs-committed-baseline comparison — on a shared box, co-tenant
-/// bursts move a whole-simulation median far past any honest budget, and
-/// binary layout alone drifts absolute numbers across commits. Instead
-/// the two benches of a pair, measured seconds apart in the same run, are
-/// compared to *each other* on per-sample minima (interference is
-/// strictly additive, so the minimum is the stable statistic).
-const PAIRED_GATES: [PairedGate; 3] = [
+/// Every gate `cargo xtask bench` holds, and thereby every row
+/// `ecnsharp-bench` may emit.
+const PAIRED_GATES: [PairedGate; 4] = [
     // Armed-but-untriggered watchdogs are one branch and a counter per
     // popped event; like the no-op subscriber, they carry a
     // zero-cost-when-quiet claim (DESIGN.md "Run supervision") and are
@@ -445,6 +105,7 @@ const PAIRED_GATES: [PairedGate; 3] = [
         group: "supervision_cost",
         control: "dctcp_10mb_guards_off",
         subject: "dctcp_10mb_guards_armed",
+        stat: Stat::Min,
         budget: 1.03,
     },
     // Working-set gates (PERFORMANCE.md "Footprint follows backlog"):
@@ -457,109 +118,161 @@ const PAIRED_GATES: [PairedGate; 3] = [
         group: "event_queue",
         control: "sparse_bucket_8",
         subject: "dense_bucket_200",
+        stat: Stat::Min,
         budget: 1.25,
     },
     PairedGate {
         group: "cache_pressure",
         control: "port_ring_sparse_16",
         subject: "port_ring_sparse_384",
+        stat: Stat::Min,
         budget: 1.25,
+    },
+    // The zero-cost claim of OBSERVABILITY.md §6, measured as stated:
+    // with only the no-op subscriber attached, the port fast path costs
+    // what it costs with telemetry compiled out.
+    PairedGate {
+        group: "telemetry_noop",
+        control: "port_churn_40k_noop[--no-default-features]",
+        subject: "port_churn_40k_noop",
+        stat: Stat::Median,
+        budget: 1.03,
     },
 ];
 
-/// The comparison half of [`check`], split out for unit testing: `true`
-/// iff no fresh entry regressed beyond its group's budget
-/// ([`max_regression_for`]) against its baseline counterpart, and every
-/// `PAIRED_GATES` pair present in `fresh` holds its same-run ratio.
-pub fn check_entries(baseline: &[BenchEntry], fresh: &[BenchEntry]) -> bool {
-    let mut ok = true;
-    let mut compared = 0usize;
-    for n in fresh {
-        if PAIRED_GATES
-            .iter()
-            .any(|p| p.group == n.group && (p.control == n.bench || p.subject == n.bench))
-        {
-            continue; // gated as a same-run pair below
-        }
-        let Some(o) = baseline
-            .iter()
-            .find(|o| o.group == n.group && o.bench == n.bench)
-        else {
-            println!(
-                "  {}/{}: new bench, no baseline — skipped",
-                n.group, n.bench
-            );
-            continue;
-        };
-        if n.median_ns < MEASUREMENT_FLOOR_NS || o.median_ns < MEASUREMENT_FLOOR_NS {
-            println!(
-                "  {}/{}: median below {MEASUREMENT_FLOOR_NS} ns floor — skipped",
-                n.group, n.bench
-            );
-            continue;
-        }
-        compared += 1;
-        let budget = max_regression_for(&n.group);
-        let ratio = n.median_ns as f64 / o.median_ns as f64;
-        if ratio > budget {
-            eprintln!(
-                "  {}/{}: REGRESSION {:.2}x, budget {:.2}x (baseline {} ns, now {} ns)",
-                n.group, n.bench, ratio, budget, o.median_ns, n.median_ns
-            );
-            ok = false;
+/// The bench invocations of one run, `(target, compiled out)`, in order:
+/// the two builds of `engine` are adjacent so the telemetry pair's rows
+/// are measured back to back.
+const RUNS: [(&str, bool); 4] = [
+    ("cache_pressure", false),
+    ("supervision_cost", false),
+    ("engine", false),
+    ("engine", true),
+];
+
+/// Run the paired benches and gate every pair. Returns false when a
+/// bench fails to build or run, a `PAIRED_GATES` pair is absent from the
+/// run or over its budget, or the run holds a row no pair names.
+pub fn run(root: &Path) -> bool {
+    let scratch = |compiled_out: bool| {
+        root.join("target").join(if compiled_out {
+            "bench_raw_no_default_features.jsonl"
         } else {
-            println!(
-                "  {}/{}: ok ({:.2}x baseline, budget {:.2}x, {} ns -> {} ns)",
-                n.group, n.bench, ratio, budget, o.median_ns, n.median_ns
-            );
+            "bench_raw.jsonl"
+        })
+    };
+    let _ = std::fs::create_dir_all(root.join("target"));
+    for compiled_out in [false, true] {
+        let _ = std::fs::remove_file(scratch(compiled_out));
+    }
+    // Compile everything before timing anything, so no build runs
+    // between (or heats the box under) two halves of a pair.
+    for no_run in [true, false] {
+        for (target, compiled_out) in RUNS {
+            let mut cmd =
+                Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()));
+            cmd.args(["bench", "-p", "ecnsharp-bench", "--bench", target])
+                .env("ECNSHARP_BENCH_JSON", scratch(compiled_out))
+                .current_dir(root);
+            if compiled_out {
+                cmd.arg(NO_DEFAULT);
+            }
+            if no_run {
+                cmd.arg("--no-run");
+            } else {
+                println!("bench: running {cmd:?} ...");
+            }
+            match cmd.status() {
+                Ok(s) if s.success() => {}
+                Ok(s) => {
+                    eprintln!("bench: {cmd:?} failed ({s})");
+                    return false;
+                }
+                Err(e) => {
+                    eprintln!("bench: could not launch cargo: {e}");
+                    return false;
+                }
+            }
         }
     }
+    let mut entries = Vec::new();
+    for compiled_out in [false, true] {
+        let path = scratch(compiled_out);
+        let raw = match std::fs::read_to_string(&path) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("bench: no shim output at {}: {e}", path.display());
+                return false;
+            }
+        };
+        entries.extend(raw.lines().filter_map(parse_bench_line).map(|mut e| {
+            if compiled_out {
+                e.bench = format!("{}[{NO_DEFAULT}]", e.bench);
+            }
+            e
+        }));
+    }
+    println!();
+    check_pairs(&entries)
+}
+
+/// The gating half of [`run`], split out for unit testing: `true` iff
+/// every [`PAIRED_GATES`] pair is present in `entries` and within its
+/// budget, and `entries` holds no row outside the table.
+fn check_pairs(entries: &[BenchEntry]) -> bool {
+    let mut ok = true;
     for gate in &PAIRED_GATES {
         let PairedGate {
             group,
             control,
             subject,
+            stat,
             budget,
         } = *gate;
-        let find = |name: &str| fresh.iter().find(|e| e.group == group && e.bench == name);
-        let (c, s) = match (find(control), find(subject)) {
-            (Some(c), Some(s)) => (c, s),
-            (None, None) => continue, // pair not in this run
-            _ => {
-                eprintln!(
-                    "  {group}: paired gate needs both {control} and {subject} — bench names diverged?"
-                );
-                ok = false;
-                continue;
+        let find = |name: &str| entries.iter().find(|e| e.group == group && e.bench == name);
+        let (Some(c), Some(s)) = (find(control), find(subject)) else {
+            for name in [control, subject] {
+                if find(name).is_none() {
+                    eprintln!(
+                        "  {group}/{name}: MISSING — a PAIRED_GATES row the run did not produce"
+                    );
+                }
             }
-        };
-        let control_ns = c.min_ns.unwrap_or(c.median_ns);
-        let subject_ns = s.min_ns.unwrap_or(s.median_ns);
-        if control_ns < MEASUREMENT_FLOOR_NS || subject_ns < MEASUREMENT_FLOOR_NS {
-            println!("  {group}/{subject}: below {MEASUREMENT_FLOOR_NS} ns floor — skipped");
+            ok = false;
             continue;
-        }
-        compared += 1;
+        };
+        let (what, control_ns, subject_ns) = match stat {
+            Stat::Min => ("min", c.min_ns, s.min_ns),
+            Stat::Median => ("median", c.median_ns, s.median_ns),
+        };
         let ratio = subject_ns as f64 / control_ns as f64;
         if ratio > budget {
             eprintln!(
-                "  {group}/{subject}: PAIR REGRESSION {ratio:.2}x {control}, budget {budget:.2}x (same-run min {control_ns} ns -> {subject_ns} ns)"
+                "  {group}/{subject}: OVER BUDGET {ratio:.3}x {control}, budget {budget:.2}x (same-run {what} {control_ns} ns -> {subject_ns} ns)"
             );
             ok = false;
         } else {
             println!(
-                "  {group}/{subject}: ok ({ratio:.2}x {control}, budget {budget:.2}x, same-run min {control_ns} ns -> {subject_ns} ns)"
+                "  {group}/{subject}: ok ({ratio:.3}x {control}, budget {budget:.2}x, same-run {what} {control_ns} ns -> {subject_ns} ns)"
             );
         }
     }
-    if compared == 0 {
-        eprintln!("bench-diff --check: nothing compared — group/bench names diverged?");
-        return false;
+    for e in entries {
+        let gated = PAIRED_GATES
+            .iter()
+            .any(|g| g.group == e.group && (g.control == e.bench || g.subject == e.bench));
+        if !gated {
+            eprintln!(
+                "  {}/{}: UNGATED ROW — no PAIRED_GATES pair names it; pair it or time it in benchmark/",
+                e.group, e.bench
+            );
+            ok = false;
+        }
     }
     if ok {
-        println!("bench-diff --check: {compared} benches within budget of baseline");
+        println!("bench: {} pairs within budget", PAIRED_GATES.len());
     } else {
-        eprintln!("bench-diff --check: perf regression vs BENCH_sim.json");
+        eprintln!("bench: FAILED");
     }
     ok
 }
@@ -568,201 +281,141 @@ pub fn check_entries(baseline: &[BenchEntry], fresh: &[BenchEntry]) -> bool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_shim_line() {
-        let line = r#"{"group":"event_queue","bench":"push_pop_10k","median_ns":697502,"samples":20,"elements":10000,"bytes":null}"#;
-        let e = parse_bench_line(line).expect("parses");
-        assert_eq!(e.group, "event_queue");
-        assert_eq!(e.bench, "push_pop_10k");
-        assert_eq!(e.median_ns, 697_502);
-        assert_eq!(e.samples, 20);
-        assert_eq!(e.elements, Some(10_000));
-        assert_eq!(e.bytes, None);
-        let rate = e.rate_per_sec().expect("has elements");
-        assert!((rate - 14_336_876.0).abs() < 1_000.0, "{rate}");
-    }
-
-    #[test]
-    fn render_roundtrips_through_parse() {
-        let entries = vec![
-            BenchEntry {
-                group: "event_queue".into(),
-                bench: "push_pop_10k".into(),
-                median_ns: 700_000,
-                min_ns: None,
-                samples: 20,
-                elements: Some(10_000),
-                bytes: None,
-            },
-            BenchEntry {
-                group: "figures_quick".into(),
-                bench: "fig2".into(),
-                median_ns: 3_000_000_000,
-                min_ns: None,
-                samples: 10,
-                elements: None,
-                bytes: None,
-            },
-        ];
-        let body = render_bench_json(&entries);
-        assert!(body.contains("\"machine\""));
-        assert!(body.contains("\"events_per_sec\""));
-        assert!(body.contains("\"wall_secs\""));
-        let parsed = parse_bench_file(&body);
-        assert_eq!(parsed, entries);
-    }
-
-    #[test]
-    fn sub_floor_medians_yield_null_rates() {
-        let e = BenchEntry {
-            group: "aqm_per_packet".into(),
-            bench: "dctcp_red".into(),
-            median_ns: 33,
-            min_ns: None,
-            samples: 100,
-            elements: Some(100),
-            bytes: None,
-        };
-        assert_eq!(e.rate_per_sec(), None, "33 ns median is noise");
-        assert_eq!(e.ns_per_element(), None);
-        let line = e.to_json_line();
-        assert!(
-            line.contains("\"events_per_sec\":null,\"ns_per_event\":null"),
-            "{line}"
-        );
-        // And the null round-trips: elements survive, derived fields stay
-        // absent rather than parsing as garbage digits.
-        let parsed = parse_bench_line(&line).expect("parses");
-        assert_eq!(parsed.elements, Some(100));
-        assert_eq!(parsed.median_ns, 33);
-    }
-
-    fn entry(group: &str, bench: &str, median_ns: u64) -> BenchEntry {
+    fn row(group: &str, bench: &str, min_ns: u64, median_ns: u64) -> BenchEntry {
         BenchEntry {
             group: group.into(),
             bench: bench.into(),
             median_ns,
-            min_ns: None,
-            samples: 20,
-            elements: Some(10_000),
-            bytes: None,
+            min_ns,
         }
     }
 
-    #[test]
-    fn check_passes_within_budget_and_fails_beyond() {
-        let base = vec![entry("event_queue", "push_pop_10k", 100_000)];
-        assert!(check_entries(
-            &base,
-            &[entry("event_queue", "push_pop_10k", 120_000)]
-        ));
-        assert!(!check_entries(
-            &base,
-            &[entry("event_queue", "push_pop_10k", 130_000)]
-        ));
+    /// A run holding every gate's two rows at ratio 1.0.
+    fn level_run() -> Vec<BenchEntry> {
+        PAIRED_GATES
+            .iter()
+            .flat_map(|g| [g.control, g.subject].map(|b| row(g.group, b, 1_000_000, 1_000_000)))
+            .collect()
+    }
+
+    /// `level_run` with one row's (min, median) replaced.
+    fn run_with(group: &str, bench: &str, min_ns: u64, median_ns: u64) -> Vec<BenchEntry> {
+        let mut run = level_run();
+        let e = run
+            .iter_mut()
+            .find(|e| e.group == group && e.bench == bench)
+            .expect("row is in the table");
+        (e.min_ns, e.median_ns) = (min_ns, median_ns);
+        run
     }
 
     #[test]
-    fn telemetry_noop_group_holds_the_3_percent_line() {
-        assert!((max_regression_for("telemetry_noop") - 1.03).abs() < 1e-9);
-        assert!((PAIRED_GATES[0].budget - 1.03).abs() < 1e-9);
-        assert!((max_regression_for("event_queue") - 1.25).abs() < 1e-9);
-        assert!((max_regression_for("shard_scaling") - 1.50).abs() < 1e-9);
-        assert!((max_regression_for("cache_pressure") - 1.40).abs() < 1e-9);
-        let base = vec![entry("telemetry_noop", "port_churn_40k_noop", 100_000)];
-        // +2% is within the tight budget; +5% would pass the engine budget
-        // but must fail here.
-        assert!(check_entries(
-            &base,
-            &[entry("telemetry_noop", "port_churn_40k_noop", 102_000)]
-        ));
-        assert!(!check_entries(
-            &base,
-            &[entry("telemetry_noop", "port_churn_40k_noop", 105_000)]
-        ));
+    fn parses_shim_line_and_ignores_the_rest() {
+        let line = r#"{"group":"event_queue","bench":"sparse_bucket_8","median_ns":27100000,"min_ns":26900000}"#;
+        assert_eq!(
+            parse_bench_line(line),
+            Some(row(
+                "event_queue",
+                "sparse_bucket_8",
+                26_900_000,
+                27_100_000
+            ))
+        );
+        assert_eq!(parse_bench_line("== event_queue =="), None);
+        assert_eq!(
+            parse_bench_line(r#"{"group":"g","bench":"b","median_ns":1}"#),
+            None
+        );
     }
 
     #[test]
-    fn supervision_pair_gate_compares_same_run_minima_not_baseline() {
-        let mut off = entry("supervision_cost", "dctcp_10mb_guards_off", 6_000_000);
-        off.min_ns = Some(6_000_000);
-        let mut armed = entry("supervision_cost", "dctcp_10mb_guards_armed", 8_000_000);
+    fn a_level_run_passes_and_the_budgets_are_unchanged() {
+        assert!(check_pairs(&level_run()));
+        let budgets: Vec<f64> = PAIRED_GATES.iter().map(|g| g.budget).collect();
+        assert_eq!(format!("{budgets:?}"), "[1.03, 1.25, 1.25, 1.03]");
+    }
+
+    #[test]
+    fn supervision_pair_gates_on_same_run_minima() {
         // Median blown out by a co-tenant burst; the min tells the truth.
-        armed.min_ns = Some(6_100_000);
-        // The committed baseline has no say: the pair passes on its
-        // same-run ratio even though no supervision_cost baseline exists.
-        let base = vec![entry("event_queue", "push_pop_10k", 100_000)];
-        let fresh = vec![
-            entry("event_queue", "push_pop_10k", 100_000),
-            off.clone(),
-            armed.clone(),
-        ];
-        assert!(check_entries(&base, &fresh));
+        assert!(check_pairs(&run_with(
+            "supervision_cost",
+            "dctcp_10mb_guards_armed",
+            1_020_000,
+            1_400_000
+        )));
         // A >3% min-to-min gap fails even with an innocuous median.
-        armed.min_ns = Some(6_300_000);
-        armed.median_ns = 6_300_000;
-        assert!(!check_entries(&base, &[off.clone(), armed]));
-        // Half a pair is a wiring error, not a skip.
-        assert!(!check_entries(&base, &[off]));
+        assert!(!check_pairs(&run_with(
+            "supervision_cost",
+            "dctcp_10mb_guards_armed",
+            1_050_000,
+            1_000_000
+        )));
     }
 
     #[test]
-    fn working_set_pairs_gate_on_the_ratio_and_leave_their_groups_alone() {
-        let with_min = |group: &str, bench: &str, ns: u64| {
-            let mut e = entry(group, bench, ns);
-            e.min_ns = Some(ns);
-            e
-        };
-        // The committed baseline is far off for every paired bench (old
-        // layout, other machine): it has no say. The unpaired bench in
-        // the same group is still held to the baseline.
-        let base = vec![
-            entry("event_queue", "push_pop_10k", 100_000),
-            entry("event_queue", "dense_bucket_200", 1_000),
-            entry("cache_pressure", "port_ring_sparse_384", 1_000),
-        ];
-        let run = |dense: u64, wide: u64, push_pop: u64| {
-            check_entries(
-                &base,
-                &[
-                    entry("event_queue", "push_pop_10k", push_pop),
-                    with_min("event_queue", "sparse_bucket_8", 27_000_000),
-                    with_min("event_queue", "dense_bucket_200", dense),
-                    with_min("cache_pressure", "port_ring_sparse_16", 6_200_000),
-                    with_min("cache_pressure", "port_ring_sparse_384", wide),
-                ],
-            )
-        };
-        assert!(run(28_800_000, 6_500_000, 100_000));
+    fn working_set_pairs_gate_on_the_ratio() {
+        assert!(check_pairs(&run_with(
+            "event_queue",
+            "dense_bucket_200",
+            1_070_000,
+            1_070_000
+        )));
         // Per-lane buffers again (1.46x) or rings walking their windows
         // (1.77x) trip their pair.
-        assert!(!run(39_400_000, 6_500_000, 100_000));
-        assert!(!run(28_800_000, 11_000_000, 100_000));
-        assert!(!run(28_800_000, 6_500_000, 130_000));
+        assert!(!check_pairs(&run_with(
+            "event_queue",
+            "dense_bucket_200",
+            1_460_000,
+            1_460_000
+        )));
+        assert!(!check_pairs(&run_with(
+            "cache_pressure",
+            "port_ring_sparse_384",
+            1_770_000,
+            1_770_000
+        )));
     }
 
     #[test]
-    fn check_skips_sub_floor_entries_but_needs_one_comparison() {
-        let base = vec![
-            entry("aqm_per_packet", "dctcp_red", 33),
-            entry("event_queue", "push_pop_10k", 100_000),
-        ];
-        // The 33 ns entry "regresses" 10x but is noise; the real entry holds.
-        let fresh = vec![
-            entry("aqm_per_packet", "dctcp_red", 330),
-            entry("event_queue", "push_pop_10k", 100_000),
-        ];
-        assert!(check_entries(&base, &fresh));
-        // All entries sub-floor → nothing compared → fail loudly.
-        assert!(!check_entries(
-            &[entry("aqm_per_packet", "dctcp_red", 33)],
-            &[entry("aqm_per_packet", "dctcp_red", 33)],
-        ));
+    fn telemetry_pair_gates_on_medians_across_the_two_builds() {
+        // The compiled-in binary's luckiest sample is 10% off the
+        // compiled-out one's; the medians agree.
+        assert!(check_pairs(&run_with(
+            "telemetry_noop",
+            "port_churn_40k_noop",
+            1_100_000,
+            1_020_000
+        )));
+        // The table's literal and the tag `run` appends must agree.
+        assert_eq!(
+            PAIRED_GATES[3].control,
+            format!("port_churn_40k_noop[{NO_DEFAULT}]")
+        );
+        // +5% on the median would pass a 25% budget but must fail here.
+        assert!(!check_pairs(&run_with(
+            "telemetry_noop",
+            "port_churn_40k_noop",
+            1_000_000,
+            1_050_000
+        )));
     }
 
     #[test]
-    fn ignores_non_bench_lines() {
-        let body = "{\n  \"machine\": {\"cpu\": \"x\", \"cores\": 4, \"rustc\": \"y\"},\n  \"benches\": [\n  ]\n}\n";
-        assert!(parse_bench_file(body).is_empty());
+    fn a_run_missing_one_whole_pair_fails() {
+        let mut run = level_run();
+        run.retain(|e| e.group != "cache_pressure");
+        assert!(!check_pairs(&run));
+        // Half a pair (the compiled-out build never ran) fails too.
+        let mut run = level_run();
+        run.retain(|e| !e.bench.ends_with("[--no-default-features]"));
+        assert!(!check_pairs(&run));
+    }
+
+    #[test]
+    fn a_run_carrying_a_row_no_gate_names_fails() {
+        let mut run = level_run();
+        run.push(row("event_queue", "push_pop_10k", 700_000, 700_000));
+        assert!(!check_pairs(&run));
     }
 }

@@ -17,11 +17,12 @@
 //!   injected barrier stall must each fail loudly with a structured
 //!   JSONL error line and partial CSVs) → rustdoc gate
 //!   (`cargo doc --no-deps` with `-Dwarnings`, then `cargo test --doc`).
-//! - `bench` — run the standing `ecnsharp-bench` targets and collate
-//!   `BENCH_sim.json` at the workspace root (see PERFORMANCE.md).
-//! - `bench-diff <old> <new>` — compare two `BENCH_sim.json` files.
-//! - `bench-diff --check` — rerun the `engine` bench target and fail if
-//!   any engine bench regressed >25% against the committed baseline.
+//! - `bench` — run the paired `ecnsharp-bench` microbenches (the
+//!   telemetry pair across a default and a `--no-default-features` build)
+//!   and fail if any pair misses its same-run ratio budget, a gated row is
+//!   absent, or a row is ungated (see PERFORMANCE.md). A timing gate on a
+//!   shared box, so opt-in and not part of `ci`; whole-simulation timing
+//!   is `benchmark/`'s job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,18 +50,6 @@ fn main() -> ExitCode {
         Some("selftest") => exit_for(selftest()),
         Some("ci") => ci(),
         Some("bench") => exit_for(xtask::bench::run(&xtask::workspace_root())),
-        Some("bench-diff") => match (args.get(1).map(String::as_str), args.get(2)) {
-            (Some("--check"), None) => exit_for(xtask::bench::check(&xtask::workspace_root())),
-            (Some(old), Some(new)) => exit_for(xtask::bench::diff(old, new)),
-            _ => {
-                eprintln!(
-                    "usage: cargo xtask bench-diff <old BENCH_sim.json> <new BENCH_sim.json>\n   \
-                     or: cargo xtask bench-diff --check   (rerun engine benches, fail on >25% \
-                     regression vs committed BENCH_sim.json)"
-                );
-                ExitCode::FAILURE
-            }
-        },
         Some("help") | None => {
             print_help();
             ExitCode::SUCCESS
@@ -83,9 +72,8 @@ fn print_help() {
          selftest    verify each lint rule fires on its seeded fixture\n  \
          ci          fmt-check -> clippy -> lint -> selftest -> build -> tests ->\n              \
          race harness -> sharded determinism -> chaos smoke -> chaos drills -> rustdoc gate\n  \
-         bench       run engine/aqm_cost/figures benches, write BENCH_sim.json\n  \
-         bench-diff  compare two BENCH_sim.json files (old new), or --check to\n              \
-         rerun the engine benches and fail on >25% regression"
+         bench       run the paired microbenches; fail when a pair misses its\n              \
+         same-run ratio budget, is absent, or a row is ungated"
     );
 }
 
@@ -418,9 +406,16 @@ fn ci() -> ExitCode {
             Box::new(|| {
                 // Telemetry compiled out entirely: the emission sites must
                 // vanish cleanly, not just no-op (OBSERVABILITY.md).
+                // `--all-targets` because the compiled-out `engine` bench
+                // is the control of `xtask bench`'s telemetry pair.
                 let mut c = cargo();
-                c.args(["build", "--workspace", "--no-default-features"]);
-                run_step("build (--no-default-features)", c, true)
+                c.args([
+                    "build",
+                    "--workspace",
+                    "--all-targets",
+                    "--no-default-features",
+                ]);
+                run_step("build (--no-default-features, all targets)", c, true)
             }),
         ),
         (
