@@ -69,6 +69,20 @@ impl FlowRecord {
     }
 }
 
+/// How much per-flow endpoint state is resident — the observer of the
+/// transport's flow-state lifecycle. One agent's count from
+/// [`Agent::flow_state`]; summed over every host by
+/// [`crate::Network::flow_state`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlowState {
+    /// Sending flows with full sender state resident.
+    pub live_senders: usize,
+    /// Receiving flows with full receiver state resident.
+    pub live_receivers: usize,
+    /// Receiving flows reduced to what answers a late duplicate.
+    pub closed_receivers: usize,
+}
+
 /// Side effects an agent callback can request.
 #[derive(Debug)]
 pub enum Action {
@@ -227,6 +241,12 @@ pub trait Agent: Send {
 
     /// The workload driver wants this host to start sending a flow.
     fn on_flow_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: FlowCmd);
+
+    /// Per-flow state this agent holds right now. Agents that keep none
+    /// report zeros.
+    fn flow_state(&self) -> FlowState {
+        FlowState::default()
+    }
 }
 
 /// A trivial agent that ignores everything — placeholder for pure-sink

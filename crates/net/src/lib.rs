@@ -65,7 +65,9 @@ pub mod shard;
 pub mod topology;
 pub mod trace;
 
-pub use agent::{Action, Agent, Ctx, EchoAgent, FlowCmd, FlowOutcome, FlowRecord, NullAgent};
+pub use agent::{
+    Action, Agent, Ctx, EchoAgent, FlowCmd, FlowOutcome, FlowRecord, FlowState, NullAgent,
+};
 pub use arena::RingArena;
 pub use fault::{FaultAction, FaultEvent, FaultPlan, GilbertElliott};
 pub use ids::{FlowId, NodeId, PortId};

@@ -19,7 +19,7 @@
 //! is the determinism contract the sharded engine (see [`crate::shard`]
 //! and `CONCURRENCY.md`) is built on.
 
-use crate::agent::{Action, Agent, Ctx, FlowCmd, FlowOutcome, FlowRecord};
+use crate::agent::{Action, Agent, Ctx, FlowCmd, FlowOutcome, FlowRecord, FlowState};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{FlowId, NodeId};
 use crate::node::{Node, NodeKind};
@@ -181,8 +181,10 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     pub(crate) records: Vec<FlowRecord>,
     /// Provenance key of each record, aligned with `records`: `(finish,
     /// tag of the completing event, index among that event's records)`.
-    /// This is the exact serial processing order, so shard merges can
-    /// reproduce it with a key-ordered merge.
+    /// This is the exact serial processing order, so the shard merge can
+    /// reproduce it with a key-ordered merge — its only reader, so only
+    /// shard engines (`owner.is_some()`) fill it; it stays empty on a
+    /// serial network and on the parent of a sharded run.
     pub(crate) record_keys: Vec<(SimTime, u64, u32)>,
     pub(crate) monitors: Vec<QueueMonitor>,
     scratch: Vec<Action>,
@@ -650,13 +652,38 @@ impl<S: Subscriber> Network<S> {
 
     /// Drain completed-flow records.
     pub fn take_records(&mut self) -> Vec<FlowRecord> {
-        self.record_keys.clear();
         std::mem::take(&mut self.records)
     }
 
     /// Flows started but not yet finished.
     pub fn unfinished_flows(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Per-flow endpoint state resident right now, summed over every
+    /// host's [`Agent::flow_state`].
+    pub fn flow_state(&self) -> FlowState {
+        let mut total = FlowState::default();
+        for node in &self.nodes {
+            if let NodeKind::Host { agent } = &node.kind {
+                let s = agent.flow_state();
+                total.live_senders += s.live_senders;
+                total.live_receivers += s.live_receivers;
+                total.closed_receivers += s.closed_receivers;
+            }
+        }
+        total
+    }
+
+    /// Idle-time check of the flow-state lifecycle: a sender outlives
+    /// its flow's report by nothing, so with every started flow finished
+    /// no agent may still hold one.
+    pub(crate) fn check_idle_flow_state(&self) {
+        ecnsharp_sim::invariant!(
+            !self.pending.is_empty() || self.flow_state().live_senders == 0,
+            "idle with no unfinished flow but {:?}",
+            self.flow_state()
+        );
     }
 
     /// Events processed so far.
@@ -709,7 +736,10 @@ impl<S: Subscriber> Network<S> {
 
     // ── driving ────────────────────────────────────────────────────────
 
-    /// Schedule `cmd` to start at `at`.
+    /// Schedule `cmd` to start at `at`. Flow ids are unique per
+    /// `Network`, for its whole life: a finished flow's id stays taken
+    /// (its receiver's closed state answers to it), and starting an id
+    /// that is still in progress is a bug caught by a debug assertion.
     pub fn schedule_flow(&mut self, at: SimTime, cmd: FlowCmd) {
         self.push_event(at, Event::FlowStart(cmd));
     }
@@ -792,10 +822,7 @@ impl<S: Subscriber> Network<S> {
             // A transport-level budget (armed through `TcpConfig`, not
             // `Supervision`) can still latch a breach; surface it at
             // end-of-run rather than pay a per-event check here.
-            return match self.tripped.take() {
-                Some(e) => Err(e),
-                None => Ok(self.now()),
-            };
+            return self.idle_result();
         }
         let mut guard = self.supervision.livelock_budget.map(ProgressGuard::new);
         while self.step() {
@@ -809,9 +836,18 @@ impl<S: Subscriber> Network<S> {
                 }
             }
         }
+        self.idle_result()
+    }
+
+    /// The queue and the fault list are exhausted: surface a latched
+    /// trip, or report the idle time.
+    fn idle_result(&mut self) -> Result<SimTime, SimError> {
         match self.tripped.take() {
             Some(e) => Err(e),
-            None => Ok(self.now()),
+            None => {
+                self.check_idle_flow_state();
+                Ok(self.now())
+            }
         }
     }
 
@@ -928,7 +964,8 @@ impl<S: Subscriber> Network<S> {
             Event::FlowStart(cmd) => {
                 let src = cmd.src;
                 self.cur_node = src.0;
-                self.pending.insert(cmd.flow, (cmd.clone(), now));
+                let prev = self.pending.insert(cmd.flow, (cmd.clone(), now));
+                debug_assert!(prev.is_none(), "duplicate flow id {}", cmd.flow);
                 self.agent_callback(now, src, |agent, ctx| {
                     agent.on_flow_cmd(ctx, cmd);
                 });
@@ -1210,67 +1247,10 @@ impl<S: Subscriber> Network<S> {
                     }
                 }
                 Action::FlowDone(flow, timeouts) => {
-                    if let Some((cmd, start)) = self.pending.remove(&flow) {
-                        emit!(
-                            &mut self.sub,
-                            on_flow_completed,
-                            Meta {
-                                at: now,
-                                node: node.0 as u64,
-                            },
-                            FlowCompleted {
-                                flow: flow.0,
-                                bytes: cmd.size,
-                                fct_ns: now.saturating_since(start).as_nanos(),
-                                completed: true,
-                            }
-                        );
-                        self.record_keys.push((now, self.cur_tag, self.rec_sub));
-                        self.rec_sub += 1;
-                        self.records.push(FlowRecord {
-                            flow,
-                            src: cmd.src,
-                            dst: cmd.dst,
-                            size: cmd.size,
-                            start,
-                            finish: now,
-                            class: cmd.class,
-                            timeouts,
-                            outcome: FlowOutcome::Completed,
-                        });
-                    }
+                    self.finish_flow(now, node, flow, timeouts, FlowOutcome::Completed);
                 }
                 Action::FlowFailed(flow, timeouts) => {
-                    if let Some((cmd, start)) = self.pending.remove(&flow) {
-                        self.flows_failed += 1;
-                        emit!(
-                            &mut self.sub,
-                            on_flow_completed,
-                            Meta {
-                                at: now,
-                                node: node.0 as u64,
-                            },
-                            FlowCompleted {
-                                flow: flow.0,
-                                bytes: cmd.size,
-                                fct_ns: now.saturating_since(start).as_nanos(),
-                                completed: false,
-                            }
-                        );
-                        self.record_keys.push((now, self.cur_tag, self.rec_sub));
-                        self.rec_sub += 1;
-                        self.records.push(FlowRecord {
-                            flow,
-                            src: cmd.src,
-                            dst: cmd.dst,
-                            size: cmd.size,
-                            start,
-                            finish: now,
-                            class: cmd.class,
-                            timeouts,
-                            outcome: FlowOutcome::Failed,
-                        });
-                    }
+                    self.finish_flow(now, node, flow, timeouts, FlowOutcome::Failed);
                 }
                 Action::MemBreach { live, ceiling } => {
                     // Transport-owned budget (e.g. receiver reassembly
@@ -1292,6 +1272,54 @@ impl<S: Subscriber> Network<S> {
             }
         }
         self.scratch = actions;
+    }
+
+    /// `node`'s agent reported `flow` finished with `outcome`: retire it
+    /// from `pending` and record it.
+    fn finish_flow(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        flow: FlowId,
+        timeouts: u32,
+        outcome: FlowOutcome,
+    ) {
+        let Some((cmd, start)) = self.pending.remove(&flow) else {
+            return;
+        };
+        if outcome == FlowOutcome::Failed {
+            self.flows_failed += 1;
+        }
+        let _ = node;
+        emit!(
+            &mut self.sub,
+            on_flow_completed,
+            Meta {
+                at: now,
+                node: node.0 as u64,
+            },
+            FlowCompleted {
+                flow: flow.0,
+                bytes: cmd.size,
+                fct_ns: now.saturating_since(start).as_nanos(),
+                completed: outcome == FlowOutcome::Completed,
+            }
+        );
+        if self.owner.is_some() {
+            self.record_keys.push((now, self.cur_tag, self.rec_sub));
+            self.rec_sub += 1;
+        }
+        self.records.push(FlowRecord {
+            flow,
+            src: cmd.src,
+            dst: cmd.dst,
+            size: cmd.size,
+            start,
+            finish: now,
+            class: cmd.class,
+            timeouts,
+            outcome,
+        });
     }
 }
 

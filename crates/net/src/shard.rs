@@ -332,13 +332,12 @@ impl<S: ShardSubscriber> Network<S> {
         // of the completing event, sub-index) is the serial processing
         // order by construction.
         keyed_records.sort_unstable_by_key(|r| r.0);
-        for (key, record) in keyed_records {
-            self.record_keys.push(key);
-            self.records.push(record);
-        }
+        self.records
+            .extend(keyed_records.into_iter().map(|(_, record)| record));
         self.steps += fault_steps;
         self.setup_k = setup_k;
         self.events.advance_now(max_now.max(last_fault_at));
+        self.check_idle_flow_state();
         Ok(self.now())
     }
 }

@@ -94,6 +94,12 @@ impl Sender {
         s
     }
 
+    /// Has the flow been reported done or failed? Every callback of a
+    /// finished sender is a no-op, so the stack frees it on the spot.
+    pub(crate) fn is_finished(&self) -> bool {
+        matches!(self.state, SenderState::Done | SenderState::Failed)
+    }
+
     fn mss(&self) -> u64 {
         self.cfg.mss
     }
@@ -101,6 +107,8 @@ impl Sender {
     fn send_syn(&mut self, ctx: &mut Ctx<'_>) {
         let mut p = Packet::data(self.cmd.flow, self.cmd.src, self.cmd.dst, 0, 0);
         p.set_syn(true);
+        // A zero-byte flow has no last segment to carry the FIN.
+        p.set_fin(self.cmd.size == 0);
         p.set_class(self.cmd.class);
         p.ts = ctx.now;
         ctx.send_delayed(p, self.cmd.extra_delay);
@@ -110,6 +118,9 @@ impl Sender {
         let len = self.mss().min(self.cmd.size - seq);
         debug_assert!(len > 0);
         let mut p = Packet::data(self.cmd.flow, self.cmd.src, self.cmd.dst, seq, len);
+        // The segment that ends the flow tells the receiver so (see
+        // `Receiver::is_closed`); retransmissions of it say it again.
+        p.set_fin(seq + len == self.cmd.size);
         p.set_class(self.cmd.class);
         p.ts = ctx.now;
         ctx.send_delayed(p, self.cmd.extra_delay);
@@ -144,7 +155,7 @@ impl Sender {
 
     /// Handle an incoming ACK / SYN-ACK for this flow.
     pub fn on_ack(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        if matches!(self.state, SenderState::Done | SenderState::Failed) {
+        if self.is_finished() {
             return;
         }
         if pkt.flags().syn {
@@ -353,6 +364,10 @@ pub struct Receiver {
     cfg: TcpConfig,
     /// Next expected in-order byte.
     pub rcv_nxt: u64,
+    /// One past the flow's last byte, once a FIN-stamped packet has said
+    /// where that is (the last data segment, or the SYN of a zero-byte
+    /// flow).
+    fin_end: Option<u64>,
     /// Out-of-order segments: start → end (exclusive).
     ooo: BTreeMap<u64, u64>,
     // ── DCTCP CE-echo state machine (DCTCP paper §3.2) ──────────────────
@@ -386,6 +401,7 @@ impl Receiver {
             class,
             cfg,
             rcv_nxt: 0,
+            fin_end: None,
             ooo: BTreeMap::new(),
             ce_state: false,
             pending: 0,
@@ -395,15 +411,43 @@ impl Receiver {
         }
     }
 
+    /// Every byte has arrived and no ACK is owed: nothing the sender can
+    /// still do changes this receiver's answers, so the stack replaces it
+    /// by its `rcv_nxt` (see [`Receiver::answer_closed`]). A receiver
+    /// driven on its own keeps working past this point.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.fin_end == Some(self.rcv_nxt) && self.pending == 0 && self.delack_deadline.is_none()
+    }
+
+    /// Answer `pkt` on behalf of a receiver that closed at `rcv_nxt`,
+    /// action for action what the live receiver would have done. A closed
+    /// receiver holds every byte, so any data segment is a duplicate and
+    /// draws one immediate ACK at `rcv_nxt` echoing that segment's CE and
+    /// timestamp; it has `pending == 0` on entry, so the CE-flip branch
+    /// never fires and `ce_state` is never read; it owes nothing, so no
+    /// timer is armed. A live sender whose final ACK was lost needs
+    /// exactly this `rcv_nxt` to finish, which is why it is kept.
+    pub(crate) fn answer_closed(ctx: &mut Ctx<'_>, pkt: &Packet, rcv_nxt: u64) {
+        let (flow, me, peer, class) = (pkt.flow, pkt.dst, pkt.src, pkt.class());
+        if pkt.flags().syn {
+            ctx.send(syn_ack(flow, me, peer, class, pkt.ts));
+        } else if pkt.payload() > 0 {
+            debug_assert!(pkt.seq() + pkt.payload() <= rcv_nxt, "data past the FIN");
+            let ece = pkt.ecn().is_ce();
+            ctx.send(pure_ack(flow, me, peer, class, rcv_nxt, ece, pkt.ts));
+        }
+    }
+
     fn send_ack(&mut self, ctx: &mut Ctx<'_>, ece: bool) {
-        let mut a = Packet::ack(self.flow, self.me, self.peer, self.rcv_nxt);
-        a.set_ece(ece);
-        a.set_class(self.class);
-        a.ts = self.echo_ts;
-        // Pure ACKs are not ECT (standard practice; they are tiny and
-        // marking them would signal the wrong direction).
-        a.set_ecn(Ecn::NotEct);
-        ctx.send(a);
+        ctx.send(pure_ack(
+            self.flow,
+            self.me,
+            self.peer,
+            self.class,
+            self.rcv_nxt,
+            ece,
+            self.echo_ts,
+        ));
         self.pending = 0;
         // Batched bookkeeping: leave the physical wheel token (if any)
         // armed and only clear the logical deadline — the eventual firing
@@ -415,12 +459,10 @@ impl Receiver {
     /// Handle an arriving SYN or data packet.
     pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
         if pkt.flags().syn {
-            let mut sa = Packet::ack(self.flow, self.me, self.peer, 0);
-            sa.set_syn(true);
-            sa.ts = pkt.ts;
-            sa.set_class(self.class);
-            sa.set_ecn(Ecn::NotEct);
-            ctx.send(sa);
+            if pkt.flags().fin {
+                self.fin_end = Some(0);
+            }
+            ctx.send(syn_ack(self.flow, self.me, self.peer, self.class, pkt.ts));
             return;
         }
         if pkt.payload() == 0 {
@@ -429,6 +471,9 @@ impl Receiver {
 
         // Reassembly.
         let (start, end) = (pkt.seq(), pkt.seq() + pkt.payload());
+        if pkt.flags().fin {
+            self.fin_end = Some(end);
+        }
         let duplicate = end <= self.rcv_nxt;
         if !duplicate {
             if start <= self.rcv_nxt {
@@ -445,10 +490,13 @@ impl Receiver {
                 // Buffer out-of-order segment (coarse: keyed by start).
                 let entry = self.ooo.entry(start).or_insert(end);
                 *entry = (*entry).max(end);
-                // Reassembly state is the transport's only unbounded
-                // growth; meter it against the configured budget. The
-                // report never alters receiver behaviour, so an
-                // armed-but-untriggered budget stays byte-identical.
+                // Reassembly state is the only transport state whose
+                // size the network's reordering decides (the stack holds
+                // a fixed-size entry per flow in progress and one
+                // `rcv_nxt` per closed receiver); meter it against the
+                // configured budget. The report never alters receiver
+                // behaviour, so an armed-but-untriggered budget stays
+                // byte-identical.
                 if let Some(budget) = self.cfg.ooo_budget {
                     if self.ooo.len() as u64 > u64::from(budget) {
                         ctx.report_mem_breach(self.ooo.len() as u64, u64::from(budget));
@@ -520,6 +568,36 @@ impl Receiver {
             self.send_ack(ctx, ce);
         }
     }
+}
+
+/// The receiver's reply to a SYN, echoing the SYN's timestamp.
+fn syn_ack(flow: FlowId, me: NodeId, peer: NodeId, class: u8, ts: SimTime) -> Packet {
+    let mut sa = Packet::ack(flow, me, peer, 0);
+    sa.set_syn(true);
+    sa.ts = ts;
+    sa.set_class(class);
+    sa.set_ecn(Ecn::NotEct);
+    sa
+}
+
+/// A pure cumulative ACK at `ack`, echoing `ts`.
+fn pure_ack(
+    flow: FlowId,
+    me: NodeId,
+    peer: NodeId,
+    class: u8,
+    ack: u64,
+    ece: bool,
+    ts: SimTime,
+) -> Packet {
+    let mut a = Packet::ack(flow, me, peer, ack);
+    a.set_ece(ece);
+    a.set_class(class);
+    a.ts = ts;
+    // Pure ACKs are not ECT (standard practice; they are tiny and
+    // marking them would signal the wrong direction).
+    a.set_ecn(Ecn::NotEct);
+    a
 }
 
 /// Timer namespaces multiplexed into the agent's single `u64` key space.
@@ -1089,5 +1167,163 @@ mod tests {
                 (us(20) + TcpConfig::dctcp().delack_timeout, 7300, false),
             ]
         );
+    }
+
+    // ── Flow-state lifecycle: FIN stamping, closing ────────────────────
+
+    #[test]
+    fn sender_stamps_fin_on_the_segment_that_ends_the_flow() {
+        // 2.5 segments: only the last, short one carries the FIN.
+        let (mut s, w) = established(3_650);
+        let fins: Vec<(u64, bool)> = w.iter().map(|p| (p.seq(), p.flags().fin)).collect();
+        assert_eq!(fins, [(0, false), (1460, false), (2920, true)]);
+        // A go-back-N retransmission of it says so again.
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::detached(SimTime::from_micros(300), NodeId(0), &mut actions);
+        s.on_ack(&mut ctx, &ack_pkt(2920, false, 200));
+        let mut ctx = Ctx::detached(SimTime::from_millis(50), NodeId(0), &mut actions);
+        s.on_rto(&mut ctx);
+        let again = sent(&mut actions);
+        assert!(matches!(&again[..], [p] if p.seq() == 2920 && p.flags().fin));
+        // A zero-byte flow has no data segment: its SYN carries the FIN.
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(0), &mut actions);
+        Sender::start(sender_cmd(0), TcpConfig::dctcp(), &mut ctx);
+        let syn = sent(&mut actions);
+        assert!(syn[0].flags().syn && syn[0].flags().fin);
+        let (_, w) = established(1_460);
+        assert!(w[0].flags().fin && !w[0].flags().syn);
+    }
+
+    /// The stack's receive side — which closes a receiver at its FIN and
+    /// answers from the stored `rcv_nxt` afterwards — and a bare
+    /// [`Receiver`], which on its own never closes, fed the same events.
+    /// Every callback's action list must match byte for byte (`Debug`
+    /// prints every packet field, the private flag word included).
+    struct Twins {
+        stack: crate::TcpStack,
+        reference: Receiver,
+        /// Deadline and key of the one delayed-ACK token in flight, kept
+        /// the way the wheel keeps it: replaced by a re-arm, spent by
+        /// firing.
+        token: Option<(SimTime, u64)>,
+    }
+
+    impl Twins {
+        const ME: NodeId = NodeId(1);
+
+        /// Deliver `pkt` (or, with `None`, fire the token) at `now`.
+        fn deliver(&mut self, now: SimTime, pkt: Option<&Packet>) {
+            use ecnsharp_net::Agent;
+            let (mut closing, mut live) = (Vec::new(), Vec::new());
+            let mut ctx = Ctx::detached(now, Self::ME, &mut closing);
+            match pkt {
+                Some(p) => self.stack.on_packet(&mut ctx, p.clone()),
+                None => {
+                    let (_, key) = self.token.take().expect("a token to fire");
+                    self.stack.on_timer(&mut ctx, key);
+                }
+            }
+            let mut ctx = Ctx::detached(now, Self::ME, &mut live);
+            match pkt {
+                Some(p) => self.reference.on_packet(&mut ctx, p),
+                None => self.reference.on_delack_timer(&mut ctx),
+            }
+            assert_eq!(format!("{closing:?}"), format!("{live:?}"), "at {now}");
+            for a in closing {
+                match a {
+                    ecnsharp_net::Action::ArmTimer(at, key) => self.token = Some((at, key)),
+                    ecnsharp_net::Action::CancelTimer(_) => self.token = None,
+                    _ => {}
+                }
+            }
+        }
+
+        /// Fire the token as often as it comes due up to `now`.
+        fn fire_due(&mut self, now: SimTime) {
+            while let Some((at, _)) = self.token.filter(|&(at, _)| at <= now) {
+                self.deliver(at, None);
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Closing a receiver is invisible on the wire. The event sequence
+        /// is: a random prefix (reordered, duplicated and CE-flipped
+        /// segments, duplicate SYNs); one in-order pass that completes the
+        /// flow; random stragglers (re-sent FIN segment included); and a
+        /// go-back-N pass from a random segment — a sender whose final ACK
+        /// was lost. The delayed-ACK token fires whenever it comes due in
+        /// between, so late events meet the receiver live, owing its last
+        /// ACK, closed with a token still in flight, and closed for good.
+        #[test]
+        fn prop_closing_a_receiver_never_changes_an_action(
+            segs in 0u64..6,
+            tail in 0u64..1460,
+            delack_count in 1u32..=2,
+            class in 0u8..4,
+            early in collection::vec((0u64..8, any::<bool>(), 0u64..400), 0..12),
+            late in collection::vec((0u64..8, any::<bool>(), 0u64..400), 1..16),
+            rewind in 0u64..8,
+        ) {
+            let (flow, peer) = (FlowId(9), NodeId(0));
+            let size = segs * 1460 + tail;
+            let cfg = TcpConfig { delack_count, ..TcpConfig::dctcp() };
+            // What a `Sender` of `size` bytes can put on the wire: index 0
+            // is the SYN, then the MSS-aligned segments.
+            let mut wire = vec![Packet::data(flow, peer, Twins::ME, 0, 0)];
+            wire[0].set_syn(true);
+            wire[0].set_fin(size == 0);
+            for seq in (0..size).step_by(1460) {
+                let len = 1460.min(size - seq);
+                let mut p = Packet::data(flow, peer, Twins::ME, seq, len);
+                p.set_fin(seq + len == size);
+                wire.push(p);
+            }
+            for p in &mut wire {
+                p.set_class(class);
+            }
+            let pick = |i: u64| (i % wire.len() as u64) as usize;
+            let in_order = |from: usize| (from..wire.len()).map(|i| (i, false, 7));
+            let script: Vec<(usize, bool, u64)> = early
+                .iter()
+                .map(|&(i, ce, dt)| (pick(i), ce, dt))
+                .chain(in_order(0))
+                .chain(late.iter().map(|&(i, ce, dt)| (pick(i), ce, dt)))
+                .chain(in_order(pick(rewind)))
+                .collect();
+
+            let mut twins = Twins {
+                stack: crate::TcpStack::new(cfg),
+                reference: Receiver::new(flow, Twins::ME, peer, class, cfg),
+                token: None,
+            };
+            let mut now = SimTime::from_micros(1);
+            for (i, ce, dt) in script {
+                now += Duration::from_micros(dt);
+                twins.fire_due(now);
+                let mut p = wire[i].clone();
+                p.ts = now;
+                if ce {
+                    p.set_ecn(Ecn::Ce);
+                }
+                twins.deliver(now, Some(&p));
+            }
+            twins.fire_due(SimTime::MAX);
+            // The comparison was not vacuous: the stack did close.
+            prop_assert_eq!(twins.reference.rcv_nxt, size);
+            prop_assert_eq!(
+                ecnsharp_net::Agent::flow_state(&twins.stack),
+                ecnsharp_net::FlowState {
+                    live_senders: 0,
+                    live_receivers: 0,
+                    closed_receivers: 1,
+                }
+            );
+        }
     }
 }

@@ -1,17 +1,33 @@
 //! The TCP stack as a network [`Agent`]: demultiplexes packets and timers
 //! to per-flow [`Sender`]/[`Receiver`] state.
+//!
+//! # Flow-state lifecycle
+//!
+//! Per-flow state follows the flow. A [`Sender`] leaves the table in the
+//! callback that reports the flow done or failed; a later ACK or RTO
+//! token for it finds no entry and is dropped. A [`Receiver`] leaves when
+//! it closes — every byte up to the FIN held, no ACK owed — and only its
+//! `rcv_nxt` stays behind, which is all it takes to answer a late
+//! duplicate the way the live receiver would have (DESIGN.md "Flow-state
+//! lifecycle" has the argument, `conn.rs` the property test). A receiver
+//! whose FIN never lands (its sender gave up) stays live: nothing tells
+//! it the flow is over.
 
 use crate::config::TcpConfig;
-use crate::conn::{parse_timer_key, Receiver, Sender, SenderState, TimerKind};
-use ecnsharp_net::{Agent, Ctx, FlowCmd, FlowId, Packet};
-use std::collections::BTreeMap;
+use crate::conn::{parse_timer_key, Receiver, Sender, TimerKind};
+use ecnsharp_net::{Agent, Ctx, FlowCmd, FlowId, FlowState, Packet};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// A host's transport stack: any number of concurrent sending and
 /// receiving flows.
 pub struct TcpStack {
     cfg: TcpConfig,
+    /// Sending flows in progress.
     senders: BTreeMap<FlowId, Sender>,
+    /// Receiving flows in progress.
     receivers: BTreeMap<FlowId, Receiver>,
+    /// `rcv_nxt` of every receiver that has closed.
+    closed: BTreeMap<FlowId, u64>,
 }
 
 impl TcpStack {
@@ -21,6 +37,7 @@ impl TcpStack {
             cfg,
             senders: BTreeMap::new(),
             receivers: BTreeMap::new(),
+            closed: BTreeMap::new(),
         }
     }
 
@@ -29,51 +46,64 @@ impl TcpStack {
         Box::new(TcpStack::new(cfg))
     }
 
-    /// Number of sending flows not yet complete (or given up).
-    pub fn active_senders(&self) -> usize {
-        self.senders
-            .values()
-            .filter(|s| !matches!(s.state, SenderState::Done | SenderState::Failed))
-            .count()
+    /// Run `f` on `flow`'s sender, if the flow is still in progress, and
+    /// free the sender if that finished it.
+    fn with_sender(&mut self, flow: FlowId, f: impl FnOnce(&mut Sender)) {
+        if let Entry::Occupied(mut e) = self.senders.entry(flow) {
+            f(e.get_mut());
+            if e.get().is_finished() {
+                e.remove();
+            }
+        }
     }
 
-    /// Inspect a sender (tests and diagnostics).
-    pub fn sender(&self, flow: FlowId) -> Option<&Sender> {
-        self.senders.get(&flow)
+    /// Replace `flow`'s receiver, which has just closed, by its `rcv_nxt`.
+    fn close_receiver(&mut self, flow: FlowId) {
+        if let Some(r) = self.receivers.remove(&flow) {
+            self.closed.insert(flow, r.rcv_nxt);
+        }
     }
 }
 
 impl Agent for TcpStack {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        let flow = pkt.flow;
         if pkt.flags().ack {
             // ACK or SYN-ACK: for one of our senders.
-            if let Some(s) = self.senders.get_mut(&pkt.flow) {
-                s.on_ack(ctx, &pkt);
+            self.with_sender(flow, |s| s.on_ack(ctx, &pkt));
+            return;
+        }
+        // SYN or data: for one of our receivers, created on demand (the
+        // SYN usually creates it, but a retransmitted first data segment
+        // must not crash a fresh receiver) unless it has come and gone.
+        let r = match self.receivers.entry(flow) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                if let Some(&rcv_nxt) = self.closed.get(&flow) {
+                    Receiver::answer_closed(ctx, &pkt, rcv_nxt);
+                    return;
+                }
+                v.insert(Receiver::new(flow, pkt.dst, pkt.src, pkt.class(), self.cfg))
             }
-        } else {
-            // SYN or data: for one of our receivers (created on demand —
-            // the SYN usually creates it, but a retransmitted first data
-            // segment must not crash a fresh receiver).
-            let r = self.receivers.entry(pkt.flow).or_insert_with(|| {
-                Receiver::new(pkt.flow, pkt.dst, pkt.src, pkt.class(), self.cfg)
-            });
-            r.on_packet(ctx, &pkt);
+        };
+        r.on_packet(ctx, &pkt);
+        if r.is_closed() {
+            self.close_receiver(flow);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, key: u64) {
         let (flow, kind) = parse_timer_key(key);
         match kind {
-            TimerKind::Rto => {
-                if let Some(s) = self.senders.get_mut(&flow) {
-                    if !matches!(s.state, SenderState::Done | SenderState::Failed) {
-                        s.on_rto(ctx);
-                    }
-                }
-            }
+            TimerKind::Rto => self.with_sender(flow, |s| s.on_rto(ctx)),
+            // A token that outlives its receiver is a no-op, as it would
+            // have been live: a closed receiver owes no ACK.
             TimerKind::DelAck => {
                 if let Some(r) = self.receivers.get_mut(&flow) {
                     r.on_delack_timer(ctx);
+                    if r.is_closed() {
+                        self.close_receiver(flow);
+                    }
                 }
             }
         }
@@ -81,21 +111,26 @@ impl Agent for TcpStack {
 
     fn on_flow_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: FlowCmd) {
         let flow = cmd.flow;
-        debug_assert!(
-            !self.senders.contains_key(&flow),
-            "duplicate flow id {flow}"
-        );
         let sender = Sender::start(cmd, self.cfg, ctx);
         self.senders.insert(flow, sender);
+    }
+
+    fn flow_state(&self) -> FlowState {
+        FlowState {
+            live_senders: self.senders.len(),
+            live_receivers: self.receivers.len(),
+            closed_receivers: self.closed.len(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::timer_key;
     use ecnsharp_aqm::{DctcpRed, DropTail, Tcn};
-    use ecnsharp_net::topology::{dumbbell, star, Dumbbell};
-    use ecnsharp_net::{NodeId, PortConfig};
+    use ecnsharp_net::topology::{dumbbell, leaf_spine, star, Dumbbell};
+    use ecnsharp_net::{Action, NodeId, PortConfig};
     use ecnsharp_sim::{Duration, Rate, SimTime};
 
     fn plain() -> PortConfig {
@@ -113,6 +148,14 @@ mod tests {
             plain,
             bottleneck,
         )
+    }
+
+    fn residue(live_senders: usize, live_receivers: usize, closed_receivers: usize) -> FlowState {
+        FlowState {
+            live_senders,
+            live_receivers,
+            closed_receivers,
+        }
     }
 
     fn flow(id: u64, src: NodeId, dst: NodeId, size: u64) -> FlowCmd {
@@ -255,6 +298,8 @@ mod tests {
         assert_eq!(d.net.records().len(), 1, "flow must complete despite drops");
         let drops = d.net.port_stats(d.s1, d.bottleneck_port).fault_drops;
         assert!(drops > 0, "fault injection must have fired");
+        // Retransmissions and all, the flow leaves one `rcv_nxt` behind.
+        assert_eq!(d.net.flow_state(), residue(0, 0, 1));
     }
 
     #[test]
@@ -274,6 +319,68 @@ mod tests {
         assert_eq!(r.timeouts, tcp.max_rto_retries);
         assert_eq!(d.net.unfinished_flows(), 0, "abort clears pending state");
         assert_eq!(d.net.perf().flows_failed, 1);
+        // Giving up frees the sender; no SYN ever reached `b`.
+        assert_eq!(d.net.flow_state(), residue(0, 0, 0));
+    }
+
+    #[test]
+    fn failed_flow_whose_syn_landed_leaves_its_receiver_live() {
+        // The same dead link, flow reversed: every SYN reaches `a`, every
+        // SYN-ACK dies on the way back. The sender gives up and is freed;
+        // the receiver never sees a FIN, so nothing tells it the flow is
+        // over and it stays live — the documented residue of a failure.
+        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_fault_drop(1.0);
+        let mut d = dumbbell_with(cfg, TcpConfig::dctcp());
+        let (a, b) = (d.a, d.b);
+        d.net.schedule_flow(SimTime::ZERO, flow(1, b, a, 1_000_000));
+        d.net.run_until_idle();
+        assert_eq!(
+            d.net.records()[0].outcome,
+            ecnsharp_net::FlowOutcome::Failed
+        );
+        assert_eq!(d.net.flow_state(), residue(0, 1, 0));
+    }
+
+    #[test]
+    fn zero_byte_flow_closes_its_receiver_at_the_syn() {
+        let mut d = dumbbell_with(plain(), TcpConfig::dctcp());
+        let (a, b) = (d.a, d.b);
+        d.net.schedule_flow(SimTime::ZERO, flow(1, a, b, 0));
+        d.net.run_until_idle();
+        assert_eq!(d.net.records().len(), 1);
+        assert_eq!(d.net.records()[0].timeouts, 0);
+        assert_eq!(d.net.flow_state(), residue(0, 0, 1));
+    }
+
+    #[test]
+    fn ack_and_rto_token_for_a_freed_sender_do_nothing() {
+        fn at(us: u64, actions: &mut Vec<Action>) -> Ctx<'_> {
+            Ctx::detached(SimTime::from_micros(us), NodeId(0), actions)
+        }
+        let mut stack = TcpStack::new(TcpConfig::dctcp());
+        let (a, b) = (NodeId(0), NodeId(1));
+        let mut actions = Vec::new();
+        stack.on_flow_cmd(&mut at(0, &mut actions), flow(1, a, b, 1460));
+        let mut syn_ack = Packet::ack(FlowId(1), b, a, 0);
+        syn_ack.set_syn(true);
+        stack.on_packet(&mut at(50, &mut actions), syn_ack);
+        assert_eq!(stack.flow_state(), residue(1, 0, 0));
+        let ack = Packet::ack(FlowId(1), b, a, 1460);
+        stack.on_packet(&mut at(100, &mut actions), ack.clone());
+        // Freed in the callback that reported the flow done.
+        assert_eq!(stack.flow_state(), residue(0, 0, 0));
+        assert!(matches!(
+            actions.last(),
+            Some(Action::FlowDone(FlowId(1), 0))
+        ));
+        // A duplicate of the final ACK and a straggling RTO token find no
+        // sender: no action, nothing resurrected.
+        actions.clear();
+        stack.on_packet(&mut at(150, &mut actions), ack);
+        let rto = timer_key(FlowId(1), TimerKind::Rto);
+        stack.on_timer(&mut at(10_000, &mut actions), rto);
+        assert_eq!(stack.flow_state(), residue(0, 0, 0));
+        assert!(actions.is_empty(), "{actions:?}");
     }
 
     #[test]
@@ -341,6 +448,49 @@ mod tests {
         s.net.run_until_idle();
         assert_eq!(s.net.records().len(), 70);
         assert_eq!(s.net.unfinished_flows(), 0);
+        // Every sender freed at completion, every receiver closed at its
+        // FIN: what stays is one `rcv_nxt` per flow.
+        assert_eq!(s.net.flow_state(), residue(0, 0, 70));
+    }
+
+    #[test]
+    fn sharded_run_leaves_the_same_flow_state_as_its_serial_twin() {
+        // 2 spines × 2 leaves × 4 hosts, cross-leaf flows into a buffer
+        // shallow enough to drop, one leaf per shard. Zero-byte and
+        // one-segment flows ride along.
+        let run = |sharded: bool| {
+            let ls = leaf_spine(
+                21,
+                2,
+                2,
+                4,
+                Rate::from_gbps(10),
+                Rate::from_gbps(10),
+                Duration::from_micros(1),
+                |_| TcpStack::boxed(TcpConfig::dctcp()),
+                plain,
+                || PortConfig::fifo(30_000, Box::new(DropTail::new())),
+            );
+            let plan = ls.shard_plan(2);
+            let mut net = ls.net;
+            for f in 0..40u64 {
+                let (src, dst) = ((f % 4) as usize, 4 + (f % 3) as usize);
+                net.schedule_flow(
+                    SimTime::from_nanos(211 * f),
+                    flow(1 + f, ls.hosts[src], ls.hosts[dst], 1460 * (f % 9)),
+                );
+            }
+            if sharded {
+                net.run_sharded_until_idle(&plan);
+            } else {
+                net.run_until_idle();
+            }
+            assert!(net.perf().drops > 0, "the workload must lose packets");
+            (net.flow_state(), format!("{:?}", net.records()))
+        };
+        let serial = run(false);
+        assert_eq!(serial.0, residue(0, 0, 40));
+        assert_eq!(serial, run(true));
     }
 
     #[test]
