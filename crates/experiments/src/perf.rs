@@ -4,8 +4,10 @@
 //! into a process-global accumulator on completion (atomics, so the
 //! [`crate::parallel_map`] worker threads can report concurrently), and the
 //! binaries wrap their figure computation in [`timed`] to print an
-//! engine-rate line: events processed, ns/event, and — the number the
-//! ROADMAP cares about — simulated seconds per wall-clock second.
+//! engine-rate line: packet-hops per second (work done — the rate that
+//! survives a change to how many events a hop costs), events processed
+//! and ns/event beside it, and — the number the ROADMAP cares about —
+//! simulated seconds per wall-clock second.
 //!
 //! Reading (or not reading) these counters cannot change simulation
 //! results: the accumulator is written after a run finishes and is never
@@ -21,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The process-global accumulator: every counter in one struct so the
-/// shared state is a single audited item, not fifteen scattered ones.
+/// shared state is a single audited item, not seventeen scattered ones.
 /// All updates are commutative (`fetch_add`/`fetch_max`), so worker
 /// interleaving cannot change a snapshot taken after the joins.
 struct Accum {
@@ -40,6 +42,8 @@ struct Accum {
     heap_spills: AtomicU64,
     flows_failed: AtomicU64,
     no_route_drops: AtomicU64,
+    tx_done_pushed: AtomicU64,
+    tx_done_elided: AtomicU64,
 }
 
 impl Accum {
@@ -60,6 +64,8 @@ impl Accum {
             heap_spills: AtomicU64::new(0),
             flows_failed: AtomicU64::new(0),
             no_route_drops: AtomicU64::new(0),
+            tx_done_pushed: AtomicU64::new(0),
+            tx_done_elided: AtomicU64::new(0),
         }
     }
 }
@@ -114,6 +120,12 @@ pub fn absorb<S: Subscriber>(net: &Network<S>) {
     ACCUM
         .no_route_drops
         .fetch_add(c.no_route_drops, Ordering::Relaxed);
+    ACCUM
+        .tx_done_pushed
+        .fetch_add(c.tx_done_pushed, Ordering::Relaxed);
+    ACCUM
+        .tx_done_elided
+        .fetch_add(c.tx_done_elided, Ordering::Relaxed);
 }
 
 /// Totals absorbed since the last [`reset`].
@@ -151,6 +163,12 @@ pub struct Snapshot {
     pub flows_failed: u64,
     /// Switch discards for unreachable destinations, summed over runs.
     pub no_route_drops: u64,
+    /// `TxDone` events queued (a packet was waiting behind the one on the
+    /// wire), summed over runs.
+    pub tx_done_pushed: u64,
+    /// `TxDone` events never queued because nothing was waiting, summed
+    /// over runs; with `tx_done_pushed`, every transmission started.
+    pub tx_done_elided: u64,
 }
 
 /// Read the accumulator.
@@ -171,6 +189,8 @@ pub fn snapshot() -> Snapshot {
         heap_spills: ACCUM.heap_spills.load(Ordering::Relaxed),
         flows_failed: ACCUM.flows_failed.load(Ordering::Relaxed),
         no_route_drops: ACCUM.no_route_drops.load(Ordering::Relaxed),
+        tx_done_pushed: ACCUM.tx_done_pushed.load(Ordering::Relaxed),
+        tx_done_elided: ACCUM.tx_done_elided.load(Ordering::Relaxed),
     }
 }
 
@@ -191,6 +211,8 @@ pub fn reset() {
     ACCUM.heap_spills.store(0, Ordering::Relaxed);
     ACCUM.flows_failed.store(0, Ordering::Relaxed);
     ACCUM.no_route_drops.store(0, Ordering::Relaxed);
+    ACCUM.tx_done_pushed.store(0, Ordering::Relaxed);
+    ACCUM.tx_done_elided.store(0, Ordering::Relaxed);
 }
 
 /// Outcome of a [`timed`] section: the callee's result plus the rate
@@ -205,6 +227,18 @@ pub struct Timed<R> {
 }
 
 impl<R> Timed<R> {
+    /// Packet-hops per wall-clock second (0 when nothing ran): packets
+    /// put on a wire, the unit of work a figure is made of. Unlike
+    /// [`Timed::events_per_sec`] it does not fall when the engine learns
+    /// to spend fewer events per hop.
+    pub fn pkt_hops_per_sec(&self) -> f64 {
+        if self.wall_secs > 0.0 {
+            self.perf.packets_forwarded as f64 / self.wall_secs
+        } else {
+            0.0
+        }
+    }
+
     /// Events processed per wall-clock second (0 when nothing ran).
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
@@ -232,8 +266,9 @@ impl<R> Timed<R> {
              \"peak_pending\":{},\"packets_forwarded\":{},\"ce_marks\":{},\"drops\":{},\
              \"sim_nanos\":{},\"runs\":{},\"timers_armed\":{},\"timers_cancelled\":{},\
              \"timers_fired\":{},\"timers_stale_suppressed\":{},\"heap_spills\":{},\
-             \"flows_failed\":{},\
-             \"no_route_drops\":{},\"events_per_sec\":{:.1},\"sim_secs_per_wall_sec\":{:.4}}}",
+             \"flows_failed\":{},\"no_route_drops\":{},\"tx_done_pushed\":{},\
+             \"tx_done_elided\":{},\"pkt_hops_per_sec\":{:.1},\"events_per_sec\":{:.1},\
+             \"sim_secs_per_wall_sec\":{:.4}}}",
             name,
             self.wall_secs,
             p.events_pushed,
@@ -251,6 +286,9 @@ impl<R> Timed<R> {
             p.heap_spills,
             p.flows_failed,
             p.no_route_drops,
+            p.tx_done_pushed,
+            p.tx_done_elided,
+            self.pkt_hops_per_sec(),
             self.events_per_sec(),
             self.sim_secs_per_wall_sec(),
         )
@@ -277,11 +315,13 @@ impl<R> Timed<R> {
             0.0
         };
         format!(
-            "[perf] {name}: wall {:.2}s | {} events ({:.1}M ev/s, {:.0} ns/ev) | \
+            "[perf] {name}: wall {:.2}s | {:.1}M pkt-hops/s | {} events ({:.1}M ev/s, {:.0} ns/ev) | \
              sim {:.3}s over {} runs ({:.2} sim-s/wall-s) | {} pkts fwd, {} CE marks, {} drops | \
              timers: {} armed, {} cancelled, {} fired, {} stale-suppressed | \
-             {} heap spills | faults: {} failed flows, {} no-route drops",
+             {} heap spills | TxDone: {} queued, {} elided | \
+             faults: {} failed flows, {} no-route drops",
             self.wall_secs,
+            self.pkt_hops_per_sec() / 1e6,
             p.events_popped,
             self.events_per_sec() / 1e6,
             ns_per_event,
@@ -296,6 +336,8 @@ impl<R> Timed<R> {
             p.timers_fired,
             p.timers_stale_suppressed,
             p.heap_spills,
+            p.tx_done_pushed,
+            p.tx_done_elided,
             p.flows_failed,
             p.no_route_drops,
         )
@@ -337,13 +379,42 @@ mod tests {
         assert!(t.perf.events_pushed >= t.perf.events_popped);
         assert!(t.perf.sim_nanos > 0);
         assert!(t.perf.packets_forwarded > 0);
+        // (The exact identity, queued + elided == transmissions, is pinned
+        // in tests/determinism.rs: other tests of this binary absorb into
+        // the accumulator concurrently, so a snapshot here can catch one
+        // of them mid-absorb.)
+        assert!(t.perf.tx_done_elided > 0);
+        // Both rates share the wall: their ratio is the counters'.
+        assert!(t.pkt_hops_per_sec() > 0.0);
+        let ratio = t.pkt_hops_per_sec() / t.events_per_sec();
+        let counts = t.perf.packets_forwarded as f64 / t.perf.events_popped as f64;
+        assert!((ratio - counts).abs() < 1e-9, "{ratio} vs {counts}");
         let line = t.report("test");
         assert!(line.contains("sim-s/wall-s"), "{line}");
         assert!(line.contains("[perf] test:"), "{line}");
+        // The work rate leads; events/s follows it.
+        let hops = line.find("pkt-hops/s").expect("pkt-hops/s in the line");
+        assert!(
+            hops < line.find("ev/s").expect("ev/s in the line"),
+            "{line}"
+        );
+        assert!(
+            line.contains(&format!(
+                "TxDone: {} queued, {} elided",
+                t.perf.tx_done_pushed, t.perf.tx_done_elided
+            )),
+            "{line}"
+        );
         let json = t.to_json("test");
         assert!(json.starts_with("{\"name\":\"test\""), "{json}");
         assert!(json.ends_with('}'), "{json}");
         assert!(json.contains("\"events_popped\":"), "{json}");
         assert!(json.contains("\"sim_secs_per_wall_sec\":"), "{json}");
+        assert!(json.contains("\"pkt_hops_per_sec\":"), "{json}");
+        assert!(json.contains("\"events_per_sec\":"), "{json}");
+        assert!(
+            json.contains(&format!("\"tx_done_elided\":{},", t.perf.tx_done_elided)),
+            "{json}"
+        );
     }
 }

@@ -33,12 +33,40 @@ fn csv_row(fct: &FctBreakdown, stats: &ecnsharp_net::PortStats) -> String {
     )
 }
 
+/// Every transmission draws a `TxDone` tag and either queues the event
+/// (something was waiting) or elides it; neither scenario here loses
+/// packets on the wire, so transmissions are `packets_forwarded`. The
+/// identity is additive, so it holds on any sum of runs a snapshot holds.
+fn assert_tx_done_identity(p: &perf::Snapshot) {
+    assert!(p.tx_done_elided > 0 && p.tx_done_pushed > 0, "{p:?}");
+    assert_eq!(
+        p.tx_done_pushed + p.tx_done_elided,
+        p.packets_forwarded,
+        "{p:?}"
+    );
+}
+
+/// The accumulator is process-global and both tests here reset it and
+/// compare exact snapshots of it, so they take turns: run on parallel
+/// test threads, one's absorb could land inside the other's timed
+/// section (seen once under `cargo test --workspace` on a loaded box).
+static ACCUMULATOR_TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn take_turn() -> std::sync::MutexGuard<'static, ()> {
+    // A failed assertion in the other test poisons the lock, not the
+    // accumulator: `reset()` starts every timed section from zero.
+    ACCUMULATOR_TURN
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn scenario() -> FctScenario {
     FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.6, 120, 42)
 }
 
 #[test]
 fn counters_read_vs_ignored_yield_identical_csv_rows() {
+    let _turn = take_turn();
     // Run 1: counters completely ignored (reset only, never read).
     perf::reset();
     let (fct_a, stats_a) = run_testbed_star(&scenario());
@@ -59,6 +87,7 @@ fn counters_read_vs_ignored_yield_identical_csv_rows() {
     // And the counters themselves did observe the run.
     assert!(t.perf.events_popped > 0);
     assert!(t.perf.packets_forwarded > 0);
+    assert_tx_done_identity(&t.perf);
     assert_eq!(
         after, t.perf,
         "no simulation ran between timed() and snapshot()"
@@ -67,6 +96,7 @@ fn counters_read_vs_ignored_yield_identical_csv_rows() {
 
 #[test]
 fn same_seed_same_counters() {
+    let _turn = take_turn();
     // Determinism extends to the counters: identical seeds produce
     // identical event/packet/mark totals, not just identical results.
     let t1 = perf::timed(|| {
@@ -82,6 +112,9 @@ fn same_seed_same_counters() {
     assert_eq!(t1.perf.ce_marks, t2.perf.ce_marks);
     assert_eq!(t1.perf.drops, t2.perf.drops);
     assert_eq!(t1.perf.sim_nanos, t2.perf.sim_nanos);
+    assert_eq!(t1.perf.tx_done_pushed, t2.perf.tx_done_pushed);
+    assert_eq!(t1.perf.tx_done_elided, t2.perf.tx_done_elided);
+    assert_tx_done_identity(&t1.perf);
     // Byte-identical figure rows too.
     assert_eq!(
         format!("{:?},{}", t1.result.standing_pkts, t1.result.drops),

@@ -116,7 +116,10 @@ fn sharded_figure_csv_is_byte_identical() {
 
 /// White-box property: the shard count never changes ECN♯'s `MarkStats`
 /// on any switch port — the marker sees the exact same packet sequence
-/// at the exact same sojourn times regardless of partitioning.
+/// at the exact same sojourn times regardless of partitioning — nor how
+/// many steps the run took and how many `TxDone` events it queued or
+/// elided: whether a port queues one depends only on what is waiting at
+/// that port, which no partition changes.
 mod mark_stats_prop {
     use ecnsharp_aqm::DropTail;
     use ecnsharp_core::{EcnSharp, MarkStats};
@@ -131,8 +134,9 @@ mod mark_stats_prop {
     /// 2 spines × 4 leaves × 2 hosts with ECN♯ on every switch egress,
     /// DCTCP endpoints, and a deterministic cross-leaf flow pattern.
     /// Returns every switch port's `MarkStats` (ports without an ECN♯
-    /// marker never appear — hosts use DropTail NICs).
-    fn mark_stats(seed: u64, shards: u32) -> Vec<(usize, usize, MarkStats)> {
+    /// marker never appear — hosts use DropTail NICs) and the run's
+    /// [`Counts`].
+    fn mark_stats(seed: u64, shards: u32) -> (Vec<(usize, usize, MarkStats)>, Counts) {
         let params = SchemeParams::derive(&RttVariation::sim_3x(), Rate::from_gbps(10));
         let scheme = Scheme::EcnSharp(None);
         let ls = leaf_spine(
@@ -176,7 +180,28 @@ mod mark_stats_prop {
             }
         }
         assert_eq!(net.unfinished_flows(), 0, "all flows complete");
-        collect(&net)
+        let c = net.perf();
+        assert_eq!(
+            c.tx_done_pushed + c.tx_done_elided,
+            c.packets_forwarded,
+            "every transmission queued its TxDone or elided it"
+        );
+        let counts = Counts {
+            steps: net.steps(),
+            events_popped: c.events_popped,
+            tx_done_pushed: c.tx_done_pushed,
+            tx_done_elided: c.tx_done_elided,
+        };
+        (collect(&net), counts)
+    }
+
+    /// Engine counts that no partition may change.
+    #[derive(Debug, PartialEq)]
+    struct Counts {
+        steps: u64,
+        events_popped: u64,
+        tx_done_pushed: u64,
+        tx_done_elided: u64,
     }
 
     fn collect<S: ShardSubscriber>(net: &Network<S>) -> Vec<(usize, usize, MarkStats)> {
@@ -197,8 +222,9 @@ mod mark_stats_prop {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// Serial and n-shard runs of the same seed produce identical
-        /// `MarkStats` on every switch port, and the workload actually
-        /// exercises the marker (some port saw packets).
+        /// `MarkStats` on every switch port and identical step, pop and
+        /// `TxDone` counts, and the workload actually exercises the
+        /// marker (some port saw packets) and both `TxDone` outcomes.
         #[test]
         fn prop_shard_count_never_changes_mark_stats(
             seed in 0u64..1_000_000,
@@ -206,8 +232,13 @@ mod mark_stats_prop {
         ) {
             let serial = mark_stats(seed, 1);
             prop_assert!(
-                serial.iter().any(|(_, _, m)| m.packets > 0),
+                serial.0.iter().any(|(_, _, m)| m.packets > 0),
                 "workload never reached an ECN# port"
+            );
+            prop_assert!(
+                serial.1.tx_done_pushed > 0 && serial.1.tx_done_elided > 0,
+                "{:?}",
+                serial.1
             );
             let sharded = mark_stats(seed, shards);
             prop_assert_eq!(serial, sharded);

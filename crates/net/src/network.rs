@@ -18,12 +18,23 @@
 //! identical no matter how the network is partitioned into shards — this
 //! is the determinism contract the sharded engine (see [`crate::shard`]
 //! and `CONCURRENCY.md`) is built on.
+//!
+//! A tag that has been drawn need not be pushed at once, or at all. Every
+//! transmission draws its `TxDone` tag and then its `Arrive` tag, in that
+//! order, whether or not the `TxDone` event is queued: a port with nothing
+//! waiting behind the packet on the wire only remembers the `(time, tag)`
+//! key and queues the event later — at that same key — if a packet turns
+//! up before the key has passed, and never otherwise (see
+//! `Network::kick`). The per-node sequence stays canonical because it
+//! counts *draws*, which depend only on the transmissions the node
+//! starts; whether a reserved key is ever pushed decides how many events
+//! pop, not the key of any event that does.
 
 use crate::agent::{Action, Agent, Ctx, FlowCmd, FlowOutcome, FlowRecord, FlowState};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{FlowId, NodeId};
 use crate::node::{Node, NodeKind};
-use crate::port::{EgressPort, PortConfig, PortStats};
+use crate::port::{EgressPort, PortConfig, PortStats, WireFree};
 use ecnsharp_sim::supervise::{MemBreach, MemComponent, ProgressGuard, SimError, Supervision};
 use ecnsharp_sim::{hash_mix, DetMap, Duration, EventQueue, Rate, Rng, SimTime, TimerToken};
 #[cfg(feature = "telemetry")]
@@ -92,6 +103,14 @@ pub struct PerfCounters {
     /// Wire drops from the Gilbert–Elliott burst-loss process, summed over
     /// every port (subset of `drops`).
     pub burst_drops: u64,
+    /// `TxDone` events queued: transmissions with a packet waiting behind
+    /// them, at the start or by the time the wire was free again.
+    pub tx_done_pushed: u64,
+    /// Transmissions whose `TxDone` was never queued because nothing was
+    /// waiting when the wire was free again — events an eager design
+    /// would have pushed and popped for nothing. Together with
+    /// `tx_done_pushed` this counts every transmission started.
+    pub tx_done_elided: u64,
 }
 
 /// A queue-length sample series attached to one port.
@@ -179,6 +198,10 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     /// ACK): keyed lookup only — never iterate it.
     pub(crate) timer_tokens: DetMap<(NodeId, u64), (TimerToken, SimTime, u64)>,
     pub(crate) records: Vec<FlowRecord>,
+    /// Flows scheduled whose record is still to come: what
+    /// [`Self::reserve_records`] makes room for when a run starts, so the
+    /// vector never grows by doubling in the middle of one.
+    pub(crate) flows_to_record: usize,
     /// Provenance key of each record, aligned with `records`: `(finish,
     /// tag of the completing event, index among that event's records)`.
     /// This is the exact serial processing order, so the shard merge can
@@ -201,6 +224,8 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     pub(crate) routes_built: bool,
     pub(crate) flows_failed: u64,
     pub(crate) no_route_drops: u64,
+    pub(crate) tx_done_pushed: u64,
+    pub(crate) tx_done_elided: u64,
     // ── sharding state (serial runs: identity values) ─────────────────
     /// Which shard this engine instance is (0 when serial).
     pub(crate) my_shard: u32,
@@ -215,8 +240,11 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     pub(crate) setup_k: u64,
     /// Node whose event is being processed ([`SETUP_CTX`] outside one).
     pub(crate) cur_node: usize,
-    /// Tag of the event being processed (record provenance).
-    cur_tag: u64,
+    /// Tag of the step being applied, or of the last one applied when
+    /// between steps — an event's or a fault's. Keys flow records, and with
+    /// the clock it is the position [`Self::kick`] compares a port's
+    /// reserved `TxDone` key against.
+    pub(crate) cur_tag: u64,
     /// Records already pushed by the event being processed.
     rec_sub: u32,
     /// Queue perf counters inherited from merged shard queues.
@@ -262,6 +290,7 @@ impl<S: Subscriber> Network<S> {
             pending: BTreeMap::new(),
             timer_tokens: DetMap::default(),
             records: Vec::new(),
+            flows_to_record: 0,
             record_keys: Vec::new(),
             monitors: Vec::new(),
             scratch: Vec::new(),
@@ -271,6 +300,8 @@ impl<S: Subscriber> Network<S> {
             routes_built: false,
             flows_failed: 0,
             no_route_drops: 0,
+            tx_done_pushed: 0,
+            tx_done_elided: 0,
             my_shard: 0,
             owner: None,
             outbox: Vec::new(),
@@ -333,6 +364,7 @@ impl<S: Subscriber> Network<S> {
             pending: BTreeMap::new(),
             timer_tokens: DetMap::default(),
             records: Vec::new(),
+            flows_to_record: 0,
             record_keys: Vec::new(),
             monitors: self.monitors.clone(),
             scratch: Vec::new(),
@@ -342,6 +374,8 @@ impl<S: Subscriber> Network<S> {
             routes_built: self.routes_built,
             flows_failed: 0,
             no_route_drops: 0,
+            tx_done_pushed: 0,
+            tx_done_elided: 0,
             my_shard: idx,
             owner: Some(owner),
             outbox: Vec::new(),
@@ -718,6 +752,8 @@ impl<S: Subscriber> Network<S> {
             heap_spills: q.heap_spills + self.carry.heap_spills,
             flows_failed: self.flows_failed,
             no_route_drops: self.no_route_drops,
+            tx_done_pushed: self.tx_done_pushed,
+            tx_done_elided: self.tx_done_elided,
             ..PerfCounters::default()
         };
         for node in &self.nodes {
@@ -741,6 +777,7 @@ impl<S: Subscriber> Network<S> {
     /// (its receiver's closed state answers to it), and starting an id
     /// that is still in progress is a bug caught by a debug assertion.
     pub fn schedule_flow(&mut self, at: SimTime, cmd: FlowCmd) {
+        self.flows_to_record += 1;
         self.push_event(at, Event::FlowStart(cmd));
     }
 
@@ -781,9 +818,37 @@ impl<S: Subscriber> Network<S> {
         }
     }
 
+    /// Give `records` (and a shard engine's `record_keys`) room for every
+    /// flow still to be recorded, in one allocation made before the run
+    /// touches it. Growing by doubling mid-run copies the buffer, and
+    /// whether glibc can extend it in place or must hold old and new at
+    /// once depends on what was allocated just before — `incast_lossy`
+    /// read 38, 45 or 53 MiB of peak RSS by seed for that reason alone.
+    ///
+    /// The size is the capacity doubling would have ended at, not the
+    /// exact count: the untouched tail is never resident, and the buffer a
+    /// finished network hands back to the allocator keeps the size it
+    /// always had. That matters to a process that builds one network after
+    /// another (the benchmark, a sweep): with an exact-size buffer the
+    /// hole it left was too small for the next set-up's own flow list,
+    /// which then grew at the top of the heap, pushed the free top over
+    /// glibc's trim threshold on every cycle and doubled `setup_s`
+    /// (measured; PERFORMANCE.md "Fewer events").
+    pub(crate) fn reserve_records(&mut self) {
+        let total = self.records.len() + self.flows_to_record;
+        if total > self.records.capacity() {
+            let room = total.next_power_of_two() - self.records.len();
+            self.records.reserve_exact(room);
+            if self.owner.is_some() {
+                self.record_keys.reserve_exact(room);
+            }
+        }
+    }
+
     /// Process events until the queue is empty or `deadline` is passed.
     /// Returns the time of the last processed event.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
+        self.reserve_records();
         while let Some((t, _)) = self.next_key() {
             if t > deadline {
                 break;
@@ -817,6 +882,7 @@ impl<S: Subscriber> Network<S> {
     /// the run with its [`SimError`]. Armed-but-untriggered runs are
     /// byte-identical to unsupervised ones — the guards only observe.
     pub fn try_run_until_idle(&mut self) -> Result<SimTime, SimError> {
+        self.reserve_records();
         if self.supervision.is_disarmed() {
             while self.step() {}
             // A transport-level budget (armed through `TcpConfig`, not
@@ -919,6 +985,9 @@ impl<S: Subscriber> Network<S> {
                 self.next_fault += 1;
                 self.steps += 1;
                 self.events.advance_now(at);
+                // The fault is the step in progress: a link-up kick
+                // compares this key with the port's reserved one.
+                self.cur_tag = tag;
                 self.apply_fault_at(at, action);
                 return true;
             }
@@ -935,7 +1004,8 @@ impl<S: Subscriber> Network<S> {
         self.steps += 1;
         // Tag context for everything this event pushes: `cur_node` selects
         // the per-node counter (canonical across shard counts), `cur_tag`
-        // keys any flow records the event completes.
+        // keys any flow records the event completes and positions the
+        // step against reserved `TxDone` keys.
         self.cur_tag = tag;
         self.rec_sub = 0;
         match ev {
@@ -945,7 +1015,7 @@ impl<S: Subscriber> Network<S> {
             }
             Event::TxDone { node, port } => {
                 self.cur_node = node.0;
-                self.nodes[node.0].ports[port].busy = false;
+                self.nodes[node.0].ports[port].wire_free = WireFree::At(now, tag);
                 self.kick(now, node, port);
             }
             Event::Timer { node, key } => {
@@ -1104,26 +1174,66 @@ impl<S: Subscriber> Network<S> {
         }
     }
 
-    /// Start transmitting on `(node, port)` if idle and backlogged.
+    /// Start transmitting on `(node, port)` if its wire is free and a
+    /// packet is waiting.
+    ///
+    /// A transmission draws its `TxDone` tag and its `Arrive` tag, and
+    /// leaves the port in one of two states. With a packet still waiting
+    /// behind the one just dequeued, the `TxDone` event is queued and the
+    /// port is busy until it pops. With nothing waiting, the event would
+    /// pop, find an empty queue and do nothing, so only its key is kept on
+    /// the port. A later kick then compares the key of the step being
+    /// applied — `(now, cur_tag)`, an event's or a fault's — with the
+    /// reserved key. A step ordered before it finds the wire busy: if a
+    /// packet is waiting now, the `TxDone` is queued at the reserved key,
+    /// exactly where the eager push would have sat; if none is (the
+    /// enqueue was refused), nothing changes. A step at or past the key
+    /// finds the wire free, as if the no-op `TxDone` had already popped.
+    /// Either way every packet leaves at the time, and every event pops at
+    /// the key, it would have with one `TxDone` per transmission.
     pub(crate) fn kick(&mut self, now: SimTime, node: NodeId, port: usize) {
         let sub = &mut self.sub;
         let n = &mut self.nodes[node.0];
         let p = &mut n.ports[port];
-        if p.busy || !p.link_up {
+        if !p.link_up {
             return;
         }
+        match p.wire_free {
+            WireFree::OnTxDone => return,
+            WireFree::At(t, tag) if (now, self.cur_tag) < (t, tag) => {
+                if p.backlog_pkts() > 0 {
+                    p.wire_free = WireFree::OnTxDone;
+                    self.tx_done_elided -= 1;
+                    self.tx_done_pushed += 1;
+                    self.events
+                        .schedule_tagged(t, tag, Event::TxDone { node, port });
+                }
+                return;
+            }
+            WireFree::At(..) => {}
+        }
         if let Some(tx) = p.next_tx_dice(now, &mut n.arena, sub) {
-            p.busy = true;
             let peer = p.peer;
             let delay = p.delay;
+            let waiting = p.backlog_pkts() > 0;
             // Draw both tags before routing: TxDone then Arrive, always in
-            // that order, so the pusher's counter advances identically
-            // whether the arrival stays local or crosses a shard boundary.
+            // that order and whether or not the TxDone is queued, so the
+            // pusher's counter advances identically whatever is waiting
+            // here and whether the arrival stays local or crosses a shard
+            // boundary.
             let tx_tag = self.next_tag();
             let arr_tag = self.next_tag();
-            self.events
-                .schedule_tagged(now + tx.tx_time, tx_tag, Event::TxDone { node, port });
-            let at = now + tx.tx_time + delay;
+            let done = now + tx.tx_time;
+            self.nodes[node.0].ports[port].wire_free = if waiting {
+                self.tx_done_pushed += 1;
+                self.events
+                    .schedule_tagged(done, tx_tag, Event::TxDone { node, port });
+                WireFree::OnTxDone
+            } else {
+                self.tx_done_elided += 1;
+                WireFree::At(done, tx_tag)
+            };
+            let at = done + delay;
             match &self.owner {
                 Some(owner) if owner[peer.0] != self.my_shard => self.outbox.push(OutMsg {
                     shard: owner[peer.0],
@@ -1309,6 +1419,7 @@ impl<S: Subscriber> Network<S> {
             self.record_keys.push((now, self.cur_tag, self.rec_sub));
             self.rec_sub += 1;
         }
+        self.flows_to_record -= 1;
         self.records.push(FlowRecord {
             flow,
             src: cmd.src,
@@ -1403,8 +1514,13 @@ mod tests {
     /// Inject a raw packet send from a host (test helper). Uses the setup
     /// tag range, like any other before-the-run push.
     fn inject<S: Subscriber>(net: &mut Network<S>, from: NodeId, pkt: Packet) {
-        let at = net.now();
-        net.push_event(at, Event::NicSend { node: from, pkt });
+        let at = net.now().as_nanos();
+        inject_at(net, at, from, pkt);
+    }
+
+    /// [`inject`] at `at` ns.
+    fn inject_at<S: Subscriber>(net: &mut Network<S>, at: u64, from: NodeId, pkt: Packet) {
+        net.push_event(SimTime::from_nanos(at), Event::NicSend { node: from, pkt });
     }
 
     #[test]
@@ -1440,20 +1556,22 @@ mod tests {
         assert_eq!(net.port_stats(b, 0).dequeued, 2);
     }
 
-    #[test]
-    fn flow_records_capture_fct() {
-        struct OneShot;
-        impl Agent for OneShot {
-            fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-                if pkt.flags().ack {
-                    ctx.flow_done(pkt.flow, 0);
-                }
-            }
-            fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
-            fn on_flow_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: FlowCmd) {
-                ctx.send(Packet::data(cmd.flow, cmd.src, cmd.dst, 0, cmd.size));
+    /// Sends its whole flow as one packet; completes on the echoed ACK.
+    struct OneShot;
+    impl Agent for OneShot {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+            if pkt.flags().ack {
+                ctx.flow_done(pkt.flow, 0);
             }
         }
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+        fn on_flow_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: FlowCmd) {
+            ctx.send(Packet::data(cmd.flow, cmd.src, cmd.dst, 0, cmd.size));
+        }
+    }
+
+    #[test]
+    fn flow_records_capture_fct() {
         let mut net = Network::new(2);
         let a = net.add_host(Box::new(OneShot));
         let b = net.add_host(Box::new(EchoAgent));
@@ -1496,6 +1614,53 @@ mod tests {
         let fct_us = r.fct().as_micros_f64();
         assert!(fct_us > 4.0 && fct_us < 8.0, "fct {fct_us}us");
         assert_eq!(net.unfinished_flows(), 0);
+    }
+
+    #[test]
+    fn records_are_reserved_once_for_the_flows_scheduled() {
+        let mut net = Network::new(2);
+        let a = net.add_host(Box::new(OneShot));
+        let b = net.add_host(Box::new(EchoAgent));
+        let cfg = || PortConfig::fifo(1_000_000, Box::new(DropTail::new()));
+        net.connect(
+            a,
+            cfg(),
+            b,
+            cfg(),
+            Rate::from_gbps(10),
+            Duration::from_micros(1),
+        );
+        let flows = 300;
+        for f in 0..flows {
+            net.schedule_flow(
+                SimTime::from_micros(f),
+                FlowCmd {
+                    flow: FlowId(f),
+                    src: a,
+                    dst: b,
+                    size: 1460,
+                    class: 0,
+                    extra_delay: Duration::ZERO,
+                },
+            );
+        }
+        assert_eq!(net.records.capacity(), 0, "nothing before the run starts");
+        net.run_until(SimTime::ZERO);
+        let reserved = net.records.capacity();
+        assert!(reserved >= flows as usize);
+        net.run_until(SimTime::from_micros(100));
+        assert_eq!(net.records.capacity(), reserved, "no growth mid-run");
+        // A mid-run drain hands the buffer away; the next run entry
+        // reserves for what is still to come.
+        let early = net.take_records().len();
+        assert!(early > 0 && early < flows as usize);
+        net.run_until(SimTime::from_micros(100));
+        let again = net.records.capacity();
+        assert!(again >= flows as usize - early);
+        net.run_until_idle();
+        assert_eq!(net.records().len(), flows as usize - early);
+        assert_eq!(net.records.capacity(), again, "no growth mid-run");
+        assert_eq!(net.flows_to_record, 0);
     }
 
     #[test]
@@ -1654,9 +1819,16 @@ mod tests {
 
     /// a -- s1 -- {s2,s3} -- s4 -- b : two equal-cost paths (failover rig).
     fn diamond() -> (Network, NodeId, NodeId, NodeId, NodeId, NodeId, NodeId) {
+        diamond_with_sink(Box::new(NullAgent))
+    }
+
+    /// [`diamond`] with `sink` as host b's agent.
+    fn diamond_with_sink(
+        sink: Box<dyn Agent>,
+    ) -> (Network, NodeId, NodeId, NodeId, NodeId, NodeId, NodeId) {
         let mut net = Network::new(4);
         let a = net.add_host(Box::new(NullAgent));
-        let b = net.add_host(Box::new(NullAgent));
+        let b = net.add_host(sink);
         let s1 = net.add_switch();
         let s2 = net.add_switch();
         let s3 = net.add_switch();
@@ -1735,13 +1907,11 @@ mod tests {
                 SimTime::from_micros(300),
             ));
             for f in 0..200u64 {
-                let t = SimTime::from_nanos(f * 1_000);
-                net.push_event(
-                    t,
-                    Event::NicSend {
-                        node: a,
-                        pkt: Packet::data(FlowId(f), a, b, 0, 1460),
-                    },
+                inject_at(
+                    &mut net,
+                    f * 1_000,
+                    a,
+                    Packet::data(FlowId(f), a, b, 0, 1460),
                 );
             }
             net.run_until_idle();
@@ -1818,5 +1988,482 @@ mod tests {
         // compute_routes() deliberately not called.
         inject(&mut net, a, Packet::data(FlowId(1), a, b, 0, 100));
         net.run_until_idle();
+    }
+
+    // ── a port schedules `TxDone` only when something is waiting ───────
+
+    /// `(arrival ns, flow id, CE-marked)` of every packet a host received.
+    type Deliveries = Arc<std::sync::Mutex<Vec<(u64, u64, bool)>>>;
+
+    /// A sink that logs what reaches it and answers nothing.
+    struct Recorder(Deliveries);
+
+    impl Agent for Recorder {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+            let ce = pkt.ecn() == crate::packet::Ecn::Ce;
+            self.0
+                .lock()
+                .unwrap()
+                .push((ctx.now.as_nanos(), pkt.flow.0, ce));
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+        fn on_flow_cmd(&mut self, _: &mut Ctx<'_>, _: FlowCmd) {}
+    }
+
+    /// Every transmission either queued its `TxDone` or elided it.
+    fn assert_tx_done_identity<S: Subscriber>(net: &Network<S>) {
+        let c = net.perf();
+        assert_eq!(
+            c.tx_done_pushed + c.tx_done_elided,
+            c.packets_forwarded - c.fault_drops - c.corrupt_drops - c.burst_drops,
+            "{c:?}"
+        );
+    }
+
+    /// One arrival the port rig is asked to deliver to the port under test.
+    #[derive(Debug, Clone, Copy)]
+    struct Arrival {
+        /// `None`: arrive at the exact instant the port's wire is free
+        /// again. `Some(gap)`: arrive `gap` ns after the previous arrival.
+        gap: Option<u64>,
+        payload: u64,
+        /// Deliver through the feeder whose `Arrive` tags sort above the
+        /// port's own `TxDone` tags (`false`: the one sorting below).
+        above: bool,
+        ect: bool,
+    }
+
+    /// What the closed form predicts for the port under test.
+    #[derive(Default)]
+    struct Predicted {
+        /// `(departure ns, flow id, CE-marked)` per transmitted packet.
+        departs: Vec<(u64, u64, bool)>,
+        stats: PortStats,
+        /// Transmissions, on any port of the rig, that had a packet waiting
+        /// behind them by the time the wire was free: exactly the `TxDone`s
+        /// worth queueing.
+        tx_done_needed: u64,
+    }
+
+    /// Feeder links: 8 Gbps serializes one wire byte per ns.
+    const FEED_DELAY: u64 = 100;
+    /// Port under test: 1 Gbps serializes one wire byte per 8 ns.
+    const PORT_DELAY: u64 = 1_000;
+
+    /// The one-port rig: two feeder hosts deliver packets to switch `s`,
+    /// whose port towards the sink — 1 Gbps, `capacity` bytes of buffer,
+    /// DCTCP-RED at `k` bytes — is the port under test. Node ids are
+    /// lo = 0 < s = 1 < hi = 2, so at one instant an arrival from `lo`
+    /// sorts below the port's own `TxDone` tag and one from `hi` above it.
+    ///
+    /// The oracle is the closed form of a FIFO server, worked in plain
+    /// integers: `depart[i] = max(arrive[i], depart[i-1]) + tx[i]` over the
+    /// admitted packets, where a packet is in the backlog an arrival sees
+    /// iff it had to wait for the wire and its start is ordered after that
+    /// arrival. It shares nothing with `kick` — no event queue, no tags,
+    /// no `WireFree`. The run is cut in two at `cut_after` ns past the
+    /// `cut_at`-th arrival (a `run_until` that stops with transmissions in
+    /// flight, then resumes).
+    fn check_port_against_closed_form(
+        capacity: u64,
+        k: u64,
+        arrivals: &[Arrival],
+        cut_at: usize,
+        cut_after: u64,
+    ) {
+        let log: Deliveries = Default::default();
+        let mut net = Network::new(9);
+        let lo = net.add_host(Box::new(NullAgent));
+        let s = net.add_switch();
+        let hi = net.add_host(Box::new(NullAgent));
+        let sink = net.add_host(Box::new(Recorder(log.clone())));
+        let deep = || PortConfig::fifo(10_000_000, Box::new(DropTail::new()));
+        let feed = Duration::from_nanos(FEED_DELAY);
+        net.connect(lo, deep(), s, deep(), Rate::from_gbps(8), feed);
+        net.connect(hi, deep(), s, deep(), Rate::from_gbps(8), feed);
+        let under_test = PortConfig::fifo(
+            capacity,
+            Box::new(ecnsharp_aqm::DctcpRed::with_threshold(k)),
+        );
+        let (out, _) = net.connect(
+            s,
+            under_test,
+            sink,
+            deep(),
+            Rate::from_gbps(1),
+            Duration::from_nanos(PORT_DELAY),
+        );
+        net.compute_routes();
+
+        // Plan the injections and work the closed form side by side.
+        let mut want = Predicted::default();
+        // Admitted packets: (start ns, waited for the wire, wire bytes).
+        let mut admitted: Vec<(u64, bool, u64)> = Vec::new();
+        let mut depart_prev = 0u64;
+        let mut feeder_free = [0u64; 2];
+        // Position of the previous arrival: (ns, 0 below / 2 above the
+        // port's TxDone, which sits at 1).
+        let mut last = (0u64, 0u8);
+        let mut cut = None;
+        for (i, a) in arrivals.iter().enumerate() {
+            let flow = i as u64 + 1;
+            let mut pkt = Packet::data(FlowId(flow), lo, sink, 0, a.payload);
+            if !a.ect {
+                pkt.set_ecn(crate::packet::Ecn::NotEct);
+            }
+            let wire = pkt.wire_bytes();
+            let rank = if a.above { 2u8 } else { 0 };
+            let target = match a.gap {
+                None => depart_prev.max(last.0),
+                Some(gap) => last.0 + gap,
+            };
+            // The feeder must be idle when the packet enters its NIC, and
+            // arrivals are planned in strictly increasing position.
+            let f = a.above as usize;
+            let mut inject = target.saturating_sub(wire + FEED_DELAY).max(feeder_free[f]);
+            if (inject + wire + FEED_DELAY, rank) <= last {
+                inject = last.0 + 1 - wire - FEED_DELAY;
+            }
+            let t = inject + wire + FEED_DELAY;
+            // Entering the NIC at the instant its last serialization ends
+            // is an arrival below the feeder's own reserved tag.
+            want.tx_done_needed += (feeder_free[f] > 0 && inject == feeder_free[f]) as u64;
+            feeder_free[f] = inject + wire;
+            last = (t, rank);
+            inject_at(&mut net, inject, if a.above { hi } else { lo }, pkt);
+            if i == cut_at {
+                cut = Some(t + cut_after);
+            }
+
+            // Closed form at the port under test.
+            let backlog: u64 = admitted
+                .iter()
+                .filter(|&&(start, waited, _)| waited && (start, 1) > (t, rank))
+                .map(|&(_, _, w)| w)
+                .sum();
+            if backlog + wire > capacity {
+                want.stats.tail_drops += 1;
+                continue;
+            }
+            let over = backlog + wire > k;
+            if over && !a.ect {
+                want.stats.aqm_enq_drops += 1;
+                continue;
+            }
+            want.stats.enqueued += 1;
+            want.stats.enq_marks += over as u64;
+            let waited = (depart_prev, 1) > (t, rank);
+            let start = if waited { depart_prev } else { t };
+            admitted.push((start, waited, wire));
+            want.tx_done_needed += waited as u64;
+            depart_prev = start + wire * 8;
+            want.departs.push((depart_prev, flow, over));
+        }
+        want.stats.dequeued = want.stats.enqueued;
+
+        if let Some(cut) = cut {
+            net.run_until(SimTime::from_nanos(cut));
+            assert!(net.now().as_nanos() <= cut);
+        }
+        net.run_until_idle();
+
+        let got: Vec<(u64, u64, bool)> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|&(at, flow, ce)| (at - PORT_DELAY, flow, ce))
+            .collect();
+        assert_eq!(got, want.departs, "departures (ns, flow, CE)");
+        assert_eq!(net.port_stats(s, out), want.stats);
+        let c = net.perf();
+        assert_eq!(c.tx_done_pushed, want.tx_done_needed);
+        assert_tx_done_identity(&net);
+        let n = arrivals.len() as u64;
+        assert_eq!(
+            net.steps(),
+            n + n + want.stats.dequeued + want.tx_done_needed,
+            "NicSend + Arrive at s + Arrive at the sink + queued TxDone"
+        );
+        assert_eq!(c.events_pushed, c.events_popped, "nothing left queued");
+    }
+
+    fn arrival(gap: Option<u64>, payload: u64, above: bool, ect: bool) -> Arrival {
+        Arrival {
+            gap,
+            payload,
+            above,
+            ect,
+        }
+    }
+
+    #[test]
+    fn port_matches_closed_form_on_the_named_cases() {
+        let mtu = 1460;
+        // Arrivals at exactly the instant a serialization ends, below and
+        // above the reserved tag, onto an idle wire and behind a backlog.
+        for above in [false, true] {
+            check_port_against_closed_form(
+                100_000,
+                100_000,
+                &[
+                    arrival(Some(5_000), mtu, false, true),
+                    arrival(None, 100, above, true),
+                    arrival(None, 700, above, true),
+                    arrival(Some(0), 300, !above, true),
+                    arrival(None, mtu, !above, true),
+                ],
+                1,
+                1,
+            );
+        }
+        // A tail drop and an AQM enqueue drop onto a port that is
+        // serializing with no `TxDone` queued: the refused packet must not
+        // queue one, and the next admitted packet still waits its turn.
+        check_port_against_closed_form(
+            1_000,
+            500,
+            &[
+                arrival(Some(2_000), 400, false, true),
+                arrival(Some(50), mtu, true, true),   // tail drop
+                arrival(Some(50), 600, false, false), // AQM drop (not ECT)
+                arrival(Some(50), 600, true, true),   // admitted, CE-marked
+                arrival(Some(10_000), 400, false, true),
+            ],
+            0,
+            10,
+        );
+        // `run_until` stopping between a transmission and its un-pushed
+        // `TxDone`, then a packet turning up before the key.
+        check_port_against_closed_form(
+            100_000,
+            100_000,
+            &[
+                arrival(Some(3_000), mtu, false, true),
+                arrival(Some(6_000), mtu, true, true),
+            ],
+            0,
+            3_000,
+        );
+    }
+
+    mod port_prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Random arrival times, sizes, ECN capability and feeder side,
+            /// a third of them aimed at the instant the wire frees up,
+            /// against buffers small enough to drop and mark.
+            #[test]
+            fn prop_port_matches_closed_form(
+                capacity in 600u64..6_000,
+                k in 300u64..4_000,
+                raw in proptest::collection::vec(
+                    (0u8..3, 0u64..20_000, 0u64..1_461, any::<bool>(), 0u8..4),
+                    1..48,
+                ),
+                cut_at in 0usize..48,
+                cut_after in 0u64..15_000,
+            ) {
+                let arrivals: Vec<Arrival> = raw
+                    .iter()
+                    .map(|&(mode, gap, payload, above, ect)| {
+                        arrival((mode != 0).then_some(gap), payload, above, ect != 0)
+                    })
+                    .collect();
+                check_port_against_closed_form(capacity, k, &arrivals, cut_at, cut_after);
+            }
+        }
+    }
+
+    /// What a diamond timeline leaves behind: when each packet reached b,
+    /// `TxDone`s queued, `TxDone`s elided, steps.
+    type Timeline = (Vec<u64>, u64, u64, u64);
+
+    /// The diamond with a recording sink at b and two MTU packets of one
+    /// flow (one ECMP path) entering a's NIC at 0 and 600 ns. Every link is
+    /// 10 Gbps / 1 us, so one hop is 1230 ns of serialization plus 1000 ns
+    /// of flight and P1 reaches b at 4 x 2230 = 8920 ns whatever happens
+    /// behind it. `prepare` gets the network before the packets are
+    /// injected, `a` and `s1` — node ids are a, b, s1..s4 = 0..=5. Runs
+    /// once serially and once on two shards, which must agree.
+    fn diamond_timeline(prepare: impl Fn(&mut Network, NodeId, NodeId)) -> Timeline {
+        let run = |plan: Option<crate::ShardPlan>| {
+            let log: Deliveries = Default::default();
+            let (mut net, a, b, s1, ..) = diamond_with_sink(Box::new(Recorder(log.clone())));
+            prepare(&mut net, a, s1);
+            inject_at(&mut net, 0, a, Packet::data(FlowId(1), a, b, 0, 1460));
+            inject_at(&mut net, 600, a, Packet::data(FlowId(1), a, b, 1460, 1460));
+            match plan {
+                Some(plan) => net.run_sharded_until_idle(&plan),
+                None => net.run_until_idle(),
+            };
+            assert_tx_done_identity(&net);
+            let c = net.perf();
+            let arrivals: Vec<u64> = log.lock().unwrap().iter().map(|d| d.0).collect();
+            // The engine must also come to rest at the same step key.
+            let timeline = (arrivals, c.tx_done_pushed, c.tx_done_elided, net.steps());
+            (timeline, net.now(), net.cur_tag)
+        };
+        let serial = run(None);
+        // a, s1, s4 against b, s2, s3: the faulted link stays inside one
+        // shard, every path crosses to the other and back.
+        let sharded = run(Some(crate::ShardPlan::new(vec![0, 1, 0, 1, 1, 0])));
+        assert_eq!(serial, sharded, "serial vs two shards");
+        serial.0
+    }
+
+    fn ns(t: u64) -> SimTime {
+        SimTime::from_nanos(t)
+    }
+
+    #[test]
+    fn link_down_mid_serialization_then_up_before_the_reserved_key() {
+        use crate::fault::{FaultAction::*, FaultPlan};
+        // 0     P1 starts on a's NIC; nothing waits, so its TxDone key
+        //       (1230, a's tag) is only reserved.
+        // 500   link down: P1 stays on the wire (its Arrive is queued).
+        // 600   P2 enters the NIC queue; the port is down, no kick.
+        // 1000  link up, before the key: P2 waits, so the TxDone is queued
+        //       now, at 1230.
+        // 1230  TxDone: P2 starts. From here P2 follows P1 back to back —
+        //       it reaches each switch at the instant P1's serialization
+        //       ends there, on an Arrive tag below the switch's own — so
+        //       s1, s2|s3 and s4 each queue one TxDone too.
+        // P2 reaches b at 1230 + 4 x 2230 = 10150.
+        let got = diamond_timeline(|net, a, s1| {
+            net.install_fault_plan(
+                FaultPlan::new()
+                    .at(ns(500), LinkDown { a, b: s1 })
+                    .at(ns(1_000), LinkUp { a, b: s1 }),
+            )
+        });
+        // Steps: NicSend + fault + Arrive + TxDone.
+        assert_eq!(got, (vec![8_920, 10_150], 4, 4, 2 + 2 + 8 + 4));
+    }
+
+    #[test]
+    fn link_up_after_the_reserved_key_transmits_at_once() {
+        use crate::fault::{FaultAction::*, FaultPlan};
+        // As above until 600. 1230 passes with no event: the key was never
+        // queued. 2000: link up, past the key — the wire is free and P2
+        // starts inside the fault step. P1 is now 770 ns + one hop ahead,
+        // so P2 finds every port idle: no TxDone anywhere.
+        // P2 reaches b at 2000 + 4 x 2230 = 10920.
+        let got = diamond_timeline(|net, a, s1| {
+            net.install_fault_plan(
+                FaultPlan::new()
+                    .at(ns(500), LinkDown { a, b: s1 })
+                    .at(ns(2_000), LinkUp { a, b: s1 }),
+            )
+        });
+        assert_eq!(got, (vec![8_920, 10_920], 0, 8, 2 + 2 + 8));
+    }
+
+    #[test]
+    fn fault_at_the_reserved_instant_sorts_by_its_real_tag() {
+        use crate::fault::{FaultAction::*, FaultPlan};
+        // Link up at exactly 1230. The fault's set-up tag sorts below the
+        // reserved runtime tag, so the fault step finds the wire still
+        // busy and queues the TxDone, which pops next at the same instant
+        // and starts P2: the first timeline again. A minimum-size packet
+        // from b towards a reaches s4 at 1067, so the last event before
+        // the fault carries b's tag, which sorts *above* a's reserved one:
+        // the fault must be placed by its own tag, not by a stale one.
+        // With a unreachable the packet dies at s4 for want of a route:
+        // 1 NicSend, 1 Arrive, 1 elided TxDone (b's NIC).
+        let got = diamond_timeline(|net, a, s1| {
+            net.install_fault_plan(
+                FaultPlan::new()
+                    .at(ns(500), LinkDown { a, b: s1 })
+                    .at(ns(1_230), LinkUp { a, b: s1 }),
+            );
+            let b = NodeId(1);
+            inject_at(net, 0, b, Packet::ack(FlowId(2), b, a, 0));
+        });
+        assert_eq!(got, (vec![8_920, 10_150], 4, 5, 3 + 2 + 9 + 4));
+
+        // The other side of the tie: the reserved tag is itself a set-up
+        // tag (a manual link-up started P1), and the plan — installed
+        // afterwards — holds higher ones. The fault at 1230 is then
+        // ordered after the key: the wire is free and P2 starts inside the
+        // fault step, with no TxDone on a's NIC (3 behind it, as before).
+        let log: Deliveries = Default::default();
+        let (mut net, a, b, s1, ..) = diamond_with_sink(Box::new(Recorder(log.clone())));
+        net.set_link_up(a, s1, false);
+        inject_at(&mut net, 0, a, Packet::data(FlowId(1), a, b, 0, 1460));
+        net.run_until(ns(0));
+        assert_eq!(net.backlog(a, 0).1, 1, "P1 waits behind the downed link");
+        net.set_link_up(a, s1, true);
+        net.install_fault_plan(
+            FaultPlan::new()
+                .at(ns(500), LinkDown { a, b: s1 })
+                .at(ns(1_230), LinkUp { a, b: s1 }),
+        );
+        inject_at(&mut net, 600, a, Packet::data(FlowId(1), a, b, 1460, 1460));
+        net.run_until_idle();
+        let arrivals: Vec<u64> = log.lock().unwrap().iter().map(|d| d.0).collect();
+        assert_eq!(arrivals, [8_920, 10_150]);
+        assert_eq!(net.perf().tx_done_pushed, 3);
+        assert_eq!(net.steps(), 2 + 2 + 8 + 3);
+    }
+
+    #[test]
+    fn rate_degradation_mid_serialization_applies_from_the_next_packet() {
+        use crate::fault::{FaultAction::*, FaultPlan};
+        // 500   a-s1 drops to 1 Gbps while P1 is on the wire with its
+        //       TxDone only reserved: the key stays at 1230 (an in-flight
+        //       serialization keeps its old tx time).
+        // 600   P2 arrives before the key and waits: TxDone queued at 1230.
+        // 1230  P2 starts at 1 Gbps: 12304 ns on the wire, done at 13534,
+        //       at s1 at 14534, then three 10 Gbps hops on idle ports.
+        // P2 reaches b at 14534 + 3 x 2230 = 21224.
+        let got = diamond_timeline(|net, a, s1| {
+            net.install_fault_plan(FaultPlan::new().at(
+                ns(500),
+                SetLinkRate {
+                    a,
+                    b: s1,
+                    rate: Rate::from_gbps(1),
+                },
+            ))
+        });
+        assert_eq!(got, (vec![8_920, 21_224], 1, 7, 2 + 1 + 8 + 1));
+    }
+
+    #[test]
+    fn livelock_trip_with_reserved_keys_is_well_formed_and_replays() {
+        let trip = || {
+            let (mut net, a, b, _s) = two_hosts();
+            let mut sup = Supervision::armed();
+            sup.livelock_budget = Some(100);
+            net.set_supervision(sup);
+            // P1 is on a's NIC until 1230 with its TxDone only reserved
+            // when the zero-delay cycle starts spinning at 500.
+            inject(&mut net, a, Packet::data(FlowId(1), a, b, 0, 1460));
+            net.inject_livelock_at(ns(500));
+            net.try_run_until_idle()
+                .expect_err("the drill must trip the guard")
+        };
+        let err = trip();
+        match err {
+            SimError::Livelock {
+                time_ns,
+                events_at_instant,
+                budget,
+                pending,
+                oldest_key,
+            } => {
+                assert_eq!((time_ns, budget), (500, 100));
+                assert!(events_at_instant > budget);
+                // The drill and P1's Arrive at 2230; no TxDone at 1230.
+                assert_eq!(pending, 2);
+                assert_eq!(oldest_key.map(|k| k.0), Some(500));
+            }
+            ref other => panic!("expected Livelock, got {other:?}"),
+        }
+        assert_eq!(err, trip(), "the trip replays identically");
     }
 }

@@ -203,7 +203,32 @@ impl PortStats {
     }
 }
 
+/// When a port's wire is free again — its whole transmit state.
+///
+/// Every transmission reserves the `(time, tag)` key at which its
+/// serialization ends, but the `TxDone` event for that key is only worth
+/// queueing when a packet is waiting behind the one on the wire: on an
+/// un-backlogged port it would pop, find nothing to send and do nothing.
+/// So a transmitting port is in one of two states (see
+/// `Network::kick`), and an idle port is simply one whose key has passed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WireFree {
+    /// A `TxDone` event is queued at the end of the serialization: the
+    /// port is busy until it pops, and its handler starts the next packet.
+    OnTxDone,
+    /// No event is queued. The wire is busy for every step ordered before
+    /// this reserved key and free from it on; the first step at or past
+    /// it that kicks the port transmits at once, exactly as if a no-op
+    /// `TxDone` had popped at the key. A port that never transmitted
+    /// holds the zero key.
+    At(SimTime, u64),
+}
+
 /// The egress side of a link attachment.
+///
+/// Transmission is driven by `Network::kick`; between kicks the port is
+/// idle, serializing with its `TxDone` queued, or serializing with the
+/// `TxDone` key only reserved (the crate-private `WireFree`).
 pub struct EgressPort {
     /// Peer node on the other end of the wire.
     pub peer: NodeId,
@@ -223,8 +248,8 @@ pub struct EgressPort {
     /// appears in route computation; queued packets wait for the link to
     /// come back (or tail-drop new arrivals meanwhile).
     pub(crate) link_up: bool,
-    /// Is a packet currently being serialized?
-    pub(crate) busy: bool,
+    /// When the wire is free for the next packet.
+    pub(crate) wire_free: WireFree,
     pub(crate) stats: PortStats,
     /// Cumulative transmitted *payload* bytes per service class (goodput
     /// accounting for the scheduling experiments).
@@ -278,7 +303,7 @@ impl EgressPort {
             corrupt_p: cfg.corrupt_p,
             ge: cfg.ge,
             link_up: true,
-            busy: false,
+            wire_free: WireFree::At(SimTime::ZERO, 0),
             stats: PortStats::default(),
             tx_payload_per_class: vec![0; classes],
             accounted_in_bytes: 0,

@@ -250,9 +250,17 @@ impl<S: ShardSubscriber> Network<S> {
                 Event::FlowStart(cmd) => owner[cmd.src.0],
                 Event::Sample { id } => owner[self.monitors[*id].node.0],
             };
-            shards[s as usize].events.schedule_tagged(at, tag, ev);
+            let shard = &mut shards[s as usize];
+            shard.flows_to_record += usize::from(matches!(ev, Event::FlowStart(_)));
+            shard.events.schedule_tagged(at, tag, ev);
             split_pushes += 1;
         }
+        // Each engine records the flows its own hosts start: one
+        // reservation for its share, as a serial run makes for the total.
+        for shard in &mut shards {
+            shard.reserve_records();
+        }
+        self.flows_to_record = 0;
         // Arm each shard's guards after its nodes and backlog are in
         // place (ceilings attach to the queue and the owned arenas).
         if !sup.is_disarmed() {
@@ -264,9 +272,11 @@ impl<S: ShardSubscriber> Network<S> {
         // so fault-triggered pushes get the same tags as a serial run.
         let mut setup_k = self.setup_k;
         let mut fault_steps = 0u64;
-        // Serial runs advance the clock through every fault application,
-        // even past the last packet event; mirror that for `now()` parity.
-        let mut last_fault_at = SimTime::ZERO;
+        // Key of the last step applied anywhere — an event on some shard or
+        // a fault here. Serial runs advance the clock through every fault
+        // application, even past the last packet event; mirror that for
+        // `now()` parity, and leave `cur_tag` where a serial run leaves it.
+        let mut last_key = (self.now(), self.cur_tag);
 
         // ── epochs: parallel windows bounded by fault times ───────────
         loop {
@@ -281,28 +291,30 @@ impl<S: ShardSubscriber> Network<S> {
             drain_serial(&mut shards, (at, ftag));
             // Apply every fault at this instant, in tag order, exactly as
             // the serial engine interleaves them.
-            while let Some(&(fat, _, action)) = self.fault_queue.get(self.next_fault) {
+            while let Some(&(fat, ftag, action)) = self.fault_queue.get(self.next_fault) {
                 if fat != at {
                     break;
                 }
                 self.next_fault += 1;
                 fault_steps += 1;
-                last_fault_at = fat;
-                apply_fault_sharded(&mut shards, &owner, fat, action, &mut setup_k);
+                last_key = (fat, ftag);
+                apply_fault_sharded(&mut shards, &owner, (fat, ftag), action, &mut setup_k);
             }
         }
 
         // ── merge ─────────────────────────────────────────────────────
         self.nodes = (0..n_nodes).map(|_| Node::switch()).collect();
-        let mut max_now = self.now();
-        let mut keyed_records = Vec::new();
+        let mut keyed_records = Vec::with_capacity(shards.iter().map(|s| s.records.len()).sum());
         for (s, mut shard) in shards.into_iter().enumerate() {
-            max_now = max_now.max(shard.now());
+            last_key = last_key.max((shard.now(), shard.cur_tag));
             add_queue_perf(&mut self.carry, &shard.events.perf());
             add_queue_perf(&mut self.carry, &shard.carry);
             self.steps += shard.steps;
             self.flows_failed += shard.flows_failed;
             self.no_route_drops += shard.no_route_drops;
+            self.tx_done_pushed += shard.tx_done_pushed;
+            self.tx_done_elided += shard.tx_done_elided;
+            self.flows_to_record += shard.flows_to_record;
             for i in 0..n_nodes {
                 if owner[i] == s as u32 {
                     self.nodes[i] = std::mem::replace(&mut shard.nodes[i], Node::switch());
@@ -336,7 +348,8 @@ impl<S: ShardSubscriber> Network<S> {
             .extend(keyed_records.into_iter().map(|(_, record)| record));
         self.steps += fault_steps;
         self.setup_k = setup_k;
-        self.events.advance_now(max_now.max(last_fault_at));
+        self.events.advance_now(last_key.0);
+        self.cur_tag = last_key.1;
         self.check_idle_flow_state();
         Ok(self.now())
     }
@@ -649,13 +662,15 @@ fn deliver_outbox<S: ShardSubscriber>(shards: &mut [Network<S>], from: usize) {
 fn apply_fault_sharded<S: ShardSubscriber>(
     shards: &mut [Network<S>],
     owner: &[u32],
-    at: SimTime,
+    key: (SimTime, u64),
     action: FaultAction,
     setup_k: &mut u64,
 ) {
     match action {
-        FaultAction::LinkDown { a, b } => set_link_sharded(shards, owner, at, a, b, false, setup_k),
-        FaultAction::LinkUp { a, b } => set_link_sharded(shards, owner, at, a, b, true, setup_k),
+        FaultAction::LinkDown { a, b } => {
+            set_link_sharded(shards, owner, key, a, b, false, setup_k)
+        }
+        FaultAction::LinkUp { a, b } => set_link_sharded(shards, owner, key, a, b, true, setup_k),
         FaultAction::SetLinkRate { a, b, rate } => {
             let (pa, pb) = cross_ports(shards, owner, a, b);
             shards[owner[a.0] as usize].nodes[a.0].ports[pa].rate = rate;
@@ -691,7 +706,7 @@ fn cross_ports<S: ShardSubscriber>(
 fn set_link_sharded<S: ShardSubscriber>(
     shards: &mut [Network<S>],
     owner: &[u32],
-    at: SimTime,
+    (at, tag): (SimTime, u64),
     a: NodeId,
     b: NodeId,
     up: bool,
@@ -733,10 +748,12 @@ fn set_link_sharded<S: ShardSubscriber>(
     if up {
         // Serial order: kick a's port, then b's, threading the global
         // setup counter through each owning shard so the kicked events'
-        // tags match a serial run tag-for-tag.
+        // tags match a serial run tag-for-tag. The fault is the step in
+        // progress on the kicked shard, as it is in a serial run.
         for (s, node, port) in [(sa, a, pa), (sb, b, pb)] {
             let sh = &mut shards[s];
             sh.setup_k = *setup_k;
+            sh.cur_tag = tag;
             sh.kick(at, node, port);
             *setup_k = sh.setup_k;
             deliver_outbox(shards, s);
