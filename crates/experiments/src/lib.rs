@@ -2,7 +2,7 @@
 //!
 //! The evaluation harness: everything needed to regenerate every table and
 //! figure of the paper, as library functions (used by the `fig*`/`table*`
-//! binaries, the Criterion benches, and the integration tests).
+//! binaries, the `benchmark/` package, and the integration tests).
 //!
 //! See `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured outcomes.

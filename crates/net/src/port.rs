@@ -672,8 +672,8 @@ impl EgressPort {
     }
 
     /// Bench-support wrapper around the crate-private [`Self::enqueue`]
-    /// (the `telemetry_noop` and `cache_pressure` bench groups drive the
-    /// port hot path in isolation). Not part of the public API surface.
+    /// (the `telemetry_noop` and `cache_pressure` gates of `ecnsharp-bench`
+    /// drive the port hot path in isolation). Not part of the public API surface.
     #[doc(hidden)]
     pub fn bench_enqueue<S: Subscriber>(
         &mut self,

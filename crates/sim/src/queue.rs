@@ -33,9 +33,9 @@
 //! # Buffers follow occupancy
 //!
 //! A lane owns a buffer only while it holds events. The buffer of a
-//! bucket that has just been drained (and the scratch of the two-run
-//! merge) goes onto a LIFO pool, and a lane that becomes occupied takes
-//! the most recently freed one. Two invariants follow:
+//! bucket that has just been drained goes onto a LIFO pool, and a lane
+//! that becomes occupied takes the most recently freed one. Two
+//! invariants follow:
 //!
 //! - an empty lane has a zero-capacity `Vec` (nothing is parked in a slot
 //!   the cursor will not revisit for a whole ring revolution);
@@ -132,44 +132,9 @@ pub struct QueuePerf {
     pub heap_spills: u64,
 }
 
-/// Sub-run bookkeeping for one lane: how many ascending `(time, seq)`
-/// insertion runs the slot holds and where the first one ends, so the
-/// refill sort can be skipped (one run) or replaced by a linear two-run
-/// merge. Same-tick bursts — incast fan-in scheduling hundreds of events
-/// at one instant — are the single-run common case.
-#[derive(Debug, Clone, Copy)]
-struct LaneMeta {
-    /// Ascending insertion runs currently in the slot.
-    runs: u32,
-    /// Length of the first run (the split point for the two-run merge).
-    first_run_len: u32,
-    /// `(time, seq)` of the most recently pushed entry.
-    last: (SimTime, u64),
-}
-
-impl Default for LaneMeta {
-    fn default() -> Self {
-        LaneMeta {
-            runs: 0,
-            first_run_len: 0,
-            last: (SimTime::ZERO, 0),
-        }
-    }
-}
-
 /// A buffer of `(time, key, event)` entries: one bucket's events, in a
 /// lane, the drain batch or the recycle pool.
 type Batch<E> = Vec<(SimTime, u64, E)>;
-
-/// One calendar slot: its pending entries plus the run bookkeeping,
-/// co-located so the per-schedule slot access touches a single cache
-/// region (the `Vec` header and the meta share a line). `entries` has
-/// zero capacity whenever the slot is empty (see "Buffers follow
-/// occupancy" in the module docs).
-struct Lane<E> {
-    entries: Batch<E>,
-    meta: LaneMeta,
-}
 
 /// The most recently recycled buffer, or a fresh unallocated one.
 #[inline]
@@ -185,22 +150,6 @@ fn recycle<E>(pool: &mut Vec<Batch<E>>, buf: Batch<E>) {
         pool.push(buf);
     }
 }
-
-impl<E> Default for Lane<E> {
-    fn default() -> Self {
-        Lane {
-            entries: Vec::new(),
-            meta: LaneMeta::default(),
-        }
-    }
-}
-
-// Cache-layout pin (companion to the Send/Sync proofs in `lib.rs`): a
-// lane header — `Vec` header plus run bookkeeping — must fit one 64-byte
-// cache line, or the co-location argument above stops holding and every
-// schedule touches two lines. Checked against a word-sized payload; the
-// header size is payload-independent.
-const _: () = assert!(std::mem::size_of::<Lane<u64>>() <= 64);
 
 /// A time-ordered event queue with FIFO tie-breaking.
 pub struct EventQueue<E> {
@@ -220,10 +169,11 @@ pub struct EventQueue<E> {
     /// entries have strictly greater buckets; the heap head's bucket is
     /// also strictly greater whenever `current` is non-empty.
     cursor: u64,
-    /// Near-future ring: slot `b & LANE_MASK` holds bucket `b`'s events
-    /// (unsorted, with per-slot run bookkeeping) for buckets within
-    /// `(cursor, cursor + LANE_COUNT)`.
-    lanes: Vec<Lane<E>>,
+    /// Near-future ring: slot `b & LANE_MASK` holds bucket `b`'s events,
+    /// unsorted, for buckets within `(cursor, cursor + LANE_COUNT)`. A
+    /// slot has zero capacity whenever it is empty (see "Buffers follow
+    /// occupancy" in the module docs).
+    lanes: Vec<Batch<E>>,
     /// One bit per lane slot: slot non-empty.
     occupied: [u64; WORDS],
     /// Total entries across all lanes (excluding `current` and the heap).
@@ -267,7 +217,7 @@ impl<E> EventQueue<E> {
             current: Vec::new(),
             inbox: BinaryHeap::new(),
             cursor: 0,
-            lanes: (0..LANE_COUNT).map(|_| Lane::default()).collect(),
+            lanes: (0..LANE_COUNT).map(|_| Batch::new()).collect(),
             occupied: [0; WORDS],
             lanes_len: 0,
             heap: BinaryHeap::new(),
@@ -396,33 +346,18 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Insert an entry into its lane, maintaining the occupancy bit and
-    /// the per-slot run bookkeeping. Caller guarantees
-    /// `cursor < b < cursor + LANE_COUNT` and owns `len`/perf attribution.
+    /// Insert an entry into its lane, maintaining the occupancy bit.
+    /// Caller guarantees `cursor < b < cursor + LANE_COUNT` and owns
+    /// `len`/perf attribution.
     #[inline]
     fn insert_lane(&mut self, b: u64, at: SimTime, seq: u64, event: E) {
         let slot = (b & LANE_MASK) as usize;
         let lane = &mut self.lanes[slot];
-        if lane.entries.is_empty() {
+        if lane.is_empty() {
             self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-            lane.entries = take_buf(&mut self.pool);
-            lane.meta = LaneMeta {
-                runs: 1,
-                first_run_len: 1,
-                last: (at, seq),
-            };
-        } else {
-            let m = &mut lane.meta;
-            if (at, seq) >= m.last {
-                if m.runs == 1 {
-                    m.first_run_len += 1;
-                }
-            } else {
-                m.runs += 1;
-            }
-            m.last = (at, seq);
+            *lane = take_buf(&mut self.pool);
         }
-        lane.entries.push((at, seq, event));
+        lane.push((at, seq, event));
         self.lanes_len += 1;
     }
 
@@ -646,26 +581,22 @@ impl<E> EventQueue<E> {
             return;
         };
         self.cursor = b;
-        let mut meta = LaneMeta::default();
         if lane_bucket == Some(b) {
             let slot = (b & LANE_MASK) as usize;
             // The lane's buffer becomes the batch; the drained batch's
             // goes to the pool rather than being parked in this slot.
-            let lane = std::mem::take(&mut self.lanes[slot].entries);
+            let lane = std::mem::take(&mut self.lanes[slot]);
             let drained = std::mem::replace(&mut self.current, lane);
             recycle(&mut self.pool, drained);
             self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
             self.lanes_len -= self.current.len();
-            meta = self.lanes[slot].meta;
         }
-        let mut merged = 0usize;
         while let Some(head) = self.heap.peek() {
             if bucket(head.time) != b {
                 break;
             }
             if let Some(Entry { time, seq, event }) = self.heap.pop() {
                 self.current.push((time, seq, event));
-                merged += 1;
             }
         }
         // Keep the wheel's base glued to the cursor (sound: `b` is the
@@ -674,57 +605,10 @@ impl<E> EventQueue<E> {
         if wheel_due {
             let fired = self.wheel.drain_bucket(b, &mut self.current);
             self.perf.timers_fired += fired as u64;
-            merged += fired;
         }
-        // Order descending, so the earliest (time, seq) pops from the
-        // back. Fast paths when the batch is pure lane content: a single
-        // ascending insertion run (the same-tick burst case) just
-        // reverses, two runs take a linear merge, anything else sorts.
-        if merged == 0 && meta.runs <= 1 {
-            self.current.reverse();
-        } else if merged == 0 && meta.runs == 2 {
-            self.merge_two_runs(meta.first_run_len as usize);
-        } else {
-            self.current
-                .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
-        }
-    }
-
-    /// Merge the two ascending sub-runs of `current` (split at `split`)
-    /// into one descending batch with a linear two-pointer pass instead
-    /// of a comparison sort. Sequence numbers are unique, so the merged
-    /// order is the exact `(time, seq)` total order either way.
-    fn merge_two_runs(&mut self, split: usize) {
-        if split == 0 || split >= self.current.len() {
-            // Defensive: meta out of sync would mean a logic bug, but a
-            // sort is always a correct answer.
-            self.current
-                .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
-            return;
-        }
-        let mut second = take_buf(&mut self.pool);
-        second.extend(self.current.drain(split..));
-        let mut merged = take_buf(&mut self.pool);
-        merged.reserve(self.current.len() + second.len());
-        loop {
-            let take_second = match (self.current.last(), second.last()) {
-                (Some(a), Some(s)) => (s.0, s.1) > (a.0, a.1),
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (None, None) => break,
-            };
-            let popped = if take_second {
-                second.pop()
-            } else {
-                self.current.pop()
-            };
-            if let Some(x) = popped {
-                merged.push(x);
-            }
-        }
-        let first = std::mem::replace(&mut self.current, merged);
-        recycle(&mut self.pool, second);
-        recycle(&mut self.pool, first);
+        // Descending, so the earliest (time, seq) pops from the back.
+        self.current
+            .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.
@@ -851,8 +735,7 @@ impl<E> EventQueue<E> {
         );
         if self.lanes_len > 0 {
             for lane in &mut self.lanes {
-                out.extend(std::mem::take(&mut lane.entries));
-                lane.meta = LaneMeta::default();
+                out.extend(std::mem::take(lane));
             }
         }
         out.extend(
@@ -918,7 +801,7 @@ impl<E> EventQueue<E> {
         self.heap.clear();
         if self.lanes_len > 0 {
             for lane in &mut self.lanes {
-                lane.entries = Batch::new();
+                *lane = Batch::new();
             }
         }
         self.occupied = [0; WORDS];
@@ -932,11 +815,7 @@ impl<E> EventQueue<E> {
     #[cfg(test)]
     fn retained_capacity(&self) -> usize {
         self.current.capacity()
-            + self
-                .lanes
-                .iter()
-                .map(|l| l.entries.capacity())
-                .sum::<usize>()
+            + self.lanes.iter().map(Vec::capacity).sum::<usize>()
             + self.pool.iter().map(Vec::capacity).sum::<usize>()
     }
 
@@ -1432,47 +1311,31 @@ mod tests {
         assert_eq!(q.pop().map(|(_, e)| e), Some("rto"));
     }
 
-    // ── two-level refill fast paths ───────────────────────────────────
+    // ── refill order ──────────────────────────────────────────────────
 
-    /// A same-tick burst (one ascending run) and a two-run interleave
-    /// must pop in exactly the order the sort would have produced.
+    /// Whatever order one lane bucket (1024..2047 ns) is filled in —
+    /// ascending, two interleaved ascending runs, a same-tick burst,
+    /// descending, scrambled — it pops in `(time, insertion)` order.
     #[test]
-    fn two_run_lane_merges_in_order() {
-        let mut q = EventQueue::new();
-        // All in lane bucket 1 (1024..2047 ns): run 1 ascending, then a
-        // second ascending run starting below the first's tail.
-        for &t in &[1100u64, 1200, 1300] {
-            q.schedule(SimTime::from_nanos(t), t);
+    fn lane_refill_orders_any_insertion_shape() {
+        let shapes: [(&str, Vec<u64>); 5] = [
+            ("ascending", vec![1100, 1200, 1300]),
+            ("two runs", vec![1100, 1200, 1300, 1150, 1250, 1350]),
+            ("same-tick burst", vec![2000; 300]),
+            ("descending", vec![1300, 1200, 1100]),
+            ("scrambled", vec![1300, 1100, 1200, 1050, 1250]),
+        ];
+        for (shape, times) in shapes {
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.schedule(SimTime::from_nanos(t), i);
+            }
+            let popped: Vec<(u64, usize)> =
+                std::iter::from_fn(|| q.pop().map(|(t, i)| (t.as_nanos(), i))).collect();
+            let mut want: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
+            want.sort_unstable();
+            assert_eq!(popped, want, "{shape}");
         }
-        for &t in &[1150u64, 1250, 1350] {
-            q.schedule(SimTime::from_nanos(t), t);
-        }
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(popped, vec![1100, 1150, 1200, 1250, 1300, 1350]);
-    }
-
-    #[test]
-    fn same_tick_burst_keeps_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(2_000); // lane bucket 1
-        for i in 0..300 {
-            q.schedule(t, i);
-        }
-        let popped: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(popped, (0..300).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn three_runs_fall_back_to_sort() {
-        let mut q = EventQueue::new();
-        let times = [1300u64, 1100, 1200, 1050, 1250];
-        for &t in &times {
-            q.schedule(SimTime::from_nanos(t), t);
-        }
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        let mut want = times.to_vec();
-        want.sort_unstable();
-        assert_eq!(popped, want);
     }
 
     proptest! {
@@ -1694,7 +1557,7 @@ mod tests {
             prop_assert!(q.perf().heap_spills > 0, "no event reached the heap tier");
             // `Vec` growth doubles, so a buffer holds at most twice the
             // largest bucket it ever carried; a handful of buffers beyond
-            // the occupied slots are in flight (batch, merge scratch).
+            // the occupied slots are in flight (the batch, the pool).
             let bound = (peak_slots + 4) * 2 * peak_bucket;
             let retained = q.retained_capacity();
             prop_assert!(

@@ -30,8 +30,8 @@
 //! Every subscriber is deterministic given the event sequence; none of
 //! them reads clocks, environment, or ambient randomness. Emission in the
 //! simulator is guarded by `Subscriber::ENABLED` so that the no-op
-//! subscriber compiles down to nothing (verified by the `telemetry_noop`
-//! bench group; see OBSERVABILITY.md).
+//! subscriber compiles down to nothing (held by the `telemetry_noop`
+//! gate of `cargo xtask bench`; see OBSERVABILITY.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,8 @@
 //!
 //! [`NoopSubscriber`] sets `ENABLED = false`, so with the default
 //! subscriber every emission site is `if false { .. }` — dead code the
-//! optimizer removes entirely (the `telemetry_noop` bench group pins this).
+//! optimizer removes entirely (the `telemetry_noop` gate of `cargo xtask
+//! bench` pins this).
 //!
 //! Subscribers compose as tuples: `(metrics, (histograms, timeline))` is a
 //! subscriber that fans every event out to all three, still statically

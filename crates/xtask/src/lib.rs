@@ -50,7 +50,7 @@ pub struct FileClass {
     pub sim_facing: bool,
     /// File is on the per-packet hot path (R4 applies).
     pub hot_path: bool,
-    /// Whole file is test/bench code (R3/R4 relaxed).
+    /// Whole file is test/example code (R3/R4 relaxed).
     pub test_file: bool,
     /// Sweep-harness code (`crates/experiments`): R7/R9/R10 apply even
     /// though results-shaping happens host-side.
@@ -116,7 +116,6 @@ pub fn classify(rel: &str) -> Option<FileClass> {
     let hot_path = HOT_PATH_PREFIXES.iter().any(|p| rel.starts_with(p));
     let test_file = rel.starts_with("tests/")
         || rel.contains("/tests/")
-        || rel.contains("/benches/")
         || rel.starts_with("examples/")
         || rel.contains("/examples/");
     Some(FileClass {

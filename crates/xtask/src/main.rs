@@ -17,12 +17,12 @@
 //!   injected barrier stall must each fail loudly with a structured
 //!   JSONL error line and partial CSVs) → rustdoc gate
 //!   (`cargo doc --no-deps` with `-Dwarnings`, then `cargo test --doc`).
-//! - `bench` — run the paired `ecnsharp-bench` microbenches (the
-//!   telemetry pair across a default and a `--no-default-features` build)
-//!   and fail if any pair misses its same-run ratio budget, a gated row is
-//!   absent, or a row is ungated (see PERFORMANCE.md). A timing gate on a
-//!   shared box, so opt-in and not part of `ci`; whole-simulation timing
-//!   is `benchmark/`'s job.
+//! - `bench` — build `ecnsharp-bench` in its default and its
+//!   `--no-default-features` build and run the former against the latter:
+//!   four same-run pairs, each gated on the median of its interleaved
+//!   per-pair ratios (see PERFORMANCE.md). A timing gate on a shared box,
+//!   so opt-in and not part of `ci`; whole-simulation timing is
+//!   `benchmark/`'s job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,8 +72,8 @@ fn print_help() {
          selftest    verify each lint rule fires on its seeded fixture\n  \
          ci          fmt-check -> clippy -> lint -> selftest -> build -> tests ->\n              \
          race harness -> sharded determinism -> chaos smoke -> chaos drills -> rustdoc gate\n  \
-         bench       run the paired microbenches; fail when a pair misses its\n              \
-         same-run ratio budget, is absent, or a row is ungated"
+         bench       run the four paired microbench gates; fail when a pair's\n              \
+         median same-run ratio misses its budget"
     );
 }
 
@@ -406,8 +406,8 @@ fn ci() -> ExitCode {
             Box::new(|| {
                 // Telemetry compiled out entirely: the emission sites must
                 // vanish cleanly, not just no-op (OBSERVABILITY.md).
-                // `--all-targets` because the compiled-out `engine` bench
-                // is the control of `xtask bench`'s telemetry pair.
+                // The compiled-out `ecnsharp-bench` is the control of
+                // `xtask bench`'s telemetry pair.
                 let mut c = cargo();
                 c.args([
                     "build",
