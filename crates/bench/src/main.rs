@@ -73,12 +73,11 @@ struct PairedGate {
 
 /// Every gate `cargo xtask bench` holds.
 const PAIRED_GATES: [PairedGate; 4] = [
-    // Armed-but-untripped watchdogs cost one branch and a counter per
-    // popped event plus the memory-breach poll per dispatch: 1-3 % of
-    // this transfer depending on how the build lays out the two loops
-    // (centres 1.009, 1.020, 1.028 measured; DESIGN.md "Run
-    // supervision"). The budget is the worst of them plus 2 % for
-    // run-to-run spread.
+    // Both sides run the one supervision loop; arming adds one branch
+    // and a counter per popped event plus the memory-breach poll per
+    // dispatch: about 1 % of this transfer (centre 1.010, Q1-Q3
+    // 1.007-1.013 over 26 runs; DESIGN.md "Run supervision"). The
+    // budget was set when two loops made it 1-3 % and is kept.
     PairedGate {
         name: "supervision_cost",
         what: "10 MB DCTCP transfer, guards armed / off",
@@ -326,7 +325,7 @@ fn transfer_rig() -> Dumbbell {
     d
 }
 
-/// The transfer through the entry point unsupervised callers use.
+/// The transfer with no budget set, through the infallible entry point.
 fn transfer_guards_off() -> u64 {
     let mut d = transfer_rig();
     time(|| {
@@ -336,10 +335,8 @@ fn transfer_guards_off() -> u64 {
 }
 
 /// The same transfer with every watchdog and memory ceiling armed and
-/// none tripping, through the entry point supervised callers use. Kept a
-/// separate function on purpose: `Network<S>` is monomorphised here, and
-/// with both sides behind one call site the same guards read 1.028
-/// instead of 1.009-1.020 (PERFORMANCE.md "Microbenches").
+/// none tripping, through the fallible entry point. Both sides run the
+/// same loop, so the pair reads only what the armed guards add to it.
 fn transfer_guards_armed() -> u64 {
     let mut d = transfer_rig();
     d.net.set_supervision(Supervision::armed());

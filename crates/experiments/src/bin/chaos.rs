@@ -4,7 +4,8 @@
 //! CoDel. Emits three CSVs (FCT, marking/drop ledger, abort ledger).
 //!
 //! First consumer of the run-supervision stack ([`runner::supervised_map`]):
-//! every point runs with watchdogs and memory guards armed (byte-identical
+//! every point runs with watchdogs and memory guards armed at their
+//! default budgets, which are constants, not knobs (byte-identical
 //! when untriggered — the supervision suite pins this), completed points
 //! are journaled as they finish, `ECNSHARP_RESUME=1` skips journaled
 //! points on restart, and points failing with a retryable error are
@@ -12,14 +13,13 @@
 //! JSONL on stderr, the rest of the sweep still completes, partial CSVs
 //! are written, and the process exits nonzero.
 //!
-//! Knobs (all strict — a typo is an error, never a silent default):
+//! Knobs (all strict — a typo is an error, never a silent default; the
+//! sweep's share of the 14 `ECNSHARP_*` names inventoried in `env.rs`):
 //! - `ECNSHARP_SCALE=quick|mid|full` — grid size and flow count;
 //! - `ECNSHARP_FAULT_SEED=<u64|0xhex>` — base seed for every point;
 //! - `ECNSHARP_SHARDS=<n>` — shard count per point (clamped to 2 here);
 //! - `ECNSHARP_RESUME=1` — skip points already in the journal;
 //! - `ECNSHARP_RETRIES=<n>` — same-seed retry budget (default 1);
-//! - `ECNSHARP_LIVELOCK_BUDGET` / `ECNSHARP_STALL_BUDGET` /
-//!   `ECNSHARP_MEM_BUDGET` — guard budget overrides;
 //! - `ECNSHARP_INJECT_PANIC=worker` — crash the first sweep point;
 //! - `ECNSHARP_INJECT_STALL=window` — freeze the first point's shard
 //!   windows so the barrier-stall detector must trip (needs shards ≥ 2);
@@ -54,16 +54,6 @@ fn main() -> ExitCode {
     let inject_stall = env::or_exit(env::inject_stall());
     let inject_livelock = env::or_exit(env::inject_livelock());
     let shards = env::or_exit(env::shards());
-    let mut sup = Supervision::armed();
-    if let Some(b) = env::or_exit(env::budget_knob("ECNSHARP_LIVELOCK_BUDGET")) {
-        sup.livelock_budget = Some(b);
-    }
-    if let Some(b) = env::or_exit(env::budget_knob("ECNSHARP_STALL_BUDGET")) {
-        sup.stall_rounds = Some(b);
-    }
-    if let Some(b) = env::or_exit(env::budget_knob("ECNSHARP_MEM_BUDGET")) {
-        sup.event_ceiling = Some(b);
-    }
     let cfg = runner::SweepConfig {
         journal: Some(runner::results_dir().join("chaos.journal.jsonl")),
         resume: env::or_exit(env::resume()),
@@ -120,8 +110,10 @@ fn main() -> ExitCode {
             if inject_panic && *idx == 0 {
                 panic!("injected worker panic (ECNSHARP_INJECT_PANIC=worker)");
             }
-            let mut point_sup = sup;
-            point_sup.inject_stall = inject_stall && *idx == 0;
+            let point_sup = Supervision {
+                inject_stall: inject_stall && *idx == 0,
+                ..Supervision::armed()
+            };
             ecnsharp_experiments::try_run_chaos_leaf_spine_sharded(
                 scheme.clone(),
                 *loss,

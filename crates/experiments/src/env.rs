@@ -4,7 +4,10 @@
 //! policy — a set-but-invalid value is a hard error (the binaries print
 //! it and exit 2), never a silent fallback.
 //!
-//! Knob inventory:
+//! Knob inventory — 12 here; with `ECNSHARP_BLESS_GOLDEN` (read by the
+//! golden-figure test) and the lint fixture's `ECNSHARP_FIXTURE`, 14
+//! `ECNSHARP_*` names in the tree. Supervision budgets are constants
+//! (`Supervision::armed`), not knobs.
 //!
 //! | knob | values | default |
 //! |------|--------|---------|
@@ -19,9 +22,6 @@
 //! | `ECNSHARP_INJECT_STALL` | `window` | unset = no injection |
 //! | `ECNSHARP_INJECT_LIVELOCK` | `engine` | unset = no injection |
 //! | `ECNSHARP_RESUME` | `1`/`0` | `0` (fresh sweep) |
-//! | `ECNSHARP_LIVELOCK_BUDGET` | u64 ≥ 1 | supervision default |
-//! | `ECNSHARP_STALL_BUDGET` | u64 ≥ 1 | supervision default |
-//! | `ECNSHARP_MEM_BUDGET` | u64 ≥ 1 | supervision default |
 //! | `ECNSHARP_RETRIES` | u32 | `1` |
 
 use crate::runner::{parse_fault_seed, DEFAULT_FAULT_SEED};
@@ -174,22 +174,6 @@ pub fn resume() -> Result<bool, String> {
             "unrecognized ECNSHARP_RESUME value {v:?} (expected \"1\", \"0\", or unset)"
         )),
         None => Ok(false),
-    }
-}
-
-/// A supervision-budget knob (`ECNSHARP_LIVELOCK_BUDGET` /
-/// `ECNSHARP_STALL_BUDGET` / `ECNSHARP_MEM_BUDGET`): overrides the
-/// corresponding default in [`ecnsharp_net::Supervision::armed`]. Unset
-/// means the default; set values must parse as a u64 ≥ 1.
-pub fn budget_knob(knob: &'static str) -> Result<Option<u64>, String> {
-    match read(knob)? {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!(
-                "unrecognized {knob} value {v:?} (expected an integer >= 1)"
-            )),
-        },
-        None => Ok(None),
     }
 }
 

@@ -24,10 +24,9 @@ pub use runner::{
     SweepConfig, SweepOutcome, SweepReport, DEFAULT_FAULT_SEED,
 };
 pub use scenario::{
-    run_chaos_leaf_spine, run_chaos_leaf_spine_sharded, run_dwrr, run_fat_tree,
-    run_fat_tree_sharded, run_incast_micro, run_incast_micro_with,
-    run_incast_micro_with_subscriber, run_leaf_spine, run_leaf_spine_sharded,
-    run_leaf_spine_with_subscriber, run_testbed_star, run_testbed_star_with_subscriber,
+    run_chaos_leaf_spine, run_chaos_leaf_spine_sharded, run_dwrr, run_fat_tree_sharded,
+    run_incast_micro_with, run_incast_micro_with_subscriber, run_leaf_spine,
+    run_leaf_spine_sharded, run_testbed_star, run_testbed_star_with_subscriber,
     try_run_chaos_leaf_spine_sharded, ChaosResult, DwrrResult, FctScenario, IncastResult,
     IncastTimeline,
 };

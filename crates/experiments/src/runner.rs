@@ -12,7 +12,7 @@
 use ecnsharp_net::SimError;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Experiment scale, switchable via `ECNSHARP_SCALE=quick|mid|full`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,24 +155,6 @@ where
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n);
-    if threads == 1 {
-        // Single-core host: skip the worker threads and mutex traffic and
-        // run the jobs inline, in order.
-        let mut results = Vec::with_capacity(n);
-        let mut panics = Vec::new();
-        for (idx, item) in items.iter().enumerate() {
-            // catch_unwind wraps only the user closure — no lock is ever
-            // held across a panic, so no mutex poisoning anywhere.
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(r) => results.push(Some(r)),
-                Err(e) => {
-                    panics.push((idx, panic_message(e)));
-                    results.push(None);
-                }
-            }
-        }
-        return SweepOutcome { results, panics };
-    }
     let work: Mutex<std::vec::IntoIter<(usize, T)>> = Mutex::new(
         items
             .into_iter()
@@ -187,8 +169,8 @@ where
             s.spawn(|| loop {
                 let next = work.lock().unwrap().next();
                 let Some((idx, item)) = next else { break };
-                // As above: the catch wraps only the closure call, never a
-                // lock guard, so a panic cannot poison the queues.
+                // The catch wraps only the closure call, never a lock
+                // guard, so a panic cannot poison the queues.
                 match catch_unwind(AssertUnwindSafe(|| f(&item))) {
                     Ok(r) => results.lock().unwrap()[idx] = Some(r),
                     Err(e) => panics.lock().unwrap().push((idx, panic_message(e))),
@@ -361,10 +343,7 @@ where
             let res = match catch_unwind(AssertUnwindSafe(|| f(item))) {
                 Ok(Ok(v)) => {
                     if let Some(j) = journal_file {
-                        let mut file = match j.lock() {
-                            Ok(g) => g,
-                            Err(p) => p.into_inner(),
-                        };
+                        let mut file = j.lock().unwrap_or_else(PoisonError::into_inner);
                         let _ = writeln!(
                             file,
                             "{{\"point\":\"{id}\",\"seed\":{seed},\"status\":\"ok\"}}"

@@ -2,12 +2,10 @@
 
 use crate::scheme::{Scheme, SchemeParams};
 use ecnsharp_aqm::DropTail;
-use ecnsharp_net::topology::{
-    fat_tree, leaf_spine, leaf_spine_with_subscriber, star, star_with_subscriber, LeafSpine, Star,
-};
+use ecnsharp_net::topology::{fat_tree, leaf_spine, star, star_with_subscriber, LeafSpine, Star};
 use ecnsharp_net::{
     FaultPlan, FlowId, GilbertElliott, Network, NodeId, NoopSubscriber, PortConfig, ShardPlan,
-    ShardSubscriber, SimError, Subscriber, Supervision,
+    SimError, Subscriber, Supervision,
 };
 use ecnsharp_sched::Dwrr;
 use ecnsharp_sim::{Duration, Rate, Rng, SimTime};
@@ -71,33 +69,17 @@ fn nic_port() -> PortConfig {
 }
 
 /// Run `net` to completion, serial (`plan` = `None`) or on the
-/// conservative-PDES engine ([`Network::run_sharded_until_idle`]).
+/// conservative-PDES engine ([`Network::try_run_sharded_until_idle`]),
+/// under its [`Supervision`]: a tripped guard or a panicking shard
+/// returns the structured [`SimError`].
 ///
 /// The shard-equivalence suite pins that both paths produce
 /// byte-identical figures, so callers treat the choice purely as a
 /// wall-clock knob.
-fn run_to_idle<S: ShardSubscriber>(net: &mut Network<S>, plan: Option<&ShardPlan>) {
+fn run_to_idle(net: &mut Network, plan: Option<&ShardPlan>) -> Result<SimTime, SimError> {
     match plan {
-        Some(p) => {
-            net.run_sharded_until_idle(p);
-        }
-        None => {
-            net.run_until_idle();
-        }
-    }
-}
-
-/// [`run_to_idle`] through the fallible supervision entry points: a
-/// tripped watchdog or memory guard returns the structured
-/// [`SimError`] instead of panicking. With supervision disarmed the
-/// two are behaviourally identical.
-fn try_run_to_idle<S: ShardSubscriber>(
-    net: &mut Network<S>,
-    plan: Option<&ShardPlan>,
-) -> Result<(), SimError> {
-    match plan {
-        Some(p) => net.try_run_sharded_until_idle(p).map(|_| ()),
-        None => net.try_run_until_idle().map(|_| ()),
+        Some(p) => net.try_run_sharded_until_idle(p),
+        None => net.try_run_until_idle(),
     }
 }
 
@@ -209,46 +191,12 @@ pub fn run_leaf_spine_sharded(
     hosts_per_leaf: usize,
     shards: u32,
 ) -> FctBreakdown {
-    let (fct, _) = run_leaf_spine_inner(
-        sc,
-        n_spines,
-        n_leaves,
-        hosts_per_leaf,
-        shards,
-        NoopSubscriber,
-    );
-    fct
-}
-
-/// [`run_leaf_spine`] with a telemetry subscriber attached for the whole
-/// run; returns it alongside the FCT breakdown. Sharded runs fork the
-/// subscriber per shard and merge deterministically, so the bound is
-/// [`ShardSubscriber`] — order-sensitive sinks are rejected at compile
-/// time rather than silently reordered.
-pub fn run_leaf_spine_with_subscriber<S: ShardSubscriber>(
-    sc: &FctScenario,
-    n_spines: usize,
-    n_leaves: usize,
-    hosts_per_leaf: usize,
-    sub: S,
-) -> (FctBreakdown, S) {
-    run_leaf_spine_inner(sc, n_spines, n_leaves, hosts_per_leaf, env_shards(), sub)
-}
-
-fn run_leaf_spine_inner<S: ShardSubscriber>(
-    sc: &FctScenario,
-    n_spines: usize,
-    n_leaves: usize,
-    hosts_per_leaf: usize,
-    shards: u32,
-    sub: S,
-) -> (FctBreakdown, S) {
     let params = sc.params();
     // host→leaf→spine→leaf→host: 8 propagation legs per RTT.
     let link_delay = Duration::from_nanos(sc.rtt.min().as_nanos() / 8);
     let scheme = sc.scheme.clone();
     let buffer = sc.buffer;
-    let mut topo = leaf_spine_with_subscriber(
+    let mut topo = leaf_spine(
         sc.seed,
         n_spines,
         n_leaves,
@@ -259,7 +207,6 @@ fn run_leaf_spine_inner<S: ShardSubscriber>(
         |_| TcpStack::boxed(endpoint_tcp()),
         nic_port,
         || params.port(&scheme, buffer, 0xEC1),
-        sub,
     );
     let spec = TrafficSpec {
         cdf: sc.cdf.clone(),
@@ -292,22 +239,15 @@ fn run_leaf_spine_inner<S: ShardSubscriber>(
     }
     let n = effective_shards(shards, n_leaves);
     let plan = (n >= 2).then(|| topo.shard_plan(n));
-    run_to_idle(&mut topo.net, plan.as_ref());
+    run_to_idle(&mut topo.net, plan.as_ref()).expect("run_leaf_spine_sharded");
     crate::perf::absorb(&topo.net);
-    let fct = FctBreakdown::from_records(topo.net.records());
-    (fct, topo.net.into_subscriber())
+    FctBreakdown::from_records(topo.net.records())
 }
 
 /// Run an all-to-all workload on a k-ary fat-tree
 /// ([`ecnsharp_net::topology::fat_tree`]) — the datacenter-scale shape the
-/// sharded engine exists for (k=16 is 1024 hosts). Honors
-/// `ECNSHARP_SHARDS` with a per-pod cut (ceiling `k`).
-pub fn run_fat_tree(sc: &FctScenario, k: usize) -> FctBreakdown {
-    run_fat_tree_sharded(sc, k, env_shards())
-}
-
-/// [`run_fat_tree`] with an explicit shard count instead of the
-/// `ECNSHARP_SHARDS` knob (1 = serial).
+/// sharded engine exists for (k=16 is 1024 hosts) — partitioned per pod
+/// into `shards` shards (ceiling `k`; 1 = serial).
 pub fn run_fat_tree_sharded(sc: &FctScenario, k: usize, shards: u32) -> FctBreakdown {
     let params = sc.params();
     // host→edge→agg→core→agg→edge→host: 12 propagation legs per RTT.
@@ -354,7 +294,7 @@ pub fn run_fat_tree_sharded(sc: &FctScenario, k: usize, shards: u32) -> FctBreak
     }
     let n = effective_shards(shards, k);
     let plan = (n >= 2).then(|| topo.shard_plan(n));
-    run_to_idle(&mut topo.net, plan.as_ref());
+    run_to_idle(&mut topo.net, plan.as_ref()).expect("run_fat_tree_sharded");
     crate::perf::absorb(&topo.net);
     FctBreakdown::from_records(topo.net.records())
 }
@@ -412,7 +352,7 @@ pub fn run_chaos_leaf_spine_sharded(
     seed: u64,
     shards: u32,
 ) -> ChaosResult {
-    match try_run_chaos_leaf_spine_sharded(
+    try_run_chaos_leaf_spine_sharded(
         scheme,
         mean_loss,
         flap_period,
@@ -421,12 +361,8 @@ pub fn run_chaos_leaf_spine_sharded(
         shards,
         Supervision::default(),
         false,
-    ) {
-        Ok(r) => r,
-        // Supervision is disarmed here, so the only possible error is a
-        // worker panic — rethrow it like the infallible engine APIs do.
-        Err(e) => panic!("run_chaos_leaf_spine_sharded: {e}"),
-    }
+    )
+    .expect("run_chaos_leaf_spine_sharded")
 }
 
 /// [`run_chaos_leaf_spine_sharded`] under run supervision: `sup` arms the
@@ -515,7 +451,7 @@ pub fn try_run_chaos_leaf_spine_sharded(
     }
     let n = effective_shards(shards, topo.leaves.len());
     let plan = (n >= 2).then(|| topo.shard_plan(n));
-    try_run_to_idle(&mut topo.net, plan.as_ref())?;
+    run_to_idle(&mut topo.net, plan.as_ref())?;
     let perf = topo.net.perf();
     let fct = FctBreakdown::from_records(topo.net.records());
     crate::perf::absorb(&topo.net);
@@ -571,12 +507,6 @@ impl IncastTimeline {
             IncastTimeline::Compressed => (200, 250, 500, 1_000),
         }
     }
-}
-
-/// The §5.4 microscope with the paper's timeline (see
-/// [`run_incast_micro_with`]).
-pub fn run_incast_micro(scheme: Scheme, fanout: usize, seed: u64) -> IncastResult {
-    run_incast_micro_with(scheme, fanout, seed, IncastTimeline::Paper)
 }
 
 /// The §5.4 microscope: 16 senders → 1 receiver, 2 long-lived small-RTT
@@ -842,86 +772,6 @@ mod tests {
         let serial = run_leaf_spine_sharded(&sc, 2, 2, 4, 1);
         let sharded = run_leaf_spine_sharded(&sc, 2, 2, 4, 2);
         assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
-    }
-
-    fn tmp_run_ft_records(shards: u32) -> (u64, Vec<String>) {
-        let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
-        let params = sc.params();
-        let link_delay = Duration::from_nanos(sc.rtt.min().as_nanos() / 12);
-        let scheme = sc.scheme.clone();
-        let buffer = sc.buffer;
-        let mut topo = fat_tree(
-            sc.seed,
-            4,
-            sc.rate,
-            sc.rate,
-            link_delay,
-            |_| TcpStack::boxed(endpoint_tcp()),
-            nic_port,
-            || params.port(&scheme, buffer, 0xFA7),
-        );
-        let spec = TrafficSpec {
-            cdf: sc.cdf.clone(),
-            load: sc.load,
-            bottleneck: sc.rate,
-            pattern: Pattern::AllToAll {
-                hosts: topo.hosts.clone(),
-            },
-            rtt: sc.rtt,
-            class: 0,
-            start: SimTime::ZERO,
-        };
-        let n_hosts = topo.hosts.len();
-        let mut rng = Rng::seed_from_u64(sc.seed ^ 0xFA77);
-        let mean_gap = spec.mean_interarrival() / n_hosts as u64;
-        let mut t = SimTime::ZERO;
-        for idx in 0..sc.n_flows {
-            t += rng.exp_duration(mean_gap);
-            let mut cmds = spec.generate(1, 1 + idx as u64, &mut rng);
-            let (_, mut cmd) = cmds.pop().expect("one");
-            cmd.flow = FlowId(1 + idx as u64);
-            topo.net.schedule_flow(t, cmd);
-        }
-        let plan = (shards >= 2).then(|| topo.shard_plan(shards));
-        run_to_idle(&mut topo.net, plan.as_ref());
-        let mut out: Vec<String> = topo
-            .net
-            .records()
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        for node in 0..topo.net.node_count() {
-            let n = NodeId(node);
-            for port in 0..topo.net.port_count(n) {
-                out.push(format!(
-                    "port {node}.{port} {:?}",
-                    topo.net.port_stats(n, port)
-                ));
-            }
-        }
-        (topo.net.steps(), out)
-    }
-
-    #[test]
-    fn tmp_bisect_ls4() {
-        let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
-        let a = format!("{:?}", run_leaf_spine_sharded(&sc, 4, 4, 4, 1));
-        let b = format!("{:?}", run_leaf_spine_sharded(&sc, 4, 4, 4, 4));
-        assert_eq!(a, b, "ls 4x4x4 4 shards");
-    }
-
-    #[test]
-    fn tmp_bisect() {
-        let (steps_s, recs_s) = tmp_run_ft_records(1);
-        let (steps_2, recs_2) = tmp_run_ft_records(2);
-        eprintln!("steps serial={steps_s} sharded={steps_2}");
-        for (a, b) in recs_s.iter().zip(recs_2.iter()) {
-            if a != b {
-                eprintln!("DIVERGENT:\n  serial:  {a}\n  sharded: {b}");
-            }
-        }
-        assert_eq!(recs_s.len(), recs_2.len());
-        assert!(recs_s == recs_2);
     }
 
     #[test]

@@ -9,11 +9,16 @@
 //! Everything else goes through the explicit `run_*_sharded` variants so
 //! no other test in this binary depends on mutated process environment.
 
+use ecnsharp_aqm::DropTail;
 use ecnsharp_experiments::{
     figures, run_chaos_leaf_spine_sharded, run_fat_tree_sharded, run_leaf_spine_sharded,
     FctScenario, Scale, Scheme, SchemeParams,
 };
-use ecnsharp_workload::{dists, RttVariation};
+use ecnsharp_net::topology::fat_tree;
+use ecnsharp_net::{NodeId, PortConfig};
+use ecnsharp_sim::{Duration, Rng, SimTime};
+use ecnsharp_transport::{TcpConfig, TcpStack};
+use ecnsharp_workload::{dists, Pattern, RttVariation, TrafficSpec};
 
 /// Leaf-spine FCT sweep point, serial vs explicit shard counts. `{:?}`
 /// on `FctBreakdown` prints shortest-round-trip floats, so string
@@ -35,6 +40,13 @@ fn leaf_spine_fct_is_shard_invariant() {
         format!("{:?}", run_leaf_spine_sharded(&sc, 2, 2, 4, 4)),
         "4 shards (clamped)"
     );
+    // 4 spines × 4 leaves × 4 hosts: four shards that are not clamped.
+    let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
+    assert_eq!(
+        format!("{:?}", run_leaf_spine_sharded(&sc, 4, 4, 4, 1)),
+        format!("{:?}", run_leaf_spine_sharded(&sc, 4, 4, 4, 4)),
+        "4x4x4, 4 shards"
+    );
 }
 
 /// Fat-tree (k=4, 16 hosts, cross-pod traffic over the core) FCT, serial
@@ -54,6 +66,66 @@ fn fat_tree_fct_is_shard_invariant() {
         format!("{:?}", run_fat_tree_sharded(&sc, 4, 4)),
         "4 shards"
     );
+}
+
+/// The same TCP fat-tree (k=4) compared record by record and port by
+/// port, with the step count: an FCT aggregate could hide two flows
+/// trading completion times, or a port trading drops for marks.
+#[test]
+fn fat_tree_records_and_ports_are_shard_invariant() {
+    let run = |shards: u32| {
+        let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
+        let params = SchemeParams::derive(&sc.rtt, sc.rate);
+        let ft = fat_tree(
+            sc.seed,
+            4,
+            sc.rate,
+            sc.rate,
+            Duration::from_nanos(sc.rtt.min().as_nanos() / 12),
+            |_| TcpStack::boxed(TcpConfig::dctcp()),
+            || PortConfig::fifo(4_000_000, Box::new(DropTail::new())),
+            || params.port(&sc.scheme, sc.buffer, 0xFA7),
+        );
+        let plan = (shards >= 2).then(|| ft.shard_plan(shards));
+        let mut net = ft.net;
+        let spec = TrafficSpec {
+            cdf: sc.cdf.clone(),
+            load: sc.load,
+            bottleneck: sc.rate,
+            pattern: Pattern::AllToAll {
+                hosts: ft.hosts.clone(),
+            },
+            rtt: sc.rtt,
+            class: 0,
+            start: SimTime::ZERO,
+        };
+        let mut rng = Rng::seed_from_u64(sc.seed);
+        for (at, cmd) in spec.generate(sc.n_flows, 1, &mut rng) {
+            net.schedule_flow(at, cmd);
+        }
+        match &plan {
+            Some(p) => net.run_sharded_until_idle(p),
+            None => net.run_until_idle(),
+        };
+        assert_eq!(net.records().len(), sc.n_flows);
+        let mut out = vec![format!("steps {}", net.steps())];
+        out.extend(net.records().iter().map(|r| format!("{r:?}")));
+        for node in 0..net.node_count() {
+            let n = NodeId(node);
+            for port in 0..net.port_count(n) {
+                out.push(format!("port {node}.{port} {:?}", net.port_stats(n, port)));
+            }
+        }
+        out
+    };
+    let serial = run(1);
+    for shards in [2, 4] {
+        let sharded = run(shards);
+        assert_eq!(serial.len(), sharded.len(), "{shards} shards");
+        for (a, b) in serial.iter().zip(&sharded) {
+            assert_eq!(a, b, "{shards} shards");
+        }
+    }
 }
 
 /// Chaos-sweep outputs — fault application (flaps, GE burst loss, route

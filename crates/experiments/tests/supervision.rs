@@ -9,10 +9,13 @@
 //! admission guard. DESIGN.md "Run supervision" carries the contract;
 //! these tests pin it.
 
+use ecnsharp_aqm::DropTail;
 use ecnsharp_experiments::runner::{supervised_map, PointStatus, SweepConfig};
 use ecnsharp_experiments::{try_run_chaos_leaf_spine_sharded, Scheme};
-use ecnsharp_net::{MemComponent, SimError, Supervision};
-use ecnsharp_sim::Duration;
+use ecnsharp_net::topology::leaf_spine;
+use ecnsharp_net::{FlowCmd, FlowId, MemComponent, PortConfig, SimError, Supervision};
+use ecnsharp_sim::{Duration, Rate, SimTime};
+use ecnsharp_transport::{TcpConfig, TcpStack};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// One chaos point under supervision `sup`, rendered to its bit-exact
@@ -149,6 +152,74 @@ fn mem_budget_trips_sharded_too() {
     );
 }
 
+/// Four 500 kB flows from leaf 0's hosts into host 4 on leaf 1 (its own
+/// shard on a 2-way cut), through 30 kB tail-drop switch buffers, with
+/// every receiver's reassembly budget at one out-of-order range. Returns
+/// the run's outcome, the clock it stopped at and the flows left open.
+fn ooo_incast(shards: u32) -> (Result<SimTime, SimError>, SimTime, usize) {
+    let tcp = TcpConfig {
+        ooo_budget: Some(1),
+        ..TcpConfig::dctcp()
+    };
+    let ls = leaf_spine(
+        9,
+        2,
+        2,
+        4,
+        Rate::from_gbps(10),
+        Rate::from_gbps(10),
+        Duration::from_micros(1),
+        |_| TcpStack::boxed(tcp),
+        || PortConfig::fifo(4_000_000, Box::new(DropTail::new())),
+        || PortConfig::fifo(30_000, Box::new(DropTail::new())),
+    );
+    let plan = (shards >= 2).then(|| ls.shard_plan(shards));
+    let mut net = ls.net;
+    for (i, &src) in ls.hosts[..4].iter().enumerate() {
+        net.schedule_flow(
+            SimTime::ZERO,
+            FlowCmd {
+                flow: FlowId(1 + i as u64),
+                src,
+                dst: ls.hosts[4],
+                size: 500_000,
+                class: 0,
+                extra_delay: Duration::ZERO,
+            },
+        );
+    }
+    let res = match &plan {
+        Some(p) => net.try_run_sharded_until_idle(p),
+        None => net.try_run_until_idle(),
+    };
+    (res, net.now(), net.unfinished_flows())
+}
+
+/// A transport budget needs no `Supervision`: under the default, a
+/// breach of `TcpConfig::ooo_budget` stops the run at the breaching
+/// event with a typed report, serial and on 2 shards alike.
+#[test]
+fn ooo_budget_breach_stops_the_run_at_the_breaching_event() {
+    let (serial, stopped_at, open) = ooo_incast(1);
+    let err = serial.expect_err("tail drops must overflow a 1-range reassembly budget");
+    let SimError::MemBudgetExceeded { breach, time_ns } = &err else {
+        panic!("expected MemBudgetExceeded, got {err:?}");
+    };
+    assert_eq!(breach.component, MemComponent::TransportOoo);
+    assert_eq!((breach.live, breach.ceiling), (2, 1));
+    assert_eq!(breach.node, Some(4), "host 4 is the only receiver");
+    // Stopped at the event that breached, not at the end of the run.
+    assert_eq!(stopped_at.as_nanos(), *time_ns);
+    assert!(open > 0, "flows were still in flight");
+
+    let (sharded, ..) = ooo_incast(2);
+    assert_eq!(
+        sharded,
+        Err(err),
+        "the shard owning host 4 stops at the same event"
+    );
+}
+
 /// Resume skips exactly the journaled points and recomputes the rest.
 #[test]
 fn resume_skips_journaled_points() {
@@ -184,9 +255,12 @@ fn resume_skips_journaled_points() {
     );
 
     // The completed points were appended, so a third run skips everything.
+    // Any error would count as a failure: a journaled point must not run.
     let rerun = supervised_map(vec![10u32, 20, 30], &cfg, id_of, seed_of, |_| {
-        Err::<u32, _>(SimError::InvariantViolation {
-            msg: "must not re-run a journaled point".into(),
+        Err::<u32, _>(SimError::BarrierStall {
+            rounds: 0,
+            budget: 0,
+            shards: Vec::new(),
         })
     });
     assert_eq!((rerun.completed, rerun.failed, rerun.skipped), (0, 0, 3));
@@ -228,8 +302,12 @@ fn retry_policy_reruns_retryable_failures_once() {
         |x| format!("pt-{x}"),
         |x| u64::from(*x),
         |_| {
-            Err::<u32, _>(SimError::InvariantViolation {
-                msg: "deterministic".into(),
+            Err::<u32, _>(SimError::Livelock {
+                time_ns: 0,
+                events_at_instant: 2,
+                budget: 1,
+                pending: 0,
+                oldest_key: None,
             })
         },
     );

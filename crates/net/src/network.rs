@@ -249,16 +249,17 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     rec_sub: u32,
     /// Queue perf counters inherited from merged shard queues.
     pub(crate) carry: ecnsharp_sim::queue::QueuePerf,
-    // ── run supervision (disarmed by default: zero cost) ──────────────
+    // ── run supervision ───────────────────────────────────────────────
     /// Watchdog/budget configuration (see [`Supervision`]). Applied to
     /// the queue and node arenas by [`Network::set_supervision`].
     pub(crate) supervision: Supervision,
     /// `supervision` has at least one memory ceiling armed — gates the
-    /// per-event breach poll so disarmed runs skip it entirely.
+    /// per-event breach poll so runs without a ceiling skip it.
     pub(crate) mem_armed: bool,
-    /// First guard trip of the run, latched until read by the fallible
-    /// entry points. Agent callbacks ([`Ctx::report_mem_breach`]) and the
-    /// per-event breach poll both land here.
+    /// First guard trip of the run, latched until the run loop reads it
+    /// after the event that set it. Agent callbacks
+    /// ([`Ctx::report_mem_breach`]) and the per-event breach poll both
+    /// land here.
     pub(crate) tripped: Option<SimError>,
 }
 
@@ -861,48 +862,45 @@ impl<S: Subscriber> Network<S> {
     /// Process events until nothing is left (all flows done, all timers
     /// fired, all faults applied).
     ///
-    /// Infallible wrapper over [`Network::try_run_until_idle`]: with
-    /// supervision disarmed (the default) it cannot fail; a tripped
-    /// guard under armed supervision is treated as fatal.
+    /// [`Network::try_run_until_idle`], unwrapped: a tripped guard —
+    /// including a budget armed through the transport, not
+    /// [`Supervision`] — panics with its [`SimError`].
     pub fn run_until_idle(&mut self) -> SimTime {
-        match self.try_run_until_idle() {
-            Ok(t) => t,
-            // A tripped guard through the infallible entry point is fatal
-            // by contract; fallible callers use try_run_until_idle.
-            Err(e) => panic!("run_until_idle: {e}"),
-        }
+        self.try_run_until_idle().expect("run_until_idle")
     }
 
     /// Process events until nothing is left, under this network's
     /// [`Supervision`] (see [`Network::set_supervision`]).
     ///
-    /// With supervision disarmed this is the exact unsupervised loop.
-    /// Armed, every processed event feeds the livelock [`ProgressGuard`]
-    /// and polls the latched memory-budget flags; the first trip stops
-    /// the run with its [`SimError`]. Armed-but-untriggered runs are
-    /// byte-identical to unsupervised ones — the guards only observe.
+    /// After every event the loop surfaces a latched trip (a memory
+    /// ceiling, or a transport budget reported through
+    /// [`Ctx::report_mem_breach`]) and, when `livelock_budget` is set,
+    /// feeds the [`ProgressGuard`]; the first trip stops the run at that
+    /// event with its [`SimError`]. The guards only observe, so a run
+    /// that trips nothing is byte-identical under any `Supervision`.
     pub fn try_run_until_idle(&mut self) -> Result<SimTime, SimError> {
         self.reserve_records();
-        if self.supervision.is_disarmed() {
-            while self.step() {}
-            // A transport-level budget (armed through `TcpConfig`, not
-            // `Supervision`) can still latch a breach; surface it at
-            // end-of-run rather than pay a per-event check here.
-            return self.idle_result();
-        }
         let mut guard = self.supervision.livelock_budget.map(ProgressGuard::new);
         while self.step() {
-            if let Some(e) = self.tripped.take() {
-                return Err(e);
-            }
-            if let Some(g) = guard.as_mut() {
-                if g.on_event(self.events.now().as_nanos()) {
-                    let g = *g;
-                    return Err(self.livelock_error(&g));
-                }
-            }
+            self.check_trips(&mut guard)?;
         }
         self.idle_result()
+    }
+
+    /// The per-event half of supervision: surface the first latched trip,
+    /// then count the event against the livelock guard, if armed.
+    #[inline]
+    fn check_trips(&mut self, guard: &mut Option<ProgressGuard>) -> Result<(), SimError> {
+        if let Some(e) = self.tripped.take() {
+            return Err(e);
+        }
+        if let Some(g) = guard.as_mut() {
+            if g.on_event(self.events.now().as_nanos()) {
+                let g = *g;
+                return Err(self.livelock_error(&g));
+            }
+        }
+        Ok(())
     }
 
     /// The queue and the fault list are exhausted: surface a latched
@@ -931,23 +929,14 @@ impl<S: Subscriber> Network<S> {
     }
 
     /// Process queued events with `time < hi` — the body of one
-    /// conservative parallel window. Faults are untouched: sharded runs
-    /// apply them cross-shard at epoch boundaries, outside the windows.
-    pub(crate) fn run_events_before(&mut self, hi: SimTime) {
-        while let Some((t, _)) = self.events.peek_key() {
-            if t >= hi {
-                break;
-            }
-            self.step_queued();
-        }
-    }
-
-    /// Supervised window body: [`Network::run_events_before`] with the
-    /// livelock guard and memory-budget polling threaded in. The guard
-    /// lives with the caller (one per shard worker) so a zero-delay cycle
-    /// inside a window — which would otherwise spin without ever reaching
-    /// the barrier — trips exactly like its serial counterpart.
-    pub(crate) fn try_run_events_before(
+    /// conservative parallel window — with the same per-event trip checks
+    /// as [`Network::try_run_until_idle`]. The guard lives with the caller
+    /// (one per shard worker) so a zero-delay cycle inside a window, which
+    /// would otherwise spin without ever reaching the barrier, trips
+    /// exactly like its serial counterpart. Faults are untouched: sharded
+    /// runs apply them cross-shard at epoch boundaries, outside the
+    /// windows.
+    pub(crate) fn run_window(
         &mut self,
         hi: SimTime,
         guard: &mut Option<ProgressGuard>,
@@ -957,15 +946,7 @@ impl<S: Subscriber> Network<S> {
                 break;
             }
             self.step_queued();
-            if let Some(e) = self.tripped.take() {
-                return Err(e);
-            }
-            if let Some(g) = guard.as_mut() {
-                if g.on_event(self.events.now().as_nanos()) {
-                    let g = *g;
-                    return Err(self.livelock_error(&g));
-                }
-            }
+            self.check_trips(guard)?;
         }
         Ok(())
     }

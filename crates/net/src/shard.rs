@@ -41,11 +41,13 @@
 use crate::ids::NodeId;
 use crate::network::{route_tables, Event, Network, OutMsg};
 use crate::node::Node;
-use ecnsharp_sim::supervise::{ProgressGuard, ShardDiag, SimError, Supervision};
+use ecnsharp_sim::supervise::{
+    ProgressGuard, ShardDiag, SimError, Supervision, DEFAULT_STALL_ROUNDS,
+};
 use ecnsharp_sim::SimTime;
 use ecnsharp_telemetry::ShardSubscriber;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
 use crate::fault::FaultAction;
 
@@ -131,8 +133,10 @@ impl<S: ShardSubscriber> Network<S> {
     /// # Panics
     ///
     /// If the network already ran (`steps() > 0`), if `plan` does not
-    /// cover exactly this network's nodes, or if a cross-shard link has
-    /// zero propagation delay (no conservative lookahead).
+    /// cover exactly this network's nodes, if a cross-shard link has
+    /// zero propagation delay (no conservative lookahead), or with the
+    /// [`SimError`] of a run that fails — a tripped guard or a panicking
+    /// worker ([`Network::try_run_sharded_until_idle`], unwrapped).
     ///
     /// ```
     /// use ecnsharp_net::{topology, FlowCmd, FlowId, Network, NullAgent, PortConfig, ShardPlan};
@@ -174,20 +178,16 @@ impl<S: ShardSubscriber> Network<S> {
     /// assert_eq!(net.unfinished_flows(), 0);
     /// ```
     pub fn run_sharded_until_idle(&mut self, plan: &ShardPlan) -> SimTime {
-        match self.try_run_sharded_until_idle(plan) {
-            Ok(t) => t,
-            // A tripped guard through the infallible entry point is fatal
-            // by contract; fallible callers use try_run_sharded_until_idle.
-            Err(e) => panic!("run_sharded_until_idle: {e}"),
-        }
+        self.try_run_sharded_until_idle(plan)
+            .expect("run_sharded_until_idle")
     }
 
     /// Fallible sharded run under this network's [`Supervision`]: like
     /// [`Network::run_sharded_until_idle`], but a tripped guard —
     /// livelock inside a window, a stalled barrier exchange, a memory
-    /// ceiling, or a panicking worker — returns its [`SimError`] instead
-    /// of hanging or unwinding. With supervision disarmed the run cannot
-    /// fail and is the exact unsupervised execution.
+    /// ceiling, a transport budget — or a panicking worker returns its
+    /// [`SimError`] instead of hanging or unwinding. A worker panic is
+    /// caught under every `Supervision`, including the default.
     ///
     /// On `Err` the network is **poisoned**: nodes have been moved into
     /// shard engines that were abandoned mid-window, so the value must be
@@ -263,10 +263,8 @@ impl<S: ShardSubscriber> Network<S> {
         self.flows_to_record = 0;
         // Arm each shard's guards after its nodes and backlog are in
         // place (ceilings attach to the queue and the owned arenas).
-        if !sup.is_disarmed() {
-            for shard in &mut shards {
-                shard.set_supervision(sup);
-            }
+        for shard in &mut shards {
+            shard.set_supervision(sup);
         }
         // The global setup-tag counter continues across fault boundaries
         // so fault-triggered pushes get the same tags as a serial run.
@@ -288,7 +286,7 @@ impl<S: ShardSubscriber> Network<S> {
             // Stragglers strictly before the fault's global key (usually
             // none: the windows stop at `end` and fault tags sort below
             // every same-time runtime tag).
-            drain_serial(&mut shards, (at, ftag));
+            drain_serial(&mut shards, (at, ftag))?;
             // Apply every fault at this instant, in tag order, exactly as
             // the serial engine interleaves them.
             while let Some(&(fat, ftag, action)) = self.fault_queue.get(self.next_fault) {
@@ -382,11 +380,11 @@ fn lookahead_nanos<S: ShardSubscriber>(shards: &[Network<S>], owner: &[u32]) -> 
 /// One epoch's parallel phase: barrier-synchronized conservative windows
 /// until every shard's next event is at or past `end` (ns).
 ///
-/// With `sup` disarmed this is the exact unsupervised protocol (and
-/// cannot fail). Armed, each worker carries a livelock [`ProgressGuard`]
-/// into its window bodies, runs them under `catch_unwind` so a panicking
-/// shard becomes [`SimError::WorkerPanic`] instead of deadlocking the
-/// others at the barrier, and every worker runs the **barrier-stall
+/// Each worker carries its livelock [`ProgressGuard`] (when armed) into
+/// its window bodies and runs every window under `catch_unwind`, so a
+/// trip or a panicking shard becomes a [`SimError`] instead of stranding
+/// the others at the barrier. With a stall budget (`stall_rounds`, or the
+/// drill's default) every worker also runs the **barrier-stall
 /// detector**: the conservative protocol guarantees the global minimum
 /// next-event time `m` strictly increases every healthy round (all local
 /// events below the window bound are consumed inside the window; every
@@ -395,7 +393,8 @@ fn lookahead_nanos<S: ShardSubscriber>(shards: &[Network<S>], owner: &[u32]) -> 
 /// compute the same `m` sequence between the same barriers, so they trip
 /// the detector — and observe a peer's failure flag — at the *same*
 /// aligned point, which is what lets every thread leave the barrier
-/// protocol together instead of hanging.
+/// protocol together instead of hanging. When several shards fail in one
+/// window, the lowest shard's error is reported, so the error replays too.
 fn run_windows<S: ShardSubscriber>(
     shards: &mut [Network<S>],
     la: Option<u64>,
@@ -406,73 +405,19 @@ fn run_windows<S: ShardSubscriber>(
     let mailboxes: Vec<Mutex<Vec<OutMsg>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
     let slots: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
     let barrier = Barrier::new(n);
-    if sup.is_disarmed() {
-        std::thread::scope(|scope| {
-            for (i, shard) in shards.iter_mut().enumerate() {
-                let (mailboxes, slots, barrier) = (&mailboxes, &slots, &barrier);
-                scope.spawn(move || {
-                    let next = |sh: &mut Network<S>| {
-                        sh.events.peek_time().map_or(u64::MAX, |t| t.as_nanos())
-                    };
-                    slots[i].store(next(shard), Ordering::Release);
-                    barrier.wait();
-                    loop {
-                        // Every thread computes the same minimum from the same
-                        // slot values (stable between the publishing barrier
-                        // and the next flush barrier), so all make the same
-                        // break/window decision — no coordinator needed.
-                        let m = slots
-                            .iter()
-                            .map(|s| s.load(Ordering::Acquire))
-                            .min()
-                            .unwrap();
-                        if m >= end {
-                            break;
-                        }
-                        let hi = match la {
-                            Some(l) => end.min(m.saturating_add(l)),
-                            None => end,
-                        };
-                        shard.run_events_before(SimTime::from_nanos(hi));
-                        for msg in shard.outbox.drain(..) {
-                            mailboxes[msg.shard as usize].lock().unwrap().push(msg);
-                        }
-                        barrier.wait(); // outboxes flushed
-                        for msg in mailboxes[i].lock().unwrap().drain(..) {
-                            shard.events.schedule_tagged(
-                                msg.at,
-                                msg.tag,
-                                Event::Arrive {
-                                    node: msg.node,
-                                    pkt: msg.pkt,
-                                },
-                            );
-                        }
-                        slots[i].store(next(shard), Ordering::Release);
-                        barrier.wait(); // next-event times published
-                    }
-                });
-            }
-        });
-        return Ok(());
-    }
-
-    // ── supervised protocol ───────────────────────────────────────────
     // The drill freezes window processing so `m` never advances; without
     // a stall budget that would spin forever, so the drill force-arms the
     // detector at its default budget.
-    let stall_budget = match (sup.stall_rounds, sup.inject_stall) {
-        (Some(b), _) => Some(b),
-        (None, true) => Some(ecnsharp_sim::supervise::DEFAULT_STALL_ROUNDS),
-        (None, false) => None,
-    };
+    let stall_budget = sup
+        .stall_rounds
+        .or(sup.inject_stall.then_some(DEFAULT_STALL_ROUNDS));
     let failed = AtomicBool::new(false);
-    let first_err: Mutex<Option<SimError>> = Mutex::new(None);
+    let errors: Mutex<Vec<(usize, SimError)>> = Mutex::new(Vec::new());
     let stall_diags: Mutex<Vec<ShardDiag>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for (i, shard) in shards.iter_mut().enumerate() {
             let (mailboxes, slots, barrier) = (&mailboxes, &slots, &barrier);
-            let (failed, first_err, stall_diags) = (&failed, &first_err, &stall_diags);
+            let (failed, errors, stall_diags) = (&failed, &errors, &stall_diags);
             scope.spawn(move || {
                 let next =
                     |sh: &mut Network<S>| sh.events.peek_time().map_or(u64::MAX, |t| t.as_nanos());
@@ -484,6 +429,10 @@ fn run_windows<S: ShardSubscriber>(
                 slots[i].store(next(shard), Ordering::Release);
                 barrier.wait();
                 loop {
+                    // Every thread computes the same minimum from the same
+                    // slot values (stable between the publishing barrier
+                    // and the next flush barrier), so all make the same
+                    // break/window/stall decision — no coordinator needed.
                     let m = slots
                         .iter()
                         .map(|s| s.load(Ordering::Acquire))
@@ -498,58 +447,36 @@ fn run_windows<S: ShardSubscriber>(
                         last_m = m;
                         frozen = 0;
                     }
-                    if let Some(b) = stall_budget {
-                        if frozen > b {
-                            // Deterministic trip: every worker sees the
-                            // same frozen count this round, so all record
-                            // their diagnostic and break together.
-                            let mut diags = match stall_diags.lock() {
-                                Ok(g) => g,
-                                Err(p) => p.into_inner(),
-                            };
-                            diags.push(ShardDiag {
-                                shard: i as u32,
-                                clock_ns: next(shard),
-                                pending: shard.events.len() as u64,
-                                oldest_key: shard.events.peek_key().map(|(t, k)| (t.as_nanos(), k)),
-                            });
-                            break;
-                        }
+                    if stall_budget.is_some_and(|b| frozen > b) {
+                        lock(stall_diags).push(ShardDiag {
+                            shard: i as u32,
+                            clock_ns: next(shard),
+                            pending: shard.events.len() as u64,
+                            oldest_key: shard.events.peek_key().map(|(t, k)| (t.as_nanos(), k)),
+                        });
+                        break;
                     }
                     let hi = match la {
                         Some(l) => end.min(m.saturating_add(l)),
                         None => end,
                     };
-                    // The drill skips processing entirely (freezing `m`);
-                    // otherwise run the supervised window body, converting
-                    // a panic into a structured error instead of letting
-                    // it strand the other workers at the barrier.
-                    let res = if sup.inject_stall {
-                        Ok(())
-                    } else {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            shard.try_run_events_before(SimTime::from_nanos(hi), &mut guard)
+                    // The drill skips processing entirely (freezing `m`).
+                    if !sup.inject_stall {
+                        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            shard.run_window(SimTime::from_nanos(hi), &mut guard)
                         }))
                         .unwrap_or_else(|p| {
                             Err(SimError::WorkerPanic {
                                 msg: panic_payload_message(p.as_ref()),
                             })
-                        })
-                    };
-                    if let Err(e) = res {
-                        let mut slot = match first_err.lock() {
-                            Ok(g) => g,
-                            Err(p) => p.into_inner(),
-                        };
-                        slot.get_or_insert(e);
-                        failed.store(true, Ordering::Release);
+                        });
+                        if let Err(e) = res {
+                            lock(errors).push((i, e));
+                            failed.store(true, Ordering::Release);
+                        }
                     }
                     for msg in shard.outbox.drain(..) {
-                        let mut mb = match mailboxes[msg.shard as usize].lock() {
-                            Ok(g) => g,
-                            Err(p) => p.into_inner(),
-                        };
-                        mb.push(msg);
+                        lock(&mailboxes[msg.shard as usize]).push(msg);
                     }
                     barrier.wait(); // outboxes flushed, failure flags published
                     if failed.load(Ordering::Acquire) {
@@ -558,14 +485,7 @@ fn run_windows<S: ShardSubscriber>(
                         // nobody waits on a barrier that can't fill.
                         break;
                     }
-                    let drained: Vec<OutMsg> = {
-                        let mut mb = match mailboxes[i].lock() {
-                            Ok(g) => g,
-                            Err(p) => p.into_inner(),
-                        };
-                        std::mem::take(&mut *mb)
-                    };
-                    for msg in drained {
+                    for msg in lock(&mailboxes[i]).drain(..) {
                         shard.events.schedule_tagged(
                             msg.at,
                             msg.tag,
@@ -581,27 +501,30 @@ fn run_windows<S: ShardSubscriber>(
             });
         }
     });
-    let err = match first_err.into_inner() {
-        Ok(e) => e,
-        Err(p) => p.into_inner(),
-    };
-    if let Some(e) = err {
+    let errors = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, e)) = errors.into_iter().min_by_key(|&(i, _)| i) {
         return Err(e);
     }
-    let mut diags = match stall_diags.into_inner() {
-        Ok(d) => d,
-        Err(p) => p.into_inner(),
-    };
-    if !diags.is_empty() {
-        diags.sort_unstable_by_key(|d| d.shard);
-        let budget = stall_budget.unwrap_or(0);
-        return Err(SimError::BarrierStall {
-            rounds: budget + 1,
-            budget,
-            shards: diags,
-        });
+    let mut diags = stall_diags
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    match stall_budget {
+        Some(budget) if !diags.is_empty() => {
+            diags.sort_unstable_by_key(|d| d.shard);
+            Err(SimError::BarrierStall {
+                rounds: budget + 1,
+                budget,
+                shards: diags,
+            })
+        }
+        _ => Ok(()),
     }
-    Ok(())
+}
+
+/// Lock a protocol mutex. Poison is ignored: every window runs under
+/// `catch_unwind`, so no worker unwinds while holding one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Stringify a caught panic payload (the common `&str`/`String` cases).
@@ -617,8 +540,11 @@ fn panic_payload_message(p: &(dyn std::any::Any + Send)) -> String {
 
 /// Serially process every queued event with key strictly below `bound`,
 /// across all shards in global `(time, tag)` order, delivering cross-shard
-/// sends immediately.
-fn drain_serial<S: ShardSubscriber>(shards: &mut [Network<S>], bound: (SimTime, u64)) {
+/// sends immediately. Stops at the first event that latches a trip.
+fn drain_serial<S: ShardSubscriber>(
+    shards: &mut [Network<S>],
+    bound: (SimTime, u64),
+) -> Result<(), SimError> {
     loop {
         let mut best: Option<(usize, (SimTime, u64))> = None;
         for (i, sh) in shards.iter_mut().enumerate() {
@@ -631,9 +557,12 @@ fn drain_serial<S: ShardSubscriber>(shards: &mut [Network<S>], bound: (SimTime, 
         match best {
             Some((i, k)) if k < bound => {
                 shards[i].step();
+                if let Some(e) = shards[i].tripped.take() {
+                    return Err(e);
+                }
                 deliver_outbox(shards, i);
             }
-            _ => break,
+            _ => return Ok(()),
         }
     }
 }
@@ -1018,6 +947,96 @@ mod tests {
     fn single_shard_plan_falls_back_to_serial() {
         let serial = run(None, true);
         assert_eq!(serial, run(Some(&plan_for(1)), true));
+    }
+
+    /// Panics on the first packet it receives.
+    struct Tripwire;
+
+    impl Agent for Tripwire {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, pkt: Packet) {
+            panic!("tripwire hit by flow {}", pkt.flow.0);
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+        fn on_flow_cmd(&mut self, _: &mut Ctx<'_>, _: FlowCmd) {}
+    }
+
+    /// The 2×2×4 leaf-spine with a [`Tripwire`] on host 5 (shard 1 of
+    /// [`plan_for`]`(2)`), hit by a flow from host 0 while host 1 keeps
+    /// shard 0 busy. Default supervision: no budget is set.
+    fn tripwire_net() -> Network {
+        let ls = topology::leaf_spine(
+            42,
+            2,
+            2,
+            4,
+            Rate::from_gbps(10),
+            Rate::from_gbps(10),
+            Duration::from_micros(1),
+            |h| -> Box<dyn Agent> {
+                if h == 5 {
+                    Box::new(Tripwire)
+                } else {
+                    Box::new(Blaster {
+                        want: Default::default(),
+                    })
+                }
+            },
+            cfg,
+            cfg,
+        );
+        let mut net = ls.net;
+        for (flow, src, dst) in [(1, 1, 2), (99, 0, 5)] {
+            net.schedule_flow(
+                SimTime::ZERO,
+                FlowCmd {
+                    flow: crate::ids::FlowId(flow),
+                    src: ls.hosts[src],
+                    dst: ls.hosts[dst],
+                    size: 1460 * 40,
+                    class: 0,
+                    extra_delay: Duration::ZERO,
+                },
+            );
+        }
+        net
+    }
+
+    /// `f` on its own thread, waited for at most 30 s: an engine that
+    /// deadlocks fails the test instead of hanging the suite.
+    fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|e| panic!("the sharded run did not return within 30 s: {e}"))
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging() {
+        let res = within_deadline(|| {
+            tripwire_net()
+                .try_run_sharded_until_idle(&plan_for(2))
+                .map(drop)
+        });
+        match res {
+            Err(SimError::WorkerPanic { msg }) => {
+                assert_eq!(msg, "tripwire hit by flow 99");
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+        let msg = within_deadline(|| {
+            let mut net = tripwire_net();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.run_sharded_until_idle(&plan_for(2))
+            }))
+            .map_err(|p| panic_payload_message(p.as_ref()))
+        })
+        .expect_err("the infallible entry point must panic");
+        assert!(
+            msg.contains("WorkerPanic") && msg.contains("tripwire hit by flow 99"),
+            "{msg}"
+        );
     }
 
     #[test]

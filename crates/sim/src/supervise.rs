@@ -10,14 +10,15 @@
 //!
 //! - [`Supervision`] — the knob block threaded into the engine. All
 //!   budgets are **event-count or sim-time based** (never wall clock, so
-//!   determinism lint R1 holds) and all default to *disarmed*, in which
-//!   case the supervised entry points compile down to the exact
-//!   unsupervised loops. Armed-but-untriggered runs are byte-identical
-//!   to unsupervised ones — a property pinned by test — and cost 1-3 %
-//!   more wall time (median armed / off ratio on a 10 MB DCTCP transfer
-//!   centred on 1.009, 1.020 or 1.028 over 26 runs each, depending only
-//!   on how the build laid out the two loops; `ecnsharp-bench`'s
-//!   `supervision_cost` gate holds it under 1.05).
+//!   determinism lint R1 holds) and all default to unset. There is one
+//!   run loop whatever the budgets: an unset budget is a guard that is
+//!   never consulted. Armed-but-untriggered runs are byte-identical to
+//!   runs with no budget set — a property pinned by test — and cost
+//!   about 1 % more wall time: what arming adds to that one loop is
+//!   `ProgressGuard::on_event` and the memory-breach poll, and
+//!   `ecnsharp-bench`'s `supervision_cost` gate (budget 1.05) read a
+//!   median armed / unset ratio on a 10 MB DCTCP transfer of 1.010
+//!   over 26 runs (Q1–Q3 1.007–1.013, range 1.002–1.018).
 //! - [`ProgressGuard`] — the livelock watchdog: counts events popped
 //!   without sim-time advancing and trips past a configured budget.
 //! - [`MemBreach`] / [`MemComponent`] — a typed report of which bounded
@@ -132,11 +133,6 @@ pub enum SimError {
         /// when raised through the sweep supervisor.
         msg: String,
     },
-    /// A runtime invariant was violated in supervised mode.
-    InvariantViolation {
-        /// Description of the violated invariant.
-        msg: String,
-    },
 }
 
 impl SimError {
@@ -147,7 +143,6 @@ impl SimError {
             SimError::BarrierStall { .. } => "BarrierStall",
             SimError::MemBudgetExceeded { .. } => "MemBudgetExceeded",
             SimError::WorkerPanic { .. } => "WorkerPanic",
-            SimError::InvariantViolation { .. } => "InvariantViolation",
         }
     }
 
@@ -216,7 +211,6 @@ impl SimError {
                 push_u64(&mut s, "time_ns", *time_ns);
             }
             SimError::WorkerPanic { msg } => push_str(&mut s, "msg", msg),
-            SimError::InvariantViolation { msg } => push_str(&mut s, "msg", msg),
         }
         s.push('}');
         s
@@ -306,9 +300,6 @@ impl fmt::Display for SimError {
                 breach.ceiling
             ),
             SimError::WorkerPanic { msg } => write!(f, "worker panic: {msg}"),
-            SimError::InvariantViolation { msg } => {
-                write!(f, "invariant violation: {msg}")
-            }
         }
     }
 }
@@ -385,8 +376,10 @@ pub const DEFAULT_STALL_ROUNDS: u64 = 8;
 pub const DEFAULT_MEM_CEILING: u64 = 50_000_000;
 
 /// Supervision configuration threaded into the engine and the shard
-/// barrier. `Default` is fully disarmed (all guards off, zero cost);
-/// [`Supervision::armed`] arms every watchdog at its default budget.
+/// barrier. `Default` sets no budget; [`Supervision::armed`] arms every
+/// watchdog at its default budget. The run loops are the same either way:
+/// latched trips (including transport budgets) and worker panics always
+/// surface, and an unset budget is a guard that is never consulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Supervision {
     /// Livelock budget: max events at one sim-time instant
@@ -401,7 +394,9 @@ pub struct Supervision {
     /// (`None` = unbounded).
     pub ring_overflow_ceiling: Option<u64>,
     /// Drill: freeze every shard's window processing so the barrier-stall
-    /// detector trips. Only honoured when `stall_rounds` is armed.
+    /// detector trips. Sharded runs only. With `stall_rounds` unset the
+    /// drill arms the detector at [`DEFAULT_STALL_ROUNDS`] itself, since a
+    /// frozen window would otherwise spin forever.
     pub inject_stall: bool,
 }
 
@@ -415,16 +410,6 @@ impl Supervision {
             ring_overflow_ceiling: Some(DEFAULT_MEM_CEILING),
             inject_stall: false,
         }
-    }
-
-    /// `true` when no guard or drill is active — supervised entry points
-    /// take the exact unsupervised fast path in this state.
-    pub fn is_disarmed(&self) -> bool {
-        self.livelock_budget.is_none()
-            && self.stall_rounds.is_none()
-            && self.event_ceiling.is_none()
-            && self.ring_overflow_ceiling.is_none()
-            && !self.inject_stall
     }
 }
 
@@ -445,17 +430,6 @@ mod tests {
             assert!(!g.on_event(t));
         }
         assert!(g.on_event(200));
-    }
-
-    #[test]
-    fn default_supervision_is_disarmed_and_armed_is_not() {
-        assert!(Supervision::default().is_disarmed());
-        assert!(!Supervision::armed().is_disarmed());
-        let s = Supervision {
-            inject_stall: true,
-            ..Supervision::default()
-        };
-        assert!(!s.is_disarmed());
     }
 
     #[test]
@@ -521,7 +495,6 @@ mod tests {
             SimError::WorkerPanic {
                 msg: "line\nbreak \"quoted\"".into(),
             },
-            SimError::InvariantViolation { msg: "bad".into() },
         ];
         for e in &errs {
             let line = e.to_jsonl();

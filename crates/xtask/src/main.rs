@@ -13,8 +13,8 @@
 //!   → race harness (release) → sharded-determinism gate (the
 //!   serial-vs-sharded byte-equivalence suite under `strict-invariants`;
 //!   see CONCURRENCY.md) → quick-scale chaos smoke run under
-//!   `strict-invariants` → chaos fault drills (injected worker panic and
-//!   injected barrier stall must each fail loudly with a structured
+//!   `strict-invariants` → chaos fault drills (injected worker panic,
+//!   barrier stall and livelock must each fail loudly with a structured
 //!   JSONL error line and partial CSVs) → rustdoc gate
 //!   (`cargo doc --no-deps` with `-Dwarnings`, then `cargo test --doc`).
 //! - `bench` — build `ecnsharp-bench` in its default and its
@@ -476,9 +476,21 @@ fn ci() -> ExitCode {
                     &[
                         ("ECNSHARP_INJECT_STALL", "window"),
                         ("ECNSHARP_SHARDS", "2"),
-                        ("ECNSHARP_STALL_BUDGET", "4"),
                     ],
                     "\"type\":\"BarrierStall\"",
+                )
+            }),
+        ),
+        (
+            "chaos livelock drill",
+            Box::new(|| {
+                // Livelock drill: a zero-delay event cycle on the first
+                // point must trip the serial run loop's progress guard
+                // into a structured Livelock error instead of spinning.
+                chaos_drill(
+                    "chaos livelock drill (ECNSHARP_INJECT_LIVELOCK=engine)",
+                    &[("ECNSHARP_INJECT_LIVELOCK", "engine")],
+                    "\"type\":\"Livelock\"",
                 )
             }),
         ),
