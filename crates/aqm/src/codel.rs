@@ -118,10 +118,6 @@ impl CoDel {
 }
 
 impl Aqm for CoDel {
-    fn name(&self) -> &'static str {
-        "CoDel"
-    }
-
     fn on_enqueue(&mut self, _now: SimTime, _q: &QueueState, _pkt: &PacketView) -> EnqueueVerdict {
         EnqueueVerdict::Admit
     }

@@ -21,25 +21,18 @@ use ecnsharp_sim::{Duration, Rate, SimTime};
 pub struct DctcpRed {
     /// Marking threshold `K` in bytes.
     k_bytes: u64,
-    /// Display name (distinguishes the -Tail and -AVG configurations in
-    /// reports).
-    name: &'static str,
 }
 
 impl DctcpRed {
     /// Create with an explicit threshold in bytes.
     pub fn with_threshold(k_bytes: u64) -> Self {
-        DctcpRed {
-            k_bytes,
-            name: "DCTCP-RED",
-        }
+        DctcpRed { k_bytes }
     }
 
     /// "Current practice": derive `K` from a high-percentile RTT (Eq. 1).
     pub fn tail(lambda: f64, capacity: Rate, rtt_high_pct: Duration) -> Self {
         DctcpRed {
             k_bytes: params::queue_threshold(lambda, capacity, rtt_high_pct),
-            name: "DCTCP-RED-Tail",
         }
     }
 
@@ -47,14 +40,7 @@ impl DctcpRed {
     pub fn avg(lambda: f64, capacity: Rate, rtt_avg: Duration) -> Self {
         DctcpRed {
             k_bytes: params::queue_threshold(lambda, capacity, rtt_avg),
-            name: "DCTCP-RED-AVG",
         }
-    }
-
-    /// Override the display name (scenario builders label variants).
-    pub fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
     }
 
     /// The configured threshold in bytes.
@@ -64,10 +50,6 @@ impl DctcpRed {
 }
 
 impl Aqm for DctcpRed {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn on_enqueue(&mut self, _now: SimTime, q: &QueueState, pkt: &PacketView) -> EnqueueVerdict {
         // Instantaneous occupancy check: queue length *including* the
         // arriving packet, matching the ns-3/DCTCP convention where the
@@ -132,10 +114,8 @@ mod tests {
         let c = Rate::from_gbps(10);
         let tail = DctcpRed::tail(1.0, c, Duration::from_micros(200));
         assert_eq!(tail.threshold(), 250_000);
-        assert_eq!(tail.name(), "DCTCP-RED-Tail");
         let avg = DctcpRed::avg(1.0, c, Duration::from_micros(100));
         assert_eq!(avg.threshold(), 125_000);
-        assert_eq!(avg.name(), "DCTCP-RED-AVG");
         assert!(avg.threshold() < tail.threshold());
     }
 

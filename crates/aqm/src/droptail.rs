@@ -18,10 +18,6 @@ impl DropTail {
 }
 
 impl Aqm for DropTail {
-    fn name(&self) -> &'static str {
-        "DropTail"
-    }
-
     fn on_enqueue(&mut self, _now: SimTime, _q: &QueueState, _pkt: &PacketView) -> EnqueueVerdict {
         EnqueueVerdict::Admit
     }

@@ -7,15 +7,10 @@
 //! - [`DctcpRed`] — the DCTCP paper's simplified RED: instantaneous queue
 //!   length against a single threshold `Kmin = Kmax = K` ("current practice"
 //!   when `K` is derived from a high-percentile RTT);
-//! - [`Red`] — classic Floyd/Jacobson RED with an EWMA average queue and a
-//!   probabilistic marking ramp between `Kmin` and `Kmax` (the DCQCN-style
-//!   marking discussed in §3.5);
 //! - [`CoDel`] — Controlling Queue Delay (Nichols & Jacobson) operated in
 //!   ECN-marking mode, the persistent-congestion-only comparator;
 //! - [`Tcn`] — TCN (CoNEXT'16): instantaneous *sojourn time* against a single
-//!   threshold, the scheduler-agnostic instantaneous-marking comparator;
-//! - [`Pie`] — PIE (RFC 8033, simplified): proportional-integral controller
-//!   on queueing latency (related-work extension).
+//!   threshold, the scheduler-agnostic instantaneous-marking comparator.
 //!
 //! ECN♯ itself lives in `ecnsharp-core` and implements the same [`Aqm`]
 //! trait, as does the Tofino match-action pipeline in `ecnsharp-tofino`.
@@ -25,8 +20,8 @@
 //! An AQM sees every packet twice:
 //!
 //! 1. [`Aqm::on_enqueue`] — when the packet is admitted to the queue (after
-//!    the port's tail-drop capacity check). Queue-length schemes (DCTCP-RED,
-//!    RED, PIE) decide here.
+//!    the port's tail-drop capacity check). Queue-length schemes
+//!    (DCTCP-RED, ECN♯'s queue-length flavour) decide here.
 //! 2. [`Aqm::on_dequeue`] — when the packet starts transmission, which is
 //!    the first moment its sojourn time is known. Sojourn-time schemes
 //!    (CoDel, TCN, ECN♯) decide here; this is also what makes them work
@@ -39,15 +34,11 @@ pub mod codel;
 pub mod dctcp_red;
 pub mod droptail;
 pub mod params;
-pub mod pie;
-pub mod red;
 pub mod tcn;
 
 pub use codel::CoDel;
 pub use dctcp_red::DctcpRed;
 pub use droptail::DropTail;
-pub use pie::{Pie, PieConfig};
-pub use red::{Red, RedConfig};
 pub use tcn::Tcn;
 
 use ecnsharp_sim::{Duration, Rate, SimTime};
@@ -136,9 +127,6 @@ pub fn admit_mark_or_drop(ect: bool) -> EnqueueVerdict {
 /// randomness must come from state seeded at construction) so that whole
 /// simulations replay bit-identically.
 pub trait Aqm: Send {
-    /// Human-readable scheme name for reports.
-    fn name(&self) -> &'static str;
-
     /// Called when `pkt` is admitted to the queue. `q` describes the queue
     /// *before* this packet is added.
     fn on_enqueue(&mut self, now: SimTime, q: &QueueState, pkt: &PacketView) -> EnqueueVerdict {
@@ -184,10 +172,6 @@ pub struct EpisodeTransition {
     /// reports the first mark, i.e. `1`).
     pub marks: u64,
 }
-
-/// Boxed AQM constructor, so scenario builders can stamp out one instance
-/// per port.
-pub type AqmFactory = Box<dyn Fn() -> Box<dyn Aqm> + Send + Sync>;
 
 #[cfg(test)]
 pub(crate) mod testutil {
@@ -248,11 +232,7 @@ mod tests {
     }
 
     struct Noop;
-    impl Aqm for Noop {
-        fn name(&self) -> &'static str {
-            "noop"
-        }
-    }
+    impl Aqm for Noop {}
 
     #[test]
     fn default_hooks_pass_everything() {
@@ -273,7 +253,6 @@ const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send::<Box<dyn Aqm>>();
     assert_send_sync::<CoDel>();
-    assert_send_sync::<Pie>();
     assert_send_sync::<DctcpRed>();
     assert_send_sync::<Tcn>();
     assert_send_sync::<DropTail>();

@@ -38,10 +38,6 @@ impl Tcn {
 }
 
 impl Aqm for Tcn {
-    fn name(&self) -> &'static str {
-        "TCN"
-    }
-
     fn on_enqueue(&mut self, _now: SimTime, _q: &QueueState, _pkt: &PacketView) -> EnqueueVerdict {
         EnqueueVerdict::Admit
     }

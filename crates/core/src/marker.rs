@@ -206,10 +206,6 @@ impl EcnSharp {
 }
 
 impl Aqm for EcnSharp {
-    fn name(&self) -> &'static str {
-        "ECN#"
-    }
-
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }

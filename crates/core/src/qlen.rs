@@ -114,10 +114,6 @@ impl EcnSharpQlen {
 }
 
 impl Aqm for EcnSharpQlen {
-    fn name(&self) -> &'static str {
-        "ECN#-qlen"
-    }
-
     fn on_enqueue(&mut self, now: SimTime, q: &QueueState, pkt: &PacketView) -> EnqueueVerdict {
         let backlog = q.backlog_bytes + pkt.bytes;
         let ins = backlog > self.ins_target_bytes;

@@ -7,17 +7,15 @@
 //!   tolerance but tolerates standing queues;
 //! - **persistent-only** — ECN♯ with the instantaneous threshold pushed out
 //!   of reach (CoDel-like): drains standing queues but nothing tames
-//!   bursts;
-//! - **probabilistic** — the §3.5 DCQCN-style extension ([`EcnSharpProb`]).
+//!   bursts.
 //!
 //! Each variant runs the testbed FCT scenario and the incast microscope.
 
-use ecnsharp_core::{EcnSharpConfig, EcnSharpProb};
+use ecnsharp_core::EcnSharpConfig;
 use ecnsharp_experiments::{
     run_incast_micro_with, run_testbed_star, FctScenario, IncastTimeline, Scale, Scheme,
     SchemeParams,
 };
-use ecnsharp_net::PortConfig;
 use ecnsharp_sim::{Duration, Rate};
 use ecnsharp_stats::Table;
 use ecnsharp_workload::{dists, RttVariation};
@@ -70,23 +68,6 @@ fn run() {
     }
     print!("{}", t.render());
     let _ = t.write_csv(ecnsharp_experiments::results_dir().join("ablation.csv"));
-
-    // The probabilistic extension: demonstrate it builds, marks, and keeps
-    // the persistent behaviour (a full DCQCN evaluation is out of scope,
-    // as in the paper).
-    let cfg = params.ecnsharp();
-    let _port = PortConfig::fifo(
-        1_000_000,
-        Box::new(EcnSharpProb::new(
-            cfg,
-            cfg.pst_target,
-            cfg.ins_target,
-            0.8,
-            99,
-        )),
-    );
-    println!("\nprobabilistic variant (section 3.5 extension): constructed OK;");
-    println!("see ecnsharp_core::prob unit tests for its marking-fraction law.");
 }
 
 fn main() -> std::process::ExitCode {

@@ -1,8 +1,7 @@
 //! The AQM schemes under comparison and their parameterization from RTT
 //! statistics, following §5.1's settings and §3.4's rule-of-thumb.
 
-use ecnsharp_aqm::pie::PieConfig;
-use ecnsharp_aqm::{params, CoDel, DctcpRed, DropTail, Pie, Tcn};
+use ecnsharp_aqm::{params, CoDel, DctcpRed, DropTail, Tcn};
 use ecnsharp_core::{EcnSharp, EcnSharpConfig, EcnSharpQlen};
 use ecnsharp_net::PortConfig;
 use ecnsharp_sim::{Duration, Rate};
@@ -33,8 +32,6 @@ pub enum Scheme {
     EcnSharpTofino,
     /// ECN♯ driven by queue length instead of sojourn time (ablation).
     EcnSharpQlen,
-    /// PIE (related-work extension).
-    Pie,
     /// Plain tail-drop.
     DropTail,
 }
@@ -52,7 +49,6 @@ impl Scheme {
             Scheme::EcnSharp(_) => "ECN#".into(),
             Scheme::EcnSharpTofino => "ECN#-Tofino".into(),
             Scheme::EcnSharpQlen => "ECN#-qlen".into(),
-            Scheme::Pie => "PIE".into(),
             Scheme::DropTail => "DropTail".into(),
         }
     }
@@ -133,7 +129,10 @@ impl SchemeParams {
     }
 
     /// Build the egress-port configuration for `scheme`.
-    pub fn port(&self, scheme: &Scheme, buffer: u64, seed: u64) -> PortConfig {
+    ///
+    /// `_seed` is unused: no scheme draws random numbers. It is kept only
+    /// because `benchmark/` calls this three-argument form.
+    pub fn port(&self, scheme: &Scheme, buffer: u64, _seed: u64) -> PortConfig {
         let aqm: Box<dyn ecnsharp_aqm::Aqm> = match scheme {
             Scheme::DctcpRedTail => Box::new(DctcpRed::tail(1.0, self.capacity, self.rtt_p90)),
             Scheme::DctcpRedAvg => Box::new(DctcpRed::avg(1.0, self.capacity, self.rtt_avg)),
@@ -159,14 +158,6 @@ impl SchemeParams {
             Scheme::EcnSharpQlen => {
                 Box::new(EcnSharpQlen::from_config(self.ecnsharp(), self.capacity))
             }
-            Scheme::Pie => Box::new(Pie::new(
-                PieConfig {
-                    target: self.rtt_avg,
-                    t_update: self.rtt_p90,
-                    ..PieConfig::default()
-                },
-                seed,
-            )),
             Scheme::DropTail => Box::new(DropTail::new()),
         };
         PortConfig::fifo(buffer, aqm)
@@ -208,7 +199,6 @@ mod tests {
             Scheme::EcnSharp(None),
             Scheme::EcnSharpTofino,
             Scheme::EcnSharpQlen,
-            Scheme::Pie,
             Scheme::DropTail,
         ] {
             let cfg = p.port(&s, 1_000_000, 7);

@@ -63,7 +63,6 @@ pub mod packet;
 pub mod port;
 pub mod shard;
 pub mod topology;
-pub mod trace;
 
 pub use agent::{
     Action, Agent, Ctx, EchoAgent, FlowCmd, FlowOutcome, FlowRecord, FlowState, NullAgent,
@@ -75,7 +74,6 @@ pub use network::{Network, PerfCounters, QueueMonitor};
 pub use packet::{Ecn, Flags, Packet};
 pub use port::{EgressPort, PortConfig, PortSched, PortStats};
 pub use shard::ShardPlan;
-pub use trace::{TraceEvent, TraceKind, Tracer, MAX_TRACE_CAPACITY};
 
 // Re-export the subscriber vocabulary so downstream crates can attach
 // telemetry without depending on `ecnsharp-telemetry` directly.
@@ -100,7 +98,6 @@ const _: () = {
     assert_send::<FaultPlan>();
     assert_send_sync::<Packet>();
     assert_send_sync::<GilbertElliott>();
-    assert_send_sync::<Tracer>();
     // The sharded runner moves these between threads: whole engines into
     // the worker scope, cross-shard packets through the mailboxes, and
     // the plan's owner map behind an Arc.

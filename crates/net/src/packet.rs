@@ -187,12 +187,6 @@ impl Packet {
         self.set_bit(FW_FIN, v);
     }
 
-    /// Set/clear the ACK flag.
-    #[inline]
-    pub fn set_ack_flag(&mut self, v: bool) {
-        self.set_bit(FW_ACK, v);
-    }
-
     /// Set/clear the ECN-Echo flag.
     #[inline]
     pub fn set_ece(&mut self, v: bool) {

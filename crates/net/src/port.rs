@@ -373,11 +373,6 @@ impl EgressPort {
         self.sched.backlog_pkts()
     }
 
-    /// AQM scheme name (for reports).
-    pub fn aqm_name(&self) -> &'static str {
-        self.aqm.name()
-    }
-
     /// Downcast access to the AQM's internals, for schemes that opt into
     /// [`ecnsharp_aqm::Aqm::as_any`] (white-box equivalence assertions).
     pub fn aqm_as_any(&self) -> Option<&dyn std::any::Any> {

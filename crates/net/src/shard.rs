@@ -106,11 +106,6 @@ impl ShardPlan {
     pub fn owner_of(&self, node: NodeId) -> u32 {
         self.owner[node.0]
     }
-
-    /// The full owner map, one entry per node.
-    pub fn owners(&self) -> &[u32] {
-        &self.owner
-    }
 }
 
 impl<S: ShardSubscriber> Network<S> {

@@ -9,9 +9,7 @@
 //! - [`Fifo`] — a single queue (the degenerate scheduler every basic port
 //!   uses);
 //! - [`Dwrr`] — Deficit Weighted Round Robin (Shreedhar & Varghese), the
-//!   scheduler of the paper's §5.4 experiment (3 services, weights 2:1:1);
-//! - [`StrictPriority`] — lower class index always wins;
-//! - [`RoundRobin`] — packet-by-packet round robin (unweighted).
+//!   scheduler of the paper's §5.4 experiment (3 services, weights 2:1:1).
 //!
 //! Sojourn-time AQMs (TCN, ECN♯) are scheduler-agnostic by design: the AQM
 //! sits at the port and sees packets in whatever order the scheduler
@@ -22,13 +20,9 @@
 
 pub mod dwrr;
 pub mod fifo;
-pub mod prio;
-pub mod rr;
 
 pub use dwrr::Dwrr;
 pub use fifo::Fifo;
-pub use prio::StrictPriority;
-pub use rr::RoundRobin;
 
 /// A multi-class packet scheduler.
 ///
@@ -120,6 +114,4 @@ const _: () = {
     assert_send::<Box<dyn Scheduler<u64>>>();
     assert_send_sync::<Dwrr<u64>>();
     assert_send_sync::<Fifo<u64>>();
-    assert_send_sync::<StrictPriority<u64>>();
-    assert_send_sync::<RoundRobin<u64>>();
 };

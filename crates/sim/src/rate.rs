@@ -37,12 +37,6 @@ impl Rate {
         self.0
     }
 
-    /// Rate in Gbit/s as a float (for reporting).
-    #[inline]
-    pub fn as_gbps_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Time to serialize `bytes` bytes at this rate, rounded to the nearest
     /// nanosecond.
     ///

@@ -1,75 +1,7 @@
-//! Histograms and empirical CDFs — the box-plot/CDF data behind Figure 1
-//! (RTT distributions) and any latency-distribution report.
+//! Box-plot summaries — the whisker data behind Figure 1 (RTT
+//! distributions).
 
 use crate::percentile::percentile;
-
-/// A fixed-width histogram over `f64` samples.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    /// Samples below `lo`.
-    pub underflow: u64,
-    /// Samples at or above `hi`.
-    pub overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Create with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "need lo < hi");
-        assert!(bins > 0);
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.bins[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Total samples (including out-of-range).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// `(bin_center, count)` pairs.
-    pub fn bins(&self) -> Vec<(f64, u64)> {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * w, c))
-            .collect()
-    }
-
-    /// The mode's bin center (highest-count bin), or `None` when empty.
-    pub fn mode(&self) -> Option<f64> {
-        let (idx, &max) = self.bins.iter().enumerate().max_by_key(|&(_, &c)| c)?;
-        if max == 0 {
-            return None;
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        Some(self.lo + (idx as f64 + 0.5) * w)
-    }
-}
 
 /// The five-number summary a box plot draws (Fig. 1's whisker data).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,54 +39,9 @@ impl BoxStats {
     }
 }
 
-/// Empirical CDF points `(value, P[X ≤ value])` at `n` evenly spaced
-/// quantiles — ready to plot against Fig. 5-style reference CDFs.
-pub fn ecdf_points(xs: &[f64], n: usize) -> Vec<(f64, f64)> {
-    assert!(n >= 2);
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    (0..n)
-        .map(|k| {
-            let p = k as f64 / (n - 1) as f64;
-            let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-            (sorted[idx], p)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.7, 9.9, -1.0, 10.0, 25.0] {
-            h.add(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.overflow, 2);
-        let bins = h.bins();
-        assert_eq!(bins[0], (0.5, 1));
-        assert_eq!(bins[1], (1.5, 2));
-        assert_eq!(bins[9], (9.5, 1));
-    }
-
-    #[test]
-    fn mode_finds_peak() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for _ in 0..5 {
-            h.add(42.0);
-        }
-        h.add(80.0);
-        assert_eq!(h.mode(), Some(45.0));
-        let empty = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(empty.mode(), None);
-    }
 
     #[test]
     // Quantiles of 1..=101 land exactly on integer samples; no arithmetic
@@ -170,22 +57,5 @@ mod tests {
         assert_eq!(b.q3, 76.0);
         assert_eq!(b.iqr(), 50.0);
         assert!(BoxStats::from_samples(&[]).is_none());
-    }
-
-    #[test]
-    fn ecdf_monotone_and_anchored() {
-        let xs = vec![3.0, 1.0, 2.0, 5.0, 4.0];
-        let pts = ecdf_points(&xs, 5);
-        assert_eq!(pts.first().unwrap(), &(1.0, 0.0));
-        assert_eq!(pts.last().unwrap(), &(5.0, 1.0));
-        for w in pts.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lo < hi")]
-    fn inverted_range_rejected() {
-        let _ = Histogram::new(5.0, 5.0, 3);
     }
 }

@@ -6,6 +6,7 @@
 //!   like the paper's figures: overall, short `(0,100 KB]`, large
 //!   `[10 MB,∞)`; averages and 99th percentiles; multi-run averaging;
 //! - [`QueueSummary`] — queue-occupancy series statistics (Fig. 10);
+//! - [`BoxStats`] — the five-number box-plot summary (Fig. 1);
 //! - [`Table`] — aligned text tables and CSV files for every report
 //!   binary;
 //! - percentile/mean helpers.
@@ -20,9 +21,9 @@ pub mod series;
 pub mod table;
 
 pub use fct::{average_breakdowns, FctBreakdown, FctSummary, LARGE_MIN, SHORT_MAX};
-pub use hist::{ecdf_points, BoxStats, Histogram};
-pub use percentile::{mean, percentile, std_dev};
-pub use series::{monitor_csv, QueueSummary};
+pub use hist::BoxStats;
+pub use percentile::{mean, percentile};
+pub use series::QueueSummary;
 pub use table::{ratio, us, Table};
 
 // Compile-time shard-safety proofs: per-shard statistics are merged on
@@ -31,7 +32,6 @@ pub use table::{ratio, us, Table};
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<FctBreakdown>();
-    assert_send_sync::<Histogram>();
     assert_send_sync::<Table>();
     assert_send_sync::<QueueSummary>();
 };

@@ -22,12 +22,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-/// Population standard deviation; `None` for empty input.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some((xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,13 +45,11 @@ mod tests {
     fn empty_is_none() {
         assert_eq!(percentile(&[], 0.5), None);
         assert_eq!(mean(&[]), None);
-        assert_eq!(std_dev(&[]), None);
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_basics() {
         let xs = vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), Some(5.0));
-        assert_eq!(std_dev(&xs), Some(2.0));
     }
 }

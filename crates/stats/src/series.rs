@@ -32,15 +32,6 @@ impl QueueSummary {
     }
 }
 
-/// Dump a monitor's series as CSV rows (`time_s,bytes,pkts`).
-pub fn monitor_csv(m: &QueueMonitor) -> String {
-    let mut out = String::from("time_s,backlog_bytes,backlog_pkts\n");
-    for &(t, bytes, pkts) in &m.samples {
-        out.push_str(&format!("{:.9},{bytes},{pkts}\n", t.as_secs_f64()));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,14 +60,6 @@ mod tests {
         assert!((s.avg_pkts - 2.0).abs() < 1e-12);
         assert_eq!(s.max_pkts, 3);
         assert!((s.avg_bytes - 3000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_format() {
-        let m = monitor_with(vec![(SimTime::from_micros(1), 1500, 1)]);
-        let csv = monitor_csv(&m);
-        assert!(csv.starts_with("time_s,"));
-        assert!(csv.contains("0.000001000,1500,1\n"));
     }
 
     #[test]

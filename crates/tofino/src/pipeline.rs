@@ -224,10 +224,6 @@ impl TofinoEcnSharp {
 }
 
 impl Aqm for TofinoEcnSharp {
-    fn name(&self) -> &'static str {
-        "ECN#-Tofino"
-    }
-
     fn on_enqueue(&mut self, _now: SimTime, _q: &QueueState, _pkt: &PacketView) -> EnqueueVerdict {
         EnqueueVerdict::Admit
     }

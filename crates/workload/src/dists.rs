@@ -51,9 +51,6 @@ pub fn data_mining() -> PiecewiseCdf {
 /// The paper's short-flow FCT bucket: `(0, 100 KB]`.
 pub const SHORT_FLOW_MAX: u64 = 100_000;
 
-/// The paper's large-flow FCT bucket: `[10 MB, ∞)`.
-pub const LARGE_FLOW_MIN: u64 = 10_000_000;
-
 #[cfg(test)]
 mod tests {
     use super::*;

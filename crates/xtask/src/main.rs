@@ -12,7 +12,8 @@
 //!   (default features, then `strict-invariants`)
 //!   → race harness (release) → sharded-determinism gate (the
 //!   serial-vs-sharded byte-equivalence suite under `strict-invariants`;
-//!   see CONCURRENCY.md) → quick-scale chaos smoke run under
+//!   see CONCURRENCY.md) → `--no-default-features` build and tests
+//!   → quick-scale chaos smoke run under
 //!   `strict-invariants` → chaos fault drills (injected worker panic,
 //!   barrier stall and livelock must each fail loudly with a structured
 //!   JSONL error line and partial CSVs) → rustdoc gate

@@ -4,8 +4,8 @@
 //! Networks with RTT Variations”** (Zhang, Bai, Chen — CoNEXT 2019): the
 //! **ECN♯** switch AQM, together with every substrate its evaluation needs
 //! — a deterministic packet-level datacenter network simulator, a DCTCP
-//! transport, the baseline AQMs (DCTCP-RED, classic RED, CoDel, TCN, PIE),
-//! multi-queue packet schedulers (DWRR et al.), production workload
+//! transport, the baseline AQMs (DCTCP-RED, CoDel, TCN), the DWRR
+//! multi-queue packet scheduler, production workload
 //! generators, a Tofino match-action-pipeline emulation of the §4 hardware
 //! implementation, and a harness regenerating every table and figure of
 //! the paper.
@@ -41,7 +41,7 @@ pub use ecnsharp_core as core;
 /// Tofino hardware-model emulation (§4).
 pub use ecnsharp_tofino as tofino;
 
-/// Packet schedulers (FIFO, DWRR, strict priority, RR).
+/// Packet schedulers (FIFO, DWRR).
 pub use ecnsharp_sched as sched;
 
 /// The network model: packets, ports, switches, hosts, topologies.
