@@ -86,8 +86,10 @@ mod tests {
     }
 
     #[test]
-    // Comparing a const against the literal it is defined as.
-    #[allow(clippy::float_cmp)]
+    #[expect(
+        clippy::float_cmp,
+        reason = "compares a const against the literal it is defined as"
+    )]
     fn lambda_constants() {
         assert_eq!(LAMBDA_ECN_TCP, 1.0);
         assert!((LAMBDA_DCTCP - 0.17).abs() < 1e-12);

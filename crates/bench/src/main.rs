@@ -41,11 +41,11 @@ use std::hint::black_box;
 use std::path::Path;
 use std::process::{Command, ExitCode};
 
-/// Wall nanoseconds of one call of `f`. This binary is a host tool that
-/// measures wall-clock execution by definition (it is outside lint R1's
-/// sim-facing scope); clippy's workspace deny-list still needs the
-/// attribute.
-#[allow(clippy::disallowed_methods)]
+/// Wall nanoseconds of one call of `f`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a host tool that measures wall-clock execution by definition"
+)]
 fn time<T>(f: impl FnOnce() -> T) -> u64 {
     let t0 = std::time::Instant::now();
     black_box(f());

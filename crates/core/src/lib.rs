@@ -52,6 +52,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod config;
 pub mod marker;
@@ -63,7 +70,7 @@ pub use qlen::EcnSharpQlen;
 
 // Compile-time shard-safety proofs: markers sit on ports inside the
 // `Network` a sharded engine (ROADMAP item 1) moves across worker
-// threads. Lint rules R7/R8 guard the source text; these assertions
+// threads. Lint rule R7 guards the source text; these assertions
 // guard the types themselves.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {

@@ -1,8 +1,10 @@
 //! Runs the complete reproduction suite (every table and figure) at the
 //! scale selected by ECNSHARP_SCALE, writing CSVs under results/.
 
-// Host-side harness: wall-clock progress timing never feeds the simulation.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "host-side progress timing; the wall clock never feeds the simulation"
+)]
 
 use ecnsharp_experiments::{figures, perf};
 fn run() {

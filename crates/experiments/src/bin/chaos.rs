@@ -26,9 +26,6 @@
 //! - `ECNSHARP_INJECT_LIVELOCK=engine` — schedule a zero-delay event
 //!   cycle on the first point so the progress guard must trip.
 
-// Host-side binary: env/exit/printing never feed the simulation.
-#![allow(clippy::disallowed_methods)]
-
 use ecnsharp_experiments::{env, perf, runner, ChaosResult, PointStatus, Scale, Scheme};
 use ecnsharp_net::Supervision;
 use ecnsharp_sim::Duration;

@@ -13,7 +13,7 @@
 //! |------|--------|---------|
 //! | `ECNSHARP_SCALE` | `quick`/`mid`/`full` | `full` |
 //! | `ECNSHARP_RESULTS` | directory path | `results` |
-//! | `ECNSHARP_FAULT_SEED` | decimal or `0x`-hex u64 | [`crate::runner::DEFAULT_FAULT_SEED`] |
+//! | `ECNSHARP_FAULT_SEED` | decimal or `0x`-hex u64 | [`DEFAULT_FAULT_SEED`] |
 //! | `ECNSHARP_TELEMETRY_JSON` | writable file path | unset = no sink |
 //! | `ECNSHARP_PERF_JSON` | writable file path | unset = no sink |
 //! | `ECNSHARP_DELACK` | u32 ≥ 1 | transport default |
@@ -24,7 +24,6 @@
 //! | `ECNSHARP_RESUME` | `1`/`0` | `0` (fresh sweep) |
 //! | `ECNSHARP_RETRIES` | u32 | `1` |
 
-use crate::runner::{parse_fault_seed, DEFAULT_FAULT_SEED};
 use crate::Scale;
 use std::path::PathBuf;
 
@@ -67,6 +66,10 @@ pub fn results_dir() -> PathBuf {
         .into()
 }
 
+/// Default base seed for fault-injection sweeps when `ECNSHARP_FAULT_SEED`
+/// is unset.
+pub const DEFAULT_FAULT_SEED: u64 = 0xFA_017;
+
 /// `ECNSHARP_FAULT_SEED`: base seed for fault-injection sweeps. Unset
 /// means [`DEFAULT_FAULT_SEED`]; set-but-invalid is an error.
 pub fn fault_seed() -> Result<u64, String> {
@@ -74,6 +77,20 @@ pub fn fault_seed() -> Result<u64, String> {
         Some(v) => parse_fault_seed(&v),
         None => Ok(DEFAULT_FAULT_SEED),
     }
+}
+
+/// Parse an `ECNSHARP_FAULT_SEED` value: decimal or `0x`-prefixed hex.
+/// Strict: anything else is an error naming the knob, never a silent
+/// fallback.
+pub fn parse_fault_seed(v: &str) -> Result<u64, String> {
+    let parsed = if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16)
+    } else {
+        v.parse::<u64>()
+    };
+    parsed.map_err(|_| {
+        format!("unrecognized ECNSHARP_FAULT_SEED value {v:?} (expected a decimal or 0x-hex u64)")
+    })
 }
 
 /// A path-valued knob (`ECNSHARP_TELEMETRY_JSON` / `ECNSHARP_PERF_JSON`).
@@ -186,5 +203,24 @@ pub fn retries() -> Result<u32, String> {
             format!("unrecognized ECNSHARP_RETRIES value {v:?} (expected an integer >= 0)")
         }),
         None => Ok(1),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_seed_parses_decimal_and_hex_and_rejects_junk() {
+        assert_eq!(parse_fault_seed("42"), Ok(42));
+        assert_eq!(parse_fault_seed("0xFA017"), Ok(0xFA017));
+        assert_eq!(parse_fault_seed("0Xff"), Ok(255));
+        for bad in ["", "seed", "-1", "0x", "1.5", "42 "] {
+            let err = parse_fault_seed(bad).unwrap_err();
+            assert!(
+                err.contains("ECNSHARP_FAULT_SEED"),
+                "error should name the knob: {err}"
+            );
+        }
     }
 }

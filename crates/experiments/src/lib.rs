@@ -18,10 +18,10 @@ pub mod scenario;
 pub mod scheme;
 pub mod telemetry;
 
+pub use env::{parse_fault_seed, DEFAULT_FAULT_SEED};
 pub use runner::{
-    fault_seed_from_env, fault_seed_or_exit, guarded_run, parallel_map, parse_fault_seed,
-    report_failures, results_dir, supervised_map, try_parallel_map, PointStatus, Scale,
-    SweepConfig, SweepOutcome, SweepReport, DEFAULT_FAULT_SEED,
+    fault_seed_or_exit, guarded_run, parallel_map, report_failures, results_dir, supervised_map,
+    try_parallel_map, PointStatus, Scale, SweepConfig, SweepOutcome, SweepReport,
 };
 pub use scenario::{
     run_chaos_leaf_spine, run_chaos_leaf_spine_sharded, run_dwrr, run_fat_tree_sharded,
@@ -32,6 +32,5 @@ pub use scenario::{
 };
 pub use scheme::{Scheme, SchemeParams};
 pub use telemetry::{
-    jsonl_sink_from_env_or_exit, perf_json_path, perf_json_path_or_exit, telemetry_json_path,
-    telemetry_json_path_or_exit,
+    jsonl_sink_from_env_or_exit, perf_json_path_or_exit, telemetry_json_path_or_exit,
 };

@@ -14,9 +14,10 @@
 //! consulted by the engine. `tests/determinism.rs` in this crate pins that
 //! property.
 
-// Host-side instrumentation: wall-clock here measures the harness itself
-// and never feeds the simulation.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "host-side instrumentation: the wall clock times the harness, never the simulation"
+)]
 
 use ecnsharp_net::{Network, Subscriber};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -42,18 +42,12 @@ impl std::str::FromStr for Scale {
 }
 
 impl Scale {
-    /// Read from the `ECNSHARP_SCALE` environment variable (see
-    /// [`crate::env::scale`]). Unset means [`Scale::Full`]; anything else
-    /// must parse exactly — a typo like `ful` is an error, not a silent
-    /// full-scale run.
-    pub fn from_env() -> Result<Scale, String> {
-        crate::env::scale()
-    }
-
-    /// [`Scale::from_env`] for binaries: print the error and exit 2 instead
-    /// of silently running at the wrong scale.
+    /// Read `ECNSHARP_SCALE` (see [`crate::env::scale`]) for binaries:
+    /// unset means [`Scale::Full`]; anything that does not parse exactly —
+    /// a typo like `ful` — prints the error and exits 2 instead of
+    /// silently running at the wrong scale.
     pub fn from_env_or_exit() -> Scale {
-        crate::env::or_exit(Scale::from_env())
+        crate::env::or_exit(crate::env::scale())
     }
 
     /// Flows per FCT run.
@@ -472,35 +466,11 @@ pub fn results_dir() -> std::path::PathBuf {
     crate::env::results_dir()
 }
 
-/// Default base seed for fault-injection sweeps when `ECNSHARP_FAULT_SEED`
-/// is unset.
-pub const DEFAULT_FAULT_SEED: u64 = 0xFA_017;
-
-/// Parse an `ECNSHARP_FAULT_SEED` value: decimal or `0x`-prefixed hex.
-/// Strict: anything else is an error naming the knob, never a silent
-/// fallback.
-pub fn parse_fault_seed(v: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        v.parse::<u64>()
-    };
-    parsed.map_err(|_| {
-        format!("unrecognized ECNSHARP_FAULT_SEED value {v:?} (expected a decimal or 0x-hex u64)")
-    })
-}
-
-/// Read the fault-sweep base seed from `ECNSHARP_FAULT_SEED` (see
-/// [`crate::env::fault_seed`]). Unset means [`DEFAULT_FAULT_SEED`];
-/// set-but-invalid is an error.
-pub fn fault_seed_from_env() -> Result<u64, String> {
-    crate::env::fault_seed()
-}
-
-/// [`fault_seed_from_env`] for binaries: print the error and exit 2
+/// Read the fault-sweep base seed `ECNSHARP_FAULT_SEED` (see
+/// [`crate::env::fault_seed`]) for binaries: print the error and exit 2
 /// instead of silently running with the wrong seed.
 pub fn fault_seed_or_exit() -> u64 {
-    crate::env::or_exit(fault_seed_from_env())
+    crate::env::or_exit(crate::env::fault_seed())
 }
 
 #[cfg(test)]
@@ -570,20 +540,6 @@ mod tests {
             }
             x
         });
-    }
-
-    #[test]
-    fn fault_seed_parses_decimal_and_hex_and_rejects_junk() {
-        assert_eq!(parse_fault_seed("42"), Ok(42));
-        assert_eq!(parse_fault_seed("0xFA017"), Ok(0xFA017));
-        assert_eq!(parse_fault_seed("0Xff"), Ok(255));
-        for bad in ["", "seed", "-1", "0x", "1.5", "42 "] {
-            let err = parse_fault_seed(bad).unwrap_err();
-            assert!(
-                err.contains("ECNSHARP_FAULT_SEED"),
-                "error should name the knob: {err}"
-            );
-        }
     }
 
     #[test]

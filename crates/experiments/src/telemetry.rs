@@ -16,35 +16,21 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// Parse a path-valued telemetry knob (see [`crate::env::path_knob`]).
-/// Unset means `None`; set-but-empty (or unreadable) is an error naming
-/// the knob.
-fn env_path(knob: &'static str) -> Result<Option<PathBuf>, String> {
-    crate::env::path_knob(knob)
-}
-
+/// A path-valued knob (see [`crate::env::path_knob`]) for binaries: unset
+/// means `None`; set-but-empty (or unreadable) prints the error and exits
+/// 2.
 fn env_path_or_exit(knob: &'static str) -> Option<PathBuf> {
-    crate::env::or_exit(env_path(knob))
+    crate::env::or_exit(crate::env::path_knob(knob))
 }
 
-/// Read `ECNSHARP_TELEMETRY_JSON`. Unset means no sink; set-but-invalid
-/// is an error.
-pub fn telemetry_json_path() -> Result<Option<PathBuf>, String> {
-    env_path("ECNSHARP_TELEMETRY_JSON")
-}
-
-/// [`telemetry_json_path`] for binaries: print the error and exit 2.
+/// Read `ECNSHARP_TELEMETRY_JSON` for binaries: unset means no sink;
+/// set-but-invalid prints the error and exits 2.
 pub fn telemetry_json_path_or_exit() -> Option<PathBuf> {
     env_path_or_exit("ECNSHARP_TELEMETRY_JSON")
 }
 
-/// Read `ECNSHARP_PERF_JSON`. Unset means no sink; set-but-invalid is an
-/// error.
-pub fn perf_json_path() -> Result<Option<PathBuf>, String> {
-    env_path("ECNSHARP_PERF_JSON")
-}
-
-/// [`perf_json_path`] for binaries: print the error and exit 2.
+/// Read `ECNSHARP_PERF_JSON` for binaries: unset means no sink;
+/// set-but-invalid prints the error and exits 2.
 pub fn perf_json_path_or_exit() -> Option<PathBuf> {
     env_path_or_exit("ECNSHARP_PERF_JSON")
 }

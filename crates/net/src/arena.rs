@@ -40,6 +40,14 @@
 //! memory traffic of a saturated port. Drained slots simply keep their
 //! stale payload until overwritten.
 
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::ids::{FlowId, NodeId};
 use crate::packet::Packet;
 use std::collections::VecDeque;

@@ -12,6 +12,14 @@
 //! transmitted packet, so enabling it shifts the dice stream by a fixed,
 //! replayable amount.
 
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::ids::NodeId;
 use ecnsharp_sim::{Duration, Rate, SimTime};
 

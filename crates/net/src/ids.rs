@@ -44,9 +44,10 @@ mod tests {
     }
 
     #[test]
-    // This test exists precisely to exercise the Hash impl; iteration
-    // order is never observed.
-    #[allow(clippy::disallowed_types)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "exercises the Hash impl; iteration order is never observed"
+    )]
     fn hashable_and_ordered() {
         use std::collections::HashMap;
         let mut m = HashMap::new();

@@ -87,7 +87,7 @@ pub use ecnsharp_sim::supervise::{
 
 // Compile-time shard-safety proofs: a sharded engine (ROADMAP item 1)
 // hands whole `Network` instances to worker threads, so every piece of
-// the network model must stay `Send`. Lint rules R7/R8 guard the source
+// the network model must stay `Send`. Lint rule R7 guards the source
 // text; these assertions guard the types themselves.
 const fn assert_send<T: Send>() {}
 const fn assert_send_sync<T: Send + Sync>() {}

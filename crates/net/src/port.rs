@@ -2,6 +2,14 @@
 //! of every link attachment. The queueing behaviour the whole paper is
 //! about lives here.
 
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::arena::{PooledRing, RingArena};
 use crate::fault::{validate_p, GilbertElliott};
 use crate::ids::NodeId;

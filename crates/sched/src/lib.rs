@@ -17,6 +17,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod dwrr;
 pub mod fifo;
@@ -106,7 +113,7 @@ pub(crate) mod testutil {
 // Compile-time shard-safety proofs: schedulers sit on ports inside the
 // `Network` a sharded engine (ROADMAP item 1) moves across worker
 // threads — which is why the `Scheduler` trait itself requires `Send`.
-// Lint rules R7/R8 guard the source text; these assertions guard the
+// Lint rule R7 guards the source text; these assertions guard the
 // types.
 const fn assert_send<T: Send>() {}
 const fn assert_send_sync<T: Send + Sync>() {}

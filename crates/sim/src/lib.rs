@@ -45,8 +45,8 @@ pub use wheel::{TimerToken, TimerWheel};
 
 // Compile-time shard-safety proofs: the sharded engine (ROADMAP item 1)
 // moves these values across worker threads, so losing `Send`/`Sync` must
-// be a compile error here, not a runtime surprise there. Lint rules R7/R8
-// guard the source text; these assertions guard the types themselves.
+// be a compile error here, not a runtime surprise there. Lint rule R7
+// guards the source text; these assertions guard the types themselves.
 const fn assert_send<T: Send>() {}
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {

@@ -53,6 +53,14 @@
 //! on every pop — and the unit + property tests below drive lane
 //! boundaries, cursor wraparound and the heap fallback explicitly.
 
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::time::SimTime;
 use crate::wheel::{Cancelled, TimerToken, TimerWheel};
 use std::cmp::Ordering;

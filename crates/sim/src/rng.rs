@@ -141,7 +141,6 @@ impl Rng {
         debug_assert!(mean > 0.0 && std >= 0.0);
         // std == 0.0 is a caller-supplied degenerate-distribution sentinel
         // (constant value), not a computed quantity.
-        #[allow(clippy::float_cmp)] // lint: allow(float-cmp) exact degenerate-σ sentinel
         if std == 0.0 {
             return mean;
         }
@@ -244,8 +243,10 @@ impl std::hash::BuildHasher for DetState {
 /// follows the table layout, not insertion or key order) — callers must
 /// only ever look up by key, never iterate; anything that walks entries
 /// belongs in a `BTreeMap`.
-#[allow(clippy::disallowed_types)] // deterministic DetState hasher, not the default — see lint waiver below
-                                   // lint: allow(hash-collections) deterministic constant-seed hasher; alias is for keyed lookup only, iteration stays banned at call sites
+#[expect(
+    clippy::disallowed_types,
+    reason = "constant-seed DetState hasher, not RandomState; keyed lookup only"
+)]
 pub type DetMap<K, V> = std::collections::HashMap<K, V, DetState>;
 
 #[cfg(test)]

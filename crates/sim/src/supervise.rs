@@ -9,8 +9,8 @@
 //! vocabulary for all three:
 //!
 //! - [`Supervision`] — the knob block threaded into the engine. All
-//!   budgets are **event-count or sim-time based** (never wall clock, so
-//!   determinism lint R1 holds) and all default to unset. There is one
+//!   budgets are **event-count or sim-time based** (never wall clock, which
+//!   clippy's `disallowed_methods` bans) and all default to unset. There is one
 //!   run loop whatever the budgets: an unset budget is a guard that is
 //!   never consulted. Armed-but-untriggered runs are byte-identical to
 //!   runs with no budget set — a property pinned by test — and cost
@@ -31,6 +31,14 @@
 //! The guards deliberately live in `sim` (below `net`): the engine core
 //! and the shard barrier both consume them, and the experiments crate
 //! re-exports them to sweep binaries.
+
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use std::fmt;
 
@@ -309,7 +317,7 @@ impl std::error::Error for SimError {}
 /// The livelock watchdog: counts events processed without sim-time
 /// advancing and trips past a configured per-instant budget.
 ///
-/// Purely event-count based — no wall clock (lint R1) — and observation
+/// Purely event-count based — no wall clock (clippy's `disallowed_methods`) — and observation
 /// only: it never perturbs scheduling, so armed-but-untriggered runs are
 /// byte-identical to unguarded ones.
 #[derive(Debug, Clone, Copy)]

@@ -47,6 +47,14 @@
 //! into the queue's sorted batch, so replay order is exactly the same
 //! `(time, seq)` total order as if the timer had been a plain event.
 
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::time::SimTime;
 
 /// log2 of the number of slots per wheel level.

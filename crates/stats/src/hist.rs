@@ -44,9 +44,10 @@ mod tests {
     use super::*;
 
     #[test]
-    // Quantiles of 1..=101 land exactly on integer samples; no arithmetic
-    // error is possible.
-    #[allow(clippy::float_cmp)]
+    #[expect(
+        clippy::float_cmp,
+        reason = "quantiles of 1..=101 land exactly on integer samples"
+    )]
     fn box_stats_basics() {
         let xs: Vec<f64> = (1..=101).map(|x| x as f64).collect();
         let b = BoxStats::from_samples(&xs).unwrap();

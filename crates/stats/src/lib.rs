@@ -27,8 +27,8 @@ pub use series::QueueSummary;
 pub use table::{ratio, us, Table};
 
 // Compile-time shard-safety proofs: per-shard statistics are merged on
-// the host thread after parallel runs (ROADMAP item 1). Lint rules
-// R7/R8 guard the source text; these assertions guard the types.
+// the host thread after parallel runs (ROADMAP item 1). Lint rule
+// R7 guards the source text; these assertions guard the types.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<FctBreakdown>();

@@ -315,7 +315,11 @@ impl crate::subscribe::ShardSubscriber for HistogramRecorder {
 
     fn merge_shard(&mut self, child: Self) {
         // Once-per-run fold at the post-run barrier, not a per-packet path.
-        self.merge(&child) // lint: allow(hot-path-panic) once-per-run merge; fork inherits precision so the mismatch arm is unreachable
+        #[expect(
+            clippy::expect_used,
+            reason = "fork inherits precision, so the mismatch arm is unreachable"
+        )]
+        self.merge(&child)
             .expect("shard fork precision matches by construction");
     }
 }

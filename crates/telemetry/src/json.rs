@@ -5,9 +5,8 @@
 //! `io::Write` sink. All values are numbers, booleans, or static
 //! identifier strings, so no escaping is required and the output is a
 //! deterministic function of the event stream. Write errors set a sticky
-//! flag instead of panicking (this crate is on the hot-path panic-free
-//! list, lint R4); callers check [`JsonlWriter::had_error`] after the
-//! run.
+//! flag instead of panicking (this crate denies clippy's hot-path panic
+//! lints); callers check [`JsonlWriter::had_error`] after the run.
 
 use crate::event::{
     AlphaUpdated, CeMarked, CwndUpdated, EpisodeEntered, EpisodeExited, FlowCompleted,

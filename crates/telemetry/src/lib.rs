@@ -35,6 +35,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Hot path (per packet or per event): a panic aborts a whole figure run.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod event;
 pub mod hist;
@@ -56,7 +63,7 @@ pub use timeline::TimelineSampler;
 
 // Compile-time shard-safety proofs: subscribers travel with their
 // `Network` across worker threads, and per-shard recorders are merged on
-// the host thread (ROADMAP item 1). Lint rules R7/R8 guard the source
+// the host thread (ROADMAP item 1). Lint rule R7 guards the source
 // text; these assertions guard the types themselves.
 const fn assert_send<T: Send>() {}
 const fn assert_send_sync<T: Send + Sync>() {}

@@ -1,10 +1,11 @@
 //! Counter/gauge aggregation keyed by a static registry.
 //!
 //! [`MetricsAggregator`] maintains one `u64` counter per [`Metric`] in a
-//! fixed array — no hash maps, no default hashers (lint R3), no
-//! allocation on the event path — plus two high-watermark gauges. The
-//! registry is the [`METRIC_NAMES`] array, index-aligned with the enum,
-//! so CSV/JSON output is stable and exhaustively enumerable.
+//! fixed array — no hash maps, no default hashers (clippy's
+//! `disallowed_types`), no allocation on the event path — plus two
+//! high-watermark gauges. The registry is the [`METRIC_NAMES`] array,
+//! index-aligned with the enum, so CSV/JSON output is stable and
+//! exhaustively enumerable.
 
 use crate::event::{
     AlphaUpdated, CeMarked, CwndUpdated, DropReason, EpisodeEntered, EpisodeExited, FlowCompleted,

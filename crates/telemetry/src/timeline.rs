@@ -4,9 +4,10 @@
 //! per-flow congestion state, and appends one CSV row per tracked entity
 //! every time simulation time crosses the sampling interval. The cadence
 //! is driven **entirely by event timestamps** — the sampler owns no
-//! timers and never reads the wall clock (lint R1) — so output is a
-//! deterministic function of the event stream: quiet periods produce no
-//! rows, and two identical runs produce byte-identical series.
+//! timers and never reads the wall clock (clippy's `disallowed_methods`)
+//! — so output is a deterministic function of the event stream: quiet
+//! periods produce no rows, and two identical runs produce byte-identical
+//! series.
 
 use crate::event::{
     AlphaUpdated, CwndUpdated, EpisodeEntered, EpisodeExited, Meta, PacketEnqueued, RtoFired,

@@ -31,7 +31,7 @@ pub use time_emu::{reference_ticks, TimeEmulator, WrapCmp};
 
 // Compile-time shard-safety proofs: the pipeline model runs inside the
 // `Network` a sharded engine (ROADMAP item 1) moves across worker
-// threads. Lint rules R7/R8 guard the source text; these assertions
+// threads. Lint rule R7 guards the source text; these assertions
 // guard the types themselves.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {

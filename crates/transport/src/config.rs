@@ -123,8 +123,7 @@ mod tests {
         assert_eq!(c.max_rto_retries, 8);
         assert!(matches!(c.cc, CcKind::Dctcp { g } if (g - 0.0625).abs() < 1e-12));
         assert_eq!(c.delack_count, 1);
-        // 3 * 1460 is exact in f64.
-        #[allow(clippy::float_cmp)]
+        #[expect(clippy::float_cmp, reason = "3 * 1460 is exact in f64")]
         {
             assert_eq!(c.init_cwnd_bytes(), 4380.0);
         }

@@ -731,8 +731,10 @@ mod tests {
     #[test]
     fn dctcp_alpha_decays_without_marks_and_rises_with() {
         let (mut s, _) = established(100_000_000);
-        // Initialization assigns the literal 1.0; no arithmetic involved.
-        #[allow(clippy::float_cmp)]
+        #[expect(
+            clippy::float_cmp,
+            reason = "initialization assigns the literal 1.0; no arithmetic involved"
+        )]
         {
             assert_eq!(s.alpha, 1.0, "Linux-style init");
         }
@@ -816,8 +818,10 @@ mod tests {
         let mut ctx = Ctx::detached(SimTime::from_millis(50), NodeId(0), &mut actions);
         s.on_rto(&mut ctx);
         assert_eq!(s.timeouts, 1);
-        // RTO assigns cwnd = mss as f64 exactly; no arithmetic involved.
-        #[allow(clippy::float_cmp)]
+        #[expect(
+            clippy::float_cmp,
+            reason = "RTO assigns cwnd = mss as f64 exactly; no arithmetic involved"
+        )]
         {
             assert_eq!(s.cwnd, 1460.0, "cwnd collapses to one segment");
         }

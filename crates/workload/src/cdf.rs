@@ -20,8 +20,10 @@ impl PiecewiseCdf {
     /// missing anchors).
     pub fn new(points: &[(f64, f64)]) -> Self {
         assert!(points.len() >= 2, "need at least two CDF points");
-        // The anchor must be given as literal 0.0, not merely close to it.
-        #[allow(clippy::float_cmp)]
+        #[expect(
+            clippy::float_cmp,
+            reason = "the anchor must be given as literal 0.0, not merely close to it"
+        )]
         {
             assert_eq!(points[0].1, 0.0, "first point must have probability 0");
         }
@@ -49,9 +51,10 @@ impl PiecewiseCdf {
         let mut prev = self.points[0];
         for &pt in &self.points[1..] {
             if p <= pt.1 {
-                // Exact equality is the only true division-by-zero in the
-                // interpolation below; near-equal segments interpolate fine.
-                #[allow(clippy::float_cmp)]
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "exact equality is the only division by zero below"
+                )]
                 if pt.1 == prev.1 {
                     return pt.0;
                 }
@@ -105,9 +108,10 @@ mod tests {
     }
 
     #[test]
-    // Interpolating the two-point uniform CDF at 0/0.5/1 involves only
-    // exactly-representable values.
-    #[allow(clippy::float_cmp)]
+    #[expect(
+        clippy::float_cmp,
+        reason = "the two-point uniform CDF at 0/0.5/1 is exactly representable"
+    )]
     fn quantiles_of_uniform() {
         let c = uniform_0_100();
         assert_eq!(c.quantile(0.0), 0.0);

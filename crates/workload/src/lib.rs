@@ -31,8 +31,8 @@ pub use synth::{permutation_pairs, SizeDist};
 pub use traffic::{IncastSpec, Pattern, TrafficSpec};
 
 // Compile-time shard-safety proofs: workload generators are cloned into
-// per-shard workers by the sharded engine (ROADMAP item 1). Lint rules
-// R7/R8 guard the source text; these assertions guard the types.
+// per-shard workers by the sharded engine (ROADMAP item 1). Lint rule
+// R7 guards the source text; these assertions guard the types.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<PiecewiseCdf>();

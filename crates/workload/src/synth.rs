@@ -91,8 +91,7 @@ mod tests {
     use super::*;
 
     #[test]
-    // (10 + 20) / 2 is exact in f64.
-    #[allow(clippy::float_cmp)]
+    #[expect(clippy::float_cmp, reason = "(10 + 20) / 2 is exact in f64")]
     fn fixed_and_uniform() {
         let mut rng = Rng::seed_from_u64(1);
         assert_eq!(SizeDist::Fixed(777).sample(&mut rng), 777);

@@ -1,54 +1,22 @@
-//! Clean fixture: every waivable rule (R1/R3/R4/R5/R7/R8/R9/R10)
-//! present but properly waived, plus look-alike tokens that must NOT
-//! trigger (`Instantaneous`, `should_panic`, tuple field access,
-//! strings, comments). Every waiver below suppresses a live finding —
-//! the selftest also strips the code and asserts they all go stale.
+//! Clean fixture: every waivable rule (R7/R9/R10) present but properly
+//! waived, a deny-level lint suppressed the one accepted way, plus
+//! look-alike tokens that must NOT trigger (`'static` lifetimes,
+//! `partial_cmp` impls, strings, comments). Every comment waiver below
+//! suppresses a live finding — the selftest also strips the code and
+//! asserts they all go stale.
 
-// lint: allow(hash-collections) membership-only, never iterated
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::atomic::AtomicU64;
-
-/// Times host execution of a figure binary, not simulated time.
-// lint: allow(wall-clock) host-side harness timing
-pub fn host_elapsed(t0: std::time::Instant) -> u64 {
-    t0.elapsed().as_nanos() as u64
-}
 
 /// Process-wide call counter, reviewed: order-insensitive telemetry.
 // lint: allow(shared-state) order-insensitive host-side counter
 static CALLS: AtomicU64 = AtomicU64::new(0);
 
-/// Membership probe against a waived map; head is caller-guaranteed.
-pub fn checked_head(
-    queue: &[u64],
-    // lint: allow(hash-collections) membership-only, never iterated
-    lookup: &HashMap<u64, u64>,
-) -> u64 {
-    let _ = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let _present = lookup.contains_key(&0);
-    // lint: allow(hot-path-panic) caller guarantees non-empty
-    let head = queue.first().unwrap();
-    *head
-}
-
-/// Comparing against a sentinel NaN-free constant, reviewed and waived.
-pub fn is_disabled(p: f64) -> bool {
-    // lint: allow(float-cmp) 0.0 is an exact sentinel, never computed
-    p == 0.0
-}
-
 /// Reviewed float sort: inputs are probabilities in [0,1], never NaN.
 pub fn sorted(mut xs: Vec<f64>) -> Vec<f64> {
-    // lint: allow(unordered-iteration) no NaN by construction lint: allow(hot-path-panic) no NaN by construction
+    let _ = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    // lint: allow(float-comparator) no NaN by construction
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     xs
-}
-
-/// Shard-local immutable config handle, audited: never crosses threads.
-pub struct Handle {
-    // lint: allow(non-send-type) shard-local cache, never crosses threads
-    pub cache: Rc<u64>,
 }
 
 /// Fixture-only knob read outside `env.rs`, waived to prove R10 waives.
@@ -57,10 +25,21 @@ pub fn knob() -> Option<String> {
     std::env::var("ECNSHARP_FIXTURE").ok()
 }
 
-/// Near-misses that must stay silent: `Instantaneous` is not `Instant`,
-/// `should_panic` is not `panic!`, `"Instant::now"` is a string, and
-/// `pair.0 == other.0` compares integers.
-pub fn near_misses(pair: (u64, u64), other: (u64, u64)) -> bool {
-    let _s = "Instant::now and thread_rng live in strings";
-    pair.0 == other.0
+/// Comparing against an exact sentinel, reviewed: the compiler checks
+/// that the expectation stays fulfilled, the lint counts it.
+#[expect(
+    clippy::float_cmp,
+    reason = "1.5 is an exact sentinel, never computed"
+)]
+pub fn is_sentinel(p: f64) -> bool {
+    p == 1.5
+}
+
+/// Near-misses that must stay silent: a `'static` bound is not a
+/// `static` item, `"env::var"` is a string, and the comparator below is
+/// a `PartialOrd` forward, not a sort.
+pub fn near_misses(s: &'static str, a: &f64, b: &f64) -> Option<std::cmp::Ordering> {
+    let _s = "std::env::var and static mut live in strings";
+    let _ = s;
+    a.partial_cmp(b)
 }

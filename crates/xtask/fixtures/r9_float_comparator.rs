@@ -1,10 +1,5 @@
-//! Seeded R9 violations: hash-order iteration feeding results, and a
-//! panicking float comparator where `total_cmp` gives a total order.
-
-use std::collections::HashMap;
-
-/// Hash iteration order leaks straight into the returned Vec.
-pub fn flow_ids(m: &HashMap<u64, u64>) -> Vec<u64> { m.keys().copied().collect() }
+//! Seeded R9 violation: a panicking float comparator where `total_cmp`
+//! gives a total order.
 
 /// Panics on NaN and under-orders floats; use `f64::total_cmp`.
 pub fn rank(mut xs: Vec<f64>) -> Vec<f64> {

@@ -2,14 +2,15 @@
 //!
 //! Subcommands:
 //!
-//! - `lint` — run the determinism + shard-safety lint pass (R1-R11) over
-//!   the workspace, including the `WAIVERS.budget` exact-count check;
-//!   non-zero exit on any finding. `lint --json` prints the
-//!   machine-readable violation + waiver inventory to stdout instead.
+//! - `lint` — run the lint rules no compiler lint expresses (R6, R7, R9,
+//!   R10, R11) over the workspace, including the `WAIVERS.budget`
+//!   exact-count check; non-zero exit on any finding.
 //! - `selftest` — prove each rule fires on its seeded fixture violation.
-//! - `ci` — fmt-check → clippy → lint (+ JSON artifact) → selftest →
-//!   release build → `benchmark/` package tests (release) → tests
-//!   (default features, then `strict-invariants`)
+//! - `ci` — fmt-check → clippy, default features then
+//!   `--no-default-features` (required: clippy is the only enforcer of the
+//!   wall-clock, entropy, hash-order, float-equality and hot-path panic
+//!   rules) → lint → selftest → release build → `benchmark/` package
+//!   tests (release) → tests (default features, then `strict-invariants`)
 //!   → race harness (release) → sharded-determinism gate (the
 //!   serial-vs-sharded byte-equivalence suite under `strict-invariants`;
 //!   see CONCURRENCY.md) → `--no-default-features` build and tests
@@ -29,11 +30,10 @@
 #![warn(missing_docs)]
 
 use std::process::{Command, ExitCode};
-// xtask is host-side tooling: timing CI steps with the wall clock is the
-// whole point here. R1 only scopes to sim-facing crates so no lint
-// waiver is needed (R11 would flag one as stale); clippy still needs
-// the attribute.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host-side tooling: timing CI steps with the wall clock is the point"
+)]
 mod timing {
     /// Wall-clock seconds spent in `f`.
     pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -46,7 +46,6 @@ mod timing {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") if args.get(1).map(String::as_str) == Some("--json") => exit_for(lint_json()),
         Some("lint") => exit_for(lint()),
         Some("selftest") => exit_for(selftest()),
         Some("ci") => ci(),
@@ -67,12 +66,12 @@ fn print_help() {
     println!(
         "cargo xtask <command>\n\n\
          commands:\n  \
-         lint        determinism + shard-safety lint (rules R1-R11) incl. the\n              \
-         WAIVERS.budget check; `lint --json` prints the machine-\n              \
-         readable violation + waiver inventory\n  \
+         lint        the rules clippy cannot express (R6 R7 R9 R10 R11) incl. the\n              \
+         WAIVERS.budget check\n  \
          selftest    verify each lint rule fires on its seeded fixture\n  \
-         ci          fmt-check -> clippy -> lint -> selftest -> build -> tests ->\n              \
-         race harness -> sharded determinism -> chaos smoke -> chaos drills -> rustdoc gate\n  \
+         ci          fmt-check -> clippy (both feature sets) -> lint -> selftest ->\n              \
+         build -> tests -> race harness -> sharded determinism ->\n              \
+         chaos smoke -> chaos drills -> rustdoc gate\n  \
          bench       run the four paired microbench gates; fail when a pair's\n              \
          median same-run ratio misses its budget"
     );
@@ -96,8 +95,9 @@ fn lint() -> bool {
                 return false;
             }
             println!(
-                "lint: workspace clean (rules R1-R11, {} waiver(s) within budget, {secs:.2}s)",
-                report.waivers.len()
+                "lint: workspace clean (rules R6 R7 R9 R10 R11, {} waiver(s) within budget, \
+                 {secs:.2}s)",
+                report.waivers.values().sum::<usize>()
             );
             true
         }
@@ -115,36 +115,12 @@ fn lint() -> bool {
     }
 }
 
-/// `lint --json`: print the machine-readable violation + waiver
-/// inventory to stdout; exit non-zero on violations or budget drift
-/// (the JSON is emitted either way, for CI artifact upload).
-fn lint_json() -> bool {
-    let root = xtask::workspace_root();
-    match xtask::analyze_workspace(&root) {
-        Ok(report) => {
-            print!("{}", report.to_json());
-            let budget_ok = match xtask::check_waiver_budget(&root, &report) {
-                Ok(()) => true,
-                Err(e) => {
-                    eprintln!("lint: {e}");
-                    false
-                }
-            };
-            report.violations.is_empty() && budget_ok
-        }
-        Err(e) => {
-            eprintln!("lint: walk failed: {e}");
-            false
-        }
-    }
-}
-
 fn selftest() -> bool {
     match xtask::selftest::run(&xtask::workspace_root()) {
         Ok(()) => {
             println!(
-                "selftest: every rule R1-R11 fires on its seeded violation; waivers \
-                 suppress; stale waivers are rejected"
+                "selftest: every rule (R6 R7 R9 R10 R11) fires on its seeded violation; \
+                 waivers suppress; stale and unchecked waivers are rejected"
             );
             true
         }
@@ -155,9 +131,8 @@ fn selftest() -> bool {
     }
 }
 
-/// One external CI step; `required` distinguishes hard failures from
-/// steps skipped because the host lacks the component.
-fn run_step(name: &str, mut cmd: Command, required: bool) -> Result<(), ()> {
+/// One external CI step: it must launch and exit 0.
+fn run_step(name: &str, mut cmd: Command) -> Result<(), ()> {
     print!("ci: {name} ... ");
     let (status, secs) = timing::timed(|| cmd.status());
     match status {
@@ -168,10 +143,6 @@ fn run_step(name: &str, mut cmd: Command, required: bool) -> Result<(), ()> {
         Ok(s) => {
             println!("FAILED ({s})");
             Err(())
-        }
-        Err(e) if !required => {
-            println!("skipped (unavailable: {e})");
-            Ok(())
         }
         Err(e) => {
             println!("FAILED to launch: {e}");
@@ -249,64 +220,44 @@ fn ci() -> ExitCode {
             Box::new(|| {
                 let mut c = cargo();
                 c.args(["fmt", "--all", "--", "--check"]);
-                // rustfmt is optional on minimal hosts; missing component
-                // surfaces as a launch error handled by required=false at
-                // the Command level, but cargo itself exists, so probe the
-                // component first.
+                // rustfmt is optional on minimal hosts: cargo itself
+                // exists, so probe the component first.
                 let probe = cargo().args(["fmt", "--version"]).output();
                 if !matches!(probe, Ok(ref o) if o.status.success()) {
                     println!("ci: fmt --check ... skipped (rustfmt not installed)");
                     return Ok(());
                 }
-                run_step("fmt --check", c, true)
+                run_step("fmt --check", c)
             }),
         ),
+        // Clippy is required: it is the only enforcer of the wall-clock,
+        // entropy, hash-order, float-equality and hot-path panic rules,
+        // and rustc checks an `#[expect]` of a clippy lint only under
+        // clippy — in both builds, as some sit on telemetry-gated code.
         (
             "clippy",
             Box::new(|| {
-                let probe = cargo().args(["clippy", "--version"]).output();
-                if !matches!(probe, Ok(ref o) if o.status.success()) {
-                    println!("ci: clippy ... skipped (clippy not installed)");
-                    return Ok(());
-                }
                 let mut c = cargo();
                 c.args(["clippy", "--workspace", "--all-targets"]);
-                run_step("clippy (workspace deny-list)", c, true)
+                run_step("clippy (default features)", c)
+            }),
+        ),
+        (
+            "clippy --no-default-features",
+            Box::new(|| {
+                let mut c = cargo();
+                c.args([
+                    "clippy",
+                    "--workspace",
+                    "--all-targets",
+                    "--no-default-features",
+                ]);
+                run_step("clippy (--no-default-features)", c)
             }),
         ),
         (
             "xtask lint",
             Box::new(|| if lint() { Ok(()) } else { Err(()) }),
-        ),
-        (
-            "lint json artifact",
-            Box::new(|| {
-                // Machine-readable inventory for CI artifact upload; the
-                // pass/fail gate already ran in the previous step, so
-                // this only fails if the report cannot be produced.
-                let root = xtask::workspace_root();
-                let report = match xtask::analyze_workspace(&root) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        println!("ci: lint json artifact ... FAILED ({e})");
-                        return Err(());
-                    }
-                };
-                let out = root.join("target/lint-report.json");
-                if let Some(dir) = out.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                match std::fs::write(&out, report.to_json()) {
-                    Ok(()) => {
-                        println!("ci: lint json artifact ... ok ({})", out.display());
-                        Ok(())
-                    }
-                    Err(e) => {
-                        println!("ci: lint json artifact ... FAILED ({e})");
-                        Err(())
-                    }
-                }
-            }),
         ),
         (
             "xtask selftest",
@@ -317,7 +268,7 @@ fn ci() -> ExitCode {
             Box::new(|| {
                 let mut c = cargo();
                 c.args(["build", "--release", "--workspace"]);
-                run_step("build --release", c, true)
+                run_step("build --release", c)
             }),
         ),
         (
@@ -334,7 +285,7 @@ fn ci() -> ExitCode {
                     "--manifest-path",
                     "benchmark/Cargo.toml",
                 ]);
-                run_step("test benchmark/ (release)", c, true)
+                run_step("test benchmark/ (release)", c)
             }),
         ),
         (
@@ -342,7 +293,7 @@ fn ci() -> ExitCode {
             Box::new(|| {
                 let mut c = cargo();
                 c.args(["test", "--workspace", "-q"]);
-                run_step("test (default features)", c, true)
+                run_step("test (default features)", c)
             }),
         ),
         (
@@ -356,7 +307,7 @@ fn ci() -> ExitCode {
                     "strict-invariants",
                     "-q",
                 ]);
-                run_step("test (strict-invariants)", c, true)
+                run_step("test (strict-invariants)", c)
             }),
         ),
         (
@@ -377,7 +328,7 @@ fn ci() -> ExitCode {
                     "race_harness",
                     "-q",
                 ]);
-                run_step("race harness (release, shuffled schedules)", c, true)
+                run_step("race harness (release, shuffled schedules)", c)
             }),
         ),
         (
@@ -399,7 +350,7 @@ fn ci() -> ExitCode {
                     "shard_equivalence",
                     "-q",
                 ]);
-                run_step("sharded determinism (strict-invariants, release)", c, true)
+                run_step("sharded determinism (strict-invariants, release)", c)
             }),
         ),
         (
@@ -416,7 +367,7 @@ fn ci() -> ExitCode {
                     "--all-targets",
                     "--no-default-features",
                 ]);
-                run_step("build (--no-default-features, all targets)", c, true)
+                run_step("build (--no-default-features, all targets)", c)
             }),
         ),
         (
@@ -424,7 +375,7 @@ fn ci() -> ExitCode {
             Box::new(|| {
                 let mut c = cargo();
                 c.args(["test", "--workspace", "--no-default-features", "-q"]);
-                run_step("test (--no-default-features)", c, true)
+                run_step("test (--no-default-features)", c)
             }),
         ),
         (
@@ -447,7 +398,7 @@ fn ci() -> ExitCode {
                 ]);
                 c.env("ECNSHARP_SCALE", "quick");
                 c.env("ECNSHARP_RESULTS", &tmp);
-                run_step("chaos smoke (quick, strict-invariants)", c, true)
+                run_step("chaos smoke (quick, strict-invariants)", c)
             }),
         ),
         (
@@ -501,7 +452,7 @@ fn ci() -> ExitCode {
                 let mut c = cargo();
                 c.args(["doc", "--workspace", "--no-deps"]);
                 c.env("RUSTDOCFLAGS", "-Dwarnings");
-                run_step("doc --no-deps (-Dwarnings)", c, true)
+                run_step("doc --no-deps (-Dwarnings)", c)
             }),
         ),
         (
@@ -509,7 +460,7 @@ fn ci() -> ExitCode {
             Box::new(|| {
                 let mut c = cargo();
                 c.args(["test", "--workspace", "--doc", "-q"]);
-                run_step("test --doc", c, true)
+                run_step("test --doc", c)
             }),
         ),
     ];

@@ -1,9 +1,8 @@
 //! Line-level preprocessing for the lint pass: a lightweight Rust lexer
 //! that separates each line into *code text* (string/char literals and
 //! comments blanked out) and *comment text* (where waivers live), plus a
-//! region tracker that follows brace depth, `#[cfg(test)]`/`mod tests`
-//! regions, and `pub struct`/`pub enum`/`pub union` bodies so rules can
-//! scope themselves to production code and public type declarations.
+//! region tracker that follows brace depth and `#[cfg(test)]`/`mod tests`
+//! regions so rules can scope themselves to production code.
 //!
 //! The lexer is deliberately approximate — it understands line comments,
 //! nested block comments, string/raw-string/char literals and skips
@@ -22,9 +21,6 @@ pub struct ScannedLine {
     /// Line belongs to a `#[cfg(test)]` item or a `mod tests { .. }`
     /// body (including the attribute/declaration lines themselves).
     pub in_test: bool,
-    /// Line is inside the body of a `pub struct`/`pub enum`/`pub union`
-    /// declaration (or is the declaration line itself).
-    pub in_pub_type: bool,
 }
 
 /// Lexer state carried across lines.
@@ -39,81 +35,51 @@ struct LexState {
     in_string: bool,
 }
 
-/// A brace-delimited region the tracker cares about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegionKind {
-    /// `#[cfg(test)]` item body or `mod tests { .. }`.
-    Test,
-    /// `pub struct` / `pub enum` / `pub union` body.
-    PubType,
-}
-
 /// Region-tracking state carried across lines (operates on lexed code
 /// text, so braces in strings/comments are invisible to it).
 #[derive(Debug, Clone, Default)]
 struct RegionState {
     /// Current brace depth.
     depth: u32,
-    /// Open regions as `(kind, body_depth)`: the region is live while
-    /// `depth >= body_depth`.
-    stack: Vec<(RegionKind, u32)>,
+    /// Body depths of the open test regions (a `#[cfg(test)]` item body
+    /// or `mod tests { .. }`): a region is live while `depth >= body_depth`.
+    stack: Vec<u32>,
     /// A `#[cfg(test)]` attribute (or `mod tests` header) was seen and
     /// its item's opening brace is still pending; value is the depth the
     /// attribute appeared at.
     pending_test: Option<u32>,
-    /// A `pub struct/enum/union` header was seen and its body brace is
-    /// still pending; value is the depth the header appeared at.
-    pending_pub_type: Option<u32>,
 }
 
 impl RegionState {
     fn test_active(&self) -> bool {
-        self.pending_test.is_some() || self.stack.iter().any(|&(k, _)| k == RegionKind::Test)
-    }
-
-    fn pub_type_active(&self) -> bool {
-        self.pending_pub_type.is_some() || self.stack.iter().any(|&(k, _)| k == RegionKind::PubType)
+        self.pending_test.is_some() || !self.stack.is_empty()
     }
 
     /// Advance over one line of lexed code text.
     fn advance(&mut self, code: &str) {
-        // Header detection first: the braces that open these regions may
-        // sit on the same line, and `{` consumes the pending marker.
+        // Header detection first: the brace that opens the region may sit
+        // on the same line, and `{` consumes the pending marker.
         if has_cfg_test_attr(code) || is_mod_tests_header(code) {
             self.pending_test = Some(self.depth);
-        }
-        if is_pub_type_header(code) {
-            self.pending_pub_type = Some(self.depth);
         }
         for c in code.chars() {
             match c {
                 '{' => {
                     if self.pending_test == Some(self.depth) {
                         self.pending_test = None;
-                        self.pending_pub_type = None;
-                        self.stack.push((RegionKind::Test, self.depth + 1));
-                    } else if self.pending_pub_type == Some(self.depth) {
-                        self.pending_pub_type = None;
-                        self.stack.push((RegionKind::PubType, self.depth + 1));
+                        self.stack.push(self.depth + 1);
                     }
                     self.depth += 1;
                 }
                 '}' => {
                     self.depth = self.depth.saturating_sub(1);
-                    while matches!(self.stack.last(), Some(&(_, d)) if d > self.depth) {
+                    while matches!(self.stack.last(), Some(&d) if d > self.depth) {
                         self.stack.pop();
                     }
                 }
-                ';' => {
-                    // A braceless item (e.g. `#[cfg(test)] use x;` or
-                    // `mod tests;`) consumes its pending marker.
-                    if self.pending_test == Some(self.depth) {
-                        self.pending_test = None;
-                    }
-                    if self.pending_pub_type == Some(self.depth) {
-                        self.pending_pub_type = None;
-                    }
-                }
+                // A braceless item (e.g. `#[cfg(test)] use x;` or
+                // `mod tests;`) consumes its pending marker.
+                ';' if self.pending_test == Some(self.depth) => self.pending_test = None,
                 _ => {}
             }
         }
@@ -139,28 +105,6 @@ fn is_mod_tests_header(code: &str) -> bool {
     }
 }
 
-/// Is this line a `pub struct`/`pub enum`/`pub union` header? Handles
-/// `pub(crate)`/`pub(super)` restricted visibility too.
-fn is_pub_type_header(code: &str) -> bool {
-    for kw in ["struct", "enum", "union"] {
-        if let Some(pos) = find_word(code, kw) {
-            let before = code[..pos].trim_end();
-            if before.ends_with("pub") {
-                return true;
-            }
-            if let Some(open) = before.rfind("pub") {
-                // `pub(crate)` / `pub(in path)` between `pub` and the kw.
-                let between = &before[open + "pub".len()..];
-                let between = between.trim();
-                if between.starts_with('(') && between.ends_with(')') {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Lex a whole file into per-line code/comment views with region info.
 pub fn scan_lines(source: &str) -> Vec<ScannedLine> {
     let mut state = LexState::default();
@@ -171,17 +115,14 @@ pub fn scan_lines(source: &str) -> Vec<ScannedLine> {
             let mut scanned = scan_line(line, &mut state);
             scanned.depth = regions.depth;
             let test_before = regions.test_active();
-            let pub_before = regions.pub_type_active();
             regions.advance(&scanned.code);
             // A header whose pending marker is consumed on its own line
-            // (`pub struct W(u32);`, `#[cfg(test)] use x;`) still counts
-            // for the line it appears on.
+            // (`#[cfg(test)] use x;`) still counts for the line it
+            // appears on.
             scanned.in_test = test_before
                 || regions.test_active()
                 || has_cfg_test_attr(&scanned.code)
                 || is_mod_tests_header(&scanned.code);
-            scanned.in_pub_type =
-                pub_before || regions.pub_type_active() || is_pub_type_header(&scanned.code);
             scanned
         })
         .collect()
@@ -391,37 +332,24 @@ fn is_ident_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// Waiver slugs declared on a comment via `lint: allow(<slug>)`.
+/// Waiver slugs declared on a comment via `lint: allow(<slug>) <reason>`,
+/// in order. Only kebab-case slugs (`[a-z0-9-]+`) count as declarations,
+/// so prose that merely quotes the syntax (e.g. a literal `<slug>`
+/// placeholder) is not a waiver.
 pub fn waiver_slugs(comment: &str) -> Vec<String> {
-    waivers_with_reasons(comment)
-        .into_iter()
-        .map(|(slug, _)| slug)
-        .collect()
-}
-
-/// Waiver declarations on a comment: `(slug, reason)` for every
-/// `lint: allow(<slug>) <reason>` occurrence, in order. The reason runs
-/// to the next waiver declaration or the end of the comment. Only
-/// kebab-case slugs (`[a-z0-9-]+`) count as declarations, so prose that
-/// merely quotes the syntax (e.g. a literal `<slug>` placeholder) is
-/// not a waiver.
-pub fn waivers_with_reasons(comment: &str) -> Vec<(String, String)> {
     const NEEDLE: &str = "lint: allow(";
-    let mut out: Vec<(String, String)> = Vec::new();
+    let mut out = Vec::new();
     let mut rest = comment;
     while let Some(pos) = rest.find(NEEDLE) {
         let after = &rest[pos + NEEDLE.len()..];
         let Some(close) = after.find(')') else { break };
-        let slug = after[..close].trim().to_string();
-        let tail = &after[close + 1..];
-        let reason_end = tail.find(NEEDLE).unwrap_or(tail.len());
-        let reason = tail[..reason_end].trim().to_string();
+        let slug = after[..close].trim();
         if !slug.is_empty()
             && slug
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
         {
-            out.push((slug, reason));
+            out.push(slug.to_string());
         }
         rest = &after[close..];
     }
@@ -486,33 +414,16 @@ mod tests {
 
     #[test]
     fn waiver_parsing() {
-        let slugs = waiver_slugs("// lint: allow(hash-collections) membership only");
-        assert_eq!(slugs, vec!["hash-collections".to_string()]);
+        let slugs = waiver_slugs("// lint: allow(shared-state) host-side counter");
+        assert_eq!(slugs, vec!["shared-state".to_string()]);
         let two = waiver_slugs("lint: allow(a) and lint: allow(b)");
         assert_eq!(two, vec!["a".to_string(), "b".to_string()]);
         assert!(waiver_slugs("plain comment").is_empty());
     }
 
     #[test]
-    fn waiver_reasons_are_captured() {
-        let ws = waivers_with_reasons("// lint: allow(float-cmp) exact sentinel value");
-        assert_eq!(ws.len(), 1);
-        assert_eq!(ws[0].0, "float-cmp");
-        assert_eq!(ws[0].1, "exact sentinel value");
-        let ws = waivers_with_reasons("lint: allow(a) first lint: allow(b) second");
-        assert_eq!(
-            ws,
-            vec![
-                ("a".to_string(), "first".to_string()),
-                ("b".to_string(), "second".to_string())
-            ]
-        );
-    }
-
-    #[test]
     fn multiline_strings_do_not_leak_into_later_lines() {
-        let src =
-            "let s = \"first \\\n // lint: allow(hash-collections) not a waiver\";\nlet t = 1;";
+        let src = "let s = \"first \\\n // lint: allow(shared-state) not a waiver\";\nlet t = 1;";
         let s = scan_lines(src);
         assert!(
             s[1].comment.is_empty(),
@@ -524,9 +435,9 @@ mod tests {
 
     #[test]
     fn placeholder_slugs_are_not_waiver_declarations() {
-        assert!(waivers_with_reasons("doc says `lint: allow(<slug>) <reason>`").is_empty());
-        assert!(waivers_with_reasons("lint: allow() empty slug").is_empty());
-        assert!(waivers_with_reasons("lint: allow(Uppercase) wrong case").is_empty());
+        assert!(waiver_slugs("doc says `lint: allow(<slug>) <reason>`").is_empty());
+        assert!(waiver_slugs("lint: allow() empty slug").is_empty());
+        assert!(waiver_slugs("lint: allow(Uppercase) wrong case").is_empty());
     }
 
     #[test]
@@ -595,27 +506,6 @@ mod tests {
             let s = scan_lines(src);
             assert!(!s[0].in_test, "src: {src}");
         }
-    }
-
-    #[test]
-    fn pub_type_regions() {
-        let src = "pub struct Foo {\n    inner: u32,\n}\nstruct Private {\n    x: u32,\n}";
-        let s = scan_lines(src);
-        assert!(s[0].in_pub_type && s[1].in_pub_type && s[2].in_pub_type);
-        assert!(!s[3].in_pub_type && !s[4].in_pub_type);
-    }
-
-    #[test]
-    fn pub_crate_enum_counts_as_pub_type() {
-        let s = scan_lines("pub(crate) enum E {\n    A,\n}");
-        assert!(s[0].in_pub_type && s[1].in_pub_type);
-    }
-
-    #[test]
-    fn tuple_struct_semicolon_closes_pending() {
-        let s = scan_lines("pub struct Wrapper(u32);\nfn body() {\n    x();\n}");
-        assert!(s[0].in_pub_type, "the declaration line itself");
-        assert!(!s[1].in_pub_type && !s[2].in_pub_type);
     }
 
     use proptest::prelude::*;
@@ -714,16 +604,15 @@ mod tests {
             slugs in collection::vec(0usize..5usize, 1..4),
         ) {
             const WORDS: [&str; 5] =
-                ["wall-clock", "hash-collections", "float-cmp", "env-read", "r9"];
+                ["shared-state", "float-comparator", "env-read", "no-such-rule", "r9"];
             let mut comment = String::from("//");
             for (k, &i) in slugs.iter().enumerate() {
                 comment.push_str(&format!(" lint: allow({}) reason number {k}", WORDS[i]));
             }
-            let parsed = waivers_with_reasons(&comment);
+            let parsed = waiver_slugs(&comment);
             prop_assert_eq!(parsed.len(), slugs.len());
-            for (k, (&i, (slug, reason))) in slugs.iter().zip(&parsed).enumerate() {
+            for (&i, slug) in slugs.iter().zip(&parsed) {
                 prop_assert_eq!(slug.as_str(), WORDS[i]);
-                prop_assert_eq!(reason.as_str(), format!("reason number {k}").as_str());
             }
         }
     }
