@@ -3,31 +3,33 @@
 //! (swept flap period) on the small leaf-spine fabric, DCTCP+ECN♯ vs
 //! CoDel. Emits three CSVs (FCT, marking/drop ledger, abort ledger).
 //!
-//! First consumer of the run-supervision stack ([`runner::supervised_map`]):
-//! every point runs with watchdogs and memory guards armed at their
-//! default budgets, which are constants, not knobs (byte-identical
-//! when untriggered — the supervision suite pins this), completed points
-//! are journaled as they finish, `ECNSHARP_RESUME=1` skips journaled
-//! points on restart, and points failing with a retryable error are
-//! re-run with the same seed. A failing point is reported as structured
-//! JSONL on stderr, the rest of the sweep still completes, partial CSVs
-//! are written, and the process exits nonzero.
+//! The sweep is a map over independent, seeded points
+//! ([`try_parallel_map`]). Every point runs with watchdogs and memory
+//! guards armed at their default budgets, which are constants, not knobs
+//! (byte-identical when untriggered — the supervision suite pins this),
+//! and returns `Result<ChaosResult, SimError>`; a panicking point becomes
+//! a `WorkerPanic` whose message carries its point id and seed. A point
+//! is never retried: the simulator is deterministic, so a failure
+//! reproduces byte for byte from its id and seed. Each failed point is
+//! reported as one JSONL line on stderr, the rest of the sweep still
+//! completes, partial CSVs are written, and the process exits nonzero.
 //!
 //! Knobs (all strict — a typo is an error, never a silent default; the
-//! sweep's share of the 14 `ECNSHARP_*` names inventoried in `env.rs`):
+//! sweep's share of the 12 `ECNSHARP_*` names inventoried in `env.rs`):
 //! - `ECNSHARP_SCALE=quick|mid|full` — grid size and flow count;
 //! - `ECNSHARP_FAULT_SEED=<u64|0xhex>` — base seed for every point;
 //! - `ECNSHARP_SHARDS=<n>` — shard count per point (clamped to 2 here);
-//! - `ECNSHARP_RESUME=1` — skip points already in the journal;
-//! - `ECNSHARP_RETRIES=<n>` — same-seed retry budget (default 1);
 //! - `ECNSHARP_INJECT_PANIC=worker` — crash the first sweep point;
 //! - `ECNSHARP_INJECT_STALL=window` — freeze the first point's shard
 //!   windows so the barrier-stall detector must trip (needs shards ≥ 2);
 //! - `ECNSHARP_INJECT_LIVELOCK=engine` — schedule a zero-delay event
 //!   cycle on the first point so the progress guard must trip.
 
-use ecnsharp_experiments::{env, perf, runner, ChaosResult, PointStatus, Scale, Scheme};
-use ecnsharp_net::Supervision;
+use ecnsharp_experiments::{
+    env, perf, results_dir, run_chaos_leaf_spine, try_parallel_map, ChaosResult, Scale, Scheme,
+    SweepOutcome,
+};
+use ecnsharp_net::{SimError, Supervision};
 use ecnsharp_sim::Duration;
 use ecnsharp_stats::{us, Table};
 use std::process::ExitCode;
@@ -46,16 +48,11 @@ fn flap_label(flap: &Option<Duration>) -> String {
 
 fn main() -> ExitCode {
     let scale = Scale::from_env_or_exit();
-    let seed = runner::fault_seed_or_exit();
+    let seed = env::or_exit(env::fault_seed());
     let inject_panic = env::or_exit(env::inject_panic());
     let inject_stall = env::or_exit(env::inject_stall());
     let inject_livelock = env::or_exit(env::inject_livelock());
     let shards = env::or_exit(env::shards());
-    let cfg = runner::SweepConfig {
-        journal: Some(runner::results_dir().join("chaos.journal.jsonl")),
-        resume: env::or_exit(env::resume()),
-        retries: env::or_exit(env::retries()),
-    };
 
     let (losses, flap_us, n_flows): (Vec<f64>, Vec<Option<u64>>, usize) = match scale {
         Scale::Full => (
@@ -80,20 +77,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    let meta: Vec<(f64, Option<Duration>, String)> = jobs
-        .iter()
-        .map(|(_, loss, flap, s)| (*loss, *flap, s.label()))
-        .collect();
-    let point_id = |(idx, loss, flap, s): &Point| {
+    let point_seed = |idx: usize| seed.wrapping_add(idx as u64 * 7919);
+    let point_id = |&(idx, loss, flap, ref scheme): &Point| {
         format!(
             "chaos-{idx}-loss{loss:?}-flap{}-{}",
-            flap_label(flap),
-            s.label()
+            flap_label(&flap),
+            scheme.label()
         )
     };
-    let point_seed = |(idx, ..): &Point| seed.wrapping_add(*idx as u64 * 7919);
-    let ids: Vec<String> = jobs.iter().map(point_id).collect();
-    let seeds: Vec<u64> = jobs.iter().map(point_seed).collect();
 
     println!(
         "Chaos sweep — leaf-spine 2x2x4, web search @50% load, {} points (seed {seed:#x})",
@@ -102,29 +93,44 @@ fn main() -> ExitCode {
     println!("loss = GE mean burst-loss rate; flap_us = leaf0-spine0 flap period (- = no flap)\n");
 
     let t = perf::timed(|| {
-        runner::supervised_map(jobs, &cfg, point_id, point_seed, |p| {
-            let (idx, loss, flap, scheme) = p;
-            if inject_panic && *idx == 0 {
+        try_parallel_map(jobs.iter().collect(), |&&(idx, loss, flap, ref scheme)| {
+            if inject_panic && idx == 0 {
                 panic!("injected worker panic (ECNSHARP_INJECT_PANIC=worker)");
             }
             let point_sup = Supervision {
-                inject_stall: inject_stall && *idx == 0,
+                inject_stall: inject_stall && idx == 0,
                 ..Supervision::armed()
             };
-            ecnsharp_experiments::try_run_chaos_leaf_spine_sharded(
+            run_chaos_leaf_spine(
                 scheme.clone(),
-                *loss,
-                *flap,
+                loss,
+                flap,
                 n_flows,
-                point_seed(p),
+                point_seed(idx),
                 shards,
                 point_sup,
-                inject_livelock && *idx == 0,
+                inject_livelock && idx == 0,
             )
         })
     });
     let perf_line = t.report("chaos");
-    let report = t.result;
+    let SweepOutcome { results, panics } = t.result;
+    // A panicked point leaves its slot empty; its error names the point.
+    let points: Vec<Result<ChaosResult, SimError>> = results
+        .into_iter()
+        .zip(&jobs)
+        .map(|(slot, p)| {
+            slot.unwrap_or_else(|| {
+                let msg = panics
+                    .iter()
+                    .find(|(i, _)| *i == p.0)
+                    .map_or("", |(_, m)| m);
+                Err(SimError::WorkerPanic {
+                    msg: format!("point {} (seed {:#x}): {msg}", point_id(p), point_seed(p.0)),
+                })
+            })
+        })
+        .collect();
 
     let mut fct_t = Table::new(&[
         "loss",
@@ -148,12 +154,10 @@ fn main() -> ExitCode {
         "no_route_drops",
     ]);
     let mut aborts_t = Table::new(&["loss", "flap_us", "scheme", "failed", "timeouts"]);
-    for ((loss, flap, label), p) in meta.iter().zip(&report.points) {
-        // Failed and resumed-skipped points are reported below and absent
-        // from this run's CSVs.
-        let PointStatus::Done(r): &PointStatus<ChaosResult> = p else {
-            continue;
-        };
+    for ((_, loss, flap, scheme), res) in jobs.iter().zip(&points) {
+        // Failed points are reported below and absent from the CSVs.
+        let Ok(r) = res else { continue };
+        let label = scheme.label();
         let loss_s = format!("{loss:?}");
         let flap_s = flap_label(flap);
         fct_t.row(&[
@@ -180,12 +184,12 @@ fn main() -> ExitCode {
         aborts_t.row(&[
             loss_s,
             flap_s,
-            label.clone(),
+            label,
             r.failed.to_string(),
             r.timeouts.to_string(),
         ]);
     }
-    let dir = runner::results_dir();
+    let dir = results_dir();
     for (table, name) in [
         (&fct_t, "chaos_fct"),
         (&marks_t, "chaos_marks"),
@@ -201,13 +205,26 @@ fn main() -> ExitCode {
     print!("{}", marks_t.render());
     eprintln!("{perf_line}");
 
-    runner::report_failures(&report, &ids, &seeds);
-    println!("{}", report.summary_line());
-    if report.failed > 0 {
+    let mut failed = 0;
+    for (p, res) in jobs.iter().zip(&points) {
+        if let Err(e) = res {
+            failed += 1;
+            eprintln!(
+                "{{\"point\":\"{}\",\"seed\":{},\"error\":{}}}",
+                point_id(p),
+                point_seed(p.0),
+                e.to_jsonl()
+            );
+        }
+    }
+    println!(
+        "sweep: {} completed, {failed} failed",
+        points.len() - failed
+    );
+    if failed > 0 {
         eprintln!(
-            "chaos: {} of {} points failed; partial CSVs written to {}",
-            report.failed,
-            meta.len(),
+            "chaos: {failed} of {} points failed; partial CSVs written to {}",
+            points.len(),
             dir.display()
         );
         return ExitCode::FAILURE;

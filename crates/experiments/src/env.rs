@@ -4,8 +4,8 @@
 //! policy — a set-but-invalid value is a hard error (the binaries print
 //! it and exit 2), never a silent fallback.
 //!
-//! Knob inventory — 12 here; with `ECNSHARP_BLESS_GOLDEN` (read by the
-//! golden-figure test) and the lint fixture's `ECNSHARP_FIXTURE`, 14
+//! Knob inventory — 10 here; with `ECNSHARP_BLESS_GOLDEN` (read by the
+//! golden-figure test) and the lint fixture's `ECNSHARP_FIXTURE`, 12
 //! `ECNSHARP_*` names in the tree. Supervision budgets are constants
 //! (`Supervision::armed`), not knobs.
 //!
@@ -21,8 +21,6 @@
 //! | `ECNSHARP_SHARDS` | u32 ≥ 1 | `1` (serial) |
 //! | `ECNSHARP_INJECT_STALL` | `window` | unset = no injection |
 //! | `ECNSHARP_INJECT_LIVELOCK` | `engine` | unset = no injection |
-//! | `ECNSHARP_RESUME` | `1`/`0` | `0` (fresh sweep) |
-//! | `ECNSHARP_RETRIES` | u32 | `1` |
 
 use crate::Scale;
 use std::path::PathBuf;
@@ -177,32 +175,6 @@ pub fn inject_livelock() -> Result<bool, String> {
             "unrecognized ECNSHARP_INJECT_LIVELOCK value {v:?} (expected \"engine\" or unset)"
         )),
         None => Ok(false),
-    }
-}
-
-/// `ECNSHARP_RESUME`: resume an interrupted sweep from its
-/// completed-point journal. `1` skips journaled points, `0` (or unset)
-/// starts fresh; anything else is an error.
-pub fn resume() -> Result<bool, String> {
-    match read("ECNSHARP_RESUME")? {
-        Some(v) if v == "1" => Ok(true),
-        Some(v) if v == "0" => Ok(false),
-        Some(v) => Err(format!(
-            "unrecognized ECNSHARP_RESUME value {v:?} (expected \"1\", \"0\", or unset)"
-        )),
-        None => Ok(false),
-    }
-}
-
-/// `ECNSHARP_RETRIES`: bounded same-seed retry count for sweep points
-/// failing with a *retryable* error (worker panics). Unset means `1`;
-/// `0` disables retries; set values must parse as a u32.
-pub fn retries() -> Result<u32, String> {
-    match read("ECNSHARP_RETRIES")? {
-        Some(v) => v.parse::<u32>().map_err(|_| {
-            format!("unrecognized ECNSHARP_RETRIES value {v:?} (expected an integer >= 0)")
-        }),
-        None => Ok(1),
     }
 }
 

@@ -3,8 +3,9 @@
 //! directory, and (where the paper states numbers) includes the paper's
 //! value next to the measured one.
 
-use crate::runner::{parallel_map, results_dir, Scale};
-use crate::scenario::{run_dwrr, run_leaf_spine, run_testbed_star, FctScenario};
+use crate::env::{self, results_dir};
+use crate::runner::{parallel_map, Scale};
+use crate::scenario::{run_dwrr, run_leaf_spine_sharded, run_testbed_star, FctScenario};
 use crate::scheme::{Scheme, SchemeParams};
 use ecnsharp_core::EcnSharpConfig;
 use ecnsharp_sim::{Duration, Rate, Rng};
@@ -327,6 +328,8 @@ pub fn fig8(scale: Scale) -> Table {
 
 /// Fig. 9: leaf-spine fabric (8×8×16 at full scale), web-search workload,
 /// ECMP; overall and short-flow average FCT normalized to DCTCP-RED-Tail.
+/// `ECNSHARP_SHARDS` picks the shard count per run; the CSV is
+/// byte-identical at every count.
 pub fn fig9(scale: Scale) -> Table {
     let (spines, leaves, hpl, flows, loads): (usize, usize, usize, usize, Vec<f64>) = match scale {
         Scale::Full => (
@@ -346,10 +349,11 @@ pub fn fig9(scale: Scale) -> Table {
             jobs.push((load, scheme.clone()));
         }
     }
+    let shards = env::or_exit(env::shards());
     let results = parallel_map(jobs, |(load, scheme)| {
         let mut sc = FctScenario::testbed(scheme.clone(), dists::web_search(), *load, flows, 53);
         sc.rtt = RttVariation::sim_3x();
-        run_leaf_spine(&sc, spines, leaves, hpl)
+        run_leaf_spine_sharded(&sc, spines, leaves, hpl, shards)
     });
     let mut t = Table::new(&[
         "load",

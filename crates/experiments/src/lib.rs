@@ -18,16 +18,12 @@ pub mod scenario;
 pub mod scheme;
 pub mod telemetry;
 
-pub use env::{parse_fault_seed, DEFAULT_FAULT_SEED};
-pub use runner::{
-    fault_seed_or_exit, guarded_run, parallel_map, report_failures, results_dir, supervised_map,
-    try_parallel_map, PointStatus, Scale, SweepConfig, SweepOutcome, SweepReport,
-};
+pub use env::{parse_fault_seed, results_dir, DEFAULT_FAULT_SEED};
+pub use runner::{guarded_run, parallel_map, try_parallel_map, Scale, SweepOutcome};
 pub use scenario::{
-    run_chaos_leaf_spine, run_chaos_leaf_spine_sharded, run_dwrr, run_fat_tree_sharded,
-    run_incast_micro_with, run_incast_micro_with_subscriber, run_leaf_spine,
-    run_leaf_spine_sharded, run_testbed_star, run_testbed_star_with_subscriber,
-    try_run_chaos_leaf_spine_sharded, ChaosResult, DwrrResult, FctScenario, IncastResult,
+    run_chaos_leaf_spine, run_dwrr, run_fat_tree_sharded, run_incast_micro_with,
+    run_incast_micro_with_subscriber, run_leaf_spine_sharded, run_testbed_star,
+    run_testbed_star_with_subscriber, ChaosResult, DwrrResult, FctScenario, IncastResult,
     IncastTimeline,
 };
 pub use scheme::{Scheme, SchemeParams};

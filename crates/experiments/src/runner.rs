@@ -1,18 +1,12 @@
 //! Sweep execution: run scenario points in parallel across OS threads
 //! (each simulation is single-threaded and deterministic; parallelism is
 //! across independent runs only, so results never depend on scheduling).
-//!
-//! [`supervised_map`] layers run supervision on top: a completed-point
-//! journal (JSONL keyed by deterministic point id) written as points
-//! finish, resume support that skips journaled points on restart, and a
-//! bounded same-seed retry policy for points failing with a *retryable*
-//! [`SimError`] (worker panics; deterministic guard trips reproduce
-//! byte-identically, so retrying them would waste the sweep's time).
+//! A sweep is a map: [`try_parallel_map`] hands back every point's result
+//! in input order plus the `(index, message)` of each panicked point, and
+//! the caller decides what a failure means.
 
 use ecnsharp_net::SimError;
-use std::io::Write;
-use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// Experiment scale, switchable via `ECNSHARP_SCALE=quick|mid|full`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,13 +103,6 @@ pub struct SweepOutcome<R> {
     pub panics: Vec<(usize, String)>,
 }
 
-impl<R> SweepOutcome<R> {
-    /// The successful results, dropping panicked slots.
-    pub fn successes(self) -> Vec<R> {
-        self.results.into_iter().flatten().collect()
-    }
-}
-
 fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
         (*s).to_string()
@@ -180,246 +167,6 @@ where
     }
 }
 
-/// Supervisor configuration for [`supervised_map`].
-#[derive(Debug, Clone, Default)]
-pub struct SweepConfig {
-    /// Completed-point journal path (JSONL, one line per finished point).
-    /// `None` disables journaling (and therefore resume).
-    pub journal: Option<PathBuf>,
-    /// Skip points already recorded in the journal (set from
-    /// `ECNSHARP_RESUME` by the binaries).
-    pub resume: bool,
-    /// Same-seed retry budget for points failing with a retryable
-    /// [`SimError`]. `0` disables retries.
-    pub retries: u32,
-}
-
-/// Final state of one sweep point under [`supervised_map`].
-#[derive(Debug)]
-pub enum PointStatus<R> {
-    /// The point produced a result (possibly after retries).
-    Done(R),
-    /// The point failed; `attempts` runs were made in total.
-    Failed {
-        /// The final structured error.
-        error: SimError,
-        /// Total attempts, including retries.
-        attempts: u32,
-    },
-    /// The point was journaled by a previous run and skipped under
-    /// resume. Its result is **not** recomputed — consumers emit partial
-    /// outputs covering only this run's completed points.
-    SkippedResumed,
-}
-
-/// Everything a supervised sweep produced, in input order.
-#[derive(Debug)]
-pub struct SweepReport<R> {
-    /// One entry per input item, in order.
-    pub points: Vec<PointStatus<R>>,
-    /// Points that produced a result this run.
-    pub completed: u64,
-    /// Points whose final attempt failed.
-    pub failed: u64,
-    /// Points that needed at least one retry (whatever their outcome).
-    pub retried: u64,
-    /// Points skipped because the journal already records them.
-    pub skipped: u64,
-}
-
-impl<R> SweepReport<R> {
-    /// The one-line `completed/failed/retried/skipped-resumed` summary
-    /// the sweep binaries print at exit.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "sweep: {} completed, {} failed, {} retried, {} skipped-resumed",
-            self.completed, self.failed, self.retried, self.skipped
-        )
-    }
-}
-
-/// Extract the `"point"` id from a journal JSONL line (hand-rolled — the
-/// workspace carries no serde). Returns `None` for lines without one.
-fn journal_point_id(line: &str) -> Option<&str> {
-    let rest = line.split_once("\"point\":\"")?.1;
-    rest.split_once('"').map(|(id, _)| id)
-}
-
-/// Point ids already recorded in `journal` (empty when unreadable —
-/// resume then re-runs everything, which is safe because point results
-/// are deterministic).
-fn journaled_points(journal: &std::path::Path) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(journal) else {
-        return Vec::new();
-    };
-    text.lines()
-        .filter_map(|l| journal_point_id(l).map(str::to_string))
-        .collect()
-}
-
-/// Run `f` over `items` in parallel under full sweep supervision:
-///
-/// - **Journal** — every completed point appends one JSONL line
-///   (`{"point":"<id>","seed":<seed>,"status":"ok"}`) to `cfg.journal`,
-///   flushed as it happens, so an interrupted sweep knows what survived.
-/// - **Resume** — with `cfg.resume`, points whose id is already
-///   journaled are skipped ([`PointStatus::SkippedResumed`]).
-/// - **Retry** — a point failing with a *retryable* error (worker
-///   panics) is re-run with the same seed up to `cfg.retries` times;
-///   deterministic guard trips fail immediately.
-/// - **Identity** — a panicking point's captured message is prefixed
-///   with its deterministic id and seed, so journals and logs can key on
-///   it.
-///
-/// Every final failure is also printed to stderr as one JSONL line
-/// (`{"point":…,"seed":…,"error":{…}}`), in input order.
-///
-/// `id_of` must be deterministic and unique per point — it is the
-/// journal key that resume matches on across process restarts.
-pub fn supervised_map<T, R, F, I, Sd>(
-    items: Vec<T>,
-    cfg: &SweepConfig,
-    id_of: I,
-    seed_of: Sd,
-    f: F,
-) -> SweepReport<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&T) -> Result<R, SimError> + Sync,
-    I: Fn(&T) -> String + Sync,
-    Sd: Fn(&T) -> u64 + Sync,
-{
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let done: Vec<String> = match (&cfg.journal, cfg.resume) {
-        (Some(path), true) => journaled_points(path),
-        _ => Vec::new(),
-    };
-    let journal_file: Option<Mutex<std::fs::File>> = cfg.journal.as_ref().and_then(|path| {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            Ok(f) => Some(Mutex::new(f)),
-            Err(e) => {
-                eprintln!("warning: cannot open sweep journal {}: {e}", path.display());
-                None
-            }
-        }
-    });
-
-    // Partition into skipped and runnable, remembering input positions.
-    let mut skipped_idx = Vec::new();
-    let mut jobs = Vec::new();
-    for (idx, item) in items.into_iter().enumerate() {
-        if cfg.resume && done.iter().any(|d| *d == id_of(&item)) {
-            skipped_idx.push(idx);
-        } else {
-            jobs.push((idx, item));
-        }
-    }
-
-    let n_total = jobs.len() + skipped_idx.len();
-    let journal_file = &journal_file;
-    let outcome = try_parallel_map(jobs, |(idx, item)| {
-        let id = id_of(item);
-        let seed = seed_of(item);
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            // The catch wraps only the point closure, so a panic can
-            // never poison the work queue; it becomes a structured,
-            // identity-carrying WorkerPanic instead.
-            let res = match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(Ok(v)) => {
-                    if let Some(j) = journal_file {
-                        let mut file = j.lock().unwrap_or_else(PoisonError::into_inner);
-                        let _ = writeln!(
-                            file,
-                            "{{\"point\":\"{id}\",\"seed\":{seed},\"status\":\"ok\"}}"
-                        );
-                        let _ = file.flush();
-                    }
-                    return (*idx, PointStatus::Done(v), attempts);
-                }
-                Ok(Err(e)) => e,
-                Err(p) => SimError::WorkerPanic {
-                    msg: format!("point {id} (seed {seed:#x}): {}", panic_message(p)),
-                },
-            };
-            if res.retryable() && attempts <= cfg.retries {
-                continue;
-            }
-            return (
-                *idx,
-                PointStatus::Failed {
-                    error: res,
-                    attempts,
-                },
-                attempts,
-            );
-        }
-    });
-
-    // Assemble the report in input order. The outer catch in
-    // try_parallel_map never fires (the closure catches its own panics),
-    // so every slot is Some.
-    let mut points: Vec<Option<PointStatus<R>>> = (0..n_total).map(|_| None).collect();
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut retried = 0u64;
-    for slot in outcome.results.into_iter().flatten() {
-        let (idx, status, attempts) = slot;
-        if attempts > 1 {
-            retried += 1;
-        }
-        match &status {
-            PointStatus::Done(_) => completed += 1,
-            PointStatus::Failed { .. } => failed += 1,
-            PointStatus::SkippedResumed => {}
-        }
-        points[idx] = Some(status);
-    }
-    for idx in skipped_idx {
-        points[idx] = Some(PointStatus::SkippedResumed);
-    }
-    let skipped = points
-        .iter()
-        .filter(|p| matches!(p, Some(PointStatus::SkippedResumed)))
-        .count() as u64;
-    let points: Vec<PointStatus<R>> = points
-        .into_iter()
-        .map(|p| p.unwrap_or(PointStatus::SkippedResumed))
-        .collect();
-    SweepReport {
-        points,
-        completed,
-        failed,
-        retried,
-        skipped,
-    }
-}
-
-/// Print every final failure of `report` as one JSONL line on stderr
-/// (`{"point":…,"seed":…,"error":{…}}`), in input order. `ids` and
-/// `seeds` are indexed like the report's points.
-pub fn report_failures<R>(report: &SweepReport<R>, ids: &[String], seeds: &[u64]) {
-    for (idx, p) in report.points.iter().enumerate() {
-        if let PointStatus::Failed { error, attempts } = p {
-            let id = ids.get(idx).map(String::as_str).unwrap_or("?");
-            let seed = seeds.get(idx).copied().unwrap_or(0);
-            eprintln!(
-                "{{\"point\":\"{id}\",\"seed\":{seed},\"attempts\":{attempts},\"error\":{}}}",
-                error.to_jsonl()
-            );
-        }
-    }
-}
-
 /// Run a figure binary's body under the supervision exit contract: a
 /// panic anywhere in the body (a tripped guard surfacing through an
 /// infallible engine API, a scenario invariant, a stats `expect`) is
@@ -458,19 +205,6 @@ where
         .into_iter()
         .map(|r| r.expect("worker completed"))
         .collect()
-}
-
-/// Results directory (override with `ECNSHARP_RESULTS`; see
-/// [`crate::env::results_dir`]).
-pub fn results_dir() -> std::path::PathBuf {
-    crate::env::results_dir()
-}
-
-/// Read the fault-sweep base seed `ECNSHARP_FAULT_SEED` (see
-/// [`crate::env::fault_seed`]) for binaries: print the error and exit 2
-/// instead of silently running with the wrong seed.
-pub fn fault_seed_or_exit() -> u64 {
-    crate::env::or_exit(crate::env::fault_seed())
 }
 
 #[cfg(test)]
@@ -528,7 +262,7 @@ mod tests {
                 assert_eq!(*slot, Some(i as u64 * 10), "order preserved");
             }
         }
-        assert_eq!(out.successes().len(), 17);
+        assert_eq!(out.results.iter().flatten().count(), 17);
     }
 
     #[test]

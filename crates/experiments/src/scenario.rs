@@ -91,12 +91,6 @@ fn effective_shards(requested: u32, max_shards: usize) -> u32 {
     requested.clamp(1, (max_shards as u32).max(1))
 }
 
-/// The `ECNSHARP_SHARDS` knob (strict; see [`crate::env::shards`]),
-/// unwrapped for scenario use.
-fn env_shards() -> u32 {
-    crate::env::or_exit(crate::env::shards())
-}
-
 /// Endpoint transport used by every scenario. `ECNSHARP_DELACK` overrides
 /// the delayed-ACK count (calibration experiments). The knob is strict
 /// (see [`crate::env`]): a set-but-invalid value exits 2 instead of
@@ -165,25 +159,42 @@ pub fn run_testbed_star_with_subscriber<S: Subscriber>(
     (fct, stats, topo.net.into_subscriber())
 }
 
-/// Run the §5.3 leaf-spine fabric (all-to-all traffic, ECMP). Scaled by
-/// `hosts_per_leaf`/`n_leaves`/`n_spines` so tests can shrink it.
-///
-/// Honors `ECNSHARP_SHARDS`: with `n ≥ 2` the fabric is partitioned per
-/// leaf and run on the sharded engine, byte-identically (see
-/// CONCURRENCY.md).
-pub fn run_leaf_spine(
-    sc: &FctScenario,
-    n_spines: usize,
-    n_leaves: usize,
-    hosts_per_leaf: usize,
-) -> FctBreakdown {
-    run_leaf_spine_sharded(sc, n_spines, n_leaves, hosts_per_leaf, env_shards())
+/// Schedule `sc.n_flows` all-to-all flows over `hosts`, with `sc.load`
+/// read per edge link: every host sources flows at `load` of its uplink,
+/// so the one aggregate arrival process runs at `hosts.len()` × the
+/// single-link rate. Flow `k` (id `k + 1`) draws its gap from that
+/// process, then its endpoints, size and extra delay from
+/// `spec.generate(1, …)`, which also draws an arrival time of its own
+/// that is thrown away. That draw order fixes every seed's flow list
+/// (`benchmark/tests/parity.rs` pins it against an independent copy), so
+/// the throwaway draw stays.
+fn schedule_all_to_all(net: &mut Network, hosts: &[NodeId], sc: &FctScenario, salt: u64) {
+    let spec = TrafficSpec {
+        cdf: sc.cdf.clone(),
+        load: sc.load,
+        bottleneck: sc.rate,
+        pattern: Pattern::AllToAll {
+            hosts: hosts.to_vec(),
+        },
+        rtt: sc.rtt,
+        class: 0,
+        start: SimTime::ZERO,
+    };
+    let mut rng = Rng::seed_from_u64(sc.seed ^ salt);
+    let mean_gap = spec.mean_interarrival() / hosts.len() as u64;
+    let mut t = SimTime::ZERO;
+    for k in 0..sc.n_flows {
+        t += rng.exp_duration(mean_gap);
+        for (_, cmd) in spec.generate(1, 1 + k as u64, &mut rng) {
+            net.schedule_flow(t, cmd);
+        }
+    }
 }
 
-/// [`run_leaf_spine`] with an explicit shard count instead of the
-/// `ECNSHARP_SHARDS` knob (1 = serial). The shard-equivalence suite uses
-/// this to pin sharded and serial outputs against each other in one
-/// process.
+/// Run the §5.3 leaf-spine fabric (all-to-all traffic, ECMP). Scaled by
+/// `hosts_per_leaf`/`n_leaves`/`n_spines` so tests can shrink it. With
+/// `shards ≥ 2` the fabric is partitioned per leaf and run on the sharded
+/// engine, byte-identically (see CONCURRENCY.md); 1 = serial.
 pub fn run_leaf_spine_sharded(
     sc: &FctScenario,
     n_spines: usize,
@@ -208,35 +219,7 @@ pub fn run_leaf_spine_sharded(
         nic_port,
         || params.port(&scheme, buffer, 0xEC1),
     );
-    let spec = TrafficSpec {
-        cdf: sc.cdf.clone(),
-        load: sc.load,
-        bottleneck: sc.rate,
-        pattern: Pattern::AllToAll {
-            hosts: topo.hosts.clone(),
-        },
-        rtt: sc.rtt,
-        class: 0,
-        start: SimTime::ZERO,
-    };
-    // Load is per edge link; with all-to-all each host sources flows at
-    // `load` of its uplink, so the aggregate generator runs at
-    // n_hosts × the single-link rate.
-    let n_hosts = topo.hosts.len();
-    let mut rng = Rng::seed_from_u64(sc.seed ^ 0x1EAF);
-    let mean_gap = spec.mean_interarrival() / n_hosts as u64;
-    let mut t = SimTime::ZERO;
-    let mut flows = Vec::with_capacity(sc.n_flows);
-    for k in 0..sc.n_flows {
-        t += rng.exp_duration(mean_gap);
-        let mut cmds = spec.generate(1, 1 + k as u64, &mut rng);
-        let (_, mut cmd) = cmds.pop().expect("one");
-        cmd.flow = FlowId(1 + k as u64);
-        flows.push((t, cmd));
-    }
-    for (at, cmd) in flows {
-        topo.net.schedule_flow(at, cmd);
-    }
+    schedule_all_to_all(&mut topo.net, &topo.hosts, sc, 0x1EAF);
     let n = effective_shards(shards, n_leaves);
     let plan = (n >= 2).then(|| topo.shard_plan(n));
     run_to_idle(&mut topo.net, plan.as_ref()).expect("run_leaf_spine_sharded");
@@ -264,34 +247,7 @@ pub fn run_fat_tree_sharded(sc: &FctScenario, k: usize, shards: u32) -> FctBreak
         nic_port,
         || params.port(&scheme, buffer, 0xFA7),
     );
-    let spec = TrafficSpec {
-        cdf: sc.cdf.clone(),
-        load: sc.load,
-        bottleneck: sc.rate,
-        pattern: Pattern::AllToAll {
-            hosts: topo.hosts.clone(),
-        },
-        rtt: sc.rtt,
-        class: 0,
-        start: SimTime::ZERO,
-    };
-    // As in the leaf-spine runner: per-edge-link load, aggregated over all
-    // hosts sourcing flows.
-    let n_hosts = topo.hosts.len();
-    let mut rng = Rng::seed_from_u64(sc.seed ^ 0xFA77);
-    let mean_gap = spec.mean_interarrival() / n_hosts as u64;
-    let mut t = SimTime::ZERO;
-    let mut flows = Vec::with_capacity(sc.n_flows);
-    for idx in 0..sc.n_flows {
-        t += rng.exp_duration(mean_gap);
-        let mut cmds = spec.generate(1, 1 + idx as u64, &mut rng);
-        let (_, mut cmd) = cmds.pop().expect("one");
-        cmd.flow = FlowId(1 + idx as u64);
-        flows.push((t, cmd));
-    }
-    for (at, cmd) in flows {
-        topo.net.schedule_flow(at, cmd);
-    }
+    schedule_all_to_all(&mut topo.net, &topo.hosts, sc, 0xFA77);
     let n = effective_shards(shards, k);
     let plan = (n >= 2).then(|| topo.shard_plan(n));
     run_to_idle(&mut topo.net, plan.as_ref()).expect("run_fat_tree_sharded");
@@ -330,51 +286,17 @@ pub struct ChaosResult {
 /// with that period (50% duty cycle) for the first 20 ms. Fully
 /// deterministic per `seed`: faults are scheduled through the same event
 /// queue as traffic and the GE process draws from the port's seeded dice.
-pub fn run_chaos_leaf_spine(
-    scheme: Scheme,
-    mean_loss: f64,
-    flap_period: Option<Duration>,
-    n_flows: usize,
-    seed: u64,
-) -> ChaosResult {
-    run_chaos_leaf_spine_sharded(scheme, mean_loss, flap_period, n_flows, seed, env_shards())
-}
-
-/// [`run_chaos_leaf_spine`] with an explicit shard count instead of the
-/// `ECNSHARP_SHARDS` knob (1 = serial). Fault application — flaps, GE
-/// loss, route rebuilds — crosses shard boundaries, so the equivalence
-/// suite leans on this variant to prove chaos outputs stay byte-identical.
-pub fn run_chaos_leaf_spine_sharded(
-    scheme: Scheme,
-    mean_loss: f64,
-    flap_period: Option<Duration>,
-    n_flows: usize,
-    seed: u64,
-    shards: u32,
-) -> ChaosResult {
-    try_run_chaos_leaf_spine_sharded(
-        scheme,
-        mean_loss,
-        flap_period,
-        n_flows,
-        seed,
-        shards,
-        Supervision::default(),
-        false,
-    )
-    .expect("run_chaos_leaf_spine_sharded")
-}
-
-/// [`run_chaos_leaf_spine_sharded`] under run supervision: `sup` arms the
-/// engine's watchdogs and memory guards, and a tripped guard comes back
-/// as a structured [`SimError`] instead of a panic or hang. With all
-/// budgets armed but untriggered the result is byte-identical to the
-/// infallible path (the supervision suite pins this). `inject_livelock`
-/// schedules a self-rescheduling zero-delay drill event early in the run
-/// so the `ProgressGuard` must trip — the `ECNSHARP_INJECT_LIVELOCK`
-/// drill leg.
+///
+/// `shards` is the shard count (1 = serial, clamped to the two leaves);
+/// fault application crosses shard cuts, and the output is byte-identical
+/// either way. `sup` arms the engine's watchdogs and memory guards: a
+/// tripped guard comes back as a structured [`SimError`] instead of a
+/// panic or hang, and armed-but-untriggered budgets change no byte (the
+/// supervision suite pins both). `inject_livelock` schedules a
+/// self-rescheduling zero-delay drill event early in the run so the
+/// `ProgressGuard` must trip — the `ECNSHARP_INJECT_LIVELOCK` drill leg.
 #[allow(clippy::too_many_arguments)]
-pub fn try_run_chaos_leaf_spine_sharded(
+pub fn run_chaos_leaf_spine(
     scheme: Scheme,
     mean_loss: f64,
     flap_period: Option<Duration>,
@@ -384,24 +306,30 @@ pub fn try_run_chaos_leaf_spine_sharded(
     sup: Supervision,
     inject_livelock: bool,
 ) -> Result<ChaosResult, SimError> {
-    let rate = Rate::from_gbps(10);
-    let rtt = RttVariation::sim_3x();
-    let params = SchemeParams::derive(&rtt, rate);
-    let buffer = 1_000_000;
-    let link_delay = Duration::from_nanos(rtt.min().as_nanos() / 8);
-    let scheme2 = scheme.clone();
+    let sc = FctScenario {
+        seed,
+        scheme,
+        rate: Rate::from_gbps(10),
+        buffer: 1_000_000,
+        rtt: RttVariation::sim_3x(),
+        cdf: ecnsharp_workload::dists::web_search(),
+        load: 0.5,
+        n_flows,
+    };
+    let params = sc.params();
+    let link_delay = Duration::from_nanos(sc.rtt.min().as_nanos() / 8);
     let mut topo: LeafSpine = leaf_spine(
         seed,
         2,
         2,
         4,
-        rate,
-        rate,
+        sc.rate,
+        sc.rate,
         link_delay,
         |_| TcpStack::boxed(endpoint_tcp()),
         nic_port,
-        move || {
-            let mut p = params.port(&scheme2, buffer, 0xC4A0);
+        || {
+            let mut p = params.port(&sc.scheme, sc.buffer, 0xC4A0);
             if mean_loss > 0.0 {
                 p = p.with_ge(GilbertElliott::from_mean_loss(mean_loss, 8.0));
             }
@@ -419,32 +347,7 @@ pub fn try_run_chaos_leaf_spine_sharded(
         );
         topo.net.install_fault_plan(plan);
     }
-    let spec = TrafficSpec {
-        cdf: ecnsharp_workload::dists::web_search(),
-        load: 0.5,
-        bottleneck: rate,
-        pattern: Pattern::AllToAll {
-            hosts: topo.hosts.clone(),
-        },
-        rtt,
-        class: 0,
-        start: SimTime::ZERO,
-    };
-    let n_hosts = topo.hosts.len();
-    let mut rng = Rng::seed_from_u64(seed ^ 0xC4A05);
-    let mean_gap = spec.mean_interarrival() / n_hosts as u64;
-    let mut t = SimTime::ZERO;
-    let mut flows = Vec::with_capacity(n_flows);
-    for k in 0..n_flows {
-        t += rng.exp_duration(mean_gap);
-        let mut cmds = spec.generate(1, 1 + k as u64, &mut rng);
-        let (_, mut cmd) = cmds.pop().expect("one");
-        cmd.flow = FlowId(1 + k as u64);
-        flows.push((t, cmd));
-    }
-    for (at, cmd) in flows {
-        topo.net.schedule_flow(at, cmd);
-    }
+    schedule_all_to_all(&mut topo.net, &topo.hosts, &sc, 0xC4A05);
     topo.net.set_supervision(sup);
     if inject_livelock {
         topo.net.inject_livelock_at(SimTime::from_micros(10));
@@ -762,7 +665,7 @@ mod tests {
     #[test]
     fn leaf_spine_smoke() {
         let sc = FctScenario::testbed(Scheme::DctcpRedTail, dists::web_search(), 0.3, 40, 2);
-        let fct = run_leaf_spine(&sc, 2, 2, 4);
+        let fct = run_leaf_spine_sharded(&sc, 2, 2, 4, 1);
         assert_eq!(fct.overall.count, 40);
     }
 
@@ -791,7 +694,11 @@ mod tests {
             Some(Duration::from_micros(200)),
             40,
             7,
-        );
+            1,
+            Supervision::default(),
+            false,
+        )
+        .expect("chaos point");
         assert_eq!(r.completed + r.failed, 40);
         assert!(r.burst_drops > 0, "1% GE loss must drop something");
         assert!(

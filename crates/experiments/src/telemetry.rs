@@ -48,11 +48,10 @@ pub fn open_jsonl_sink(path: &Path) -> Result<JsonlWriter<BufWriter<File>>, Stri
     Ok(JsonlWriter::new(BufWriter::new(f)))
 }
 
-/// The sink `ECNSHARP_TELEMETRY_JSON` selects, as a boxed writer so the
-/// subscriber type does not depend on whether the knob is set: unset means
-/// a null sink (events are formatted to nowhere is avoided by the caller
-/// checking [`telemetry_json_path_or_exit`] first when cost matters).
-/// Exits 2 on a bad value or an unopenable path.
+/// The sink `ECNSHARP_TELEMETRY_JSON` selects, opened with
+/// [`open_jsonl_sink`]: `None` when the knob is unset, so the caller
+/// attaches no JSONL subscriber and formats no events. Exits 2 on a bad
+/// value or an unopenable path.
 pub fn jsonl_sink_from_env_or_exit() -> Option<JsonlWriter<BufWriter<File>>> {
     let path = telemetry_json_path_or_exit()?;
     match open_jsonl_sink(&path) {

@@ -6,7 +6,7 @@
 use ecnsharp_aqm::DropTail;
 use ecnsharp_experiments::{run_chaos_leaf_spine, ChaosResult, Scheme};
 use ecnsharp_net::topology::dumbbell;
-use ecnsharp_net::{FlowCmd, FlowId, FlowOutcome, PortConfig};
+use ecnsharp_net::{FlowCmd, FlowId, FlowOutcome, PortConfig, Supervision};
 use ecnsharp_sim::{Duration, Rate, SimTime};
 use ecnsharp_stats::FctSummary;
 use ecnsharp_transport::{TcpConfig, TcpStack};
@@ -48,7 +48,11 @@ fn chaos_point_is_replay_identical() {
             Some(Duration::from_micros(200)),
             40,
             42,
+            1,
+            Supervision::default(),
+            false,
         )
+        .expect("chaos point")
     };
     let a = run();
     let b = run();

@@ -28,6 +28,7 @@
 use ecnsharp_experiments::{
     figures, perf, run_chaos_leaf_spine, ChaosResult, Scale, Scheme, DEFAULT_FAULT_SEED,
 };
+use ecnsharp_net::Supervision;
 use ecnsharp_sim::Duration;
 use ecnsharp_stats::FctSummary;
 use std::path::PathBuf;
@@ -117,7 +118,11 @@ fn engine_output_matches_prepass_golden() {
         Some(Duration::from_micros(200)),
         40,
         DEFAULT_FAULT_SEED,
-    );
+        1,
+        Supervision::default(),
+        false,
+    )
+    .expect("chaos point");
     outputs.push(("chaos_point.txt", render_chaos(&chaos)));
 
     if std::env::var("ECNSHARP_BLESS_GOLDEN").is_ok() {

@@ -6,16 +6,16 @@
 //!
 //! The figure-level test drives the real `ECNSHARP_SHARDS` knob through
 //! `figures::fig9` (the leaf-spine sweep every load/scheme grid uses).
-//! Everything else goes through the explicit `run_*_sharded` variants so
-//! no other test in this binary depends on mutated process environment.
+//! Everything else passes an explicit shard count to its runner, so no
+//! other test in this binary depends on mutated process environment.
 
 use ecnsharp_aqm::DropTail;
 use ecnsharp_experiments::{
-    figures, run_chaos_leaf_spine_sharded, run_fat_tree_sharded, run_leaf_spine_sharded,
-    FctScenario, Scale, Scheme, SchemeParams,
+    figures, run_chaos_leaf_spine, run_fat_tree_sharded, run_leaf_spine_sharded, FctScenario,
+    Scale, Scheme, SchemeParams,
 };
 use ecnsharp_net::topology::fat_tree;
-use ecnsharp_net::{NodeId, PortConfig};
+use ecnsharp_net::{NodeId, PortConfig, Supervision};
 use ecnsharp_sim::{Duration, Rng, SimTime};
 use ecnsharp_transport::{TcpConfig, TcpStack};
 use ecnsharp_workload::{dists, Pattern, RttVariation, TrafficSpec};
@@ -138,24 +138,24 @@ fn chaos_sweep_is_shard_invariant() {
         (0.0, None),
         (0.01, Some(ecnsharp_sim::Duration::from_micros(200))),
     ] {
-        let serial = format!(
-            "{:?}",
-            run_chaos_leaf_spine_sharded(Scheme::EcnSharp(None), loss, flap, 60, 0xC0DE, 1)
-        );
+        let run = |shards: u32| {
+            let r = run_chaos_leaf_spine(
+                Scheme::EcnSharp(None),
+                loss,
+                flap,
+                60,
+                0xC0DE,
+                shards,
+                Supervision::default(),
+                false,
+            );
+            format!("{:?}", r.expect("chaos point"))
+        };
+        let serial = run(1);
         for shards in [2u32, 4] {
             assert_eq!(
                 serial,
-                format!(
-                    "{:?}",
-                    run_chaos_leaf_spine_sharded(
-                        Scheme::EcnSharp(None),
-                        loss,
-                        flap,
-                        60,
-                        0xC0DE,
-                        shards
-                    )
-                ),
+                run(shards),
                 "loss={loss} flap={flap:?} shards={shards}"
             );
         }
@@ -165,7 +165,7 @@ fn chaos_sweep_is_shard_invariant() {
 /// Figure-level pinning through the real env knob: fig9's quick CSV must
 /// be byte-identical under `ECNSHARP_SHARDS` ∈ {unset, 2, 4}. Runs
 /// last-alphabetically irrelevant — the knob is only read by this test's
-/// own figure calls (every other test here uses the explicit variants),
+/// own figure calls (every other test here passes explicit shard counts),
 /// so the mutation cannot leak meaning into concurrent tests.
 #[test]
 fn sharded_figure_csv_is_byte_identical() {

@@ -10,19 +10,17 @@
 //! these tests pin it.
 
 use ecnsharp_aqm::DropTail;
-use ecnsharp_experiments::runner::{supervised_map, PointStatus, SweepConfig};
-use ecnsharp_experiments::{try_run_chaos_leaf_spine_sharded, Scheme};
+use ecnsharp_experiments::{run_chaos_leaf_spine, Scheme};
 use ecnsharp_net::topology::leaf_spine;
 use ecnsharp_net::{FlowCmd, FlowId, MemComponent, PortConfig, SimError, Supervision};
 use ecnsharp_sim::{Duration, Rate, SimTime};
 use ecnsharp_transport::{TcpConfig, TcpStack};
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// One chaos point under supervision `sup`, rendered to its bit-exact
 /// `Debug` form (floats print shortest-round-trip, so string equality is
 /// bit equality).
 fn chaos_row(seed: u64, shards: u32, sup: Supervision) -> Result<String, SimError> {
-    try_run_chaos_leaf_spine_sharded(
+    run_chaos_leaf_spine(
         Scheme::EcnSharp(None),
         0.01,
         Some(Duration::from_micros(200)),
@@ -73,7 +71,7 @@ mod properties {
 fn progress_guard_trips_on_zero_delay_event_cycle() {
     let mut sup = Supervision::armed();
     sup.livelock_budget = Some(1_000);
-    let err = try_run_chaos_leaf_spine_sharded(
+    let err = run_chaos_leaf_spine(
         Scheme::EcnSharp(None),
         0.0,
         None,
@@ -95,10 +93,6 @@ fn progress_guard_trips_on_zero_delay_event_cycle() {
         }
         other => panic!("expected Livelock, got {other:?}"),
     }
-    assert!(
-        !err.retryable(),
-        "guard trips reproduce; retrying wastes time"
-    );
     assert!(err.to_jsonl().contains("\"type\":\"Livelock\""));
 }
 
@@ -107,9 +101,8 @@ fn stall_detector_trips_on_withheld_shard_window() {
     let mut sup = Supervision::armed();
     sup.stall_rounds = Some(4);
     sup.inject_stall = true; // every shard skips window processing
-    let err =
-        try_run_chaos_leaf_spine_sharded(Scheme::EcnSharp(None), 0.0, None, 20, 7, 2, sup, false)
-            .expect_err("frozen windows must trip the barrier-stall detector");
+    let err = run_chaos_leaf_spine(Scheme::EcnSharp(None), 0.0, None, 20, 7, 2, sup, false)
+        .expect_err("frozen windows must trip the barrier-stall detector");
     match &err {
         SimError::BarrierStall { budget, shards, .. } => {
             assert_eq!(*budget, 4);
@@ -218,132 +211,4 @@ fn ooo_budget_breach_stops_the_run_at_the_breaching_event() {
         Err(err),
         "the shard owning host 4 stops at the same event"
     );
-}
-
-/// Resume skips exactly the journaled points and recomputes the rest.
-#[test]
-fn resume_skips_journaled_points() {
-    let dir = std::env::temp_dir().join("ecnsharp_supervision_resume");
-    let _ = std::fs::remove_dir_all(&dir);
-    let journal = dir.join("sweep.journal.jsonl");
-    let items: Vec<u32> = vec![10, 20, 30];
-    let id_of = |x: &u32| format!("pt-{x}");
-    let seed_of = |x: &u32| u64::from(*x);
-
-    // Interrupted first run: only point 20 made it into the journal.
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    std::fs::write(
-        &journal,
-        "{\"point\":\"pt-20\",\"seed\":20,\"status\":\"ok\"}\n",
-    )
-    .expect("seed journal");
-
-    let cfg = SweepConfig {
-        journal: Some(journal.clone()),
-        resume: true,
-        retries: 0,
-    };
-    let report = supervised_map(items, &cfg, id_of, seed_of, |x| Ok(*x * 2));
-    assert_eq!((report.completed, report.failed, report.skipped), (2, 0, 1));
-    assert!(matches!(report.points[0], PointStatus::Done(20)));
-    assert!(matches!(report.points[1], PointStatus::SkippedResumed));
-    assert!(matches!(report.points[2], PointStatus::Done(60)));
-    assert_eq!(
-        report.summary_line(),
-        "sweep: 2 completed, 0 failed, 1 retried, 1 skipped-resumed"
-            .replace("1 retried", "0 retried")
-    );
-
-    // The completed points were appended, so a third run skips everything.
-    // Any error would count as a failure: a journaled point must not run.
-    let rerun = supervised_map(vec![10u32, 20, 30], &cfg, id_of, seed_of, |_| {
-        Err::<u32, _>(SimError::BarrierStall {
-            rounds: 0,
-            budget: 0,
-            shards: Vec::new(),
-        })
-    });
-    assert_eq!((rerun.completed, rerun.failed, rerun.skipped), (0, 0, 3));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A retryable failure (worker panic) is re-run with the same seed and
-/// can succeed on the second attempt; deterministic guard trips are not
-/// retried.
-#[test]
-fn retry_policy_reruns_retryable_failures_once() {
-    let first_attempts = AtomicU32::new(0);
-    let cfg = SweepConfig {
-        journal: None,
-        resume: false,
-        retries: 1,
-    };
-    let report = supervised_map(
-        vec![0u32, 1, 2],
-        &cfg,
-        |x| format!("pt-{x}"),
-        |x| u64::from(*x),
-        |x| {
-            if *x == 1 && first_attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                return Err(SimError::WorkerPanic {
-                    msg: "transient".into(),
-                });
-            }
-            Ok(*x)
-        },
-    );
-    assert_eq!((report.completed, report.failed, report.retried), (3, 0, 1));
-
-    // Non-retryable: a guard trip fails on the first attempt despite the
-    // retry budget.
-    let report = supervised_map(
-        vec![0u32],
-        &cfg,
-        |x| format!("pt-{x}"),
-        |x| u64::from(*x),
-        |_| {
-            Err::<u32, _>(SimError::Livelock {
-                time_ns: 0,
-                events_at_instant: 2,
-                budget: 1,
-                pending: 0,
-                oldest_key: None,
-            })
-        },
-    );
-    assert_eq!((report.completed, report.failed, report.retried), (0, 1, 0));
-    match &report.points[0] {
-        PointStatus::Failed { attempts, .. } => assert_eq!(*attempts, 1),
-        other => panic!("expected Failed, got {other:?}"),
-    }
-}
-
-/// Panics inside a supervised point become identity-carrying
-/// `WorkerPanic` errors (point id + seed in the message).
-#[test]
-fn point_panics_carry_identity() {
-    let cfg = SweepConfig {
-        journal: None,
-        resume: false,
-        retries: 0,
-    };
-    let report = supervised_map(
-        vec![5u32],
-        &cfg,
-        |x| format!("pt-{x}"),
-        |x| 0xABC0 + u64::from(*x),
-        |_| -> Result<u32, SimError> { panic!("boom") },
-    );
-    assert_eq!(report.failed, 1);
-    match &report.points[0] {
-        PointStatus::Failed { error, .. } => {
-            let SimError::WorkerPanic { msg } = error else {
-                panic!("expected WorkerPanic, got {error:?}");
-            };
-            assert!(msg.contains("pt-5"), "id in message: {msg}");
-            assert!(msg.contains("0xabc5"), "seed in message: {msg}");
-            assert!(msg.contains("boom"), "payload in message: {msg}");
-        }
-        other => panic!("expected Failed, got {other:?}"),
-    }
 }

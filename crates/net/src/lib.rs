@@ -80,7 +80,7 @@ pub use shard::ShardPlan;
 pub use ecnsharp_telemetry::{DropReason, NoopSubscriber, ShardSubscriber, Subscriber};
 
 // Re-export the run-supervision vocabulary (see `ecnsharp_sim::supervise`)
-// so fallible runners and sweep supervisors need only this crate.
+// so fallible runners and sweeps need only this crate.
 pub use ecnsharp_sim::supervise::{
     MemBreach, MemComponent, ProgressGuard, ShardDiag, SimError, Supervision,
 };

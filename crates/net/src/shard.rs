@@ -186,7 +186,7 @@ impl<S: ShardSubscriber> Network<S> {
     ///
     /// On `Err` the network is **poisoned**: nodes have been moved into
     /// shard engines that were abandoned mid-window, so the value must be
-    /// dropped (sweep supervisors build a fresh network per attempt).
+    /// dropped (every sweep point builds its own network).
     pub fn try_run_sharded_until_idle(&mut self, plan: &ShardPlan) -> Result<SimTime, SimError> {
         assert_eq!(
             plan.owner.len(),

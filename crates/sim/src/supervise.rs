@@ -134,11 +134,11 @@ pub enum SimError {
         /// Sim-time (ns) of the breaching admission.
         time_ns: u64,
     },
-    /// A shard worker thread panicked; the panic payload is captured so
-    /// the sweep supervisor can journal and retry the point.
+    /// A shard worker thread, sweep point or figure binary panicked; the
+    /// panic payload is captured as a typed error instead of a traceback.
     WorkerPanic {
-        /// The stringified panic payload, prefixed with point identity
-        /// when raised through the sweep supervisor.
+        /// The stringified panic payload, prefixed with the point id and
+        /// seed when a sweep point panicked.
         msg: String,
     },
 }
@@ -152,15 +152,6 @@ impl SimError {
             SimError::MemBudgetExceeded { .. } => "MemBudgetExceeded",
             SimError::WorkerPanic { .. } => "WorkerPanic",
         }
-    }
-
-    /// Whether a sweep point failing with this error is worth one bounded
-    /// same-seed retry. Deterministic guard trips ([`SimError::Livelock`],
-    /// [`SimError::BarrierStall`], [`SimError::MemBudgetExceeded`]) will
-    /// reproduce byte-identically, so only worker panics — which can stem
-    /// from environmental causes like thread-spawn failure — retry.
-    pub fn retryable(&self) -> bool {
-        matches!(self, SimError::WorkerPanic { .. })
     }
 
     /// Serialize to exactly one JSONL line (no trailing newline).
@@ -438,29 +429,6 @@ mod tests {
             assert!(!g.on_event(t));
         }
         assert!(g.on_event(200));
-    }
-
-    #[test]
-    fn retryable_only_for_worker_panics() {
-        assert!(SimError::WorkerPanic { msg: "x".into() }.retryable());
-        assert!(!SimError::Livelock {
-            time_ns: 0,
-            events_at_instant: 1,
-            budget: 1,
-            pending: 0,
-            oldest_key: None,
-        }
-        .retryable());
-        assert!(!SimError::MemBudgetExceeded {
-            breach: MemBreach {
-                component: MemComponent::EventQueue,
-                live: 2,
-                ceiling: 1,
-                node: None,
-            },
-            time_ns: 5,
-        }
-        .retryable());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   → quick-scale chaos smoke run under
 //!   `strict-invariants` → chaos fault drills (injected worker panic,
 //!   barrier stall and livelock must each fail loudly with a structured
-//!   JSONL error line and partial CSVs) → rustdoc gate
+//!   JSONL error line naming point 0 and its seed, and partial CSVs) →
+//!   rustdoc gate
 //!   (`cargo doc --no-deps` with `-Dwarnings`, then `cargo test --doc`).
 //! - `bench` — build `ecnsharp-bench` in its default and its
 //!   `--no-default-features` build and run the former against the latter:
@@ -157,8 +158,9 @@ fn cargo() -> Command {
 
 /// Run the quick chaos sweep with a fault-injection drill armed and
 /// assert the supervised failure contract: nonzero exit, a structured
-/// JSONL error line on stderr containing `expect_err`, and partial CSVs
-/// on disk (the surviving points still produce output).
+/// JSONL failure line on stderr naming the first point (every drill arms
+/// point 0) and its seed and carrying `expect_err`, and partial CSVs on
+/// disk (the surviving points still produce output).
 fn chaos_drill(name: &str, envs: &[(&str, &str)], expect_err: &str) -> Result<(), ()> {
     print!("ci: {name} ... ");
     let tmp = std::env::temp_dir().join("ecnsharp-ci-chaos-drill");
@@ -190,8 +192,9 @@ fn chaos_drill(name: &str, envs: &[(&str, &str)], expect_err: &str) -> Result<()
         return Err(());
     }
     let stderr = String::from_utf8_lossy(&out.stderr);
-    if !stderr.contains(expect_err) {
-        println!("FAILED (stderr carries no {expect_err} JSONL line)");
+    let wants = [expect_err, "\"point\":\"chaos-0-", "\"seed\":"];
+    if !stderr.lines().any(|l| wants.iter().all(|w| l.contains(w))) {
+        println!("FAILED (stderr carries no point-0 {expect_err} JSONL line with its seed)");
         eprint!("{stderr}");
         return Err(());
     }
@@ -406,8 +409,9 @@ fn ci() -> ExitCode {
             Box::new(|| {
                 // Crash-proof-runner drill: injecting a worker panic into
                 // the first sweep point must fail the run loudly (nonzero
-                // exit + a structured WorkerPanic JSONL line) while every
-                // other point completes and partial CSVs land on disk.
+                // exit + a structured WorkerPanic JSONL line naming the
+                // point and its seed) while every other point completes
+                // and partial CSVs land on disk.
                 chaos_drill(
                     "chaos panic drill (ECNSHARP_INJECT_PANIC=worker)",
                     &[("ECNSHARP_INJECT_PANIC", "worker")],
