@@ -38,10 +38,11 @@ fn csv_row(fct: &FctBreakdown, stats: &ecnsharp_net::PortStats) -> String {
 /// packets on the wire, so transmissions are `packets_forwarded`. The
 /// identity is additive, so it holds on any sum of runs a snapshot holds.
 fn assert_tx_done_identity(p: &perf::Snapshot) {
-    assert!(p.tx_done_elided > 0 && p.tx_done_pushed > 0, "{p:?}");
+    let c = &p.counters;
+    assert!(c.tx_done_elided > 0 && c.tx_done_pushed > 0, "{p:?}");
     assert_eq!(
-        p.tx_done_pushed + p.tx_done_elided,
-        p.packets_forwarded,
+        c.tx_done_pushed + c.tx_done_elided,
+        c.packets_forwarded,
         "{p:?}"
     );
 }
@@ -85,8 +86,8 @@ fn counters_read_vs_ignored_yield_identical_csv_rows() {
 
     assert_eq!(row_a, row_b, "reading perf counters perturbed results");
     // And the counters themselves did observe the run.
-    assert!(t.perf.events_popped > 0);
-    assert!(t.perf.packets_forwarded > 0);
+    assert!(t.perf.counters.events_popped > 0);
+    assert!(t.perf.counters.packets_forwarded > 0);
     assert_tx_done_identity(&t.perf);
     assert_eq!(
         after, t.perf,
@@ -105,15 +106,7 @@ fn same_seed_same_counters() {
     let t2 = perf::timed(|| {
         run_incast_micro_with(Scheme::EcnSharp(None), 8, 3, IncastTimeline::Compressed)
     });
-    assert_eq!(t1.perf.events_pushed, t2.perf.events_pushed);
-    assert_eq!(t1.perf.events_popped, t2.perf.events_popped);
-    assert_eq!(t1.perf.peak_pending, t2.perf.peak_pending);
-    assert_eq!(t1.perf.packets_forwarded, t2.perf.packets_forwarded);
-    assert_eq!(t1.perf.ce_marks, t2.perf.ce_marks);
-    assert_eq!(t1.perf.drops, t2.perf.drops);
-    assert_eq!(t1.perf.sim_nanos, t2.perf.sim_nanos);
-    assert_eq!(t1.perf.tx_done_pushed, t2.perf.tx_done_pushed);
-    assert_eq!(t1.perf.tx_done_elided, t2.perf.tx_done_elided);
+    assert_eq!(t1.perf, t2.perf);
     assert_tx_done_identity(&t1.perf);
     // Byte-identical figure rows too.
     assert_eq!(

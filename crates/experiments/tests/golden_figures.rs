@@ -85,23 +85,23 @@ fn engine_output_matches_prepass_golden() {
     outputs.push(("fig2_quick.csv", fig2.result.to_csv()));
     // Every RTO lives on the wheel: timers were armed, and re-arms
     // replaced stale deadlines in place instead of letting them pop.
-    assert!(fig2.perf.timers_armed > 0);
-    assert!(fig2.perf.timers_stale_suppressed > 0);
-    assert!(fig2.perf.timers_fired <= fig2.perf.timers_armed);
+    assert!(fig2.perf.counters.timers_armed > 0);
+    assert!(fig2.perf.counters.timers_stale_suppressed > 0);
+    assert!(fig2.perf.counters.timers_fired <= fig2.perf.counters.timers_armed);
 
     std::env::set_var("ECNSHARP_DELACK", "2");
     let delack2 = perf::timed(|| figures::fig2(Scale::Quick));
     std::env::remove_var("ECNSHARP_DELACK");
     outputs.push(("fig2_quick_delack2.csv", delack2.result.to_csv()));
-    assert!(delack2.perf.timers_armed > 0);
-    assert!(delack2.perf.timers_fired <= delack2.perf.timers_armed);
+    assert!(delack2.perf.counters.timers_armed > 0);
+    assert!(delack2.perf.counters.timers_fired <= delack2.perf.counters.timers_armed);
     // One long-lived token per receiver quiet period, not one arm per
     // in-order packet: arms must be far rarer than forwarded packets.
     assert!(
-        delack2.perf.timers_armed * 4 < delack2.perf.packets_forwarded,
+        delack2.perf.counters.timers_armed * 4 < delack2.perf.counters.packets_forwarded,
         "batched delack armed {} timers for {} packets",
-        delack2.perf.timers_armed,
-        delack2.perf.packets_forwarded
+        delack2.perf.counters.timers_armed,
+        delack2.perf.counters.packets_forwarded
     );
     outputs.push(("fig9_quick.csv", figures::fig9(Scale::Quick).to_csv()));
     for shards in [2u32, 4] {

@@ -113,6 +113,49 @@ pub struct PerfCounters {
     pub tx_done_elided: u64,
 }
 
+impl PerfCounters {
+    /// Every counter by name, in declaration order: the one list that
+    /// [`Self::absorb`] and [`Self::fields`] read, so a new counter is its
+    /// field plus one line here.
+    fn fields_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut u64)> + '_ {
+        [
+            ("events_pushed", &mut self.events_pushed),
+            ("events_popped", &mut self.events_popped),
+            ("peak_pending", &mut self.peak_pending),
+            ("packets_forwarded", &mut self.packets_forwarded),
+            ("ce_marks", &mut self.ce_marks),
+            ("drops", &mut self.drops),
+            ("timers_armed", &mut self.timers_armed),
+            ("timers_cancelled", &mut self.timers_cancelled),
+            ("timers_fired", &mut self.timers_fired),
+            ("timers_stale_suppressed", &mut self.timers_stale_suppressed),
+            ("heap_spills", &mut self.heap_spills),
+            ("flows_failed", &mut self.flows_failed),
+            ("no_route_drops", &mut self.no_route_drops),
+            ("fault_drops", &mut self.fault_drops),
+            ("corrupt_drops", &mut self.corrupt_drops),
+            ("burst_drops", &mut self.burst_drops),
+            ("tx_done_pushed", &mut self.tx_done_pushed),
+            ("tx_done_elided", &mut self.tx_done_elided),
+        ]
+        .into_iter()
+    }
+
+    /// Every counter as `(name, value)`, in declaration order.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
+        let mut c = *self;
+        c.fields_mut().map(|(name, v)| (name, *v)).collect()
+    }
+
+    /// Add `other` into `self`, field by field — `peak_pending` included,
+    /// so folding shards sums their peaks.
+    pub fn absorb(&mut self, other: &PerfCounters) {
+        for ((_, v), (_, o)) in self.fields_mut().zip(other.fields()) {
+            *v += o;
+        }
+    }
+}
+
 /// A queue-length sample series attached to one port.
 #[derive(Debug, Clone)]
 pub struct QueueMonitor {
@@ -222,10 +265,10 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     /// Has `compute_routes` run at least once? Link up/down transitions
     /// only trigger a route rebuild after the initial computation.
     pub(crate) routes_built: bool,
-    pub(crate) flows_failed: u64,
-    pub(crate) no_route_drops: u64,
-    pub(crate) tx_done_pushed: u64,
-    pub(crate) tx_done_elided: u64,
+    /// Engine counters kept outside the queue and the ports, plus those a
+    /// sharded run folded in from its shard engines; the port-sum fields
+    /// stay zero here (see [`Self::perf`]).
+    pub(crate) counters: PerfCounters,
     // ── sharding state (serial runs: identity values) ─────────────────
     /// Which shard this engine instance is (0 when serial).
     pub(crate) my_shard: u32,
@@ -247,8 +290,6 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     pub(crate) cur_tag: u64,
     /// Records already pushed by the event being processed.
     rec_sub: u32,
-    /// Queue perf counters inherited from merged shard queues.
-    pub(crate) carry: ecnsharp_sim::queue::QueuePerf,
     // ── run supervision ───────────────────────────────────────────────
     /// Watchdog/budget configuration (see [`Supervision`]). Applied to
     /// the queue and node arenas by [`Network::set_supervision`].
@@ -299,10 +340,7 @@ impl<S: Subscriber> Network<S> {
             fault_queue: Vec::new(),
             next_fault: 0,
             routes_built: false,
-            flows_failed: 0,
-            no_route_drops: 0,
-            tx_done_pushed: 0,
-            tx_done_elided: 0,
+            counters: PerfCounters::default(),
             my_shard: 0,
             owner: None,
             outbox: Vec::new(),
@@ -311,7 +349,6 @@ impl<S: Subscriber> Network<S> {
             cur_node: SETUP_CTX,
             cur_tag: 0,
             rec_sub: 0,
-            carry: Default::default(),
             supervision: Supervision::default(),
             mem_armed: false,
             tripped: None,
@@ -354,42 +391,14 @@ impl<S: Subscriber> Network<S> {
     /// `sub` attached. Nodes start empty — the splitter moves owned nodes
     /// in and fills the rest with placeholders.
     pub(crate) fn shard_shell(&self, idx: u32, owner: Arc<Vec<u32>>, sub: S) -> Network<S> {
-        Network {
-            sub,
-            #[cfg(feature = "telemetry")]
-            scratch_events: Vec::new(),
-            nodes: Vec::new(),
-            events: EventQueue::new(),
-            seed: self.seed,
-            ecmp_salt: self.ecmp_salt,
-            pending: BTreeMap::new(),
-            timer_tokens: DetMap::default(),
-            records: Vec::new(),
-            flows_to_record: 0,
-            record_keys: Vec::new(),
-            monitors: self.monitors.clone(),
-            scratch: Vec::new(),
-            steps: 0,
-            fault_queue: Vec::new(),
-            next_fault: 0,
-            routes_built: self.routes_built,
-            flows_failed: 0,
-            no_route_drops: 0,
-            tx_done_pushed: 0,
-            tx_done_elided: 0,
-            my_shard: idx,
-            owner: Some(owner),
-            outbox: Vec::new(),
-            tag_k: self.tag_k.clone(),
-            setup_k: 0,
-            cur_node: SETUP_CTX,
-            cur_tag: 0,
-            rec_sub: 0,
-            carry: Default::default(),
-            supervision: self.supervision,
-            mem_armed: false,
-            tripped: None,
-        }
+        let mut shell = Self::with_subscriber(self.seed, sub);
+        shell.monitors = self.monitors.clone();
+        shell.routes_built = self.routes_built;
+        shell.my_shard = idx;
+        shell.owner = Some(owner);
+        shell.tag_k = self.tag_k.clone();
+        shell.supervision = self.supervision;
+        shell
     }
 
     /// The attached telemetry subscriber.
@@ -734,29 +743,11 @@ impl<S: Subscriber> Network<S> {
     /// Engine performance counters accumulated so far: event-queue traffic
     /// plus per-port packet/mark/drop totals. Assembled on demand; calling
     /// this (or not) has no effect on the simulation.
+    ///
+    /// A sharded run gives the serial run's counters, with one exception:
+    /// `peak_pending` is the sum of the shards' peaks, not the serial peak.
     pub fn perf(&self) -> PerfCounters {
-        let q = self.events.perf();
-        // `carry` holds queue traffic accumulated in per-shard queues
-        // before a sharded merge; zero on never-sharded networks. Queue
-        // counters are NOT comparable between serial and sharded runs of
-        // the same scenario (the split re-pushes pending events and
-        // `peak_pending` sums per-shard peaks) — port-level packet/mark/
-        // drop totals below are exact either way.
-        let mut c = PerfCounters {
-            events_pushed: q.pushed + self.carry.pushed,
-            events_popped: q.popped + self.carry.popped,
-            peak_pending: q.peak_pending + self.carry.peak_pending,
-            timers_armed: q.timers_armed + self.carry.timers_armed,
-            timers_cancelled: q.timers_cancelled + self.carry.timers_cancelled,
-            timers_fired: q.timers_fired + self.carry.timers_fired,
-            timers_stale_suppressed: q.timers_stale_suppressed + self.carry.timers_stale_suppressed,
-            heap_spills: q.heap_spills + self.carry.heap_spills,
-            flows_failed: self.flows_failed,
-            no_route_drops: self.no_route_drops,
-            tx_done_pushed: self.tx_done_pushed,
-            tx_done_elided: self.tx_done_elided,
-            ..PerfCounters::default()
-        };
+        let mut c = self.engine_counters();
         for node in &self.nodes {
             for p in &node.ports {
                 let s = p.stats();
@@ -768,6 +759,25 @@ impl<S: Subscriber> Network<S> {
                 c.burst_drops += s.burst_drops;
             }
         }
+        c
+    }
+
+    /// [`Self::perf`] without the port sums: what a shard engine hands
+    /// back at the merge (its ports come home with its nodes).
+    pub(crate) fn engine_counters(&self) -> PerfCounters {
+        let q = self.events.perf();
+        let mut c = self.counters;
+        c.absorb(&PerfCounters {
+            events_pushed: q.pushed,
+            events_popped: q.popped,
+            peak_pending: q.peak_pending,
+            timers_armed: q.timers_armed,
+            timers_cancelled: q.timers_cancelled,
+            timers_fired: q.timers_fired,
+            timers_stale_suppressed: q.timers_stale_suppressed,
+            heap_spills: q.heap_spills,
+            ..PerfCounters::default()
+        });
         c
     }
 
@@ -1111,7 +1121,7 @@ impl<S: Subscriber> Network<S> {
                     // packet is lost in the fabric. Counted apart from port
                     // drops — it never entered an egress queue, so byte
                     // conservation is untouched.
-                    self.no_route_drops += 1;
+                    self.counters.no_route_drops += 1;
                     emit!(
                         &mut self.sub,
                         on_packet_dropped,
@@ -1184,8 +1194,8 @@ impl<S: Subscriber> Network<S> {
             WireFree::At(t, tag) if (now, self.cur_tag) < (t, tag) => {
                 if p.backlog_pkts() > 0 {
                     p.wire_free = WireFree::OnTxDone;
-                    self.tx_done_elided -= 1;
-                    self.tx_done_pushed += 1;
+                    self.counters.tx_done_elided -= 1;
+                    self.counters.tx_done_pushed += 1;
                     self.events
                         .schedule_tagged(t, tag, Event::TxDone { node, port });
                 }
@@ -1206,12 +1216,12 @@ impl<S: Subscriber> Network<S> {
             let arr_tag = self.next_tag();
             let done = now + tx.tx_time;
             self.nodes[node.0].ports[port].wire_free = if waiting {
-                self.tx_done_pushed += 1;
+                self.counters.tx_done_pushed += 1;
                 self.events
                     .schedule_tagged(done, tx_tag, Event::TxDone { node, port });
                 WireFree::OnTxDone
             } else {
-                self.tx_done_elided += 1;
+                self.counters.tx_done_elided += 1;
                 WireFree::At(done, tx_tag)
             };
             let at = done + delay;
@@ -1379,7 +1389,7 @@ impl<S: Subscriber> Network<S> {
             return;
         };
         if outcome == FlowOutcome::Failed {
-            self.flows_failed += 1;
+            self.counters.flows_failed += 1;
         }
         let _ = node;
         emit!(
@@ -1460,6 +1470,23 @@ mod tests {
     use crate::agent::{EchoAgent, NullAgent};
     use crate::packet::Packet;
     use ecnsharp_aqm::DropTail;
+
+    #[test]
+    fn perf_counter_list_names_every_field_once() {
+        let names: Vec<_> = PerfCounters::default()
+            .fields()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(
+            names.len() * std::mem::size_of::<u64>(),
+            std::mem::size_of::<PerfCounters>()
+        );
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), names.len(), "{names:?}");
+    }
 
     /// host A -- switch -- host B, 10 Gbps, 1 us links.
     fn two_hosts() -> (Network, NodeId, NodeId, NodeId) {

@@ -264,7 +264,6 @@ impl<S: ShardSubscriber> Network<S> {
         // The global setup-tag counter continues across fault boundaries
         // so fault-triggered pushes get the same tags as a serial run.
         let mut setup_k = self.setup_k;
-        let mut fault_steps = 0u64;
         // Key of the last step applied anywhere — an event on some shard or
         // a fault here. Serial runs advance the clock through every fault
         // application, even past the last packet event; mirror that for
@@ -289,7 +288,7 @@ impl<S: ShardSubscriber> Network<S> {
                     break;
                 }
                 self.next_fault += 1;
-                fault_steps += 1;
+                self.steps += 1;
                 last_key = (fat, ftag);
                 apply_fault_sharded(&mut shards, &owner, (fat, ftag), action, &mut setup_k);
             }
@@ -300,13 +299,8 @@ impl<S: ShardSubscriber> Network<S> {
         let mut keyed_records = Vec::with_capacity(shards.iter().map(|s| s.records.len()).sum());
         for (s, mut shard) in shards.into_iter().enumerate() {
             last_key = last_key.max((shard.now(), shard.cur_tag));
-            add_queue_perf(&mut self.carry, &shard.events.perf());
-            add_queue_perf(&mut self.carry, &shard.carry);
+            self.counters.absorb(&shard.engine_counters());
             self.steps += shard.steps;
-            self.flows_failed += shard.flows_failed;
-            self.no_route_drops += shard.no_route_drops;
-            self.tx_done_pushed += shard.tx_done_pushed;
-            self.tx_done_elided += shard.tx_done_elided;
             self.flows_to_record += shard.flows_to_record;
             for i in 0..n_nodes {
                 if owner[i] == s as u32 {
@@ -332,14 +326,13 @@ impl<S: ShardSubscriber> Network<S> {
         // Back out the backlog-redistribution pushes: counted once on the
         // serial queue at schedule time and once more on the shard queues
         // at split time, so the merged total would exceed a serial run's.
-        self.carry.pushed -= split_pushes;
+        self.counters.events_pushed -= split_pushes;
         // Records in exact serial order: the provenance key (finish, tag
         // of the completing event, sub-index) is the serial processing
         // order by construction.
         keyed_records.sort_unstable_by_key(|r| r.0);
         self.records
             .extend(keyed_records.into_iter().map(|(_, record)| record));
-        self.steps += fault_steps;
         self.setup_k = setup_k;
         self.events.advance_now(last_key.0);
         self.cur_tag = last_key.1;
@@ -685,18 +678,6 @@ fn set_link_sharded<S: ShardSubscriber>(
     }
 }
 
-/// Accumulate `q` into `carry`, field by field.
-fn add_queue_perf(carry: &mut ecnsharp_sim::queue::QueuePerf, q: &ecnsharp_sim::queue::QueuePerf) {
-    carry.pushed += q.pushed;
-    carry.popped += q.popped;
-    carry.peak_pending += q.peak_pending;
-    carry.timers_armed += q.timers_armed;
-    carry.timers_cancelled += q.timers_cancelled;
-    carry.timers_fired += q.timers_fired;
-    carry.timers_stale_suppressed += q.timers_stale_suppressed;
-    carry.heap_spills += q.heap_spills;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,10 +796,9 @@ mod tests {
     /// Everything that must be shard-invariant, as one comparable string.
     fn fingerprint<S: ShardSubscriber>(net: &Network<S>) -> String {
         let mut out = format!("now={:?} steps={} perf={:?}\n", net.now(), net.steps(), {
-            // Queue counters are mode-dependent (documented); blank them.
+            // A sharded run's peak is the sum of its shards' (documented);
+            // every other counter must match the serial run.
             let mut p = net.perf();
-            p.events_pushed = 0;
-            p.events_popped = 0;
             p.peak_pending = 0;
             p
         });

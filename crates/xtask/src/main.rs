@@ -26,6 +26,8 @@
 //!   per-pair ratios (see PERFORMANCE.md). A timing gate on a shared box,
 //!   so opt-in and not part of `ci`; whole-simulation timing is
 //!   `benchmark/`'s job.
+//! - `loc` — print non-test lines per crate and the total, the size
+//!   ROADMAP tracks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +53,7 @@ fn main() -> ExitCode {
         Some("selftest") => exit_for(selftest()),
         Some("ci") => ci(),
         Some("bench") => exit_for(xtask::bench::run(&xtask::workspace_root())),
+        Some("loc") => exit_for(loc()),
         Some("help") | None => {
             print_help();
             ExitCode::SUCCESS
@@ -74,7 +77,9 @@ fn print_help() {
          build -> tests -> race harness -> sharded determinism ->\n              \
          chaos smoke -> chaos drills -> rustdoc gate\n  \
          bench       run the four paired microbench gates; fail when a pair's\n              \
-         median same-run ratio misses its budget"
+         median same-run ratio misses its budget\n  \
+         loc         non-test lines per crate and in total (tracked crates/**/*.rs\n              \
+         outside tests/ directories, less #[cfg(test)] regions)"
     );
 }
 
@@ -114,6 +119,37 @@ fn lint() -> bool {
             false
         }
     }
+}
+
+/// Print the non-test line count per crate and the total: every tracked
+/// `crates/**/*.rs` outside a `tests/` directory, less the lines
+/// [`xtask::scan::scan_lines`] puts in a test region.
+fn loc() -> bool {
+    let root = xtask::workspace_root();
+    let git = Command::new("git")
+        .args(["ls-files", "crates/*.rs"])
+        .current_dir(&root)
+        .output();
+    let Some(out) = git.ok().filter(|out| out.status.success()) else {
+        eprintln!("loc: `git ls-files` failed");
+        return false;
+    };
+    let mut per_crate = std::collections::BTreeMap::new();
+    let files = String::from_utf8_lossy(&out.stdout);
+    for rel in files.lines().filter(|rel| !rel.contains("/tests/")) {
+        let Ok(source) = std::fs::read_to_string(root.join(rel)) else {
+            eprintln!("loc: cannot read {rel}");
+            return false;
+        };
+        let lines = xtask::scan::scan_lines(&source);
+        let krate = rel.split('/').nth(1).unwrap_or(rel);
+        *per_crate.entry(krate).or_insert(0) += lines.iter().filter(|l| !l.in_test).count();
+    }
+    for (krate, n) in &per_crate {
+        println!("{krate:<12} {n:>6}");
+    }
+    println!("{:<12} {:>6}", "total", per_crate.values().sum::<usize>());
+    true
 }
 
 fn selftest() -> bool {
