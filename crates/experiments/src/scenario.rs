@@ -569,7 +569,7 @@ pub fn run_dwrr(scheme: Scheme, seed: u64) -> DwrrResult {
         move || {
             params
                 .port(&scheme2, 1_000_000, 0xD3)
-                .with_sched(Box::new(Dwrr::new(&[2, 1, 1], 1_538)))
+                .with_dwrr(Dwrr::new(&[2, 1, 1], 1_538))
         },
     );
     let receiver = topo.hosts[5];

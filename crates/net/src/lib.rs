@@ -5,8 +5,8 @@
 //! - [`Packet`] — byte-counted segments with ECN codepoints and TCP-ish
 //!   flags;
 //! - [`EgressPort`] — the buffered transmit side of a link attachment:
-//!   tail-drop capacity, a pluggable [`ecnsharp_aqm::Aqm`] policy, a
-//!   pluggable [`ecnsharp_sched::Scheduler`], store-and-forward
+//!   tail-drop capacity, a pluggable [`ecnsharp_aqm::Aqm`] policy, a FIFO
+//!   or [`ecnsharp_sched::Dwrr`] scheduler ([`PortSched`]), store-and-forward
 //!   serialization, optional fault injection;
 //! - [`Network`] — owns nodes and links, runs the deterministic event loop,
 //!   routes with flow-consistent ECMP, and records flow completions;

@@ -109,7 +109,8 @@ pub struct PerfCounters {
     /// Transmissions whose `TxDone` was never queued because nothing was
     /// waiting when the wire was free again — events an eager design
     /// would have pushed and popped for nothing. Together with
-    /// `tx_done_pushed` this counts every transmission started.
+    /// `tx_done_pushed` this counts every transmission started, which is
+    /// how [`Network::perf`] derives it: no engine keeps it as a counter.
     pub tx_done_elided: u64,
 }
 
@@ -388,10 +389,11 @@ impl<S: Subscriber> Network<S> {
 
     /// An empty engine for shard `idx` of this network's run: same seed,
     /// salt, and monitor/route configuration, fresh queue and counters,
-    /// `sub` attached. Nodes start empty — the splitter moves owned nodes
-    /// in and fills the rest with placeholders.
+    /// `sub` attached. Every node slot holds an inert placeholder until
+    /// the split moves the shard's own nodes in.
     pub(crate) fn shard_shell(&self, idx: u32, owner: Arc<Vec<u32>>, sub: S) -> Network<S> {
         let mut shell = Self::with_subscriber(self.seed, sub);
+        shell.nodes = self.nodes.iter().map(|_| Node::switch()).collect();
         shell.monitors = self.monitors.clone();
         shell.routes_built = self.routes_built;
         shell.my_shard = idx;
@@ -504,6 +506,10 @@ impl<S: Subscriber> Network<S> {
     /// Compute shortest-path ECMP routes from every node to every host,
     /// over the links currently up. Call once after the topology is fully
     /// built; link up/down transitions re-run it automatically afterwards.
+    ///
+    /// Each node's fan towards `dst` is the list of its up ports whose peer
+    /// is strictly closer to `dst`, in port order, written straight into
+    /// the node's flat forwarding table.
     pub fn compute_routes(&mut self) {
         self.routes_built = true;
         // Adjacency over up links: for each node, (port index, peer).
@@ -519,11 +525,43 @@ impl<S: Subscriber> Network<S> {
                     .collect()
             })
             .collect();
-        let hosts: Vec<bool> = self.nodes.iter().map(|n| n.is_host()).collect();
-        let tables = route_tables(&adj, &hosts);
-        for (node, routes) in self.nodes.iter_mut().zip(tables) {
-            node.routes = routes;
-            node.rebuild_flat_routes();
+        let n = adj.len();
+        for node in &mut self.nodes {
+            node.route_off.clear();
+            node.route_off.reserve(n + 1);
+            node.route_off.push(0);
+            node.route_hops.clear();
+        }
+        let mut dist = vec![usize::MAX; n];
+        let mut queue = std::collections::VecDeque::new();
+        for dst in 0..n {
+            // BFS distances from dst (links are symmetric); only hosts are
+            // destinations, every other column stays empty.
+            dist.fill(usize::MAX);
+            if self.nodes[dst].is_host() {
+                dist[dst] = 0;
+                queue.push_back(dst);
+            }
+            while let Some(u) = queue.pop_front() {
+                for &(_, peer) in &adj[u] {
+                    if dist[peer.0] == usize::MAX {
+                        dist[peer.0] = dist[u] + 1;
+                        queue.push_back(peer.0);
+                    }
+                }
+            }
+            for (u, node) in self.nodes.iter_mut().enumerate() {
+                if u != dst && dist[u] != usize::MAX {
+                    node.route_hops.extend(
+                        adj[u]
+                            .iter()
+                            .filter(|&&(_, peer)| dist[peer.0] + 1 == dist[u])
+                            .map(|&(i, _)| u16::try_from(i).expect("port index fits u16")),
+                    );
+                }
+                node.route_off
+                    .push(u32::try_from(node.route_hops.len()).expect("route table fits u32"));
+            }
         }
     }
 
@@ -561,13 +599,8 @@ impl<S: Subscriber> Network<S> {
     /// [`Self::set_link_up`] at an explicit time `at >= now`: fault
     /// application runs *between* queue pops, so the transition time comes
     /// from the fault list, not from the queue clock.
-    pub(crate) fn set_link_up_at(&mut self, at: SimTime, a: NodeId, b: NodeId, up: bool) {
-        let pa = self
-            .port_towards(a, b)
-            .unwrap_or_else(|| panic!("no link between {a} and {b}"));
-        let pb = self
-            .port_towards(b, a)
-            .unwrap_or_else(|| panic!("no link between {b} and {a}"));
+    fn set_link_up_at(&mut self, at: SimTime, a: NodeId, b: NodeId, up: bool) {
+        let (pa, pb) = self.link_ports(a, b);
         let changed =
             self.nodes[a.0].ports[pa].link_up != up || self.nodes[b.0].ports[pb].link_up != up;
         if !changed {
@@ -575,21 +608,6 @@ impl<S: Subscriber> Network<S> {
         }
         self.nodes[a.0].ports[pa].link_up = up;
         self.nodes[b.0].ports[pb].link_up = up;
-        self.emit_link_state(at, a, b, up);
-        if self.routes_built {
-            self.compute_routes();
-        }
-        if up {
-            self.kick(at, a, pa);
-            self.kick(at, b, pb);
-        }
-    }
-
-    /// Emit a [`LinkStateChanged`] telemetry event (also used by the
-    /// sharded fault path, where the transition spans two engines and the
-    /// event is attributed to `a`'s owner).
-    pub(crate) fn emit_link_state(&mut self, at: SimTime, a: NodeId, b: NodeId, up: bool) {
-        let _ = (at, a, b, up);
         emit!(
             &mut self.sub,
             on_link_state_changed,
@@ -603,39 +621,44 @@ impl<S: Subscriber> Network<S> {
                 up,
             }
         );
+        if self.routes_built {
+            self.compute_routes();
+        }
+        if up {
+            self.kick(at, a, pa);
+            self.kick(at, b, pb);
+        }
     }
 
     /// Is the `a`↔`b` link currently up?
     pub fn link_is_up(&self, a: NodeId, b: NodeId) -> bool {
-        let pa = self
-            .port_towards(a, b)
-            .unwrap_or_else(|| panic!("no link between {a} and {b}"));
+        let (pa, _) = self.link_ports(a, b);
         self.nodes[a.0].ports[pa].link_up
     }
 
-    pub(crate) fn apply_fault_at(&mut self, at: SimTime, action: FaultAction) {
+    /// The ports of the `a`↔`b` link: `a`'s towards `b`, then `b`'s
+    /// towards `a`. Panics when the two are not linked.
+    fn link_ports(&self, a: NodeId, b: NodeId) -> (usize, usize) {
+        let port = |x: NodeId, y: NodeId| {
+            self.port_towards(x, y)
+                .unwrap_or_else(|| panic!("no link between {x} and {y}"))
+        };
+        (port(a, b), port(b, a))
+    }
+
+    fn apply_fault_at(&mut self, at: SimTime, action: FaultAction) {
         match action {
             FaultAction::LinkDown { a, b } => self.set_link_up_at(at, a, b, false),
             FaultAction::LinkUp { a, b } => self.set_link_up_at(at, a, b, true),
             FaultAction::SetLinkRate { a, b, rate } => {
-                let pa = self
-                    .port_towards(a, b)
-                    .unwrap_or_else(|| panic!("no link between {a} and {b}"));
-                let pb = self
-                    .port_towards(b, a)
-                    .unwrap_or_else(|| panic!("no link between {b} and {a}"));
+                let (pa, pb) = self.link_ports(a, b);
                 // An in-flight serialization keeps its old tx_time; the new
                 // rate applies from the next packet.
                 self.nodes[a.0].ports[pa].rate = rate;
                 self.nodes[b.0].ports[pb].rate = rate;
             }
             FaultAction::SetLinkDelay { a, b, delay } => {
-                let pa = self
-                    .port_towards(a, b)
-                    .unwrap_or_else(|| panic!("no link between {a} and {b}"));
-                let pb = self
-                    .port_towards(b, a)
-                    .unwrap_or_else(|| panic!("no link between {b} and {a}"));
+                let (pa, pb) = self.link_ports(a, b);
                 self.nodes[a.0].ports[pa].delay = delay;
                 self.nodes[b.0].ports[pb].delay = delay;
             }
@@ -759,6 +782,13 @@ impl<S: Subscriber> Network<S> {
                 c.burst_drops += s.burst_drops;
             }
         }
+        // A packet leaving a queue is dropped on the wire or transmitted,
+        // and a transmission queues its `TxDone` or elides it.
+        c.tx_done_elided = c.packets_forwarded
+            - c.fault_drops
+            - c.corrupt_drops
+            - c.burst_drops
+            - c.tx_done_pushed;
         c
     }
 
@@ -967,23 +997,31 @@ impl<S: Subscriber> Network<S> {
         // Interleave faults by the same global (time, tag) order as queued
         // events. Fault tags come from the setup range, which sorts below
         // every runtime tag, so a fault wins ties at its own timestamp.
-        if let Some(&(at, tag, action)) = self.fault_queue.get(self.next_fault) {
+        if let Some(&(at, tag, _)) = self.fault_queue.get(self.next_fault) {
             let due = match self.events.peek_key() {
                 Some(key) => (at, tag) < key,
                 None => true,
             };
             if due {
-                self.next_fault += 1;
-                self.steps += 1;
-                self.events.advance_now(at);
-                // The fault is the step in progress: a link-up kick
-                // compares this key with the port's reserved one.
-                self.cur_tag = tag;
-                self.apply_fault_at(at, action);
+                self.step_fault();
                 return true;
             }
         }
         self.step_queued()
+    }
+
+    /// Apply the next fault of the plan as one step. The serial loop calls
+    /// this when the fault's key is the smallest pending one; the sharded
+    /// runner calls it with every node home, between epochs.
+    pub(crate) fn step_fault(&mut self) {
+        let (at, tag, action) = self.fault_queue[self.next_fault];
+        self.next_fault += 1;
+        self.steps += 1;
+        self.events.advance_now(at);
+        // The fault is the step in progress: a link-up kick compares this
+        // key with the port's reserved one.
+        self.cur_tag = tag;
+        self.apply_fault_at(at, action);
     }
 
     /// Pop and process one queued event (never a fault). Returns `false`
@@ -1106,8 +1144,8 @@ impl<S: Subscriber> Network<S> {
                 });
             }
             NodeKind::Switch => {
-                // Forwarding uses the flattened route mirror: two
-                // contiguous-array reads instead of a Vec<Vec<_>> chase.
+                // Forwarding reads the flat route table: two
+                // contiguous-array reads.
                 let sw = &self.nodes[node.0];
                 let hops = match sw.route_off.get(pkt.dst.0..pkt.dst.0 + 2) {
                     Some(w) => &sw.route_hops[w[0] as usize..w[1] as usize],
@@ -1194,7 +1232,6 @@ impl<S: Subscriber> Network<S> {
             WireFree::At(t, tag) if (now, self.cur_tag) < (t, tag) => {
                 if p.backlog_pkts() > 0 {
                     p.wire_free = WireFree::OnTxDone;
-                    self.counters.tx_done_elided -= 1;
                     self.counters.tx_done_pushed += 1;
                     self.events
                         .schedule_tagged(t, tag, Event::TxDone { node, port });
@@ -1221,7 +1258,6 @@ impl<S: Subscriber> Network<S> {
                     .schedule_tagged(done, tx_tag, Event::TxDone { node, port });
                 WireFree::OnTxDone
             } else {
-                self.counters.tx_done_elided += 1;
                 WireFree::At(done, tx_tag)
             };
             let at = done + delay;
@@ -1423,45 +1459,6 @@ impl<S: Subscriber> Network<S> {
             outcome,
         });
     }
-}
-
-/// ECMP next-hop tables for every node towards every host, from an
-/// up-link adjacency list (`adj[u]` = `(port index, peer)` pairs) and a
-/// host mask. Shared by [`Network::compute_routes`] and the sharded
-/// engine's global route recompute at fault boundaries — both must
-/// produce bit-identical tables for replay to be shard-invariant.
-pub(crate) fn route_tables(adj: &[Vec<(usize, NodeId)>], hosts: &[bool]) -> Vec<Vec<Vec<usize>>> {
-    let n = adj.len();
-    let mut tables = vec![vec![Vec::new(); n]; n];
-    for dst in 0..n {
-        if !hosts[dst] {
-            continue;
-        }
-        // BFS distances from dst (links are symmetric).
-        let mut dist = vec![usize::MAX; n];
-        dist[dst] = 0;
-        let mut queue = std::collections::VecDeque::from([dst]);
-        while let Some(u) = queue.pop_front() {
-            for &(_, peer) in &adj[u] {
-                if dist[peer.0] == usize::MAX {
-                    dist[peer.0] = dist[u] + 1;
-                    queue.push_back(peer.0);
-                }
-            }
-        }
-        // Next hops: ports whose peer is strictly closer to dst.
-        for u in 0..n {
-            if u == dst || dist[u] == usize::MAX {
-                continue;
-            }
-            tables[u][dst] = adj[u]
-                .iter()
-                .filter(|&&(_, peer)| dist[peer.0] + 1 == dist[u])
-                .map(|&(i, _)| i)
-                .collect();
-        }
-    }
-    tables
 }
 
 #[cfg(test)]
@@ -2298,7 +2295,7 @@ mod tests {
     /// of flight and P1 reaches b at 4 x 2230 = 8920 ns whatever happens
     /// behind it. `prepare` gets the network before the packets are
     /// injected, `a` and `s1` — node ids are a, b, s1..s4 = 0..=5. Runs
-    /// once serially and once on two shards, which must agree.
+    /// once serially and on two two-shard plans, which must all agree.
     fn diamond_timeline(prepare: impl Fn(&mut Network, NodeId, NodeId)) -> Timeline {
         let run = |plan: Option<crate::ShardPlan>| {
             let log: Deliveries = Default::default();
@@ -2313,15 +2310,24 @@ mod tests {
             assert_tx_done_identity(&net);
             let c = net.perf();
             let arrivals: Vec<u64> = log.lock().unwrap().iter().map(|d| d.0).collect();
-            // The engine must also come to rest at the same step key.
+            // The engine must also come to rest at the same step key, with
+            // the same counters (a sharded peak is the sum of the shards').
             let timeline = (arrivals, c.tx_done_pushed, c.tx_done_elided, net.steps());
-            (timeline, net.now(), net.cur_tag)
+            let rest = PerfCounters {
+                peak_pending: 0,
+                ..c
+            };
+            (timeline, net.now(), net.cur_tag, rest)
         };
         let serial = run(None);
         // a, s1, s4 against b, s2, s3: the faulted link stays inside one
-        // shard, every path crosses to the other and back.
-        let sharded = run(Some(crate::ShardPlan::new(vec![0, 1, 0, 1, 1, 0])));
-        assert_eq!(serial, sharded, "serial vs two shards");
+        // shard. a, s2, s4 against b, s1, s3: it crosses, so the fault's
+        // two kicked ports sit on different shards. Every path crosses to
+        // the other shard and back either way.
+        for owner in [vec![0, 1, 0, 1, 1, 0], vec![0, 1, 1, 0, 1, 0]] {
+            let sharded = run(Some(crate::ShardPlan::new(owner.clone())));
+            assert_eq!(serial, sharded, "serial vs two shards {owner:?}");
+        }
         serial.0
     }
 

@@ -21,20 +21,17 @@ pub struct Node {
     pub kind: NodeKind,
     /// Egress ports, in attachment order.
     pub ports: Vec<EgressPort>,
-    /// For switches: `routes[dst.0]` lists the egress ports on a shortest
-    /// path towards node `dst` (multiple entries = ECMP fan). Computed by
-    /// [`crate::Network::compute_routes`]. Hosts leave this empty and
-    /// always use port 0.
-    pub routes: Vec<Vec<usize>>,
-    /// Flattened mirror of `routes` for the per-packet forwarding lookup:
-    /// the fan for `dst` is `route_hops[route_off[dst] .. route_off[dst+1]]`.
-    /// Two small contiguous arrays replace a `Vec<Vec<_>>` pointer chase on
-    /// the hottest switch path; rebuilt alongside `routes`.
+    /// ECMP forwarding table, computed by
+    /// [`crate::Network::compute_routes`]: the egress ports on a shortest
+    /// path towards node `dst` (several = an ECMP fan) are
+    /// `route_hops[route_off[dst] .. route_off[dst + 1]]`. Two flat arrays
+    /// keep the per-packet lookup on the hottest switch path to two
+    /// contiguous reads. Only switches read it; hosts always use port 0.
     pub(crate) route_off: Vec<u32>,
     pub(crate) route_hops: Vec<u16>,
     /// Pooled ring storage shared by this node's switch-port FIFOs: one
     /// contiguous slot block instead of a heap `VecDeque` per port (see
-    /// [`crate::arena`]). Empty for hosts and `Dyn`-scheduled ports.
+    /// [`crate::arena`]). Empty for hosts and DWRR-scheduled ports.
     pub(crate) arena: RingArena,
 }
 
@@ -43,7 +40,6 @@ impl Node {
         Node {
             kind: NodeKind::Host { agent },
             ports: Vec::new(),
-            routes: Vec::new(),
             route_off: Vec::new(),
             route_hops: Vec::new(),
             arena: RingArena::new(),
@@ -54,26 +50,9 @@ impl Node {
         Node {
             kind: NodeKind::Switch,
             ports: Vec::new(),
-            routes: Vec::new(),
             route_off: Vec::new(),
             route_hops: Vec::new(),
             arena: RingArena::new(),
-        }
-    }
-
-    /// Rebuild the flattened forwarding mirror from `routes`.
-    pub(crate) fn rebuild_flat_routes(&mut self) {
-        self.route_off.clear();
-        self.route_hops.clear();
-        self.route_off.reserve(self.routes.len() + 1);
-        self.route_off.push(0);
-        for hops in &self.routes {
-            for &h in hops {
-                self.route_hops
-                    .push(u16::try_from(h).expect("port index fits u16"));
-            }
-            self.route_off
-                .push(u32::try_from(self.route_hops.len()).expect("route table fits u32"));
         }
     }
 

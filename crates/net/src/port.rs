@@ -15,7 +15,7 @@ use crate::fault::{validate_p, GilbertElliott};
 use crate::ids::NodeId;
 use crate::packet::{Ecn, Packet};
 use ecnsharp_aqm::{Aqm, DequeueVerdict, EnqueueVerdict, PacketView, QueueState};
-use ecnsharp_sched::{Dequeued, Fifo, Scheduler};
+use ecnsharp_sched::{Dwrr, Fifo};
 use ecnsharp_sim::{Duration, Rate, Rng, SimTime};
 use ecnsharp_telemetry::Subscriber;
 #[cfg(feature = "telemetry")]
@@ -26,17 +26,16 @@ use ecnsharp_telemetry::{
 
 /// The scheduler slot of a port. Almost every port in every experiment is
 /// a plain FIFO, and its enqueue/dequeue/backlog calls sit on the
-/// per-packet hot path — so the FIFO case is stored inline and statically
-/// dispatched, with a boxed trait object as the escape hatch for the
-/// multi-class schedulers (DWRR in §5.4).
+/// per-packet hot path — so the set is closed and every call is a `match`,
+/// with the rarely used DWRR (§5.4) boxed to keep the slot small.
 pub enum PortSched {
-    /// Inline single-queue FIFO (static dispatch, private ring).
+    /// Inline single-queue FIFO (private ring).
     Fifo(Fifo<Packet>),
     /// Single-queue FIFO whose slots live in the owning node's shared
     /// [`RingArena`] (switch ports; see [`crate::arena`]).
     Pooled(PooledRing),
-    /// Any other scheduler, behind the [`Scheduler`] trait.
-    Dyn(Box<dyn Scheduler<Packet>>),
+    /// Deficit Weighted Round Robin over the packet classes.
+    Dwrr(Box<Dwrr<Packet>>),
 }
 
 impl PortSched {
@@ -44,50 +43,46 @@ impl PortSched {
     fn classes(&self) -> usize {
         match self {
             PortSched::Fifo(_) | PortSched::Pooled(_) => 1,
-            PortSched::Dyn(s) => s.classes(),
+            PortSched::Dwrr(d) => d.classes(),
         }
     }
 
+    /// Append `item` to `class`, which is below [`Self::classes`].
     #[inline]
     fn enqueue(&mut self, arena: &mut RingArena, class: usize, bytes: u64, item: Packet) {
+        debug_assert!(class < self.classes(), "class {class} out of range");
         match self {
-            PortSched::Fifo(f) => f.enqueue(class, bytes, item),
-            PortSched::Pooled(r) => {
-                debug_assert_eq!(class, 0, "pooled FIFO has a single class");
-                r.enqueue(arena, bytes, item);
-            }
-            PortSched::Dyn(s) => s.enqueue(class, bytes, item),
+            PortSched::Fifo(f) => f.enqueue(bytes, item),
+            PortSched::Pooled(r) => r.enqueue(arena, bytes, item),
+            PortSched::Dwrr(d) => d.enqueue(class, bytes, item),
         }
     }
 
+    /// The next packet to transmit as `(class, bytes, packet)`.
     #[inline]
-    fn dequeue(&mut self, arena: &mut RingArena) -> Option<Dequeued<Packet>> {
+    fn dequeue(&mut self, arena: &mut RingArena) -> Option<(usize, u64, Packet)> {
         match self {
-            PortSched::Fifo(f) => f.dequeue(),
-            PortSched::Pooled(r) => r.dequeue(arena).map(|(bytes, item)| Dequeued {
-                class: 0,
-                bytes,
-                item,
-            }),
-            PortSched::Dyn(s) => s.dequeue(),
+            PortSched::Fifo(f) => f.dequeue().map(|(bytes, item)| (0, bytes, item)),
+            PortSched::Pooled(r) => r.dequeue(arena).map(|(bytes, item)| (0, bytes, item)),
+            PortSched::Dwrr(d) => d.dequeue(),
         }
     }
 
     #[inline]
     fn backlog_bytes(&self) -> u64 {
         match self {
-            PortSched::Fifo(f) => Scheduler::backlog_bytes(f),
+            PortSched::Fifo(f) => f.backlog_bytes(),
             PortSched::Pooled(r) => r.backlog_bytes(),
-            PortSched::Dyn(s) => s.backlog_bytes(),
+            PortSched::Dwrr(d) => d.backlog_bytes(),
         }
     }
 
     #[inline]
     fn backlog_pkts(&self) -> u64 {
         match self {
-            PortSched::Fifo(f) => Scheduler::backlog_pkts(f),
+            PortSched::Fifo(f) => f.backlog_pkts(),
             PortSched::Pooled(r) => r.backlog_pkts(),
-            PortSched::Dyn(s) => s.backlog_pkts(),
+            PortSched::Dwrr(d) => d.backlog_pkts(),
         }
     }
 }
@@ -142,9 +137,10 @@ impl PortConfig {
         }
     }
 
-    /// Replace the scheduler (e.g. DWRR for the §5.4 experiment).
-    pub fn with_sched(mut self, sched: Box<dyn Scheduler<Packet>>) -> Self {
-        self.sched = PortSched::Dyn(sched);
+    /// Serve the port's classes with `dwrr` instead of one FIFO (the §5.4
+    /// experiment).
+    pub fn with_dwrr(mut self, dwrr: Dwrr<Packet>) -> Self {
+        self.sched = PortSched::Dwrr(Box::new(dwrr));
         self
     }
 
@@ -329,15 +325,11 @@ impl EgressPort {
 
     /// Migrate an inline-FIFO port onto the owning node's shared
     /// [`RingArena`]. Called at [`crate::Network::connect`] time (the
-    /// queue is necessarily empty); ports with a [`PortSched::Dyn`]
+    /// queue is necessarily empty); ports with a [`PortSched::Dwrr`]
     /// scheduler keep their own storage.
     pub(crate) fn pool_ring(&mut self, arena: &mut RingArena) {
         if let PortSched::Fifo(f) = &self.sched {
-            debug_assert_eq!(
-                Scheduler::backlog_pkts(f),
-                0,
-                "ring pooling requires an empty queue"
-            );
+            debug_assert_eq!(f.backlog_pkts(), 0, "ring pooling requires an empty queue");
             let cap = pooled_ring_slots(self.capacity_bytes);
             let off = arena.alloc(cap);
             self.sched = PortSched::Pooled(PooledRing::new(off, cap));
@@ -566,10 +558,9 @@ impl EgressPort {
         sub: &mut S,
     ) -> Option<TxStart> {
         loop {
-            let d = self.sched.dequeue(arena)?;
-            let mut pkt = d.item;
+            let (class, bytes, mut pkt) = self.sched.dequeue(arena)?;
             if cfg!(feature = "strict-invariants") {
-                self.accounted_out_bytes += d.bytes;
+                self.accounted_out_bytes += bytes;
                 ecnsharp_sim::invariant!(
                     self.accounted_in_bytes
                         == self.accounted_out_bytes + self.sched.backlog_bytes(),
@@ -629,13 +620,7 @@ impl EgressPort {
                 }
             );
             self.stats.dequeued += 1;
-            let class = d.class;
-            // Pre-sized in `new()` to the scheduler's class count; the
-            // resize only fires if a scheduler dequeues an out-of-range
-            // class it never advertised.
-            if self.tx_payload_per_class.len() <= class {
-                self.tx_payload_per_class.resize(class + 1, 0);
-            }
+            // Sized in `new()` to the scheduler's class count.
             self.tx_payload_per_class[class] += pkt.payload();
             if self.fault_drop_p > 0.0 && dice() < self.fault_drop_p {
                 self.stats.fault_drops += 1;
@@ -669,7 +654,7 @@ impl EgressPort {
                     continue;
                 }
             }
-            let tx_time = self.rate.tx_time(d.bytes);
+            let tx_time = self.rate.tx_time(bytes);
             return Some(TxStart { pkt, tx_time });
         }
     }

@@ -31,25 +31,26 @@
 //! does not depend on it because the receiving queue re-sorts by
 //! `(time, tag)`. Fault-plan entries bound each epoch: at a fault's
 //! timestamp the worker threads are joined, stragglers are drained in
-//! global key order, the fault is applied across shards (including a
-//! global ECMP route rebuild), and the next epoch starts. The result —
+//! global key order, every node comes home to the parent network, the
+//! serial fault code applies each fault of that instant, the nodes and
+//! the events the faults pushed go back out to their owners, and the
+//! next epoch starts. A sharded run has no fault code of its own. The
+//! result —
 //! flow records, port statistics, telemetry aggregates, monitor samples —
 //! is byte-identical to a serial run of the same seed; `CONCURRENCY.md`
 //! carries the full argument and `tests/shard_equivalence.rs` in
 //! `ecnsharp-experiments` pins it in CI.
 
 use crate::ids::NodeId;
-use crate::network::{route_tables, Event, Network, OutMsg};
+use crate::network::{Event, Network, OutMsg};
 use crate::node::Node;
 use ecnsharp_sim::supervise::{
     ProgressGuard, ShardDiag, SimError, Supervision, DEFAULT_STALL_ROUNDS,
 };
-use ecnsharp_sim::SimTime;
+use ecnsharp_sim::{EventQueue, SimTime};
 use ecnsharp_telemetry::ShardSubscriber;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
-
-use crate::fault::FaultAction;
 
 /// A node-to-shard assignment for [`Network::run_sharded_until_idle`].
 ///
@@ -205,7 +206,6 @@ impl<S: ShardSubscriber> Network<S> {
         let sup = self.supervision();
         let owner = plan.owner.clone();
         let n_shards = plan.shard_count();
-        let n_nodes = self.nodes.len();
 
         // ── split ─────────────────────────────────────────────────────
         debug_assert!(self.pending.is_empty() && self.records.is_empty());
@@ -215,41 +215,15 @@ impl<S: ShardSubscriber> Network<S> {
                 self.shard_shell(i as u32, owner.clone(), sub)
             })
             .collect();
-        // Owned nodes move to their shard; every other slot gets an
-        // inert placeholder so indices stay global.
-        for (i, node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
-            let own = owner[i] as usize;
-            let mut slot = Some(node);
-            for (s, shard) in shards.iter_mut().enumerate() {
-                shard.nodes.push(if s == own {
-                    slot.take().unwrap()
-                } else {
-                    Node::switch()
-                });
-            }
-        }
-        // Distribute the pre-run event backlog by each event's owner,
-        // preserving the canonical (time, tag) keys. `drain_entries`
-        // rejects armed timers, but none can exist at steps() == 0. The
-        // re-push is split bookkeeping, not simulation work: its count is
-        // backed out of the merged perf below so `events_pushed` matches
-        // the serial run.
-        let mut split_pushes = 0u64;
-        for (at, tag, ev) in self.events.drain_entries() {
-            let s = match &ev {
-                Event::Arrive { node, .. }
-                | Event::TxDone { node, .. }
-                | Event::Timer { node, .. }
-                | Event::NicSend { node, .. }
-                | Event::LivelockDrill { node } => owner[node.0],
-                Event::FlowStart(cmd) => owner[cmd.src.0],
-                Event::Sample { id } => owner[self.monitors[*id].node.0],
-            };
-            let shard = &mut shards[s as usize];
-            shard.flows_to_record += usize::from(matches!(ev, Event::FlowStart(_)));
-            shard.events.schedule_tagged(at, tag, ev);
-            split_pushes += 1;
-        }
+        self.scatter(&mut shards, &owner);
+        // The pre-run backlog goes to its owners. `drain_entries` rejects
+        // armed timers, but none can exist at steps() == 0. The re-push is
+        // split bookkeeping, not simulation work: its count is backed out
+        // of the merged perf below so `events_pushed` matches the serial
+        // run.
+        let backlog = self.events.drain_entries();
+        let split_pushes = backlog.len() as u64;
+        self.route(&mut shards, &owner, backlog);
         // Each engine records the flows its own hosts start: one
         // reservation for its share, as a serial run makes for the total.
         for shard in &mut shards {
@@ -261,14 +235,18 @@ impl<S: ShardSubscriber> Network<S> {
         for shard in &mut shards {
             shard.set_supervision(sup);
         }
-        // The global setup-tag counter continues across fault boundaries
-        // so fault-triggered pushes get the same tags as a serial run.
-        let mut setup_k = self.setup_k;
         // Key of the last step applied anywhere — an event on some shard or
         // a fault here. Serial runs advance the clock through every fault
         // application, even past the last packet event; mirror that for
         // `now()` parity, and leave `cur_tag` where a serial run leaves it.
         let mut last_key = (self.now(), self.cur_tag);
+        // Where the faults of one instant push their events until they are
+        // routed to their owners. Its counts are never read: each such
+        // event is counted once, on its owner's queue, as a serial run
+        // counts it once. (The parent's own queue would count it a second
+        // time, and past 1 ms as a heap spill too: it never pops, so its
+        // lane cursor stays where the split left it.)
+        let mut fault_events = EventQueue::new();
 
         // ── epochs: parallel windows bounded by fault times ───────────
         loop {
@@ -281,33 +259,27 @@ impl<S: ShardSubscriber> Network<S> {
             // none: the windows stop at `end` and fault tags sort below
             // every same-time runtime tag).
             drain_serial(&mut shards, (at, ftag))?;
-            // Apply every fault at this instant, in tag order, exactly as
-            // the serial engine interleaves them.
-            while let Some(&(fat, ftag, action)) = self.fault_queue.get(self.next_fault) {
-                if fat != at {
-                    break;
-                }
-                self.next_fault += 1;
-                self.steps += 1;
-                last_key = (fat, ftag);
-                apply_fault_sharded(&mut shards, &owner, (fat, ftag), action, &mut setup_k);
+            // Every node comes home and the serial code applies each fault
+            // at this instant, in tag order.
+            self.gather(&mut shards, &owner);
+            std::mem::swap(&mut self.events, &mut fault_events);
+            while self.fault_queue.get(self.next_fault).map(|f| f.0) == Some(at) {
+                self.step_fault();
             }
+            std::mem::swap(&mut self.events, &mut fault_events);
+            last_key = (at, self.cur_tag);
+            self.scatter(&mut shards, &owner);
+            self.route(&mut shards, &owner, fault_events.drain_entries());
         }
 
         // ── merge ─────────────────────────────────────────────────────
-        self.nodes = (0..n_nodes).map(|_| Node::switch()).collect();
+        self.gather(&mut shards, &owner);
         let mut keyed_records = Vec::with_capacity(shards.iter().map(|s| s.records.len()).sum());
         for (s, mut shard) in shards.into_iter().enumerate() {
             last_key = last_key.max((shard.now(), shard.cur_tag));
             self.counters.absorb(&shard.engine_counters());
             self.steps += shard.steps;
             self.flows_to_record += shard.flows_to_record;
-            for i in 0..n_nodes {
-                if owner[i] == s as u32 {
-                    self.nodes[i] = std::mem::replace(&mut shard.nodes[i], Node::switch());
-                    self.tag_k[i] = shard.tag_k[i];
-                }
-            }
             for id in 0..self.monitors.len() {
                 if owner[self.monitors[id].node.0] == s as u32 {
                     std::mem::swap(&mut self.monitors[id], &mut shard.monitors[id]);
@@ -333,11 +305,49 @@ impl<S: ShardSubscriber> Network<S> {
         keyed_records.sort_unstable_by_key(|r| r.0);
         self.records
             .extend(keyed_records.into_iter().map(|(_, record)| record));
-        self.setup_k = setup_k;
         self.events.advance_now(last_key.0);
         self.cur_tag = last_key.1;
         self.check_idle_flow_state();
         Ok(self.now())
+    }
+
+    /// Move every node out to its owning shard, leaving `self.nodes`
+    /// empty. The shards' slots hold placeholders until then.
+    fn scatter(&mut self, shards: &mut [Network<S>], owner: &[u32]) {
+        for (i, node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
+            shards[owner[i] as usize].nodes[i] = node;
+        }
+    }
+
+    /// Bring every node home from its owning shard, with its tag counter,
+    /// leaving a placeholder in the shard's slot.
+    fn gather(&mut self, shards: &mut [Network<S>], owner: &[u32]) {
+        self.nodes = (0..owner.len())
+            .map(|i| {
+                let shard = &mut shards[owner[i] as usize];
+                self.tag_k[i] = shard.tag_k[i];
+                std::mem::replace(&mut shard.nodes[i], Node::switch())
+            })
+            .collect();
+    }
+
+    /// Push each `(time, tag, event)` onto the queue of the shard that owns
+    /// it, keeping its canonical key.
+    fn route(&self, shards: &mut [Network<S>], owner: &[u32], entries: Vec<(SimTime, u64, Event)>) {
+        for (at, tag, ev) in entries {
+            let s = match &ev {
+                Event::Arrive { node, .. }
+                | Event::TxDone { node, .. }
+                | Event::Timer { node, .. }
+                | Event::NicSend { node, .. }
+                | Event::LivelockDrill { node } => owner[node.0],
+                Event::FlowStart(cmd) => owner[cmd.src.0],
+                Event::Sample { id } => owner[self.monitors[*id].node.0],
+            };
+            let shard = &mut shards[s as usize];
+            shard.flows_to_record += usize::from(matches!(ev, Event::FlowStart(_)));
+            shard.events.schedule_tagged(at, tag, ev);
+        }
     }
 }
 
@@ -569,112 +579,6 @@ fn deliver_outbox<S: ShardSubscriber>(shards: &mut [Network<S>], from: usize) {
                 pkt: msg.pkt,
             },
         );
-    }
-}
-
-/// Apply one fault-plan action across shards, mirroring the serial
-/// `apply_fault_at` semantics: port state flips on the owning shards, the
-/// ECMP rebuild runs on the *global* adjacency, and link-up kicks draw
-/// their tags from the threaded global setup counter.
-fn apply_fault_sharded<S: ShardSubscriber>(
-    shards: &mut [Network<S>],
-    owner: &[u32],
-    key: (SimTime, u64),
-    action: FaultAction,
-    setup_k: &mut u64,
-) {
-    match action {
-        FaultAction::LinkDown { a, b } => {
-            set_link_sharded(shards, owner, key, a, b, false, setup_k)
-        }
-        FaultAction::LinkUp { a, b } => set_link_sharded(shards, owner, key, a, b, true, setup_k),
-        FaultAction::SetLinkRate { a, b, rate } => {
-            let (pa, pb) = cross_ports(shards, owner, a, b);
-            shards[owner[a.0] as usize].nodes[a.0].ports[pa].rate = rate;
-            shards[owner[b.0] as usize].nodes[b.0].ports[pb].rate = rate;
-        }
-        FaultAction::SetLinkDelay { a, b, delay } => {
-            let (pa, pb) = cross_ports(shards, owner, a, b);
-            shards[owner[a.0] as usize].nodes[a.0].ports[pa].delay = delay;
-            shards[owner[b.0] as usize].nodes[b.0].ports[pb].delay = delay;
-        }
-    }
-}
-
-/// Port indices of the `a`↔`b` link, each looked up on its owner's shard.
-fn cross_ports<S: ShardSubscriber>(
-    shards: &[Network<S>],
-    owner: &[u32],
-    a: NodeId,
-    b: NodeId,
-) -> (usize, usize) {
-    let pa = shards[owner[a.0] as usize]
-        .port_towards(a, b)
-        .unwrap_or_else(|| panic!("no link between {a} and {b}"));
-    let pb = shards[owner[b.0] as usize]
-        .port_towards(b, a)
-        .unwrap_or_else(|| panic!("no link between {b} and {a}"));
-    (pa, pb)
-}
-
-/// Cross-shard [`Network::set_link_up_at`]: same transition semantics,
-/// with the route rebuild computed from the global adjacency and written
-/// back to each node's owning shard.
-fn set_link_sharded<S: ShardSubscriber>(
-    shards: &mut [Network<S>],
-    owner: &[u32],
-    (at, tag): (SimTime, u64),
-    a: NodeId,
-    b: NodeId,
-    up: bool,
-    setup_k: &mut u64,
-) {
-    let (sa, sb) = (owner[a.0] as usize, owner[b.0] as usize);
-    let (pa, pb) = cross_ports(shards, owner, a, b);
-    let changed = shards[sa].nodes[a.0].ports[pa].link_up != up
-        || shards[sb].nodes[b.0].ports[pb].link_up != up;
-    if !changed {
-        return;
-    }
-    shards[sa].nodes[a.0].ports[pa].link_up = up;
-    shards[sb].nodes[b.0].ports[pb].link_up = up;
-    shards[sa].emit_link_state(at, a, b, up);
-    if shards[0].routes_built {
-        let n = owner.len();
-        let adj: Vec<Vec<(usize, NodeId)>> = (0..n)
-            .map(|i| {
-                shards[owner[i] as usize].nodes[i]
-                    .ports
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.link_up)
-                    .map(|(pi, p)| (pi, p.peer))
-                    .collect()
-            })
-            .collect();
-        let hosts: Vec<bool> = (0..n)
-            .map(|i| shards[owner[i] as usize].nodes[i].is_host())
-            .collect();
-        let tables = route_tables(&adj, &hosts);
-        for (i, table) in tables.into_iter().enumerate() {
-            let sh = &mut shards[owner[i] as usize];
-            sh.nodes[i].routes = table;
-            sh.nodes[i].rebuild_flat_routes();
-        }
-    }
-    if up {
-        // Serial order: kick a's port, then b's, threading the global
-        // setup counter through each owning shard so the kicked events'
-        // tags match a serial run tag-for-tag. The fault is the step in
-        // progress on the kicked shard, as it is in a serial run.
-        for (s, node, port) in [(sa, a, pa), (sb, b, pb)] {
-            let sh = &mut shards[s];
-            sh.setup_k = *setup_k;
-            sh.cur_tag = tag;
-            sh.kick(at, node, port);
-            *setup_k = sh.setup_k;
-            deliver_outbox(shards, s);
-        }
     }
 }
 

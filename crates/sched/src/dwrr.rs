@@ -11,7 +11,6 @@
 //! weights 2:1:1, under which ECN♯ must both preserve the 2:1:1 goodput
 //! split and still kill persistent queues.
 
-use crate::{Dequeued, Scheduler};
 use std::collections::VecDeque;
 
 struct Class<P> {
@@ -63,18 +62,16 @@ impl<P> Dwrr<P> {
         }
     }
 
-    /// The configured weights.
-    pub fn weights(&self) -> Vec<u64> {
-        self.classes.iter().map(|c| c.weight).collect()
-    }
-}
-
-impl<P: Send> Scheduler<P> for Dwrr<P> {
-    fn classes(&self) -> usize {
+    /// Number of classes served.
+    pub fn classes(&self) -> usize {
         self.classes.len()
     }
 
-    fn enqueue(&mut self, class: usize, bytes: u64, item: P) {
+    /// Append an item of `bytes` bytes to class `class`.
+    ///
+    /// # Panics
+    /// If `class >= self.classes()`.
+    pub fn enqueue(&mut self, class: usize, bytes: u64, item: P) {
         let c = &mut self.classes[class];
         c.q.push_back((bytes, item));
         c.bytes += bytes;
@@ -82,7 +79,9 @@ impl<P: Send> Scheduler<P> for Dwrr<P> {
         self.total_pkts += 1;
     }
 
-    fn dequeue(&mut self) -> Option<Dequeued<P>> {
+    /// Remove the next item to transmit, returning its class, its size and
+    /// the item itself, or `None` when all classes are empty.
+    pub fn dequeue(&mut self) -> Option<(usize, u64, P)> {
         if self.total_pkts == 0 {
             return None;
         }
@@ -123,11 +122,7 @@ impl<P: Send> Scheduler<P> for Dwrr<P> {
                     }
                     // Otherwise stay mid-service: the next call continues with
                     // the remaining deficit, without a fresh grant.
-                    return Some(Dequeued {
-                        class: idx,
-                        bytes,
-                        item,
-                    });
+                    return Some((idx, bytes, item));
                 }
             }
             // Deficit exhausted for this visit: carry it and move on.
@@ -136,24 +131,44 @@ impl<P: Send> Scheduler<P> for Dwrr<P> {
         }
     }
 
-    fn backlog_bytes(&self) -> u64 {
+    /// Queued bytes across all classes.
+    pub fn backlog_bytes(&self) -> u64 {
         self.total_bytes
     }
 
-    fn backlog_pkts(&self) -> u64 {
+    /// Queued items across all classes.
+    pub fn backlog_pkts(&self) -> u64 {
         self.total_pkts
-    }
-
-    fn class_backlog_bytes(&self, class: usize) -> u64 {
-        self.classes[class].bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::served_ratio;
     use proptest::prelude::*;
+
+    /// Served bytes per class while all classes stay backlogged: enqueue
+    /// `n_per_class` packets of `pkt_bytes` each, then count the first
+    /// `serve` dequeues.
+    fn served_ratio(
+        d: &mut Dwrr<u32>,
+        n_per_class: usize,
+        pkt_bytes: u64,
+        serve: usize,
+    ) -> Vec<u64> {
+        let k = d.classes();
+        for i in 0..n_per_class {
+            for c in 0..k {
+                d.enqueue(c, pkt_bytes, (i * k + c) as u32);
+            }
+        }
+        let mut served = vec![0u64; k];
+        for _ in 0..serve {
+            let (class, bytes, _) = d.dequeue().expect("enough backlog");
+            served[class] += bytes;
+        }
+        served
+    }
 
     #[test]
     fn paper_weights_2_1_1() {
@@ -172,7 +187,7 @@ mod tests {
         for i in 0..50u32 {
             d.enqueue(0, 1500, i);
         }
-        let order: Vec<u32> = std::iter::from_fn(|| d.dequeue().map(|x| x.item)).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| d.dequeue().map(|x| x.2)).collect();
         assert_eq!(order, (0..50).collect::<Vec<_>>());
     }
 
@@ -186,8 +201,8 @@ mod tests {
         }
         let mut served = [0u64; 3];
         for _ in 0..1_000 {
-            let x = d.dequeue().unwrap();
-            served[x.class] += x.bytes;
+            let (class, bytes, _) = d.dequeue().unwrap();
+            served[class] += bytes;
         }
         assert_eq!(served[0], 0);
         let ratio = served[1] as f64 / served[2] as f64;
@@ -207,8 +222,8 @@ mod tests {
         }
         let mut served = [0u64; 2];
         for _ in 0..20_000 {
-            let x = d.dequeue().unwrap();
-            served[x.class] += x.bytes;
+            let (class, bytes, _) = d.dequeue().unwrap();
+            served[class] += bytes;
         }
         let ratio = served[0] as f64 / served[1] as f64;
         assert!((ratio - 1.0).abs() < 0.05, "{served:?}");
@@ -221,12 +236,9 @@ mod tests {
         d.enqueue(1, 300, "b");
         assert_eq!(d.backlog_bytes(), 1_000);
         assert_eq!(d.backlog_pkts(), 2);
-        assert_eq!(d.class_backlog_bytes(0), 700);
-        assert_eq!(d.class_backlog_bytes(1), 300);
         d.dequeue().unwrap();
         d.dequeue().unwrap();
-        assert!(d.is_empty());
-        assert_eq!(d.backlog_bytes(), 0);
+        assert_eq!((d.backlog_pkts(), d.backlog_bytes()), (0, 0));
         assert!(d.dequeue().is_none());
     }
 
@@ -279,7 +291,7 @@ mod tests {
             for _ in 0..n {
                 let x = d.dequeue();
                 prop_assert!(x.is_some());
-                prop_assert!(seen.insert(x.unwrap().item), "duplicate item");
+                prop_assert!(seen.insert(x.unwrap().2), "duplicate item");
             }
             prop_assert!(d.dequeue().is_none());
             prop_assert_eq!(d.backlog_bytes(), 0);
@@ -295,11 +307,11 @@ mod tests {
                 d.enqueue(c, 1500, i as u32);
             }
             let mut last: [Option<u32>; 3] = [None; 3];
-            while let Some(x) = d.dequeue() {
-                if let Some(prev) = last[x.class] {
-                    prop_assert!(x.item > prev, "class {} out of order", x.class);
+            while let Some((class, _, item)) = d.dequeue() {
+                if let Some(prev) = last[class] {
+                    prop_assert!(item > prev, "class {class} out of order");
                 }
-                last[x.class] = Some(x.item);
+                last[class] = Some(item);
             }
         }
     }

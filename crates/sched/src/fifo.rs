@@ -6,7 +6,6 @@
 //! slot, so a NIC queue holding a packet or two keeps reusing the same
 //! cache line instead of walking a buffer-sized ring.
 
-use crate::{Dequeued, Scheduler};
 use std::collections::VecDeque;
 
 /// First-in first-out, one class.
@@ -31,18 +30,16 @@ impl<P> Default for Fifo<P> {
     }
 }
 
-impl<P: Send> Scheduler<P> for Fifo<P> {
-    fn classes(&self) -> usize {
-        1
-    }
-
-    fn enqueue(&mut self, class: usize, bytes: u64, item: P) {
-        assert_eq!(class, 0, "FIFO has a single class");
+impl<P> Fifo<P> {
+    /// Append an item of `bytes` bytes.
+    pub fn enqueue(&mut self, bytes: u64, item: P) {
         self.bytes += bytes;
         self.q.push_back((bytes, item));
     }
 
-    fn dequeue(&mut self) -> Option<Dequeued<P>> {
+    /// Remove the oldest item, returning its size and the item itself, or
+    /// `None` when empty.
+    pub fn dequeue(&mut self) -> Option<(u64, P)> {
         let (bytes, item) = self.q.pop_front()?;
         self.bytes -= bytes;
         if self.q.is_empty() {
@@ -50,56 +47,45 @@ impl<P: Send> Scheduler<P> for Fifo<P> {
             // got to; `clear` on the (already empty) deque resets it.
             self.q.clear();
         }
-        Some(Dequeued {
-            class: 0,
-            bytes,
-            item,
-        })
+        Some((bytes, item))
     }
 
-    fn backlog_bytes(&self) -> u64 {
+    /// Queued bytes.
+    pub fn backlog_bytes(&self) -> u64 {
         self.bytes
     }
 
-    fn backlog_pkts(&self) -> u64 {
+    /// Queued items.
+    pub fn backlog_pkts(&self) -> u64 {
         self.q.len() as u64
-    }
-
-    fn class_backlog_bytes(&self, class: usize) -> u64 {
-        assert_eq!(class, 0);
-        self.bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::drain;
 
     #[test]
     fn preserves_order() {
         let mut f = Fifo::new();
         for i in 0..10u32 {
-            f.enqueue(0, 100 + i as u64, i);
+            f.enqueue(100 + i as u64, i);
         }
-        let order: Vec<u32> = std::iter::from_fn(|| f.dequeue().map(|d| d.item)).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| f.dequeue().map(|d| d.1)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn byte_accounting() {
         let mut f = Fifo::new();
-        f.enqueue(0, 1500, "a");
-        f.enqueue(0, 64, "b");
+        f.enqueue(1500, "a");
+        f.enqueue(64, "b");
         assert_eq!(f.backlog_bytes(), 1564);
         assert_eq!(f.backlog_pkts(), 2);
-        assert_eq!(f.class_backlog_bytes(0), 1564);
-        let d = f.dequeue().unwrap();
-        assert_eq!((d.class, d.bytes, d.item), (0, 1500, "a"));
+        assert_eq!(f.dequeue(), Some((1500, "a")));
         assert_eq!(f.backlog_bytes(), 64);
-        drain(&mut f);
-        assert!(f.is_empty());
-        assert_eq!(f.backlog_bytes(), 0);
+        assert_eq!(f.dequeue(), Some((64, "b")));
+        assert_eq!((f.backlog_pkts(), f.backlog_bytes()), (0, 0));
     }
 
     #[test]
@@ -107,19 +93,19 @@ mod tests {
         // Perf property, not a correctness one: after a drain the next
         // packet lands in the slot the first one used.
         let mut f = Fifo::new();
-        f.enqueue(0, 1, 0u32);
+        f.enqueue(1, 0u32);
         let first = f.q.as_slices().0.as_ptr();
         for i in 1..100u32 {
-            assert_eq!(f.dequeue().map(|d| d.item), Some(i - 1));
-            f.enqueue(0, 1, i);
+            assert_eq!(f.dequeue().map(|d| d.1), Some(i - 1));
+            f.enqueue(1, i);
             assert_eq!(f.q.as_slices().0.as_ptr(), first, "cycle {i}");
         }
         // While backlog is held the head advances as usual, FIFO intact.
-        f.enqueue(0, 1, 100);
-        assert_eq!(f.dequeue().map(|d| d.item), Some(99));
+        f.enqueue(1, 100);
+        assert_eq!(f.dequeue().map(|d| d.1), Some(99));
         assert_ne!(f.q.as_slices().0.as_ptr(), first);
-        assert_eq!(f.dequeue().map(|d| d.item), Some(100));
-        f.enqueue(0, 1, 101);
+        assert_eq!(f.dequeue().map(|d| d.1), Some(100));
+        f.enqueue(1, 101);
         assert_eq!(f.q.as_slices().0.as_ptr(), first);
     }
 
@@ -127,12 +113,5 @@ mod tests {
     fn empty_dequeue_is_none() {
         let mut f: Fifo<u32> = Fifo::new();
         assert!(f.dequeue().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "single class")]
-    fn rejects_other_classes() {
-        let mut f = Fifo::new();
-        f.enqueue(1, 100, ());
     }
 }

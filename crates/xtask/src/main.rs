@@ -18,8 +18,8 @@
 //!   `strict-invariants` → chaos fault drills (injected worker panic,
 //!   barrier stall and livelock must each fail loudly with a structured
 //!   JSONL error line naming point 0 and its seed, and partial CSVs) →
-//!   rustdoc gate
-//!   (`cargo doc --no-deps` with `-Dwarnings`, then `cargo test --doc`).
+//!   rustdoc gate (`cargo doc --no-deps` with `-Dwarnings`; the doctests
+//!   already ran in each of the three test steps).
 //! - `bench` — build `ecnsharp-bench` in its default and its
 //!   `--no-default-features` build and run the former against the latter:
 //!   four same-run pairs, each gated on the median of its interleaved
@@ -493,14 +493,6 @@ fn ci() -> ExitCode {
                 c.args(["doc", "--workspace", "--no-deps"]);
                 c.env("RUSTDOCFLAGS", "-Dwarnings");
                 run_step("doc --no-deps (-Dwarnings)", c)
-            }),
-        ),
-        (
-            "test --doc",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args(["test", "--workspace", "--doc", "-q"]);
-                run_step("test --doc", c)
             }),
         ),
     ];
