@@ -15,18 +15,18 @@
 //! completes, partial CSVs are written, and the process exits nonzero.
 //!
 //! Knobs (all strict — a typo is an error, never a silent default; the
-//! sweep's share of the 12 `ECNSHARP_*` names inventoried in `env.rs`):
+//! sweep's share of the 10 `ECNSHARP_*` names inventoried in `env.rs`):
 //! - `ECNSHARP_SCALE=quick|mid|full` — grid size and flow count;
 //! - `ECNSHARP_FAULT_SEED=<u64|0xhex>` — base seed for every point;
 //! - `ECNSHARP_SHARDS=<n>` — shard count per point (clamped to 2 here);
-//! - `ECNSHARP_INJECT_PANIC=worker` — crash the first sweep point;
-//! - `ECNSHARP_INJECT_STALL=window` — freeze the first point's shard
-//!   windows so the barrier-stall detector must trip (needs shards ≥ 2);
-//! - `ECNSHARP_INJECT_LIVELOCK=engine` — schedule a zero-delay event
-//!   cycle on the first point so the progress guard must trip.
+//! - `ECNSHARP_DRILL=panic|stall|livelock` — on the first point, crash
+//!   its worker, freeze its shard windows so the barrier-stall detector
+//!   must trip (needs shards ≥ 2), or schedule a zero-delay event cycle
+//!   so the progress guard must trip.
 
+use ecnsharp_experiments::env::{self, Drill};
 use ecnsharp_experiments::{
-    env, perf, results_dir, run_chaos_leaf_spine, try_parallel_map, ChaosResult, Scale, Scheme,
+    perf, results_dir, run_chaos_leaf_spine, try_parallel_map, ChaosResult, Scale, Scheme,
     SweepOutcome,
 };
 use ecnsharp_net::{SimError, Supervision};
@@ -49,10 +49,8 @@ fn flap_label(flap: &Option<Duration>) -> String {
 fn main() -> ExitCode {
     let scale = Scale::from_env_or_exit();
     let seed = env::or_exit(env::fault_seed());
-    let inject_panic = env::or_exit(env::inject_panic());
-    let inject_stall = env::or_exit(env::inject_stall());
-    let inject_livelock = env::or_exit(env::inject_livelock());
     let shards = env::or_exit(env::shards());
+    let drill = env::or_exit(env::drill(shards));
 
     let (losses, flap_us, n_flows): (Vec<f64>, Vec<Option<u64>>, usize) = match scale {
         Scale::Full => (
@@ -94,11 +92,12 @@ fn main() -> ExitCode {
 
     let t = perf::timed(|| {
         try_parallel_map(jobs.iter().collect(), |&&(idx, loss, flap, ref scheme)| {
-            if inject_panic && idx == 0 {
-                panic!("injected worker panic (ECNSHARP_INJECT_PANIC=worker)");
+            let drilled = |d| idx == 0 && drill == Some(d);
+            if drilled(Drill::Panic) {
+                panic!("injected worker panic (ECNSHARP_DRILL=panic)");
             }
             let point_sup = Supervision {
-                inject_stall: inject_stall && idx == 0,
+                inject_stall: drilled(Drill::Stall),
                 ..Supervision::armed()
             };
             run_chaos_leaf_spine(
@@ -109,7 +108,7 @@ fn main() -> ExitCode {
                 point_seed(idx),
                 shards,
                 point_sup,
-                inject_livelock && idx == 0,
+                drilled(Drill::Livelock),
             )
         })
     });
@@ -148,8 +147,6 @@ fn main() -> ExitCode {
         "flap_us",
         "scheme",
         "ce_marks",
-        "fault_drops",
-        "corrupt_drops",
         "burst_drops",
         "no_route_drops",
     ]);
@@ -176,8 +173,6 @@ fn main() -> ExitCode {
             flap_s.clone(),
             label.clone(),
             r.ce_marks.to_string(),
-            r.fault_drops.to_string(),
-            r.corrupt_drops.to_string(),
             r.burst_drops.to_string(),
             r.no_route_drops.to_string(),
         ]);

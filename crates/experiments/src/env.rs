@@ -4,8 +4,8 @@
 //! policy — a set-but-invalid value is a hard error (the binaries print
 //! it and exit 2), never a silent fallback.
 //!
-//! Knob inventory — 10 here; with `ECNSHARP_BLESS_GOLDEN` (read by the
-//! golden-figure test) and the lint fixture's `ECNSHARP_FIXTURE`, 12
+//! Knob inventory — 8 here; with `ECNSHARP_BLESS_GOLDEN` (read by the
+//! golden-figure test) and the lint fixture's `ECNSHARP_FIXTURE`, 10
 //! `ECNSHARP_*` names in the tree. Supervision budgets are constants
 //! (`Supervision::armed`), not knobs.
 //!
@@ -17,10 +17,8 @@
 //! | `ECNSHARP_TELEMETRY_JSON` | writable file path | unset = no sink |
 //! | `ECNSHARP_PERF_JSON` | writable file path | unset = no sink |
 //! | `ECNSHARP_DELACK` | u32 ≥ 1 | transport default |
-//! | `ECNSHARP_INJECT_PANIC` | `worker` | unset = no injection |
 //! | `ECNSHARP_SHARDS` | u32 ≥ 1 | `1` (serial) |
-//! | `ECNSHARP_INJECT_STALL` | `window` | unset = no injection |
-//! | `ECNSHARP_INJECT_LIVELOCK` | `engine` | unset = no injection |
+//! | `ECNSHARP_DRILL` | `panic`/`stall` (needs shards ≥ 2)/`livelock` | unset = no drill |
 
 use crate::Scale;
 use std::path::PathBuf;
@@ -137,44 +135,39 @@ pub fn shards() -> Result<u32, String> {
     }
 }
 
-/// `ECNSHARP_INJECT_PANIC`: crash-proof-runner drill switch. `worker`
-/// crashes the first sweep point; unset means no injection; anything
-/// else is an error.
-pub fn inject_panic() -> Result<bool, String> {
-    match read("ECNSHARP_INJECT_PANIC")? {
-        Some(v) if v == "worker" => Ok(true),
-        Some(v) => Err(format!(
-            "unrecognized ECNSHARP_INJECT_PANIC value {v:?} (expected \"worker\" or unset)"
-        )),
-        None => Ok(false),
-    }
+/// A chaos-sweep drill: a fault planted on the first sweep point that one
+/// guard must catch, failing that point with a structured error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drill {
+    /// Crash the point's worker (`WorkerPanic`).
+    Panic,
+    /// Freeze every shard's window processing (`BarrierStall`).
+    Stall,
+    /// Schedule a self-rescheduling zero-delay event (`Livelock`).
+    Livelock,
 }
 
-/// `ECNSHARP_INJECT_STALL`: barrier-stall drill switch. `window` freezes
-/// every shard's window processing on the first sweep point so the
-/// barrier-stall detector must trip; unset means no injection; anything
-/// else is an error.
-pub fn inject_stall() -> Result<bool, String> {
-    match read("ECNSHARP_INJECT_STALL")? {
-        Some(v) if v == "window" => Ok(true),
-        Some(v) => Err(format!(
-            "unrecognized ECNSHARP_INJECT_STALL value {v:?} (expected \"window\" or unset)"
-        )),
-        None => Ok(false),
-    }
+/// `ECNSHARP_DRILL`: the chaos-sweep drill, checked against the sweep's
+/// `shards`. Unset means no drill.
+pub fn drill(shards: u32) -> Result<Option<Drill>, String> {
+    parse_drill(read("ECNSHARP_DRILL")?.as_deref(), shards)
 }
 
-/// `ECNSHARP_INJECT_LIVELOCK`: livelock drill switch. `engine` schedules
-/// a self-rescheduling zero-delay event on the first sweep point so the
-/// `ProgressGuard` must trip; unset means no injection; anything else is
-/// an error.
-pub fn inject_livelock() -> Result<bool, String> {
-    match read("ECNSHARP_INJECT_LIVELOCK")? {
-        Some(v) if v == "engine" => Ok(true),
-        Some(v) => Err(format!(
-            "unrecognized ECNSHARP_INJECT_LIVELOCK value {v:?} (expected \"engine\" or unset)"
+/// Parse an `ECNSHARP_DRILL` value: `panic`, `stall` or `livelock`.
+/// Strict: anything else is an error naming the knob, and so is `stall`
+/// with fewer than 2 shards, where no barrier exists to stall.
+fn parse_drill(v: Option<&str>, shards: u32) -> Result<Option<Drill>, String> {
+    match v {
+        None => Ok(None),
+        Some("panic") => Ok(Some(Drill::Panic)),
+        Some("stall") if shards >= 2 => Ok(Some(Drill::Stall)),
+        Some("stall") => Err(format!(
+            "ECNSHARP_DRILL=stall needs ECNSHARP_SHARDS >= 2, got {shards}"
         )),
-        None => Ok(false),
+        Some("livelock") => Ok(Some(Drill::Livelock)),
+        Some(v) => Err(format!(
+            "unrecognized ECNSHARP_DRILL value {v:?} (expected panic, stall, livelock or unset)"
+        )),
     }
 }
 
@@ -191,6 +184,21 @@ mod tests {
             let err = parse_fault_seed(bad).unwrap_err();
             assert!(
                 err.contains("ECNSHARP_FAULT_SEED"),
+                "error should name the knob: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn drill_parses_each_kind_and_rejects_junk_and_a_serial_stall() {
+        assert_eq!(parse_drill(None, 1), Ok(None));
+        assert_eq!(parse_drill(Some("panic"), 1), Ok(Some(Drill::Panic)));
+        assert_eq!(parse_drill(Some("stall"), 2), Ok(Some(Drill::Stall)));
+        assert_eq!(parse_drill(Some("livelock"), 4), Ok(Some(Drill::Livelock)));
+        for (bad, shards) in [("stall", 1), ("worker", 2), ("", 1), ("Panic", 1)] {
+            let err = parse_drill(Some(bad), shards).unwrap_err();
+            assert!(
+                err.contains("ECNSHARP_DRILL"),
                 "error should name the knob: {err}"
             );
         }

@@ -234,11 +234,9 @@ mod tests {
             heap_spills: base + 11,
             flows_failed: base + 12,
             no_route_drops: base + 13,
-            fault_drops: base + 14,
-            corrupt_drops: base + 15,
-            burst_drops: base + 16,
-            tx_done_pushed: base + 17,
-            tx_done_elided: base + 18,
+            burst_drops: base + 14,
+            tx_done_pushed: base + 15,
+            tx_done_elided: base + 16,
         }
     }
 

@@ -267,10 +267,6 @@ pub struct ChaosResult {
     pub failed: u64,
     /// CE marks applied across the fabric.
     pub ce_marks: u64,
-    /// Independent-fault wire drops.
-    pub fault_drops: u64,
-    /// Corruption (checksum-fail) wire drops.
-    pub corrupt_drops: u64,
     /// Gilbert–Elliott burst-loss wire drops.
     pub burst_drops: u64,
     /// Switch discards for destinations with no up link.
@@ -294,7 +290,7 @@ pub struct ChaosResult {
 /// panic or hang, and armed-but-untriggered budgets change no byte (the
 /// supervision suite pins both). `inject_livelock` schedules a
 /// self-rescheduling zero-delay drill event early in the run so the
-/// `ProgressGuard` must trip — the `ECNSHARP_INJECT_LIVELOCK` drill leg.
+/// `ProgressGuard` must trip — the `ECNSHARP_DRILL=livelock` leg.
 #[allow(clippy::too_many_arguments)]
 pub fn run_chaos_leaf_spine(
     scheme: Scheme,
@@ -363,8 +359,6 @@ pub fn run_chaos_leaf_spine(
         failed: fct.failed,
         timeouts: fct.timeouts,
         ce_marks: perf.ce_marks,
-        fault_drops: perf.fault_drops,
-        corrupt_drops: perf.corrupt_drops,
         burst_drops: perf.burst_drops,
         no_route_drops: perf.no_route_drops,
         fct,

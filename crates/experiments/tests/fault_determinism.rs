@@ -20,7 +20,7 @@ fn render(r: &ChaosResult) -> String {
         None => "-".to_string(),
     };
     format!(
-        "{},{:?},{:?},{:?}|{}|{}|{}|{},{},{},{},{},{},{},{}",
+        "{},{:?},{:?},{:?}|{}|{}|{}|{},{},{},{},{},{}",
         r.fct.overall.count,
         r.fct.overall.avg,
         r.fct.overall.p50,
@@ -32,8 +32,6 @@ fn render(r: &ChaosResult) -> String {
         r.failed,
         r.timeouts,
         r.ce_marks,
-        r.fault_drops,
-        r.corrupt_drops,
         r.burst_drops,
         r.no_route_drops,
     )

@@ -48,7 +48,7 @@ fn render_chaos(r: &ChaosResult) -> String {
         None => "-".to_string(),
     };
     format!(
-        "{},{:?},{:?},{:?}|{}|{}|{}|{},{},{},{},{},{},{},{}\n",
+        "{},{:?},{:?},{:?}|{}|{}|{}|{},{},{},{},{},{}\n",
         r.fct.overall.count,
         r.fct.overall.avg,
         r.fct.overall.p50,
@@ -60,8 +60,6 @@ fn render_chaos(r: &ChaosResult) -> String {
         r.failed,
         r.timeouts,
         r.ce_marks,
-        r.fault_drops,
-        r.corrupt_drops,
         r.burst_drops,
         r.no_route_drops,
     )

@@ -26,7 +26,7 @@ use ecnsharp_sim::{Duration, Rate, SimTime};
 /// Validate a probability knob at construction time: finite and in
 /// `[0, 1]`. `NaN` fails the range check (all comparisons with `NaN` are
 /// false) and is rejected like any other out-of-range value.
-pub(crate) fn validate_p(name: &str, p: f64) -> f64 {
+fn validate_p(name: &str, p: f64) -> f64 {
     assert!(
         (0.0..=1.0).contains(&p),
         "{name} must be a probability in [0, 1], got {p}"
@@ -39,8 +39,9 @@ pub(crate) fn validate_p(name: &str, p: f64) -> f64 {
 /// state with [`GilbertElliott::loss_bad`], switching per packet with
 /// probabilities `p_gb` (good→bad) and `p_bg` (bad→good). Losses cluster
 /// into bursts of mean length `1 / p_bg` packets — the loss pattern link
-/// errors and shallow-buffer overflow actually produce, unlike the
-/// independent per-packet coin of `fault_drop_p`.
+/// errors and shallow-buffer overflow actually produce. A chain that never
+/// leaves the good state, `GilbertElliott::new(0.0, 1.0, 0.0, p)`, is
+/// independent per-packet loss with probability `p`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Per-packet probability of switching good → bad.

@@ -94,12 +94,6 @@ pub struct PerfCounters {
     /// destination (counted separately from port `drops`: these packets
     /// never entered an egress queue).
     pub no_route_drops: u64,
-    /// Wire drops from the independent per-packet fault injector, summed
-    /// over every port (subset of `drops`).
-    pub fault_drops: u64,
-    /// Wire drops from packet corruption (checksum fail), summed over
-    /// every port (subset of `drops`).
-    pub corrupt_drops: u64,
     /// Wire drops from the Gilbert–Elliott burst-loss process, summed over
     /// every port (subset of `drops`).
     pub burst_drops: u64,
@@ -133,8 +127,6 @@ impl PerfCounters {
             ("heap_spills", &mut self.heap_spills),
             ("flows_failed", &mut self.flows_failed),
             ("no_route_drops", &mut self.no_route_drops),
-            ("fault_drops", &mut self.fault_drops),
-            ("corrupt_drops", &mut self.corrupt_drops),
             ("burst_drops", &mut self.burst_drops),
             ("tx_done_pushed", &mut self.tx_done_pushed),
             ("tx_done_elided", &mut self.tx_done_elided),
@@ -777,18 +769,12 @@ impl<S: Subscriber> Network<S> {
                 c.packets_forwarded += s.dequeued;
                 c.ce_marks += s.total_marks();
                 c.drops += s.total_drops();
-                c.fault_drops += s.fault_drops;
-                c.corrupt_drops += s.corrupt_drops;
                 c.burst_drops += s.burst_drops;
             }
         }
         // A packet leaving a queue is dropped on the wire or transmitted,
         // and a transmission queues its `TxDone` or elides it.
-        c.tx_done_elided = c.packets_forwarded
-            - c.fault_drops
-            - c.corrupt_drops
-            - c.burst_drops
-            - c.tx_done_pushed;
+        c.tx_done_elided = c.packets_forwarded - c.burst_drops - c.tx_done_pushed;
         c
     }
 
@@ -2022,7 +2008,7 @@ mod tests {
         let c = net.perf();
         assert_eq!(
             c.tx_done_pushed + c.tx_done_elided,
-            c.packets_forwarded - c.fault_drops - c.corrupt_drops - c.burst_drops,
+            c.packets_forwarded - c.burst_drops,
             "{c:?}"
         );
     }

@@ -11,7 +11,7 @@
 )]
 
 use crate::arena::{PooledRing, RingArena};
-use crate::fault::{validate_p, GilbertElliott};
+use crate::fault::GilbertElliott;
 use crate::ids::NodeId;
 use crate::packet::{Ecn, Packet};
 use ecnsharp_aqm::{Aqm, DequeueVerdict, EnqueueVerdict, PacketView, QueueState};
@@ -109,15 +109,9 @@ pub struct PortConfig {
     pub aqm: Box<dyn Aqm>,
     /// Packet scheduler instance.
     pub sched: PortSched,
-    /// Probability of dropping an outgoing packet on the wire (fault
-    /// injection; 0.0 disables). Deterministically seeded by the network.
-    pub fault_drop_p: f64,
-    /// Probability of corrupting an outgoing packet on the wire — the
-    /// receiver's checksum fails and the packet is dropped, counted
-    /// separately from `fault_drop_p` (0.0 disables).
-    pub corrupt_p: f64,
-    /// Optional Gilbert–Elliott burst-loss process applied to outgoing
-    /// packets (`None` disables).
+    /// Optional Gilbert–Elliott loss process applied to outgoing packets
+    /// (`None` disables) — the one wire-loss model. Deterministically
+    /// seeded by the network.
     pub ge: Option<GilbertElliott>,
 }
 
@@ -131,8 +125,6 @@ impl PortConfig {
             // FIFO for a pooled ring at `connect`, and a NIC queue grows
             // to what its backlog actually needs.
             sched: PortSched::Fifo(Fifo::new()),
-            fault_drop_p: 0.0,
-            corrupt_p: 0.0,
             ge: None,
         }
     }
@@ -141,20 +133,6 @@ impl PortConfig {
     /// experiment).
     pub fn with_dwrr(mut self, dwrr: Dwrr<Packet>) -> Self {
         self.sched = PortSched::Dwrr(Box::new(dwrr));
-        self
-    }
-
-    /// Enable random wire drops with probability `p` (fault injection).
-    /// Panics unless `p` is a probability in `[0, 1]` (NaN rejected).
-    pub fn with_fault_drop(mut self, p: f64) -> Self {
-        self.fault_drop_p = validate_p("fault_drop_p", p);
-        self
-    }
-
-    /// Enable wire corruption (checksum-fail → drop) with probability `p`.
-    /// Panics unless `p` is a probability in `[0, 1]` (NaN rejected).
-    pub fn with_corrupt(mut self, p: f64) -> Self {
-        self.corrupt_p = validate_p("corrupt_p", p);
         self
     }
 
@@ -178,10 +156,6 @@ pub struct PortStats {
     pub aqm_enq_drops: u64,
     /// Packets dropped by the AQM at dequeue.
     pub aqm_deq_drops: u64,
-    /// Packets dropped by fault injection on the wire.
-    pub fault_drops: u64,
-    /// Packets corrupted on the wire (checksum fail at the receiver).
-    pub corrupt_drops: u64,
     /// Packets lost to the Gilbert–Elliott burst-loss process.
     pub burst_drops: u64,
     /// CE marks applied at enqueue.
@@ -193,12 +167,7 @@ pub struct PortStats {
 impl PortStats {
     /// All drops combined.
     pub fn total_drops(&self) -> u64 {
-        self.tail_drops
-            + self.aqm_enq_drops
-            + self.aqm_deq_drops
-            + self.fault_drops
-            + self.corrupt_drops
-            + self.burst_drops
+        self.tail_drops + self.aqm_enq_drops + self.aqm_deq_drops + self.burst_drops
     }
 
     /// All CE marks combined.
@@ -245,8 +214,6 @@ pub struct EgressPort {
     pub(crate) capacity_bytes: u64,
     pub(crate) aqm: Box<dyn Aqm>,
     pub(crate) sched: PortSched,
-    pub(crate) fault_drop_p: f64,
-    pub(crate) corrupt_p: f64,
     pub(crate) ge: Option<GilbertElliott>,
     /// Is the attached link up? A downed port neither transmits nor
     /// appears in route computation; queued packets wait for the link to
@@ -303,8 +270,6 @@ impl EgressPort {
             capacity_bytes: cfg.capacity_bytes,
             aqm: cfg.aqm,
             sched: cfg.sched,
-            fault_drop_p: cfg.fault_drop_p,
-            corrupt_p: cfg.corrupt_p,
             ge: cfg.ge,
             link_up: true,
             wire_free: WireFree::At(SimTime::ZERO, 0),
@@ -338,8 +303,7 @@ impl EgressPort {
 
     /// [`Self::next_tx`] drawing dice from the port's own seeded stream.
     ///
-    /// Ports without any fault knob never consume dice (the injector
-    /// short-circuits on `p > 0.0` / `ge.is_some()`), so the common
+    /// Ports without a loss process never consume dice, so the common
     /// fault-free path skips the stream entirely.
     pub(crate) fn next_tx_dice<S: Subscriber>(
         &mut self,
@@ -347,13 +311,13 @@ impl EgressPort {
         arena: &mut RingArena,
         sub: &mut S,
     ) -> Option<TxStart> {
-        if self.fault_drop_p > 0.0 || self.corrupt_p > 0.0 || self.ge.is_some() {
+        if self.ge.is_some() {
             let mut rng = std::mem::replace(&mut self.dice, Rng::seed_from_u64(0));
             let tx = self.next_tx(now, || rng.f64(), arena, sub);
             self.dice = rng;
             tx
         } else {
-            // Never called: every dice site is behind a knob checked above.
+            // Never called: the one dice site is behind the check above.
             self.next_tx(now, || 0.0, arena, sub)
         }
     }
@@ -546,8 +510,8 @@ impl EgressPort {
     }
 
     /// Pull the next transmittable packet, applying dequeue-time AQM and
-    /// fault injection. `dice` supplies deterministic uniform randoms for
-    /// the fault injector. Returns `None` when the queue is empty.
+    /// wire loss. `dice` supplies deterministic uniform randoms for the
+    /// Gilbert–Elliott process. Returns `None` when the queue is empty.
     /// Telemetry events (sojourn samples, marks, wire drops, episode
     /// transitions) are delivered to `sub`.
     pub(crate) fn next_tx<S: Subscriber>(
@@ -622,26 +586,6 @@ impl EgressPort {
             self.stats.dequeued += 1;
             // Sized in `new()` to the scheduler's class count.
             self.tx_payload_per_class[class] += pkt.payload();
-            if self.fault_drop_p > 0.0 && dice() < self.fault_drop_p {
-                self.stats.fault_drops += 1;
-                emit!(
-                    sub,
-                    on_packet_dropped,
-                    self.meta(now),
-                    self.drop_ev(&pkt, DropReason::Fault)
-                );
-                continue;
-            }
-            if self.corrupt_p > 0.0 && dice() < self.corrupt_p {
-                self.stats.corrupt_drops += 1;
-                emit!(
-                    sub,
-                    on_packet_dropped,
-                    self.meta(now),
-                    self.drop_ev(&pkt, DropReason::Corrupt)
-                );
-                continue;
-            }
             if let Some(ge) = self.ge.as_mut() {
                 if ge.roll(&mut dice) {
                     self.stats.burst_drops += 1;
@@ -973,52 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_drops_deterministically() {
-        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_fault_drop(0.5);
-        let mut p = port(cfg);
-        for _ in 0..4 {
-            p.enqueue(
-                SimTime::ZERO,
-                pkt(1460),
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            );
-        }
-        // Dice alternating below/above p: drop, keep, drop, keep.
-        let seq = [0.1, 0.9, 0.2, 0.8];
-        let mut i = 0;
-        let mut dice = || {
-            let v = seq[i];
-            i += 1;
-            v
-        };
-        let tx = p.next_tx(
-            SimTime::ZERO,
-            &mut dice,
-            &mut RingArena::new(),
-            &mut NoopSubscriber,
-        );
-        assert!(tx.is_some());
-        assert_eq!(p.stats().fault_drops, 1);
-        let tx = p.next_tx(
-            SimTime::ZERO,
-            &mut dice,
-            &mut RingArena::new(),
-            &mut NoopSubscriber,
-        );
-        assert!(tx.is_some());
-        assert_eq!(p.stats().fault_drops, 2);
-        assert!(p
-            .next_tx(
-                SimTime::ZERO,
-                &mut || 1.0,
-                &mut RingArena::new(),
-                &mut NoopSubscriber
-            )
-            .is_none());
-    }
-
-    #[test]
     fn empty_queue_yields_none() {
         let mut p = port(PortConfig::fifo(1_000, Box::new(DropTail::new())));
         assert!(p
@@ -1037,70 +935,13 @@ mod tests {
             tail_drops: 1,
             aqm_enq_drops: 2,
             aqm_deq_drops: 3,
-            fault_drops: 4,
-            corrupt_drops: 7,
             burst_drops: 9,
             enq_marks: 5,
             deq_marks: 6,
             ..PortStats::default()
         };
-        assert_eq!(s.total_drops(), 26);
+        assert_eq!(s.total_drops(), 15);
         assert_eq!(s.total_marks(), 11);
-    }
-
-    #[test]
-    #[should_panic(expected = "fault_drop_p must be a probability")]
-    fn fault_drop_rejects_out_of_range() {
-        let _ = PortConfig::fifo(1_000, Box::new(DropTail::new())).with_fault_drop(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "fault_drop_p must be a probability")]
-    fn fault_drop_rejects_nan() {
-        let _ = PortConfig::fifo(1_000, Box::new(DropTail::new())).with_fault_drop(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "corrupt_p must be a probability")]
-    fn corrupt_rejects_negative() {
-        let _ = PortConfig::fifo(1_000, Box::new(DropTail::new())).with_corrupt(-0.1);
-    }
-
-    #[test]
-    fn corruption_counted_separately_from_fault_drops() {
-        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new()))
-            .with_fault_drop(0.25)
-            .with_corrupt(0.25);
-        let mut p = port(cfg);
-        for _ in 0..3 {
-            p.enqueue(
-                SimTime::ZERO,
-                pkt(1460),
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            );
-        }
-        // Packet 1: fault draw 0.1 < 0.25 → fault drop (no corrupt draw).
-        // Packet 2: fault 0.9, corrupt 0.1 < 0.25 → corrupt drop.
-        // Packet 3: fault 0.9, corrupt 0.9 → transmitted.
-        let seq = [0.1, 0.9, 0.1, 0.9, 0.9];
-        let mut i = 0;
-        let mut dice = || {
-            let v = seq[i];
-            i += 1;
-            v
-        };
-        let tx = p.next_tx(
-            SimTime::ZERO,
-            &mut dice,
-            &mut RingArena::new(),
-            &mut NoopSubscriber,
-        );
-        assert!(tx.is_some());
-        assert_eq!(i, 5, "fault-dropped packet must not consume a corrupt draw");
-        assert_eq!(p.stats().fault_drops, 1);
-        assert_eq!(p.stats().corrupt_drops, 1);
-        assert_eq!(p.stats().burst_drops, 0);
     }
 
     #[test]
@@ -1131,21 +972,16 @@ mod tests {
         assert!(tx.is_none(), "all packets lost to the burst");
         assert_eq!(p.stats().burst_drops, 3);
         assert_eq!(draws, 6, "two draws per packet");
-        assert_eq!(p.stats().fault_drops, 0);
-        assert_eq!(p.stats().corrupt_drops, 0);
     }
 
     #[test]
     fn byte_conservation_holds_with_wire_drops() {
-        // All wire-loss classes fire after dequeue accounting, so the
+        // Wire loss fires after dequeue accounting, so the
         // strict-invariants byte-conservation check must hold throughout
         // (under the default build the invariant! calls are debug_asserts —
         // the test still exercises the same code path).
         let ge = GilbertElliott::new(0.5, 0.5, 1.0, 0.0);
-        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new()))
-            .with_fault_drop(0.3)
-            .with_corrupt(0.3)
-            .with_ge(ge);
+        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_ge(ge);
         let mut p = port(cfg);
         let mut rng = ecnsharp_sim::Rng::seed_from_u64(99);
         let mut sent = 0u64;
@@ -1166,18 +1002,20 @@ mod tests {
                 sent += 1;
             }
         }
-        dropped += p.stats().fault_drops + p.stats().corrupt_drops + p.stats().burst_drops;
+        dropped += p.stats().burst_drops;
         assert_eq!(sent + dropped, 50, "every admitted packet is accounted");
         assert!(dropped > 0, "seeded run should see some wire loss");
         assert_eq!(p.backlog_pkts(), 0);
     }
 
     #[test]
-    fn same_seed_same_fault_drops() {
-        // The fault_drop_p wire-loss path is driven entirely by the seeded
-        // dice: identical seeds must produce identical drop counts.
+    fn same_seed_same_wire_drops() {
+        // Independent per-packet loss (a chain that never leaves the good
+        // state) is driven entirely by the seeded dice: identical seeds
+        // must produce identical drop counts.
         let run = |seed: u64| {
-            let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_fault_drop(0.3);
+            let ge = GilbertElliott::new(0.0, 1.0, 0.0, 0.3);
+            let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_ge(ge);
             let mut p = port(cfg);
             let mut rng = ecnsharp_sim::Rng::seed_from_u64(seed);
             for _ in 0..100 {
@@ -1197,7 +1035,7 @@ mod tests {
                     .is_some()
                 {}
             }
-            p.stats().fault_drops
+            p.stats().burst_drops
         };
         let a = run(7);
         assert!(a > 0, "p=0.3 over 100 packets must drop some");

@@ -470,9 +470,9 @@ pub fn fat_tree_with_subscriber<S: Subscriber>(
 }
 
 /// A dumbbell: `a — s1 — s2 — b`, with the `s1→s2` link as the bottleneck.
-pub struct Dumbbell<S: Subscriber = NoopSubscriber> {
+pub struct Dumbbell {
     /// The network, routes computed.
-    pub net: Network<S>,
+    pub net: Network,
     /// Left host.
     pub a: NodeId,
     /// Right host.
@@ -495,36 +495,10 @@ pub fn dumbbell(
     delay: Duration,
     agent_a: Box<dyn Agent>,
     agent_b: Box<dyn Agent>,
-    plain_port: impl FnMut() -> PortConfig,
-    bottleneck_port_cfg: PortConfig,
-) -> Dumbbell {
-    dumbbell_with_subscriber(
-        seed,
-        edge_rate,
-        bottleneck_rate,
-        delay,
-        agent_a,
-        agent_b,
-        plain_port,
-        bottleneck_port_cfg,
-        NoopSubscriber,
-    )
-}
-
-/// [`dumbbell`] with a telemetry subscriber attached from the first event.
-#[allow(clippy::too_many_arguments)]
-pub fn dumbbell_with_subscriber<S: Subscriber>(
-    seed: u64,
-    edge_rate: Rate,
-    bottleneck_rate: Rate,
-    delay: Duration,
-    agent_a: Box<dyn Agent>,
-    agent_b: Box<dyn Agent>,
     mut plain_port: impl FnMut() -> PortConfig,
     bottleneck_port_cfg: PortConfig,
-    sub: S,
-) -> Dumbbell<S> {
-    let mut net = Network::with_subscriber(seed, sub);
+) -> Dumbbell {
+    let mut net = Network::new(seed);
     let a = net.add_host(agent_a);
     let b = net.add_host(agent_b);
     let s1 = net.add_switch();

@@ -189,7 +189,7 @@ pub struct EventQueue<E> {
     /// Far-future fallback (beyond the lane horizon at scheduling time);
     /// each push here is counted as a [`QueuePerf::heap_spills`].
     heap: BinaryHeap<Entry<E>>,
-    /// Cancellable timers (see [`EventQueue::schedule_timer`]); shares the
+    /// Cancellable timers (see [`EventQueue::rearm_timer`]); shares the
     /// global sequence counter so fired timers replay in exactly the
     /// `(time, seq)` order a plain `schedule` would have given them.
     wheel: TimerWheel<E>,
@@ -370,7 +370,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Arm a cancellable timer firing `event` at `at`, returning a handle
-    /// for [`cancel_timer`]/[`rearm_timer`].
+    /// for [`cancel_timer`]/[`rearm_timer`]. The timer behind `tok` (if
+    /// any is still live) is first removed without ever reaching the pop
+    /// path: cancel-and-re-arm in one step, the per-ACK RTO pattern.
+    /// `tok = None` arms a fresh timer.
     ///
     /// Timers are ordinary events once they fire: they draw from the same
     /// sequence counter at arm time, so replay order is byte-identical to
@@ -382,23 +385,33 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// Debug-panics when arming into the past; the engine never rewinds.
-    pub fn schedule_timer(&mut self, at: SimTime, event: E) -> TimerToken {
+    pub fn rearm_timer(&mut self, tok: Option<TimerToken>, at: SimTime, event: E) -> TimerToken {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.schedule_timer_tagged(at, seq, event)
+        self.rearm_timer_tagged(tok, at, seq, event)
     }
 
-    /// Arm a cancellable timer with a **caller-supplied** tie-break key —
-    /// the timer counterpart of [`schedule_tagged`], with the same key
-    /// discipline and the same cancel/re-arm semantics as
-    /// [`schedule_timer`].
+    /// [`rearm_timer`] with a **caller-supplied** tie-break key — the
+    /// timer counterpart of [`schedule_tagged`], with the same key
+    /// discipline.
     ///
+    /// [`rearm_timer`]: EventQueue::rearm_timer
     /// [`schedule_tagged`]: EventQueue::schedule_tagged
-    /// [`schedule_timer`]: EventQueue::schedule_timer
     ///
     /// # Panics
     /// Debug-panics when arming into the past; the engine never rewinds.
-    pub fn schedule_timer_tagged(&mut self, at: SimTime, key: u64, event: E) -> TimerToken {
+    pub fn rearm_timer_tagged(
+        &mut self,
+        tok: Option<TimerToken>,
+        at: SimTime,
+        key: u64,
+        event: E,
+    ) -> TimerToken {
+        if let Some(t) = tok {
+            if self.take_live(t) {
+                self.perf.timers_stale_suppressed += 1;
+            }
+        }
         crate::invariant!(
             at >= self.now,
             "arming a timer in the past: {at} < {}",
@@ -451,37 +464,6 @@ impl<E> EventQueue<E> {
     /// owner calls this to return the cell. No-op on stale tokens.
     pub fn timer_fired(&mut self, tok: TimerToken) {
         self.wheel.release_external(tok);
-    }
-
-    /// Cancel-and-re-arm in one step: the timer behind `tok` (if any is
-    /// still live) is removed without ever reaching the pop path, and a
-    /// fresh timer is armed at `at`. This is the per-ACK RTO pattern.
-    pub fn rearm_timer(&mut self, tok: Option<TimerToken>, at: SimTime, event: E) -> TimerToken {
-        if let Some(t) = tok {
-            if self.take_live(t) {
-                self.perf.timers_stale_suppressed += 1;
-            }
-        }
-        self.schedule_timer(at, event)
-    }
-
-    /// Cancel-and-re-arm with a caller-supplied tie-break key — the tagged
-    /// counterpart of [`rearm_timer`].
-    ///
-    /// [`rearm_timer`]: EventQueue::rearm_timer
-    pub fn rearm_timer_tagged(
-        &mut self,
-        tok: Option<TimerToken>,
-        at: SimTime,
-        key: u64,
-        event: E,
-    ) -> TimerToken {
-        if let Some(t) = tok {
-            if self.take_live(t) {
-                self.perf.timers_stale_suppressed += 1;
-            }
-        }
-        self.schedule_timer_tagged(at, key, event)
     }
 
     /// Remove a live timer (wheel-resident or already in the drain batch)
@@ -937,14 +919,14 @@ mod tests {
     #[should_panic(expected = "armed timer")]
     fn drain_entries_rejects_armed_timers() {
         let mut q = EventQueue::new();
-        q.schedule_timer(SimTime::from_micros(10), ());
+        q.rearm_timer(None, SimTime::from_micros(10), ());
         let _ = q.drain_entries();
     }
 
     #[test]
-    fn tagged_timer_rearm_replays_like_schedule_timer() {
+    fn tagged_timer_rearm_suppresses_the_old_arm() {
         let mut q = EventQueue::new();
-        let tok = q.schedule_timer_tagged(SimTime::from_micros(5), 11, "old");
+        let tok = q.rearm_timer_tagged(None, SimTime::from_micros(5), 11, "old");
         let _tok2 = q.rearm_timer_tagged(Some(tok), SimTime::from_micros(7), 12, "new");
         q.schedule_tagged(SimTime::from_micros(6), 1, "mid");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -1192,9 +1174,9 @@ mod tests {
     fn timers_interleave_with_events_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(10), "event-10us");
-        q.schedule_timer(SimTime::from_micros(5), "timer-5us");
+        q.rearm_timer(None, SimTime::from_micros(5), "timer-5us");
         q.schedule(SimTime::from_micros(1), "event-1us");
-        q.schedule_timer(SimTime::from_millis(20), "timer-20ms");
+        q.rearm_timer(None, SimTime::from_millis(20), "timer-20ms");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(
             order,
@@ -1210,7 +1192,7 @@ mod tests {
     #[test]
     fn cancelled_timer_never_pops() {
         let mut q: EventQueue<&str> = EventQueue::new();
-        let tok = q.schedule_timer(SimTime::from_millis(10), "rto");
+        let tok = q.rearm_timer(None, SimTime::from_millis(10), "rto");
         assert_eq!(q.len(), 1);
         assert!(q.cancel_timer(tok));
         assert!(q.is_empty());
@@ -1246,7 +1228,7 @@ mod tests {
         q.schedule(SimTime::from_nanos(100), "a");
         q.schedule(SimTime::from_nanos(900), "b");
         assert_eq!(q.pop().unwrap().1, "a"); // bucket 0 is now draining
-        let tok = q.schedule_timer(SimTime::from_nanos(500), "deadline");
+        let tok = q.rearm_timer(None, SimTime::from_nanos(500), "deadline");
         assert!(q.cancel_timer(tok));
         assert!(!q.cancel_timer(tok));
         let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -1259,7 +1241,7 @@ mod tests {
         q.schedule(SimTime::from_nanos(100), "a");
         q.schedule(SimTime::from_nanos(900), "c");
         assert_eq!(q.pop().unwrap().1, "a");
-        let tok = q.schedule_timer(SimTime::from_nanos(500), "t");
+        let tok = q.rearm_timer(None, SimTime::from_nanos(500), "t");
         let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(rest, vec!["t", "c"]);
         // Cancelling after the fire is stale, not a panic or a removal.
@@ -1278,8 +1260,8 @@ mod tests {
             for i in 0..500u64 {
                 q.schedule(SimTime::from_nanos(1_024 + 2 * i), 1 + i);
             }
-            let tok = q.schedule_timer(SimTime::from_nanos(timer_at), u64::MAX);
-            let keep = q.schedule_timer(SimTime::from_nanos(timer_at), u64::MAX - 1);
+            let tok = q.rearm_timer(None, SimTime::from_nanos(timer_at), u64::MAX);
+            let keep = q.rearm_timer(None, SimTime::from_nanos(timer_at), u64::MAX - 1);
             assert_eq!(q.pop().unwrap().1, 0);
             // Popping the bucket's first event drains both timers into
             // the batch (counted as fired on delivery).
@@ -1312,7 +1294,7 @@ mod tests {
     #[test]
     fn timer_keeps_queue_alive_for_run_until_idle_loops() {
         let mut q: EventQueue<&str> = EventQueue::new();
-        q.schedule_timer(SimTime::from_secs(2), "rto");
+        q.rearm_timer(None, SimTime::from_secs(2), "rto");
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
@@ -1441,7 +1423,7 @@ mod tests {
                         seq += 1;
                     }
                     2 => {
-                        let tok = q.schedule_timer(SimTime::from_nanos(at), seq);
+                        let tok = q.rearm_timer(None, SimTime::from_nanos(at), seq);
                         toks[id] = Some((tok, at, seq));
                         oracle.push((at, seq));
                         seq += 1;

@@ -29,11 +29,7 @@ pub enum DropReason {
     /// The AQM discarded the packet at dequeue (CoDel-style drop of
     /// non-ECT traffic under persistent congestion).
     AqmDequeue,
-    /// Injected random link fault (independent per-packet loss).
-    Fault,
-    /// Injected payload corruption (modelled as a drop).
-    Corrupt,
-    /// Gilbert-Elliott burst-loss model drop.
+    /// Wire loss from the port's Gilbert-Elliott process.
     Burst,
     /// A switch had no route towards the destination (link failures
     /// partitioned the topology).
@@ -41,14 +37,11 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    /// Every reason, in declaration order (stable across releases; new
-    /// reasons are appended).
-    pub const ALL: [DropReason; 7] = [
+    /// Every reason, in declaration order.
+    pub const ALL: [DropReason; 5] = [
         DropReason::Tail,
         DropReason::AqmEnqueue,
         DropReason::AqmDequeue,
-        DropReason::Fault,
-        DropReason::Corrupt,
         DropReason::Burst,
         DropReason::NoRoute,
     ];
@@ -59,8 +52,6 @@ impl DropReason {
             DropReason::Tail => "tail",
             DropReason::AqmEnqueue => "aqm-enq",
             DropReason::AqmDequeue => "aqm-deq",
-            DropReason::Fault => "fault",
-            DropReason::Corrupt => "corrupt",
             DropReason::Burst => "burst",
             DropReason::NoRoute => "no-route",
         }
@@ -266,10 +257,10 @@ mod tests {
     #[test]
     fn drop_reason_strings_are_distinct_and_stable() {
         let mut seen: Vec<&str> = DropReason::ALL.iter().map(|r| r.as_str()).collect();
-        assert_eq!(seen.len(), 7);
+        assert_eq!(seen.len(), 5);
         seen.sort_unstable();
         seen.dedup();
-        assert_eq!(seen.len(), 7, "reason strings must be unique");
+        assert_eq!(seen.len(), 5, "reason strings must be unique");
         assert_eq!(DropReason::Tail.as_str(), "tail");
         assert_eq!(DropReason::NoRoute.to_string(), "no-route");
         assert_eq!(MarkSite::Enqueue.as_str(), "enqueue");

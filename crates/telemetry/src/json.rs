@@ -204,7 +204,7 @@ mod tests {
                 seq: 1460,
                 payload: 1460,
                 wire_bytes: 1500,
-                reason: DropReason::Corrupt,
+                reason: DropReason::Burst,
             },
         );
         w.on_ce_marked(
@@ -229,7 +229,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(
             lines[0],
-            r#"{"at_ns":3000,"node":9,"event":"packet_dropped","port":2,"flow":5,"seq":1460,"payload":1460,"wire_bytes":1500,"reason":"corrupt"}"#
+            r#"{"at_ns":3000,"node":9,"event":"packet_dropped","port":2,"flow":5,"seq":1460,"payload":1460,"wire_bytes":1500,"reason":"burst"}"#
         );
         assert!(lines[1].contains(r#""site":"dequeue""#));
         assert!(lines[2].ends_with(r#""alpha":0.250000}"#));

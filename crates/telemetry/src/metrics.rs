@@ -33,11 +33,7 @@ pub enum Metric {
     DropsAqmEnqueue,
     /// AQM drops at dequeue.
     DropsAqmDequeue,
-    /// Injected random-loss drops.
-    DropsFault,
-    /// Injected corruption drops.
-    DropsCorrupt,
-    /// Gilbert-Elliott burst-loss drops.
+    /// Gilbert-Elliott wire-loss drops.
     DropsBurst,
     /// Routing no-route drops.
     DropsNoRoute,
@@ -62,7 +58,7 @@ pub enum Metric {
 }
 
 /// Number of counters in the registry.
-pub const METRIC_COUNT: usize = 20;
+pub const METRIC_COUNT: usize = 18;
 
 /// Counter names, index-aligned with [`Metric`]. This is the stable
 /// output registry: CSV rows appear in exactly this order.
@@ -74,8 +70,6 @@ pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
     "drops_tail",
     "drops_aqm_enqueue",
     "drops_aqm_dequeue",
-    "drops_fault",
-    "drops_corrupt",
     "drops_burst",
     "drops_no_route",
     "episodes_entered",
@@ -96,8 +90,6 @@ impl Metric {
             DropReason::Tail => Metric::DropsTail,
             DropReason::AqmEnqueue => Metric::DropsAqmEnqueue,
             DropReason::AqmDequeue => Metric::DropsAqmDequeue,
-            DropReason::Fault => Metric::DropsFault,
-            DropReason::Corrupt => Metric::DropsCorrupt,
             DropReason::Burst => Metric::DropsBurst,
             DropReason::NoRoute => Metric::DropsNoRoute,
         }
@@ -293,7 +285,7 @@ mod tests {
             .collect();
         slots.sort_unstable();
         slots.dedup();
-        assert_eq!(slots.len(), 7);
+        assert_eq!(slots.len(), 5);
         assert_eq!(Metric::DropsTail.name(), "drops_tail");
         assert_eq!(Metric::FlowsFailed as usize, METRIC_COUNT - 1);
     }

@@ -130,11 +130,18 @@ mod tests {
     use crate::conn::timer_key;
     use ecnsharp_aqm::{DctcpRed, DropTail, Tcn};
     use ecnsharp_net::topology::{dumbbell, leaf_spine, star, Dumbbell};
-    use ecnsharp_net::{Action, NodeId, PortConfig};
+    use ecnsharp_net::{Action, GilbertElliott, NodeId, PortConfig};
     use ecnsharp_sim::{Duration, Rate, SimTime};
 
     fn plain() -> PortConfig {
         PortConfig::fifo(1_000_000, Box::new(DropTail::new()))
+    }
+
+    /// [`plain`] losing each packet on the wire independently with
+    /// probability `p`: a Gilbert–Elliott chain that never leaves its good
+    /// state.
+    fn lossy(p: f64) -> PortConfig {
+        plain().with_ge(GilbertElliott::new(0.0, 1.0, 0.0, p))
     }
 
     fn dumbbell_with(bottleneck: PortConfig, cfg: TcpConfig) -> Dumbbell {
@@ -290,13 +297,12 @@ mod tests {
     #[test]
     fn recovers_from_random_drops() {
         // 1% wire drops on the bottleneck: the flow must still complete.
-        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_fault_drop(0.01);
-        let mut d = dumbbell_with(cfg, TcpConfig::dctcp());
+        let mut d = dumbbell_with(lossy(0.01), TcpConfig::dctcp());
         let (a, b) = (d.a, d.b);
         d.net.schedule_flow(SimTime::ZERO, flow(1, a, b, 2_000_000));
         d.net.run_until_idle();
         assert_eq!(d.net.records().len(), 1, "flow must complete despite drops");
-        let drops = d.net.port_stats(d.s1, d.bottleneck_port).fault_drops;
+        let drops = d.net.port_stats(d.s1, d.bottleneck_port).burst_drops;
         assert!(drops > 0, "fault injection must have fired");
         // Retransmissions and all, the flow leaves one `rcv_nxt` behind.
         assert_eq!(d.net.flow_state(), residue(0, 0, 1));
@@ -307,9 +313,8 @@ mod tests {
         // 100% wire loss on the bottleneck: a permanently dead path. The
         // flow must terminate with a Failed outcome after max_rto_retries
         // instead of hanging the simulation on endless backoffs.
-        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_fault_drop(1.0);
         let tcp = TcpConfig::dctcp();
-        let mut d = dumbbell_with(cfg, tcp);
+        let mut d = dumbbell_with(lossy(1.0), tcp);
         let (a, b) = (d.a, d.b);
         d.net.schedule_flow(SimTime::ZERO, flow(1, a, b, 1_000_000));
         d.net.run_until_idle();
@@ -329,8 +334,7 @@ mod tests {
         // SYN-ACK dies on the way back. The sender gives up and is freed;
         // the receiver never sees a FIN, so nothing tells it the flow is
         // over and it stays live — the documented residue of a failure.
-        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_fault_drop(1.0);
-        let mut d = dumbbell_with(cfg, TcpConfig::dctcp());
+        let mut d = dumbbell_with(lossy(1.0), TcpConfig::dctcp());
         let (a, b) = (d.a, d.b);
         d.net.schedule_flow(SimTime::ZERO, flow(1, b, a, 1_000_000));
         d.net.run_until_idle();

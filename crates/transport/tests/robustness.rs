@@ -3,7 +3,7 @@
 
 use ecnsharp_aqm::DropTail;
 use ecnsharp_net::topology::star;
-use ecnsharp_net::{FlowCmd, FlowId, PortConfig};
+use ecnsharp_net::{FlowCmd, FlowId, GilbertElliott, PortConfig};
 use ecnsharp_sim::{Duration, Rate, SimTime};
 use ecnsharp_transport::{TcpConfig, TcpStack};
 use proptest::prelude::*;
@@ -22,7 +22,10 @@ fn run(sizes: &[u64], drop_p: f64, delack: u32, seed: u64) -> Vec<u64> {
         Duration::from_micros(5),
         |_| TcpStack::boxed(cfg),
         || PortConfig::fifo(4_000_000, Box::new(DropTail::new())),
-        || PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_fault_drop(drop_p),
+        || {
+            PortConfig::fifo(1_000_000, Box::new(DropTail::new()))
+                .with_ge(GilbertElliott::new(0.0, 1.0, 0.0, drop_p))
+        },
     );
     let receiver = topo.hosts[3];
     for (k, &size) in sizes.iter().enumerate() {

@@ -192,13 +192,14 @@ fn cargo() -> Command {
     Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()))
 }
 
-/// Run the quick chaos sweep with a fault-injection drill armed and
-/// assert the supervised failure contract: nonzero exit, a structured
-/// JSONL failure line on stderr naming the first point (every drill arms
-/// point 0) and its seed and carrying `expect_err`, and partial CSVs on
-/// disk (the surviving points still produce output).
-fn chaos_drill(name: &str, envs: &[(&str, &str)], expect_err: &str) -> Result<(), ()> {
-    print!("ci: {name} ... ");
+/// Run the quick chaos sweep on `shards` shards with `ECNSHARP_DRILL` set
+/// to `drill` and assert the supervised failure contract: nonzero exit, a
+/// structured JSONL failure line on stderr naming the first point (every
+/// drill arms point 0) and its seed and carrying error type
+/// `expect_type`, and partial CSVs on disk (the surviving points still
+/// produce output).
+fn chaos_drill(drill: &str, shards: &str, expect_type: &str) -> Result<(), ()> {
+    print!("ci: chaos {drill} drill (ECNSHARP_DRILL={drill}, ECNSHARP_SHARDS={shards}) ... ");
     let tmp = std::env::temp_dir().join("ecnsharp-ci-chaos-drill");
     let _ = std::fs::remove_dir_all(&tmp);
     let mut c = cargo();
@@ -212,9 +213,8 @@ fn chaos_drill(name: &str, envs: &[(&str, &str)], expect_err: &str) -> Result<()
     ]);
     c.env("ECNSHARP_SCALE", "quick");
     c.env("ECNSHARP_RESULTS", &tmp);
-    for (k, v) in envs {
-        c.env(k, v);
-    }
+    c.env("ECNSHARP_DRILL", drill);
+    c.env("ECNSHARP_SHARDS", shards);
     let (out, secs) = timing::timed(|| c.output());
     let out = match out {
         Ok(o) => o,
@@ -228,9 +228,10 @@ fn chaos_drill(name: &str, envs: &[(&str, &str)], expect_err: &str) -> Result<()
         return Err(());
     }
     let stderr = String::from_utf8_lossy(&out.stderr);
-    let wants = [expect_err, "\"point\":\"chaos-0-", "\"seed\":"];
+    let expect_err = format!("\"type\":\"{expect_type}\"");
+    let wants = [expect_err.as_str(), "\"point\":\"chaos-0-", "\"seed\":"];
     if !stderr.lines().any(|l| wants.iter().all(|w| l.contains(w))) {
-        println!("FAILED (stderr carries no point-0 {expect_err} JSONL line with its seed)");
+        println!("FAILED (stderr carries no point-0 {expect_type} JSONL line with its seed)");
         eprint!("{stderr}");
         return Err(());
     }
@@ -442,49 +443,22 @@ fn ci() -> ExitCode {
         ),
         (
             "chaos panic drill",
-            Box::new(|| {
-                // Crash-proof-runner drill: injecting a worker panic into
-                // the first sweep point must fail the run loudly (nonzero
-                // exit + a structured WorkerPanic JSONL line naming the
-                // point and its seed) while every other point completes
-                // and partial CSVs land on disk.
-                chaos_drill(
-                    "chaos panic drill (ECNSHARP_INJECT_PANIC=worker)",
-                    &[("ECNSHARP_INJECT_PANIC", "worker")],
-                    "\"type\":\"WorkerPanic\"",
-                )
-            }),
+            // Crash-proof-runner drill: a worker panic on the first sweep
+            // point must fail the run loudly while every other point
+            // completes and partial CSVs land on disk.
+            Box::new(|| chaos_drill("panic", "1", "WorkerPanic")),
         ),
         (
             "chaos stall drill",
-            Box::new(|| {
-                // Barrier-stall drill: freezing every shard's window
-                // processing on the first point must trip the stall
-                // detector into a structured BarrierStall diagnostic
-                // instead of hanging the barrier — again with partial
-                // CSVs and a nonzero exit.
-                chaos_drill(
-                    "chaos stall drill (ECNSHARP_INJECT_STALL=window, 2 shards)",
-                    &[
-                        ("ECNSHARP_INJECT_STALL", "window"),
-                        ("ECNSHARP_SHARDS", "2"),
-                    ],
-                    "\"type\":\"BarrierStall\"",
-                )
-            }),
+            // Freezing every shard's window processing on the first point
+            // must trip the stall detector instead of hanging the barrier.
+            Box::new(|| chaos_drill("stall", "2", "BarrierStall")),
         ),
         (
             "chaos livelock drill",
-            Box::new(|| {
-                // Livelock drill: a zero-delay event cycle on the first
-                // point must trip the serial run loop's progress guard
-                // into a structured Livelock error instead of spinning.
-                chaos_drill(
-                    "chaos livelock drill (ECNSHARP_INJECT_LIVELOCK=engine)",
-                    &[("ECNSHARP_INJECT_LIVELOCK", "engine")],
-                    "\"type\":\"Livelock\"",
-                )
-            }),
+            // A zero-delay event cycle on the first point must trip the
+            // serial run loop's progress guard instead of spinning.
+            Box::new(|| chaos_drill("livelock", "1", "Livelock")),
         ),
         (
             "doc",

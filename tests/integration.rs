@@ -5,7 +5,7 @@ use ecn_sharp::aqm::DctcpRed;
 use ecn_sharp::core::{EcnSharp, EcnSharpConfig};
 use ecn_sharp::experiments::{run_testbed_star, FctScenario, Scheme};
 use ecn_sharp::net::topology::star;
-use ecn_sharp::net::{FlowCmd, FlowId, PortConfig};
+use ecn_sharp::net::{FlowCmd, FlowId, GilbertElliott, PortConfig};
 use ecn_sharp::sim::{Duration, Rate, SimTime};
 use ecn_sharp::transport::{TcpConfig, TcpStack};
 use ecn_sharp::workload::dists;
@@ -173,7 +173,10 @@ fn lossy_fabric_still_completes_all_flows() {
         Duration::from_micros(10),
         |_| TcpStack::boxed(TcpConfig::dctcp()),
         || PortConfig::fifo(4_000_000, Box::new(DropTail::new())),
-        || PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_fault_drop(0.005),
+        || {
+            PortConfig::fifo(1_000_000, Box::new(DropTail::new()))
+                .with_ge(GilbertElliott::new(0.0, 1.0, 0.0, 0.005))
+        },
     );
     let receiver = topo.hosts[3];
     for k in 0..30u64 {
