@@ -492,14 +492,16 @@ pub fn run_incast_micro_with_subscriber<S: Subscriber>(
         topo.net.schedule_flow(at, cmd);
     }
     // Fig. 10's 5 ms microscope window, plus a 5 ms pre-roll that shows
-    // the standing queue the schemes maintain before the burst.
-    topo.net.add_queue_monitor(
-        topo.switch,
-        bport,
-        Duration::from_micros(5),
-        burst_at - Duration::from_millis(5),
-        burst_at + Duration::from_millis(5),
-    );
+    // the standing queue the schemes maintain before the burst. Each
+    // sample reads the port after every event at its instant.
+    let mut series = Vec::new();
+    let mut t = burst_at - Duration::from_millis(5);
+    while t <= burst_at + Duration::from_millis(5) {
+        topo.net.run_until(t);
+        let (bytes, pkts) = topo.net.backlog(topo.switch, bport);
+        series.push((t, bytes, pkts));
+        t += Duration::from_micros(5);
+    }
     topo.net.run_until(SimTime::from_millis(horizon_ms));
     // Stop background cleanly: summarize what completed.
     let records = topo.net.records().to_vec();
@@ -512,9 +514,7 @@ pub fn run_incast_micro_with_subscriber<S: Subscriber>(
         !query.is_empty(),
         "no query flows finished — run window too small"
     );
-    let monitor = &topo.net.monitors()[0];
-    let pre: Vec<f64> = monitor
-        .samples
+    let pre: Vec<f64> = series
         .iter()
         .filter(|&&(t, _, _)| t < burst_at)
         .map(|&(_, _, p)| p as f64)
@@ -523,8 +523,8 @@ pub fn run_incast_micro_with_subscriber<S: Subscriber>(
     crate::perf::absorb(&topo.net);
     let result = IncastResult {
         standing_pkts,
-        queue: QueueSummary::from_monitor(monitor),
-        series: monitor.samples.clone(),
+        queue: QueueSummary::from_samples(&series),
+        series,
         query_fct: FctBreakdown::from_records(&query),
         drops: topo.net.port_stats(topo.switch, bport).total_drops(),
         query_timeouts: query.iter().map(|r| r.timeouts as u64).sum(),

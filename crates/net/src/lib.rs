@@ -70,7 +70,7 @@ pub use agent::{
 pub use arena::RingArena;
 pub use fault::{FaultAction, FaultEvent, FaultPlan, GilbertElliott};
 pub use ids::{FlowId, NodeId, PortId};
-pub use network::{Network, PerfCounters, QueueMonitor};
+pub use network::{Network, PerfCounters};
 pub use packet::{Ecn, Flags, Packet};
 pub use port::{EgressPort, PortConfig, PortSched, PortStats};
 pub use shard::ShardPlan;

@@ -36,7 +36,7 @@
 //! the events the faults pushed go back out to their owners, and the
 //! next epoch starts. A sharded run has no fault code of its own. The
 //! result —
-//! flow records, port statistics, telemetry aggregates, monitor samples —
+//! flow records, port statistics, telemetry aggregates —
 //! is byte-identical to a serial run of the same seed; `CONCURRENCY.md`
 //! carries the full argument and `tests/shard_equivalence.rs` in
 //! `ecnsharp-experiments` pins it in CI.
@@ -113,12 +113,12 @@ impl<S: ShardSubscriber> Network<S> {
     /// Run the network to completion on `plan.shard_count()` worker
     /// threads, producing **byte-identical results to
     /// [`Network::run_until_idle`]** for the same seed: flow records, port
-    /// statistics, queue-monitor samples, and merged telemetry aggregates
+    /// statistics and merged telemetry aggregates
     /// all match the serial engine exactly (`steps()` too). Returns the
     /// final simulation time.
     ///
     /// Must be called on a freshly built network (`steps() == 0`):
-    /// topology, routes, fault plans, scheduled flows and monitors are
+    /// topology, routes, fault plans and scheduled flows are
     /// installed first, then the run is sharded once.
     ///
     /// The subscriber must implement
@@ -222,7 +222,7 @@ impl<S: ShardSubscriber> Network<S> {
         // on its owner's queue, as a serial run counts it once.
         let backlog = std::mem::take(&mut self.events).drain_entries();
         self.events.set_mem_ceiling(sup.event_ceiling);
-        self.route(&mut shards, &owner, backlog);
+        Self::route(&mut shards, &owner, backlog);
         // Each engine records the flows its own hosts start: one
         // reservation for its share, as a serial run makes for the total.
         for shard in &mut shards {
@@ -268,22 +268,17 @@ impl<S: ShardSubscriber> Network<S> {
             std::mem::swap(&mut self.events, &mut fault_events);
             last_key = (at, self.cur_tag);
             self.scatter(&mut shards, &owner);
-            self.route(&mut shards, &owner, fault_events.drain_entries());
+            Self::route(&mut shards, &owner, fault_events.drain_entries());
         }
 
         // ── merge ─────────────────────────────────────────────────────
         self.gather(&mut shards, &owner);
         let mut keyed_records = Vec::with_capacity(shards.iter().map(|s| s.records.len()).sum());
-        for (s, mut shard) in shards.into_iter().enumerate() {
+        for mut shard in shards {
             last_key = last_key.max((shard.now(), shard.cur_tag));
             self.counters.absorb(&shard.engine_counters());
             self.steps += shard.steps;
             self.flows_to_record += shard.flows_to_record;
-            for id in 0..self.monitors.len() {
-                if owner[self.monitors[id].node.0] == s as u32 {
-                    std::mem::swap(&mut self.monitors[id], &mut shard.monitors[id]);
-                }
-            }
             self.pending.append(&mut shard.pending);
             keyed_records.extend(
                 std::mem::take(&mut shard.record_keys)
@@ -328,7 +323,7 @@ impl<S: ShardSubscriber> Network<S> {
 
     /// Push each `(time, tag, event)` onto the queue of the shard that owns
     /// it, keeping its canonical key.
-    fn route(&self, shards: &mut [Network<S>], owner: &[u32], entries: Vec<(SimTime, u64, Event)>) {
+    fn route(shards: &mut [Network<S>], owner: &[u32], entries: Vec<(SimTime, u64, Event)>) {
         for (at, tag, ev) in entries {
             let s = match &ev {
                 Event::Arrive { node, .. }
@@ -337,7 +332,6 @@ impl<S: ShardSubscriber> Network<S> {
                 | Event::NicSend { node, .. }
                 | Event::LivelockDrill { node } => owner[node.0],
                 Event::FlowStart(cmd) => owner[cmd.src.0],
-                Event::Sample { id } => owner[self.monitors[*id].node.0],
             };
             let shard = &mut shards[s as usize];
             shard.flows_to_record += usize::from(matches!(ev, Event::FlowStart(_)));

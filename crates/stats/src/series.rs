@@ -1,6 +1,6 @@
 //! Queue-occupancy time-series statistics (for the Fig. 10 microscope).
 
-use ecnsharp_net::QueueMonitor;
+use ecnsharp_sim::SimTime;
 
 /// Summary of a queue-occupancy series, in packets.
 #[derive(Debug, Clone, Copy)]
@@ -16,18 +16,18 @@ pub struct QueueSummary {
 }
 
 impl QueueSummary {
-    /// Summarize a monitor's samples.
+    /// Summarize `(time, backlog bytes, backlog packets)` samples.
     ///
     /// # Panics
     /// On an empty series.
-    pub fn from_monitor(m: &QueueMonitor) -> QueueSummary {
-        assert!(!m.samples.is_empty(), "monitor collected no samples");
-        let n = m.samples.len() as f64;
+    pub fn from_samples(samples: &[(SimTime, u64, u64)]) -> QueueSummary {
+        assert!(!samples.is_empty(), "queue series has no samples");
+        let n = samples.len() as f64;
         QueueSummary {
-            samples: m.samples.len(),
-            avg_pkts: m.samples.iter().map(|&(_, _, p)| p as f64).sum::<f64>() / n,
-            max_pkts: m.samples.iter().map(|&(_, _, p)| p).max().unwrap(),
-            avg_bytes: m.samples.iter().map(|&(_, b, _)| b as f64).sum::<f64>() / n,
+            samples: samples.len(),
+            avg_pkts: samples.iter().map(|&(_, _, p)| p as f64).sum::<f64>() / n,
+            max_pkts: samples.iter().map(|&(_, _, p)| p).max().unwrap(),
+            avg_bytes: samples.iter().map(|&(_, b, _)| b as f64).sum::<f64>() / n,
         }
     }
 }
@@ -35,27 +35,14 @@ impl QueueSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecnsharp_net::NodeId;
-    use ecnsharp_sim::{Duration, SimTime};
-
-    fn monitor_with(samples: Vec<(SimTime, u64, u64)>) -> QueueMonitor {
-        QueueMonitor {
-            node: NodeId(0),
-            port: 0,
-            interval: Duration::from_micros(1),
-            until: SimTime::from_micros(10),
-            samples,
-        }
-    }
 
     #[test]
     fn summary_math() {
-        let m = monitor_with(vec![
+        let s = QueueSummary::from_samples(&[
             (SimTime::from_micros(0), 1500, 1),
             (SimTime::from_micros(1), 4500, 3),
             (SimTime::from_micros(2), 3000, 2),
         ]);
-        let s = QueueSummary::from_monitor(&m);
         assert_eq!(s.samples, 3);
         assert!((s.avg_pkts - 2.0).abs() < 1e-12);
         assert_eq!(s.max_pkts, 3);
@@ -65,6 +52,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no samples")]
     fn empty_series_panics() {
-        let _ = QueueSummary::from_monitor(&monitor_with(vec![]));
+        let _ = QueueSummary::from_samples(&[]);
     }
 }

@@ -157,6 +157,19 @@ mod tests {
         )
     }
 
+    /// Bottleneck backlog in bytes, read every 50 µs over `[from, until]`
+    /// after every event at each instant.
+    fn bottleneck_bytes(d: &mut Dumbbell, from: SimTime, until: SimTime) -> Vec<u64> {
+        let mut samples = Vec::new();
+        let mut t = from;
+        while t <= until {
+            d.net.run_until(t);
+            samples.push(d.net.backlog(d.s1, d.bottleneck_port).0);
+            t += Duration::from_micros(50);
+        }
+        samples
+    }
+
     fn residue(live_senders: usize, live_receivers: usize, closed_receivers: usize) -> FlowState {
         FlowState {
             live_senders,
@@ -243,20 +256,13 @@ mod tests {
         let (a, b, s1, bp) = (d.a, d.b, d.s1, d.bottleneck_port);
         d.net
             .schedule_flow(SimTime::ZERO, flow(1, a, b, 100_000_000));
-        d.net.add_queue_monitor(
-            s1,
-            bp,
-            Duration::from_micros(50),
-            SimTime::from_millis(20),
-            SimTime::from_millis(75),
-        );
+        let q = bottleneck_bytes(&mut d, SimTime::from_millis(20), SimTime::from_millis(75));
         d.net.run_until_idle();
         let r = &d.net.records()[0];
         let gbps = (r.size * 8) as f64 / r.fct().as_secs_f64() / 1e9;
         assert!(gbps > 8.0, "goodput {gbps} Gbps");
         // Queue stays bounded near K (not at buffer cap).
-        let m = &d.net.monitors()[0];
-        let max_q = m.samples.iter().map(|&(_, b, _)| b).max().unwrap();
+        let max_q = q.into_iter().max().unwrap();
         assert!(max_q < 4 * k, "queue peaked at {max_q} bytes");
         let marks = d.net.port_stats(s1, bp).enq_marks;
         assert!(marks > 0, "RED must have marked");
@@ -396,19 +402,11 @@ mod tests {
         let (a, b, s1, bp) = (d.a, d.b, d.s1, d.bottleneck_port);
         d.net
             .schedule_flow(SimTime::ZERO, flow(1, a, b, 50_000_000));
-        d.net.add_queue_monitor(
-            s1,
-            bp,
-            Duration::from_micros(50),
-            SimTime::from_millis(10),
-            SimTime::from_millis(40),
-        );
+        let q = bottleneck_bytes(&mut d, SimTime::from_millis(10), SimTime::from_millis(40));
         d.net.run_until_idle();
-        let m = &d.net.monitors()[0];
         // 50 us sojourn at 10 Gbps ≈ 62.5 KB; queue must stay well below
         // an unmarked BDP-sized standing queue.
-        let avg_q: f64 =
-            m.samples.iter().map(|&(_, b, _)| b as f64).sum::<f64>() / m.samples.len() as f64;
+        let avg_q = q.iter().sum::<u64>() as f64 / q.len() as f64;
         assert!(avg_q < 150_000.0, "avg queue {avg_q} bytes");
         assert!(d.net.port_stats(s1, bp).deq_marks > 0);
     }

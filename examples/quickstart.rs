@@ -64,13 +64,14 @@ fn run(label: &str, make_aqm: impl Fn() -> Box<dyn Aqm>) {
         );
     }
     let bport = topo.net.port_towards(topo.switch, receiver).unwrap();
-    topo.net.add_queue_monitor(
-        topo.switch,
-        bport,
-        Duration::from_micros(100),
-        SimTime::from_millis(100),
-        SimTime::from_millis(200),
-    );
+    // Sample the switch queue (packets) every 100 µs over [100, 200] ms.
+    let mut q = Vec::new();
+    let mut t = SimTime::from_millis(100);
+    while t <= SimTime::from_millis(200) {
+        topo.net.run_until(t);
+        q.push(topo.net.backlog(topo.switch, bport).1);
+        t += Duration::from_micros(100);
+    }
     topo.net.run_until(SimTime::from_millis(220));
 
     let probes: Vec<_> = topo
@@ -81,9 +82,7 @@ fn run(label: &str, make_aqm: impl Fn() -> Box<dyn Aqm>) {
         .cloned()
         .collect();
     let fct = FctBreakdown::from_records(&probes);
-    let m = &topo.net.monitors()[0];
-    let avg_q: f64 =
-        m.samples.iter().map(|&(_, _, p)| p as f64).sum::<f64>() / m.samples.len() as f64;
+    let avg_q = q.iter().sum::<u64>() as f64 / q.len() as f64;
     println!(
         "{label:16}  probe FCT avg {:7.1} us   p99 {:7.1} us   switch queue avg {avg_q:6.1} pkts",
         fct.overall.avg * 1e6,
