@@ -21,7 +21,7 @@
 //!
 //! 1. [`Aqm::on_enqueue`] — when the packet is admitted to the queue (after
 //!    the port's tail-drop capacity check). Queue-length schemes
-//!    (DCTCP-RED, ECN♯'s queue-length flavour) decide here.
+//!    (DCTCP-RED) decide here.
 //! 2. [`Aqm::on_dequeue`] — when the packet starts transmission, which is
 //!    the first moment its sojourn time is known. Sojourn-time schemes
 //!    (CoDel, TCN, ECN♯) decide here; this is also what makes them work

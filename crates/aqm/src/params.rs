@@ -42,18 +42,6 @@ pub fn sojourn_threshold(lambda: f64, rtt: Duration) -> Duration {
     rtt.mul_f64(lambda)
 }
 
-/// Convert a queue-length threshold into the sojourn threshold it implies at
-/// a given drain rate (`T = K / C`).
-pub fn queue_to_sojourn(k_bytes: u64, capacity: Rate) -> Duration {
-    capacity.tx_time(k_bytes)
-}
-
-/// Convert a sojourn threshold into the queue length it implies at a given
-/// drain rate (`K = T × C`).
-pub fn sojourn_to_queue(t: Duration, capacity: Rate) -> u64 {
-    capacity.bytes_in(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,15 +62,6 @@ mod tests {
         assert_eq!(t, Duration::from_micros(210));
         let t = sojourn_threshold(LAMBDA_DCTCP, Duration::from_micros(100));
         assert_eq!(t, Duration::from_micros(17));
-    }
-
-    #[test]
-    fn conversions_roundtrip() {
-        let c = Rate::from_gbps(10);
-        let k = 250_000u64;
-        let t = queue_to_sojourn(k, c);
-        assert_eq!(t, Duration::from_micros(200));
-        assert_eq!(sojourn_to_queue(t, c), k);
     }
 
     #[test]

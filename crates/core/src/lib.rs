@@ -22,8 +22,7 @@
 //! contributing throughput, so ECN♯ conservatively marks one packet per
 //! (shrinking) interval until they drain. See [`EcnSharp`] for the exact
 //! Algorithm-1 state machine and [`EcnSharpConfig`] for the §3.4
-//! rule-of-thumb. [`EcnSharpQlen`] is the same state machine driven by
-//! queue length (an ablation). §3.5's probabilistic variant for
+//! rule-of-thumb. §3.5's probabilistic variant for
 //! rate-based transports is not implemented; the paper leaves it to
 //! future work.
 //!
@@ -62,11 +61,9 @@
 
 pub mod config;
 pub mod marker;
-pub mod qlen;
 
 pub use config::EcnSharpConfig;
 pub use marker::{EcnSharp, MarkReason, MarkStats};
-pub use qlen::EcnSharpQlen;
 
 // Compile-time shard-safety proofs: markers sit on ports inside the
 // `Network` a sharded engine (ROADMAP item 1) moves across worker
@@ -75,6 +72,5 @@ pub use qlen::EcnSharpQlen;
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<EcnSharp>();
-    assert_send_sync::<EcnSharpQlen>();
     assert_send_sync::<EcnSharpConfig>();
 };

@@ -2,7 +2,7 @@
 //! statistics, following §5.1's settings and §3.4's rule-of-thumb.
 
 use ecnsharp_aqm::{params, CoDel, DctcpRed, DropTail, Tcn};
-use ecnsharp_core::{EcnSharp, EcnSharpConfig, EcnSharpQlen};
+use ecnsharp_core::{EcnSharp, EcnSharpConfig};
 use ecnsharp_net::PortConfig;
 use ecnsharp_sim::{Duration, Rate};
 use ecnsharp_tofino::{TofinoEcnSharp, WrapCmp};
@@ -30,8 +30,6 @@ pub enum Scheme {
     /// ECN♯ as the Tofino match-action pipeline (ablation: quantized time,
     /// LUT sqrt).
     EcnSharpTofino,
-    /// ECN♯ driven by queue length instead of sojourn time (ablation).
-    EcnSharpQlen,
     /// Plain tail-drop.
     DropTail,
 }
@@ -48,7 +46,6 @@ impl Scheme {
             Scheme::Tcn(_) => "TCN".into(),
             Scheme::EcnSharp(_) => "ECN#".into(),
             Scheme::EcnSharpTofino => "ECN#-Tofino".into(),
-            Scheme::EcnSharpQlen => "ECN#-qlen".into(),
             Scheme::DropTail => "DropTail".into(),
         }
     }
@@ -155,9 +152,6 @@ impl SchemeParams {
                 0,
                 WrapCmp::CorrectedLt,
             )),
-            Scheme::EcnSharpQlen => {
-                Box::new(EcnSharpQlen::from_config(self.ecnsharp(), self.capacity))
-            }
             Scheme::DropTail => Box::new(DropTail::new()),
         };
         PortConfig::fifo(buffer, aqm)
@@ -198,7 +192,6 @@ mod tests {
             Scheme::Tcn(None),
             Scheme::EcnSharp(None),
             Scheme::EcnSharpTofino,
-            Scheme::EcnSharpQlen,
             Scheme::DropTail,
         ] {
             let cfg = p.port(&s, 1_000_000, 7);

@@ -35,7 +35,7 @@ pub use ecnsharp_sim as sim;
 /// AQM trait and baseline schemes.
 pub use ecnsharp_aqm as aqm;
 
-/// ECN♯ itself (Algorithm 1, sojourn and queue-length flavours).
+/// ECN♯ itself (Algorithm 1 on the sojourn-time signal).
 pub use ecnsharp_core as core;
 
 /// Tofino hardware-model emulation (§4).
