@@ -2,7 +2,7 @@
 //! burst, plus the §5.4 headline numbers (avg queue pkts, drops).
 fn run() {
     let scale = ecnsharp_experiments::Scale::from_env_or_exit();
-    println!("Figure 10 — [Simulations] queue occupancy (fanout burst at t=4s)");
+    println!("Figure 10 — [Simulations] queue occupancy around a fanout burst");
     println!("paper headlines: DCTCP-RED-Tail ~182 pkts avg, ECN# ~8 pkts (95.6% lower), CoDel drops ~125 pkts");
     println!();
     let t = ecnsharp_experiments::perf::timed(|| ecnsharp_experiments::figures::fig10(scale));

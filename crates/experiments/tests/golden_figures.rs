@@ -8,6 +8,11 @@
 //! `ECNSHARP_DELACK=2`) was captured at the last commit that still
 //! carried the un-batched, epoch-filtered one-shot timer path, where an
 //! in-build test proved that path and the wheel produce this exact CSV.
+//! `fig10_quick.csv` was captured at the last commit whose engine sampled
+//! the queue itself, through a monitor event; the caller-side
+//! `run_until` + `backlog` reads reproduce it byte for byte. It pins the
+//! ECN♯ standing-queue column (38.7 pkts against the paper's 8,
+//! EXPERIMENTS.md D3).
 //! The in-build equivalence suite that remains (`shard_equivalence`)
 //! compares two modes of the same build, so a behaviour shift that hits
 //! both modes equally would slip through it; these fixtures do not.
@@ -75,7 +80,8 @@ fn engine_output_matches_prepass_golden() {
 
     // The pinned outputs: fig2 (testbed star threshold sweep) with
     // per-segment and with delayed ACKs, fig9 serial and under the sharded
-    // engine (leaf-spine grid — the pooled rings' main consumer), and one
+    // engine (leaf-spine grid — the pooled rings' main consumer), fig10
+    // (the incast queue microscope's summary), and one
     // adversarial chaos point (flapping link + 1% GE burst loss crossing
     // shard cuts).
     let mut outputs: Vec<(&str, String)> = Vec::new();
@@ -110,6 +116,7 @@ fn engine_output_matches_prepass_golden() {
         // three engine configurations.
         outputs.push(("fig9_quick.csv", csv));
     }
+    outputs.push(("fig10_quick.csv", figures::fig10(Scale::Quick).to_csv()));
     let chaos = run_chaos_leaf_spine(
         Scheme::EcnSharp(None),
         0.01,

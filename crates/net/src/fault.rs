@@ -225,7 +225,7 @@ impl FaultPlan {
         while t < until {
             self = self.at(t, FaultAction::LinkDown { a, b });
             self = self.at(t + down_time, FaultAction::LinkUp { a, b });
-            t = t + period;
+            t += period;
         }
         self
     }

@@ -95,12 +95,6 @@ impl Rng {
         lo + (hi - lo) * self.f64()
     }
 
-    /// Bernoulli trial with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Exponentially distributed value with the given mean (used for Poisson
     /// inter-arrival times).
     #[inline]
