@@ -149,14 +149,6 @@ impl Rng {
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.below(xs.len() as u64) as usize]
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 /// Stateless 64-bit mix suitable for ECMP-style flow hashing: deterministic,
@@ -323,17 +315,6 @@ mod tests {
         let mut r = Rng::seed_from_u64(19);
         let d = r.exp_duration(Duration::from_micros(100));
         assert!(d.as_nanos() > 0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::seed_from_u64(23);
-        let mut xs: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>(), "astronomically unlikely");
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //!
 //! The model is byte-counted TCP without SACK: slow start, congestion
 //! avoidance, NewReno fast retransmit/recovery on three duplicate ACKs,
-//! go-back-N on RTO with exponential backoff, and ECN reactions per
-//! [`CcKind`]. This is the fidelity class of the ns-3 models the paper's
-//! simulations use.
+//! go-back-N on RTO with exponential backoff, and DCTCP's ECN reaction.
+//! This is the fidelity class of the ns-3 models the paper's simulations
+//! use.
 
-use crate::config::{CcKind, TcpConfig};
-use crate::rtt::RttEstimator;
+use crate::config::{
+    TcpConfig, DCTCP_G, DCTCP_INIT_ALPHA, DELACK_TIMEOUT, INIT_CWND_SEGS, MAX_CWND, MSS,
+};
+use crate::rtt::{RttEstimator, RTO_MAX};
 use ecnsharp_net::{Ctx, Ecn, FlowCmd, FlowId, NodeId, Packet};
 use ecnsharp_sim::SimTime;
 use std::collections::BTreeMap;
@@ -62,7 +64,7 @@ pub struct Sender {
     /// When `snd_una` passes this, fold the counters into `alpha`.
     alpha_seq: u64,
     /// Congestion-window-reduced until `snd_una` passes this (one reaction
-    /// per window, both for DCTCP and ECN-TCP).
+    /// per window).
     cwr_end: Option<u64>,
 }
 
@@ -73,15 +75,15 @@ impl Sender {
             state: SenderState::SynSent,
             snd_una: 0,
             snd_nxt: 0,
-            cwnd: cfg.init_cwnd_bytes(),
-            ssthresh: cfg.max_cwnd as f64,
+            cwnd: (INIT_CWND_SEGS * MSS) as f64,
+            ssthresh: MAX_CWND as f64,
             dupacks: 0,
             recover: None,
-            rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto, cfg.init_rto),
+            rtt: RttEstimator::new(),
             backoff: 1,
             rto_streak: 0,
             timeouts: 0,
-            alpha: cfg.dctcp_init_alpha,
+            alpha: DCTCP_INIT_ALPHA,
             acked_bytes: 0,
             marked_bytes: 0,
             alpha_seq: 0,
@@ -100,10 +102,6 @@ impl Sender {
         matches!(self.state, SenderState::Done | SenderState::Failed)
     }
 
-    fn mss(&self) -> u64 {
-        self.cfg.mss
-    }
-
     fn send_syn(&mut self, ctx: &mut Ctx<'_>) {
         let mut p = Packet::data(self.cmd.flow, self.cmd.src, self.cmd.dst, 0, 0);
         p.set_syn(true);
@@ -115,7 +113,7 @@ impl Sender {
     }
 
     fn send_segment(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
-        let len = self.mss().min(self.cmd.size - seq);
+        let len = MSS.min(self.cmd.size - seq);
         debug_assert!(len > 0);
         let mut p = Packet::data(self.cmd.flow, self.cmd.src, self.cmd.dst, seq, len);
         // The segment that ends the flow tells the receiver so (see
@@ -128,9 +126,9 @@ impl Sender {
 
     /// Transmit whatever the window allows.
     fn send_available(&mut self, ctx: &mut Ctx<'_>) {
-        let cwnd = (self.cwnd as u64).min(self.cfg.max_cwnd);
+        let cwnd = (self.cwnd as u64).min(MAX_CWND);
         while self.snd_nxt < self.cmd.size {
-            let len = self.mss().min(self.cmd.size - self.snd_nxt);
+            let len = MSS.min(self.cmd.size - self.snd_nxt);
             let in_flight = self.snd_nxt - self.snd_una;
             if in_flight + len > cwnd {
                 break;
@@ -142,9 +140,10 @@ impl Sender {
     }
 
     /// (Re-)arm the retransmission timer: the pending deadline on the
-    /// engine's timer wheel is replaced in place.
+    /// engine's timer wheel is replaced in place. The backed-off timeout
+    /// is clamped to [`RTO_MAX`] (RFC 6298 §5.5).
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
-        let timeout = self.rtt.rto() * self.backoff as u64;
+        let timeout = (self.rtt.rto() * self.backoff as u64).min(RTO_MAX);
         ctx.arm_timer(timeout, timer_key(self.cmd.flow, TimerKind::Rto));
     }
 
@@ -207,12 +206,10 @@ impl Sender {
             self.marked_bytes += acked;
         }
         if self.snd_una >= self.alpha_seq {
-            if let CcKind::Dctcp { g } = self.cfg.cc {
-                if self.acked_bytes > 0 {
-                    let frac = self.marked_bytes as f64 / self.acked_bytes as f64;
-                    self.alpha = (1.0 - g) * self.alpha + g * frac;
-                    ctx.emit_alpha(self.cmd.flow, self.alpha);
-                }
+            if self.acked_bytes > 0 {
+                let frac = self.marked_bytes as f64 / self.acked_bytes as f64;
+                self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * frac;
+                ctx.emit_alpha(self.cmd.flow, self.alpha);
             }
             self.acked_bytes = 0;
             self.marked_bytes = 0;
@@ -235,31 +232,27 @@ impl Sender {
                 // Normal growth.
                 if self.cwnd < self.ssthresh {
                     // Slow start: one MSS per ACK (bounded by acked bytes).
-                    self.cwnd += acked.min(self.mss()) as f64;
+                    self.cwnd += acked.min(MSS) as f64;
                 } else {
                     // Congestion avoidance: ~one MSS per RTT.
-                    self.cwnd += (self.mss() * self.mss()) as f64 / self.cwnd
-                        * (acked as f64 / self.mss() as f64).min(1.0);
+                    self.cwnd +=
+                        (MSS * MSS) as f64 / self.cwnd * (acked as f64 / MSS as f64).min(1.0);
                 }
-                self.cwnd = self.cwnd.min(self.cfg.max_cwnd as f64);
+                self.cwnd = self.cwnd.min(MAX_CWND as f64);
             }
         }
 
-        // ECN reaction, at most once per window, never during loss
-        // recovery (loss already cut the window).
+        // DCTCP's ECN reaction, `cwnd ← cwnd·(1 − α/2)`: at most once per
+        // window, never during loss recovery (loss already cut the window).
+        // An α decayed below f64 resolution rounds the factor to 1: no cut,
+        // so no CWR window either.
         if pkt.flags().ece && self.recover.is_none() {
             let past_cwr = self.cwr_end.is_none_or(|e| self.snd_una >= e);
-            if past_cwr {
-                let factor = match self.cfg.cc {
-                    CcKind::Dctcp { .. } => 1.0 - self.alpha / 2.0,
-                    CcKind::EcnTcp => 0.5,
-                    CcKind::Reno => 1.0,
-                };
-                if factor < 1.0 {
-                    self.cwnd = (self.cwnd * factor).max((2 * self.mss()) as f64);
-                    self.ssthresh = self.cwnd;
-                    self.cwr_end = Some(self.snd_nxt);
-                }
+            let factor = 1.0 - self.alpha / 2.0;
+            if past_cwr && factor < 1.0 {
+                self.cwnd = (self.cwnd * factor).max((2 * MSS) as f64);
+                self.ssthresh = self.cwnd;
+                self.cwr_end = Some(self.snd_nxt);
             }
         }
 
@@ -277,15 +270,15 @@ impl Sender {
         self.dupacks += 1;
         if self.recover.is_some() {
             // NewReno window inflation keeps the pipe full in recovery.
-            self.cwnd += self.mss() as f64;
+            self.cwnd += MSS as f64;
             self.send_available(ctx);
             return;
         }
         if self.dupacks == 3 {
             // Fast retransmit.
             let flight = (self.snd_nxt - self.snd_una) as f64;
-            self.ssthresh = (flight / 2.0).max((2 * self.mss()) as f64);
-            self.cwnd = self.ssthresh + (3 * self.mss()) as f64;
+            self.ssthresh = (flight / 2.0).max((2 * MSS) as f64);
+            self.cwnd = self.ssthresh + (3 * MSS) as f64;
             self.recover = Some(self.snd_nxt);
             ctx.emit_cwnd(self.cmd.flow, self.cwnd as u64, self.ssthresh as u64);
             let seq = self.snd_una;
@@ -322,9 +315,8 @@ impl Sender {
                     return;
                 }
                 // Classic RTO reaction: collapse to one segment, go-back-N.
-                self.ssthresh =
-                    ((self.snd_nxt - self.snd_una) as f64 / 2.0).max((2 * self.mss()) as f64);
-                self.cwnd = self.mss() as f64;
+                self.ssthresh = ((self.snd_nxt - self.snd_una) as f64 / 2.0).max((2 * MSS) as f64);
+                self.cwnd = MSS as f64;
                 ctx.emit_cwnd(self.cmd.flow, self.cwnd as u64, self.ssthresh as u64);
                 self.snd_nxt = self.snd_una;
                 self.dupacks = 0;
@@ -532,13 +524,10 @@ impl Receiver {
             // this logical one (deadlines are `now + timeout` and `now` is
             // monotone), so the early firing re-arms forward rather than
             // missing it.
-            self.delack_deadline = Some(ctx.now + self.cfg.delack_timeout);
+            self.delack_deadline = Some(ctx.now + DELACK_TIMEOUT);
             if !self.delack_armed {
                 self.delack_armed = true;
-                ctx.arm_timer(
-                    self.cfg.delack_timeout,
-                    timer_key(self.flow, TimerKind::DelAck),
-                );
+                ctx.arm_timer(DELACK_TIMEOUT, timer_key(self.flow, TimerKind::DelAck));
             }
         }
     }
@@ -787,6 +776,23 @@ mod tests {
     }
 
     #[test]
+    fn ece_cut_is_one_minus_half_alpha() {
+        let (mut s, _) = established(100_000_000);
+        // One clean ACK folds α and moves the fold point past the next ACK.
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::detached(SimTime::from_micros(300), NodeId(0), &mut actions);
+        s.on_ack(&mut ctx, &ack_pkt(1460, false, 200));
+        s.alpha = 0.5;
+        let before = s.cwnd;
+        // An ECE ACK inside the fold window: slow start adds one MSS, then
+        // DCTCP cuts by α/2 with α as set.
+        let mut ctx = Ctx::detached(SimTime::from_micros(301), NodeId(0), &mut actions);
+        s.on_ack(&mut ctx, &ack_pkt(2920, true, 200));
+        let want = (before + MSS as f64) * 0.75;
+        assert!((s.cwnd - want).abs() < 1e-9, "cwnd {} want {want}", s.cwnd);
+    }
+
+    #[test]
     fn three_dupacks_trigger_fast_retransmit() {
         let (mut s, _) = established(10_000_000);
         // Ack first segment so snd_una = 1460 and more data flies.
@@ -924,6 +930,36 @@ mod tests {
     }
 
     #[test]
+    fn backed_off_rto_is_clamped_to_rto_max() {
+        // SYN at 1 ms, SYN-ACK at 201 ms: srtt 200 ms, rttvar 100 ms, so
+        // the RTO is 600 ms and the first doubling would pass `RTO_MAX`.
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::detached(SimTime::from_millis(1), NodeId(0), &mut actions);
+        let mut s = Sender::start(sender_cmd(10_000_000), TcpConfig::dctcp(), &mut ctx);
+        let mut ctx = Ctx::detached(SimTime::from_millis(201), NodeId(0), &mut actions);
+        let mut synack = Packet::ack(FlowId(1), NodeId(1), NodeId(0), 0);
+        synack.set_syn(true);
+        synack.ts = SimTime::from_millis(1);
+        s.on_ack(&mut ctx, &synack);
+        assert_eq!(s.rtt.rto(), Duration::from_millis(600));
+        for k in 0..3u64 {
+            let now = SimTime::from_secs(1 + k);
+            let mut actions = Vec::new();
+            let mut ctx = Ctx::detached(now, NodeId(0), &mut actions);
+            s.on_rto(&mut ctx);
+            let armed: Vec<Duration> = actions
+                .iter()
+                .filter_map(|a| match a {
+                    ecnsharp_net::Action::ArmTimer(at, _) => Some(at.saturating_since(now)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(armed.len(), 1, "RTO #{k} re-arms once");
+            assert!(armed[0] <= RTO_MAX, "RTO #{k} armed {:?} out", armed[0]);
+        }
+    }
+
+    #[test]
     fn late_ack_after_rto_rewind_is_safe() {
         // Regression test: an ACK beyond snd_nxt after go-back-N must not
         // underflow the in-flight computation.
@@ -944,7 +980,7 @@ mod tests {
 
     #[test]
     fn receiver_reassembles_out_of_order() {
-        let cfg = TcpConfig::default();
+        let cfg = TcpConfig::dctcp();
         let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, cfg);
         let mut actions = Vec::new();
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(1), &mut actions);
@@ -960,7 +996,7 @@ mod tests {
 
     #[test]
     fn receiver_acks_syn_with_synack() {
-        let cfg = TcpConfig::default();
+        let cfg = TcpConfig::dctcp();
         let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, cfg);
         let mut actions = Vec::new();
         let mut ctx = Ctx::detached(SimTime::from_micros(9), NodeId(1), &mut actions);
@@ -979,7 +1015,7 @@ mod tests {
 
     #[test]
     fn receiver_echoes_ce_per_packet() {
-        let cfg = TcpConfig::default(); // delack_count = 1: per-packet ACKs
+        let cfg = TcpConfig::dctcp(); // delack_count = 1: per-packet ACKs
         let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, cfg);
         let mut actions = Vec::new();
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(1), &mut actions);
@@ -1001,7 +1037,7 @@ mod tests {
 
     #[test]
     fn duplicate_data_triggers_dup_ack() {
-        let cfg = TcpConfig::default();
+        let cfg = TcpConfig::dctcp();
         let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, cfg);
         let mut actions = Vec::new();
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(1), &mut actions);
@@ -1030,9 +1066,8 @@ mod tests {
 
     #[test]
     fn batched_delack_never_cancels_and_suppresses_spent_token() {
-        let cfg = delack2_cfg();
-        let timeout = cfg.delack_timeout;
-        let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, cfg);
+        let timeout = DELACK_TIMEOUT;
+        let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, delack2_cfg());
 
         // First in-order segment: below the count threshold, so no ACK and
         // exactly one physical wheel arm.
@@ -1061,9 +1096,8 @@ mod tests {
 
     #[test]
     fn batched_delack_pushes_early_fire_to_live_deadline() {
-        let cfg = delack2_cfg();
-        let timeout = cfg.delack_timeout;
-        let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, cfg);
+        let timeout = DELACK_TIMEOUT;
+        let mut r = Receiver::new(FlowId(1), NodeId(1), NodeId(0), 0, delack2_cfg());
 
         // t=0: segment arms the token (physical deadline = timeout).
         let mut actions = Vec::new();
@@ -1167,8 +1201,8 @@ mod tests {
                 (us(5), 2920, false),
                 (us(15), 5840, false),
                 (us(20), 7300, true),
-                // Timer-driven: `delack_timeout` after the last arrival.
-                (us(20) + TcpConfig::dctcp().delack_timeout, 7300, false),
+                // Timer-driven: `DELACK_TIMEOUT` after the last arrival.
+                (us(20) + DELACK_TIMEOUT, 7300, false),
             ]
         );
     }

@@ -1,21 +1,18 @@
 //! # ecnsharp-transport
 //!
-//! Endpoint transport for the ECN♯ reproduction: a byte-counted TCP with
-//! pluggable ECN congestion control, packaged as an
-//! [`ecnsharp_net::Agent`].
-//!
-//! - **DCTCP** ([`CcKind::Dctcp`]) — the evaluation default (paper §5.1):
-//!   the receiver echoes CE per packet (with the DCTCP delayed-ACK state
-//!   machine when ACK coalescing is on), the sender maintains
-//!   `α ← (1−g)·α + g·F` per window and cuts `cwnd ← cwnd·(1 − α/2)`.
-//! - **ECN-TCP** ([`CcKind::EcnTcp`]) — classic RFC 3168 behaviour: halve
-//!   once per window on ECE (λ = 1).
-//! - **Reno** ([`CcKind::Reno`]) — loss-only control.
+//! Endpoint transport for the ECN♯ reproduction: a byte-counted TCP
+//! running DCTCP, as every endhost does in the paper's evaluation (§5.1),
+//! packaged as an [`ecnsharp_net::Agent`]. The receiver echoes CE per
+//! packet (with the DCTCP delayed-ACK state machine when ACK coalescing is
+//! on); the sender maintains `α ← (1−g)·α + g·F` per window and cuts
+//! `cwnd ← cwnd·(1 − α/2)`. Every setting no caller varies is a constant
+//! in [`config`] or [`rtt`].
 //!
 //! Loss recovery is NewReno (3 dup-ACKs → fast retransmit, partial-ACK
 //! retransmissions), with go-back-N and exponential backoff on RTO. The
-//! RTO floor defaults to 5 ms — the datacenter setting that makes each
-//! incast timeout cost "more than 1 ms" of FCT as the paper observes.
+//! RTO floor is 5 ms ([`rtt::RTO_MIN`]) — the datacenter setting that
+//! makes each incast timeout cost "more than 1 ms" of FCT as the paper
+//! observes.
 //!
 //! ```
 //! use ecnsharp_transport::{TcpStack, TcpConfig};
@@ -48,7 +45,7 @@ pub mod conn;
 pub mod rtt;
 pub mod stack;
 
-pub use config::{CcKind, TcpConfig};
+pub use config::TcpConfig;
 pub use conn::{Receiver, Sender, SenderState};
 pub use rtt::RttEstimator;
 pub use stack::TcpStack;

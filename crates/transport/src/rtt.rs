@@ -3,30 +3,25 @@
 
 use ecnsharp_sim::Duration;
 
+/// Lower clamp on the retransmission timeout. Datacenter stacks run
+/// single-digit milliseconds (the paper notes one timeout costs >1 ms).
+pub const RTO_MIN: Duration = Duration::from_millis(5);
+/// RTO before the first RTT sample.
+pub const RTO_INIT: Duration = Duration::from_millis(10);
+/// Upper clamp on the RTO, the backed-off one included (RFC 6298 §5.5).
+pub const RTO_MAX: Duration = Duration::from_secs(1);
+
 /// Jacobson/Karels smoothed RTT estimator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RttEstimator {
     srtt: Option<f64>,
     rttvar: f64,
-    min_rto: Duration,
-    max_rto: Duration,
-    init_rto: Duration,
-    /// Smallest RTT ever observed (the flow's base RTT estimate).
-    min_rtt: Option<Duration>,
 }
 
 impl RttEstimator {
-    /// Create with the given RTO clamps and the RTO used before any sample.
-    pub fn new(min_rto: Duration, max_rto: Duration, init_rto: Duration) -> Self {
-        assert!(min_rto <= max_rto);
-        RttEstimator {
-            srtt: None,
-            rttvar: 0.0,
-            min_rto,
-            max_rto,
-            init_rto,
-            min_rtt: None,
-        }
+    /// Create with no sample yet: [`RttEstimator::rto`] is [`RTO_INIT`].
+    pub fn new() -> Self {
+        RttEstimator::default()
     }
 
     /// Feed one RTT sample.
@@ -43,10 +38,6 @@ impl RttEstimator {
                 self.srtt = Some(0.875 * srtt + 0.125 * r);
             }
         }
-        self.min_rtt = Some(match self.min_rtt {
-            None => rtt,
-            Some(m) => m.min(rtt),
-        });
     }
 
     /// Current smoothed RTT, if any sample has been seen.
@@ -54,19 +45,14 @@ impl RttEstimator {
         self.srtt.map(Duration::from_secs_f64)
     }
 
-    /// Smallest observed RTT (base-RTT estimate).
-    pub fn min_rtt(&self) -> Option<Duration> {
-        self.min_rtt
-    }
-
     /// Retransmission timeout: `srtt + 4·rttvar`, clamped to
-    /// `[min_rto, max_rto]`; the initial RTO before any sample.
+    /// `[RTO_MIN, RTO_MAX]`; [`RTO_INIT`] before any sample.
     pub fn rto(&self) -> Duration {
         match self.srtt {
-            None => self.init_rto,
+            None => RTO_INIT,
             Some(srtt) => {
                 let raw = Duration::from_secs_f64(srtt + 4.0 * self.rttvar);
-                raw.max(self.min_rto).min(self.max_rto)
+                raw.max(RTO_MIN).min(RTO_MAX)
             }
         }
     }
@@ -76,33 +62,25 @@ impl RttEstimator {
 mod tests {
     use super::*;
 
-    fn est() -> RttEstimator {
-        RttEstimator::new(
-            Duration::from_millis(5),
-            Duration::from_secs(1),
-            Duration::from_millis(10),
-        )
-    }
-
     #[test]
     fn initial_rto_used_before_samples() {
-        let e = est();
-        assert_eq!(e.rto(), Duration::from_millis(10));
+        let e = RttEstimator::new();
+        assert_eq!(e.rto(), RTO_INIT);
         assert!(e.srtt().is_none());
     }
 
     #[test]
     fn first_sample_initializes() {
-        let mut e = est();
+        let mut e = RttEstimator::new();
         e.sample(Duration::from_micros(100));
         assert_eq!(e.srtt().unwrap(), Duration::from_micros(100));
         // rto = srtt + 4*rttvar = 100 + 200 = 300 us, clamped up to 5 ms.
-        assert_eq!(e.rto(), Duration::from_millis(5));
+        assert_eq!(e.rto(), RTO_MIN);
     }
 
     #[test]
     fn converges_to_stable_rtt() {
-        let mut e = est();
+        let mut e = RttEstimator::new();
         for _ in 0..100 {
             e.sample(Duration::from_micros(200));
         }
@@ -112,35 +90,20 @@ mod tests {
 
     #[test]
     fn rto_clamped_to_max() {
-        let mut e = RttEstimator::new(
-            Duration::from_millis(1),
-            Duration::from_millis(50),
-            Duration::from_millis(10),
-        );
+        let mut e = RttEstimator::new();
         e.sample(Duration::from_millis(500));
-        assert_eq!(e.rto(), Duration::from_millis(50));
+        // 500 ms + 4 · 250 ms = 1.5 s, clamped down.
+        assert_eq!(e.rto(), RTO_MAX);
     }
 
     #[test]
     fn variance_raises_rto() {
-        let mut e = RttEstimator::new(
-            Duration::from_nanos(1),
-            Duration::from_secs(10),
-            Duration::from_millis(10),
-        );
+        let mut e = RttEstimator::new();
         for i in 0..50 {
-            e.sample(Duration::from_micros(if i % 2 == 0 { 100 } else { 900 }));
+            e.sample(Duration::from_millis(if i % 2 == 0 { 1 } else { 9 }));
         }
-        // With heavy oscillation the RTO must exceed the mean RTT.
-        assert!(e.rto() > Duration::from_micros(500), "{:?}", e.rto());
-    }
-
-    #[test]
-    fn min_rtt_tracks_floor() {
-        let mut e = est();
-        e.sample(Duration::from_micros(300));
-        e.sample(Duration::from_micros(120));
-        e.sample(Duration::from_micros(250));
-        assert_eq!(e.min_rtt().unwrap(), Duration::from_micros(120));
+        // The mean RTT and the floor are both 5 ms; heavy oscillation must
+        // lift the RTO well above them.
+        assert!(e.rto() > Duration::from_millis(10), "{:?}", e.rto());
     }
 }

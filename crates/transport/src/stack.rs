@@ -494,29 +494,4 @@ mod tests {
         assert_eq!(serial.0, residue(0, 0, 40));
         assert_eq!(serial, run(true));
     }
-
-    #[test]
-    fn ecn_tcp_halves_instead_of_proportional() {
-        // Both run over a marking bottleneck; DCTCP should sustain higher
-        // goodput than ECN-TCP at an aggressive (low) threshold because its
-        // cuts are proportional.
-        let run = |cfg: TcpConfig| {
-            let mut d = dumbbell_with(
-                PortConfig::fifo(1_000_000, Box::new(DctcpRed::with_threshold(30_000))),
-                cfg,
-            );
-            let (a, b) = (d.a, d.b);
-            d.net
-                .schedule_flow(SimTime::ZERO, flow(1, a, b, 30_000_000));
-            d.net.run_until_idle();
-            let r = &d.net.records()[0];
-            (r.size * 8) as f64 / r.fct().as_secs_f64() / 1e9
-        };
-        let dctcp = run(TcpConfig::dctcp());
-        let ecn = run(TcpConfig::ecn_tcp());
-        assert!(
-            dctcp > ecn * 1.02,
-            "dctcp {dctcp} Gbps vs ecn-tcp {ecn} Gbps"
-        );
-    }
 }

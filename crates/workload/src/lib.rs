@@ -21,13 +21,11 @@ pub mod cdf;
 pub mod dists;
 pub mod processing;
 pub mod rtt;
-pub mod synth;
 pub mod traffic;
 
 pub use cdf::PiecewiseCdf;
 pub use processing::{measure_case, Component, RttSampleStats, Table1Case};
 pub use rtt::{RttStats, RttVariation};
-pub use synth::{permutation_pairs, SizeDist};
 pub use traffic::{IncastSpec, Pattern, TrafficSpec};
 
 // Compile-time shard-safety proofs: workload generators are cloned into
@@ -38,5 +36,4 @@ const _: () = {
     assert_send_sync::<PiecewiseCdf>();
     assert_send_sync::<RttVariation>();
     assert_send_sync::<TrafficSpec>();
-    assert_send_sync::<SizeDist>();
 };

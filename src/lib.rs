@@ -50,7 +50,7 @@ pub use ecnsharp_net as net;
 /// Typed telemetry events, subscribers, histograms and sinks.
 pub use ecnsharp_telemetry as telemetry;
 
-/// DCTCP / ECN-TCP endpoint transport.
+/// DCTCP endpoint transport.
 pub use ecnsharp_transport as transport;
 
 /// Workloads: CDFs, Poisson traffic, incast, RTT variation.
