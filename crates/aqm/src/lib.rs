@@ -27,8 +27,6 @@
 //!    (CoDel, TCN, ECN♯) decide here; this is also what makes them work
 //!    unchanged underneath multi-queue packet schedulers (§5.4).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 // Hot path (per packet or per event): a panic aborts a whole figure run.
 #![deny(
     clippy::unwrap_used,

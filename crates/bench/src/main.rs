@@ -27,9 +27,6 @@
 //! PERFORMANCE.md "Microbenches" has the run-by-run record behind every
 //! budget; whole simulations are timed by `benchmark/`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use ecnsharp_aqm::{DctcpRed, DropTail};
 use ecnsharp_net::topology::{dumbbell, Dumbbell};
 use ecnsharp_net::{

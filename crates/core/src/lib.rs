@@ -49,8 +49,6 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 // Hot path (per packet or per event): a panic aborts a whole figure run.
 #![deny(
     clippy::unwrap_used,

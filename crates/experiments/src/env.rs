@@ -5,9 +5,8 @@
 //! it and exit 2), never a silent fallback.
 //!
 //! Knob inventory — 8 here; with `ECNSHARP_BLESS_GOLDEN` (read by the
-//! golden-figure test) and the lint fixture's `ECNSHARP_FIXTURE`, 10
-//! `ECNSHARP_*` names in the tree. Supervision budgets are constants
-//! (`Supervision::armed`), not knobs.
+//! golden-figure test), 9 `ECNSHARP_*` names in the tree. Supervision
+//! budgets are constants (`Supervision::armed`), not knobs.
 //!
 //! | knob | values | default |
 //! |------|--------|---------|

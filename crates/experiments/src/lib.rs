@@ -7,9 +7,6 @@
 //! See `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured outcomes.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod env;
 pub mod figures;
 pub mod perf;

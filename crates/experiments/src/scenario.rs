@@ -291,7 +291,10 @@ pub struct ChaosResult {
 /// supervision suite pins both). `inject_livelock` schedules a
 /// self-rescheduling zero-delay drill event early in the run so the
 /// `ProgressGuard` must trip — the `ECNSHARP_DRILL=livelock` leg.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per chaos-sweep axis, plus seed, shards, supervision and the drill switch"
+)]
 pub fn run_chaos_leaf_spine(
     scheme: Scheme,
     mean_loss: f64,

@@ -26,9 +26,6 @@
 //! over the subscriber with a [`NoopSubscriber`] default whose emission
 //! sites fold away entirely; see OBSERVABILITY.md.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Deliver one telemetry event to a subscriber.
 ///
 /// Expands the event construction *inside* an `if S::ENABLED` guard, so

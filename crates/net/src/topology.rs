@@ -58,7 +58,10 @@ pub fn star(
 }
 
 /// [`star`] with a telemetry subscriber attached from the first event.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "`star`'s seven arguments plus the subscriber"
+)]
 pub fn star_with_subscriber<S: Subscriber>(
     seed: u64,
     n_hosts: usize,
@@ -187,7 +190,10 @@ impl<S: Subscriber> LeafSpine<S> {
 ///
 /// `edge_rate`/`fabric_rate` are the host-to-leaf and leaf-to-spine link
 /// rates (the paper uses 10 Gbps for both).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per fabric dimension, link rate and port factory, as the figures name them"
+)]
 pub fn leaf_spine(
     seed: u64,
     n_spines: usize,
@@ -216,7 +222,10 @@ pub fn leaf_spine(
 }
 
 /// [`leaf_spine`] with a telemetry subscriber attached from the first event.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "`leaf_spine`'s ten arguments plus the subscriber"
+)]
 pub fn leaf_spine_with_subscriber<S: Subscriber>(
     seed: u64,
     n_spines: usize,
@@ -363,7 +372,10 @@ impl<S: Subscriber> FatTree<S> {
 /// # Panics
 ///
 /// If `k` is odd or less than 2.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per fabric dimension, link rate and port factory, as the figures name them"
+)]
 pub fn fat_tree(
     seed: u64,
     k: usize,
@@ -388,7 +400,10 @@ pub fn fat_tree(
 }
 
 /// [`fat_tree`] with a telemetry subscriber attached from the first event.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "`fat_tree`'s eight arguments plus the subscriber"
+)]
 pub fn fat_tree_with_subscriber<S: Subscriber>(
     seed: u64,
     k: usize,
@@ -487,7 +502,10 @@ pub struct Dumbbell {
 
 /// Build a [`Dumbbell`]. Edge links run at `edge_rate`; the middle link at
 /// `bottleneck_rate` with `bottleneck_port()` as its (AQM-bearing) config.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each end's agent and the bottleneck port are separate arguments"
+)]
 pub fn dumbbell(
     seed: u64,
     edge_rate: Rate,

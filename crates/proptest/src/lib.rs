@@ -33,9 +33,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod collection;
 pub mod strategy;
 

@@ -17,8 +17,6 @@
 //! sits at the port and sees packets in whatever order the scheduler
 //! releases them. This crate is what makes that claim testable.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 // Hot path (per packet or per event): a panic aborts a whole figure run.
 #![deny(
     clippy::unwrap_used,

@@ -25,9 +25,6 @@
 //! assert!(sample.as_nanos() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod invariant;
 pub mod queue;
 pub mod rate;

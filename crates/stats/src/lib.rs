@@ -11,9 +11,6 @@
 //!   binary;
 //! - percentile/mean helpers.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod fct;
 pub mod hist;
 pub mod percentile;

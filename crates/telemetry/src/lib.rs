@@ -33,8 +33,6 @@
 //! subscriber compiles down to nothing (held by the `telemetry_noop`
 //! gate of `cargo xtask bench`; see OBSERVABILITY.md).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 // Hot path (per packet or per event): a panic aborts a whole figure run.
 #![deny(
     clippy::unwrap_used,

@@ -205,8 +205,10 @@ mod tests {
     }
 
     #[test]
-    // The whole point is that these are compile-time constants.
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(
+        clippy::assertions_on_constants,
+        reason = "the whole point is that these are compile-time constants"
+    )]
     fn noop_is_disabled_and_real_subscribers_are_enabled() {
         assert!(!NoopSubscriber::ENABLED);
         assert!(Counting::ENABLED);

@@ -18,9 +18,6 @@
 //! reference `ecnsharp_core::EcnSharp` and is differential-tested against
 //! it packet-for-packet.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod pipeline;
 pub mod register;
 pub mod time_emu;

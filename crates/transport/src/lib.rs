@@ -37,9 +37,6 @@
 //! assert_eq!(d.net.records().len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod config;
 pub mod conn;
 pub mod rtt;

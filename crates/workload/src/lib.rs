@@ -14,9 +14,6 @@
 //!   (stack / SLB / hypervisor / load), for reproducing Fig. 1 and
 //!   Table 1.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cdf;
 pub mod dists;
 pub mod processing;

@@ -30,9 +30,8 @@ fn succeeds(cmd: &mut Command) -> bool {
 /// every pair is within its budget.
 pub fn run(root: &Path) -> bool {
     let build = |extra: &[&str]| {
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
         succeeds(
-            Command::new(cargo)
+            crate::cargo()
                 .args(["build", "--release", "-p", "ecnsharp-bench"])
                 .args(extra)
                 .current_dir(root),

@@ -10,42 +10,38 @@
 //! | no default-hasher `HashMap`/`HashSet` | clippy `disallowed_types` |
 //! | no `.unwrap()`/`.expect()`/`panic!`/`unreachable!` on hot paths | clippy `unwrap_used`/`expect_used`/`panic`/`unreachable`, `#![deny]` in aqm/core/sched/telemetry and six net/sim files |
 //! | no float `==`/`!=` | clippy `float_cmp` |
+//! | no `unsafe` | rustc `unsafe_code = "forbid"` |
+//! | every public item documented | rustc `missing_docs = "warn"` |
+//! | every suppression is an `#[expect]` with a reason | clippy `allow_attributes` (outer `#[allow]`) + `allow_attributes_without_reason`, rustc `unfulfilled_lint_expectations` |
 //! | shard-boundary types stay `Send` | the `assert_send` proofs in each crate root |
-//! | R6: `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` in every crate root | `cargo xtask lint` |
-//! | R7 `shared-state`: no `static mut` / interior-mutability `static`s | `cargo xtask lint` (sim-facing + harness, non-test) |
-//! | R9 `float-comparator`: no `partial_cmp().unwrap()` comparators | `cargo xtask lint` (sim-facing + harness, non-test) |
-//! | R10 `env-read`: `std::env::var` only in the crate's `env.rs` | `cargo xtask lint` (sim-facing + harness, non-test) |
-//! | R11: every waiver is checked | `cargo xtask lint` + rustc |
+//! | R6: every member `Cargo.toml` inherits `[workspace.lints]` | `cargo xtask lint` |
+//! | R7: no `static mut` / interior-mutability `static`s | `cargo xtask lint` (sim-facing + harness, non-test) |
+//! | R9: no `partial_cmp().unwrap()` comparators | `cargo xtask lint` (sim-facing + harness, non-test) |
+//! | R10: `std::env::var` only in the crate's `env.rs` | `cargo xtask lint` (sim-facing + harness, non-test) |
+//! | R11: no inner `#![allow]`; waivers of deny-level lints match `WAIVERS.budget` | `cargo xtask lint` |
 //!
-//! Two waiver forms, each checked (R11). R7/R9/R10 findings are waived
-//! with `// lint: allow(<slug>) <reason>` on the line or the line above,
-//! and the lint fails when one suppresses nothing. A deny-level compiler
-//! lint is waived with `#[expect(<lint>, reason = "..")]`; rustc fails
-//! the build once one suppresses nothing
-//! (`unfulfilled_lint_expectations = "deny"`), and the lint fails on a
-//! plain `#[allow]` of one. `WAIVERS.budget` at the workspace root holds
-//! the count of both, keyed by slug or lint name; the lint fails when
-//! the counts drift from it, so waiver growth is always a reviewed diff.
-//! `cargo xtask selftest` proves each rule fires on a seeded violation
-//! fixture (see `fixtures/`), and `cargo xtask ci` chains fmt → clippy
-//! (both feature sets) → lint → selftest → build → tests.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! The first three groups live in the root `Cargo.toml`'s
+//! `[workspace.lints]`, which R6 keeps every crate inheriting. The
+//! `cargo xtask lint` rules cannot be waived. A deny-level compiler lint is waived with
+//! `#[expect(<lint>, reason = "..")]`; rustc fails the build once one
+//! suppresses nothing. `WAIVERS.budget` at the workspace root holds their
+//! count per lint, and the lint fails when the counts drift from it, so
+//! waiver growth is always a reviewed diff. `cargo xtask ci` chains fmt →
+//! clippy (both feature sets) → lint → build → tests.
 
 pub mod bench;
 pub mod rules;
 pub mod scan;
-pub mod selftest;
 
 pub use rules::{Rule, Violation};
 
-use rules::{analyze_file, check_lib_headers, denied_lints};
+use rules::{analyze_file, check_manifest, denied_lints};
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// How the linter treats one file, derived from its workspace path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,64 +53,45 @@ pub struct FileClass {
     pub test_file: bool,
 }
 
-/// Crates whose code shapes simulation results, the sweep harness
-/// (`experiments`) included: hidden global state or scattered knob reads
-/// here silently break reproducibility.
-pub const SIM_FACING_CRATES: [&str; 11] = [
-    "sim",
-    "net",
-    "transport",
-    "aqm",
-    "core",
-    "sched",
-    "workload",
-    "stats",
-    "tofino",
-    "telemetry",
-    "experiments",
-];
+/// Host-side tooling crates, which shape no simulation result. Every
+/// other crate, a new one included, is sim-facing.
+pub const HOST_CRATES: [&str; 3] = ["xtask", "bench", "proptest"];
 
-/// Classify a workspace-relative path (forward slashes). Returns `None`
-/// for files the linter skips entirely (the fixtures, generated output).
-pub fn classify(rel: &str) -> Option<FileClass> {
-    if !rel.ends_with(".rs") || rel.starts_with("crates/xtask/fixtures/") {
-        return None;
-    }
-    let sim_facing = SIM_FACING_CRATES
+/// Classify a workspace-relative source path (forward slashes).
+pub fn classify(rel: &str) -> FileClass {
+    let sim_facing = !HOST_CRATES
         .iter()
         .any(|c| rel.starts_with(&format!("crates/{c}/")));
     let test_file = rel.starts_with("tests/")
         || rel.contains("/tests/")
         || rel.starts_with("examples/")
         || rel.contains("/examples/");
-    Some(FileClass {
+    FileClass {
         sim_facing,
         test_file,
-    })
+    }
 }
 
 /// Everything one workspace lint pass learned.
 #[derive(Debug, Clone)]
 pub struct WorkspaceReport {
-    /// Violations that survived waiver resolution, walk order.
+    /// Violations in walk order.
     pub violations: Vec<Violation>,
-    /// Live waivers per budget key: every waivable rule slug and every
-    /// deny-level lint, zero counts included.
+    /// Live waivers per deny-level lint, zero counts included.
     pub waivers: BTreeMap<String, usize>,
 }
 
-/// Walk the workspace and lint every Rust source file, returning the
-/// full report.
+/// Walk the workspace and lint every Rust source file and member
+/// manifest, returning the full report.
 pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
-    let manifest = fs::read_to_string(root.join("Cargo.toml"))?;
-    Ok(analyze_sources(&manifest, &read_sources(root)?))
+    Ok(analyze_sources(&read_sources(root)?))
 }
 
-/// Every Rust source file the walk reaches, as `(workspace-relative
-/// path, source)` in path order.
+/// Every Rust source file and `Cargo.toml` the walk reaches, as
+/// `(workspace-relative path, text)` in path order.
 fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
+    collect_files(root, root, &mut files)?;
     files.sort();
     files
         .into_iter()
@@ -125,28 +102,29 @@ fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
         .collect()
 }
 
-/// Lint `(workspace-relative path, source)` pairs (rules + the R6
-/// crate-root header check) against the workspace `manifest`.
-pub fn analyze_sources(manifest: &str, sources: &[(String, String)]) -> WorkspaceReport {
-    let denied = denied_lints(manifest, sources.iter().map(|(_, s)| s.as_str()));
+/// Lint `(workspace-relative path, text)` pairs: the rules on each `.rs`
+/// file, R6 on each member manifest, the deny-level lints read from the
+/// root one.
+pub fn analyze_sources(sources: &[(String, String)]) -> WorkspaceReport {
+    let manifest = sources
+        .iter()
+        .find(|(rel, _)| rel == "Cargo.toml")
+        .map_or("", |(_, text)| text.as_str());
+    let rust = sources.iter().filter(|(rel, _)| rel.ends_with(".rs"));
+    let denied = denied_lints(manifest, rust.map(|(_, text)| text.as_str()));
     let mut report = WorkspaceReport {
         violations: Vec::new(),
-        waivers: rules::known_slugs()
-            .into_iter()
-            .map(String::from)
-            .chain(denied.iter().cloned())
-            .map(|key| (key, 0))
-            .collect(),
+        waivers: denied.iter().map(|lint| (lint.clone(), 0)).collect(),
     };
-    for (rel, source) in sources {
-        let Some(class) = classify(rel) else { continue };
-        let file = analyze_file(rel, source, &class, &denied);
-        report.violations.extend(file.violations);
-        for key in file.waivers {
-            *report.waivers.entry(key).or_insert(0) += 1;
-        }
-        if rel.ends_with("/src/lib.rs") || rel == "src/lib.rs" {
-            report.violations.extend(check_lib_headers(rel, source));
+    for (rel, text) in sources {
+        if rel.ends_with(".rs") {
+            let file = analyze_file(rel, text, &classify(rel), &denied);
+            report.violations.extend(file.violations);
+            for lint in file.waivers {
+                *report.waivers.entry(lint).or_insert(0) += 1;
+            }
+        } else if is_member_manifest(rel) {
+            report.violations.extend(check_manifest(rel, text));
         }
     }
     report
@@ -172,7 +150,7 @@ pub fn check_waiver_budget(root: &Path, report: &WorkspaceReport) -> Result<(), 
         let mut parts = line.split_whitespace();
         let (Some(key), Some(count), None) = (parts.next(), parts.next(), parts.next()) else {
             return Err(format!(
-                "{WAIVER_BUDGET_FILE}:{}: expected `<slug or lint> <count>`, got `{line}`",
+                "{WAIVER_BUDGET_FILE}:{}: expected `<lint> <count>`, got `{line}`",
                 idx + 1
             ));
         };
@@ -181,8 +159,7 @@ pub fn check_waiver_budget(root: &Path, report: &WorkspaceReport) -> Result<(), 
             .map_err(|e| format!("{WAIVER_BUDGET_FILE}:{}: bad count `{count}`: {e}", idx + 1))?;
         if !report.waivers.contains_key(key) {
             return Err(format!(
-                "{WAIVER_BUDGET_FILE}:{}: `{key}` is neither a waivable rule slug nor a \
-                 deny-level lint",
+                "{WAIVER_BUDGET_FILE}:{}: `{key}` is not a deny-level lint",
                 idx + 1
             ));
         }
@@ -216,16 +193,15 @@ pub fn check_waiver_budget(root: &Path, report: &WorkspaceReport) -> Result<(), 
 /// Directories never descended into. `benchmark/` is a workspace of its
 /// own with its own lint table, so the root's deny-level lints do not
 /// describe it.
-const SKIP_DIRS: [&str; 6] = [
-    "target",
-    ".git",
-    ".github",
-    "results",
-    "fixtures",
-    "benchmark",
-];
+const SKIP_DIRS: [&str; 5] = ["target", ".git", ".github", "results", "benchmark"];
 
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
+/// Is this `Cargo.toml` a workspace member's (`members = ["crates/*"]`)
+/// or the root's, the manifests R6 checks?
+fn is_member_manifest(rel: &str) -> bool {
+    rel == "Cargo.toml" || (rel.starts_with("crates/") && rel.matches('/').count() == 2)
+}
+
+fn collect_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -235,8 +211,8 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Resul
             if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            collect_rs_files(root, &path, out)?;
-        } else if name.ends_with(".rs") {
+            collect_files(root, &path, out)?;
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
@@ -260,24 +236,38 @@ pub fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// A `cargo` command: the one running this tool (`$CARGO`), else the one
+/// on `PATH`.
+pub fn cargo() -> Command {
+    Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn classification_matrix() {
-        let c = classify("crates/core/src/marker.rs").unwrap();
+        let c = classify("crates/core/src/marker.rs");
         assert!(c.sim_facing && !c.test_file);
-        let c = classify("crates/experiments/src/bin/all.rs").unwrap();
+        let c = classify("crates/experiments/src/bin/all.rs");
         assert!(c.sim_facing && !c.test_file, "the harness shapes results");
-        let c = classify("crates/experiments/tests/race_harness.rs").unwrap();
+        let c = classify("crates/experiments/tests/race_harness.rs");
         assert!(c.sim_facing && c.test_file);
-        let c = classify("crates/net/tests/topology_prop.rs").unwrap();
+        let c = classify("crates/net/tests/topology_prop.rs");
         assert!(c.sim_facing && c.test_file);
-        let c = classify("crates/xtask/src/main.rs").unwrap();
-        assert!(!c.sim_facing);
-        assert!(classify("crates/xtask/fixtures/r7_shared_state.rs").is_none());
-        assert!(classify("README.md").is_none());
+        for host in [
+            "xtask/src/main.rs",
+            "bench/src/main.rs",
+            "proptest/src/lib.rs",
+        ] {
+            assert!(!classify(&format!("crates/{host}")).sim_facing, "{host}");
+        }
+        let c = classify("crates/newcrate/src/a.rs");
+        assert!(
+            c.sim_facing && !c.test_file,
+            "an unlisted crate fails closed"
+        );
     }
 
     #[test]
@@ -303,19 +293,38 @@ mod tests {
         check_waiver_budget(&root, &report).expect("waiver budget");
     }
 
-    /// The workspace's own sources and manifest, plus one planted file.
-    fn workspace_with(planted: &str) -> WorkspaceReport {
-        let root = workspace_root();
-        let mut sources = read_sources(&root).unwrap();
-        sources.push(("crates/stats/src/planted.rs".into(), planted.into()));
-        let manifest = fs::read_to_string(root.join("Cargo.toml")).unwrap();
-        analyze_sources(&manifest, &sources)
+    /// The workspace's own sources and manifests, with `planted` files
+    /// added or, at an existing path, swapped in.
+    fn workspace_with(planted: &[(&str, &str)]) -> WorkspaceReport {
+        let mut sources = read_sources(&workspace_root()).unwrap();
+        sources.retain(|(rel, _)| !planted.iter().any(|(path, _)| path == rel));
+        sources.extend(
+            planted
+                .iter()
+                .map(|&(path, text)| (path.to_string(), text.to_string())),
+        );
+        analyze_sources(&sources)
     }
 
     #[test]
-    fn planted_allow_of_a_denied_lint_fails_the_lint() {
-        let report =
-            workspace_with("#[allow(clippy::float_cmp)]\nfn f(a: f64) -> bool { a == 1.5 }\n");
+    fn planted_violations_fail_the_lint() {
+        let stats = "crates/stats/Cargo.toml";
+        let manifest = fs::read_to_string(workspace_root().join(stats)).unwrap();
+        let unlinted = manifest.replace("[lints]\nworkspace = true\n", "");
+        assert_ne!(unlinted, manifest, "{stats} inherits the workspace lints");
+        let report = workspace_with(&[
+            (
+                "crates/stats/src/planted.rs",
+                "static EVENTS: AtomicU64 = AtomicU64::new(0);\n",
+            ),
+            (
+                "crates/stats/src/allowed.rs",
+                "#![allow(clippy::disallowed_methods, reason = \"planted\")]\n",
+            ),
+            (stats, &unlinted),
+            // Not a member: R6 leaves it alone.
+            ("crates/stats/tests/fixture/Cargo.toml", &unlinted),
+        ]);
         let found: Vec<_> = report
             .violations
             .iter()
@@ -323,15 +332,20 @@ mod tests {
             .collect();
         assert_eq!(
             found,
-            [(Rule::UncheckedWaiver, "crates/stats/src/planted.rs", 1)]
+            [
+                (Rule::SharedState, "crates/stats/src/planted.rs", 1),
+                (Rule::InnerAllow, "crates/stats/src/allowed.rs", 1),
+                (Rule::WorkspaceLints, stats, 1),
+            ]
         );
     }
 
     #[test]
     fn planted_expect_drifts_the_budget_by_exactly_one() {
-        let report = workspace_with(
+        let report = workspace_with(&[(
+            "crates/stats/src/planted.rs",
             "#[expect(clippy::float_cmp, reason = \"planted\")]\nfn f(a: f64) -> bool { a == 1.5 }\n",
-        );
+        )]);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         let err = check_waiver_budget(&workspace_root(), &report).unwrap_err();
         let drift: Vec<&str> = err.lines().skip(1).collect();
@@ -367,7 +381,7 @@ mod tests {
         fs::write(scratch.join(WAIVER_BUDGET_FILE), "clippy::float_cmp 2\n").unwrap();
         let err = check_waiver_budget(&scratch, &report).unwrap_err();
         assert!(err.contains("budget 2, workspace has 0"), "{err}");
-        // A key that is neither a slug nor a deny-level lint.
+        // A key that is not a deny-level lint.
         fs::write(scratch.join(WAIVER_BUDGET_FILE), "clippy::todo 1\n").unwrap();
         assert!(check_waiver_budget(&scratch, &report).is_err());
         // Malformed line.

@@ -3,14 +3,15 @@
 //! Subcommands:
 //!
 //! - `lint` — run the lint rules no compiler lint expresses (R6, R7, R9,
-//!   R10, R11) over the workspace, including the `WAIVERS.budget`
-//!   exact-count check; non-zero exit on any finding.
-//! - `selftest` — prove each rule fires on its seeded fixture violation.
+//!   R10, and R11's inner `#![allow]`, which clippy's `allow_attributes`
+//!   skips) over the workspace, and the `WAIVERS.budget` exact-count
+//!   check (R11); non-zero exit on any finding.
 //! - `ci` — fmt-check → clippy, default features then
-//!   `--no-default-features` (required: clippy is the only enforcer of the
-//!   wall-clock, entropy, hash-order, float-equality and hot-path panic
-//!   rules) → lint → selftest → release build → `benchmark/` package
-//!   tests (release) → tests (default features, then `strict-invariants`)
+//!   `--no-default-features` (both required: clippy is the only enforcer
+//!   of the wall-clock, entropy, hash-order, float-equality, hot-path
+//!   panic and suppression rules) → lint → release build → `benchmark/`
+//!   package tests (release) → tests (default features, then
+//!   `strict-invariants`)
 //!   → race harness (release) → sharded-determinism gate (the
 //!   serial-vs-sharded byte-equivalence suite under `strict-invariants`;
 //!   see CONCURRENCY.md) → `--no-default-features` build and tests
@@ -29,10 +30,10 @@
 //! - `loc` — print non-test lines per crate and the total, the size
 //!   ROADMAP tracks.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
+use std::ffi::OsString;
 use std::process::{Command, ExitCode};
+use xtask::cargo;
+
 #[expect(
     clippy::disallowed_methods,
     reason = "host-side tooling: timing CI steps with the wall clock is the point"
@@ -50,7 +51,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => exit_for(lint()),
-        Some("selftest") => exit_for(selftest()),
         Some("ci") => ci(),
         Some("bench") => exit_for(xtask::bench::run(&xtask::workspace_root())),
         Some("loc") => exit_for(loc()),
@@ -70,11 +70,10 @@ fn print_help() {
     println!(
         "cargo xtask <command>\n\n\
          commands:\n  \
-         lint        the rules clippy cannot express (R6 R7 R9 R10 R11) incl. the\n              \
-         WAIVERS.budget check\n  \
-         selftest    verify each lint rule fires on its seeded fixture\n  \
-         ci          fmt-check -> clippy (both feature sets) -> lint -> selftest ->\n              \
-         build -> tests -> race harness -> sharded determinism ->\n              \
+         lint        the rules clippy cannot express (R6 R7 R9 R10, and R11's\n              \
+         #![allow] ban) and the WAIVERS.budget count (R11)\n  \
+         ci          fmt-check -> clippy (both feature sets) -> lint -> build ->\n              \
+         tests -> race harness -> sharded determinism ->\n              \
          chaos smoke -> chaos drills -> rustdoc gate\n  \
          bench       run the four paired microbench gates; fail when a pair's\n              \
          median same-run ratio misses its budget\n  \
@@ -152,22 +151,6 @@ fn loc() -> bool {
     true
 }
 
-fn selftest() -> bool {
-    match xtask::selftest::run(&xtask::workspace_root()) {
-        Ok(()) => {
-            println!(
-                "selftest: every rule (R6 R7 R9 R10 R11) fires on its seeded violation; \
-                 waivers suppress; stale and unchecked waivers are rejected"
-            );
-            true
-        }
-        Err(e) => {
-            eprintln!("selftest FAILED: {e}");
-            false
-        }
-    }
-}
-
 /// One external CI step: it must launch and exit 0.
 fn run_step(name: &str, mut cmd: Command) -> Result<(), ()> {
     print!("ci: {name} ... ");
@@ -186,10 +169,6 @@ fn run_step(name: &str, mut cmd: Command) -> Result<(), ()> {
             Err(())
         }
     }
-}
-
-fn cargo() -> Command {
-    Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()))
 }
 
 /// Run the quick chaos sweep on `shards` shards with `ECNSHARP_DRILL` set
@@ -250,196 +229,107 @@ fn chaos_drill(drill: &str, shards: &str, expect_type: &str) -> Result<(), ()> {
 }
 
 /// One named CI step, deferred so earlier failures short-circuit later work.
-type CiStep<'a> = (&'a str, Box<dyn FnOnce() -> Result<(), ()>>);
+type CiStep = (&'static str, Box<dyn FnOnce() -> Result<(), ()>>);
+
+/// The step that runs `cargo <args>` (space-separated) with `envs` set.
+fn cargo_step(
+    name: &'static str,
+    args: &'static str,
+    envs: Vec<(&'static str, OsString)>,
+) -> CiStep {
+    (
+        name,
+        Box::new(move || {
+            let mut c = cargo();
+            c.args(args.split_whitespace()).envs(envs);
+            run_step(name, c)
+        }),
+    )
+}
 
 fn ci() -> ExitCode {
     let root = xtask::workspace_root();
+    let chaos_tmp = std::env::temp_dir().join("ecnsharp-ci-chaos");
     let steps: Vec<CiStep> = vec![
-        (
-            "fmt --check",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args(["fmt", "--all", "--", "--check"]);
-                // rustfmt is optional on minimal hosts: cargo itself
-                // exists, so probe the component first.
-                let probe = cargo().args(["fmt", "--version"]).output();
-                if !matches!(probe, Ok(ref o) if o.status.success()) {
-                    println!("ci: fmt --check ... skipped (rustfmt not installed)");
-                    return Ok(());
-                }
-                run_step("fmt --check", c)
-            }),
-        ),
+        cargo_step("fmt --check", "fmt --all -- --check", vec![]),
         // Clippy is required: it is the only enforcer of the wall-clock,
-        // entropy, hash-order, float-equality and hot-path panic rules,
-        // and rustc checks an `#[expect]` of a clippy lint only under
-        // clippy — in both builds, as some sit on telemetry-gated code.
-        (
-            "clippy",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args(["clippy", "--workspace", "--all-targets"]);
-                run_step("clippy (default features)", c)
-            }),
+        // entropy, hash-order, float-equality, hot-path panic and
+        // suppression rules, and rustc checks an `#[expect]` of a clippy
+        // lint only under clippy — in both builds, as some sit on
+        // telemetry-gated code.
+        cargo_step(
+            "clippy (default features)",
+            "clippy --workspace --all-targets",
+            vec![],
         ),
-        (
-            "clippy --no-default-features",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args([
-                    "clippy",
-                    "--workspace",
-                    "--all-targets",
-                    "--no-default-features",
-                ]);
-                run_step("clippy (--no-default-features)", c)
-            }),
+        cargo_step(
+            "clippy (--no-default-features)",
+            "clippy --workspace --all-targets --no-default-features",
+            vec![],
         ),
         (
             "xtask lint",
             Box::new(|| if lint() { Ok(()) } else { Err(()) }),
         ),
-        (
-            "xtask selftest",
-            Box::new(|| if selftest() { Ok(()) } else { Err(()) }),
+        cargo_step("build --release", "build --release --workspace", vec![]),
+        // `benchmark/` is a workspace of its own that the steps above
+        // never build, yet it calls this workspace's public API: its
+        // contract, parity and `--quick` tests are what notices an API
+        // removal.
+        cargo_step(
+            "test benchmark/ (release)",
+            "test --release --manifest-path benchmark/Cargo.toml",
+            vec![],
         ),
-        (
-            "build --release",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args(["build", "--release", "--workspace"]);
-                run_step("build --release", c)
-            }),
+        cargo_step("test (default features)", "test --workspace -q", vec![]),
+        cargo_step(
+            "test (strict-invariants)",
+            "test --workspace --features strict-invariants -q",
+            vec![],
         ),
-        (
-            "benchmark package",
-            Box::new(|| {
-                // `benchmark/` is a workspace of its own that the steps
-                // above never build, yet it calls this workspace's public
-                // API: its contract, parity and `--quick` tests are what
-                // notices an API removal.
-                let mut c = cargo();
-                c.args([
-                    "test",
-                    "--release",
-                    "--manifest-path",
-                    "benchmark/Cargo.toml",
-                ]);
-                run_step("test benchmark/ (release)", c)
-            }),
+        // Shuffled-schedule determinism drill in release mode:
+        // try_parallel_map + telemetry merges under randomized worker
+        // interleavings must stay byte-identical (ROADMAP item 1
+        // pre-flight; see crates/experiments/tests/race_harness.rs).
+        cargo_step(
+            "race harness (release, shuffled schedules)",
+            "test --release -p ecnsharp-experiments --test race_harness -q",
+            vec![],
         ),
-        (
-            "test",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args(["test", "--workspace", "-q"]);
-                run_step("test (default features)", c)
-            }),
+        // Conservative-PDES replay gate (CONCURRENCY.md): for the same
+        // seed, sharded runs must be byte-identical to the serial event
+        // loop — figure CSVs, chaos ledgers, MarkStats — with invariant
+        // checks armed.
+        cargo_step(
+            "sharded determinism (strict-invariants, release)",
+            "test --release -p ecnsharp-experiments --features strict-invariants \
+             --test shard_equivalence -q",
+            vec![],
         ),
-        (
-            "test strict-invariants",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args([
-                    "test",
-                    "--workspace",
-                    "--features",
-                    "strict-invariants",
-                    "-q",
-                ]);
-                run_step("test (strict-invariants)", c)
-            }),
+        // Telemetry compiled out entirely: the emission sites must vanish
+        // cleanly, not just no-op (OBSERVABILITY.md). The compiled-out
+        // `ecnsharp-bench` is the control of `xtask bench`'s telemetry
+        // pair.
+        cargo_step(
+            "build (--no-default-features, all targets)",
+            "build --workspace --all-targets --no-default-features",
+            vec![],
         ),
-        (
-            "race harness",
-            Box::new(|| {
-                // Shuffled-schedule determinism drill in release mode:
-                // try_parallel_map + telemetry merges under randomized
-                // worker interleavings must stay byte-identical
-                // (ROADMAP item 1 pre-flight; see
-                // crates/experiments/tests/race_harness.rs).
-                let mut c = cargo();
-                c.args([
-                    "test",
-                    "--release",
-                    "-p",
-                    "ecnsharp-experiments",
-                    "--test",
-                    "race_harness",
-                    "-q",
-                ]);
-                run_step("race harness (release, shuffled schedules)", c)
-            }),
+        cargo_step(
+            "test (--no-default-features)",
+            "test --workspace --no-default-features -q",
+            vec![],
         ),
-        (
-            "sharded determinism",
-            Box::new(|| {
-                // Conservative-PDES replay gate (CONCURRENCY.md): for the
-                // same seed, sharded runs must be byte-identical to the
-                // serial event loop — figure CSVs, chaos ledgers,
-                // MarkStats — with invariant checks armed.
-                let mut c = cargo();
-                c.args([
-                    "test",
-                    "--release",
-                    "-p",
-                    "ecnsharp-experiments",
-                    "--features",
-                    "strict-invariants",
-                    "--test",
-                    "shard_equivalence",
-                    "-q",
-                ]);
-                run_step("sharded determinism (strict-invariants, release)", c)
-            }),
-        ),
-        (
-            "build --no-default-features",
-            Box::new(|| {
-                // Telemetry compiled out entirely: the emission sites must
-                // vanish cleanly, not just no-op (OBSERVABILITY.md).
-                // The compiled-out `ecnsharp-bench` is the control of
-                // `xtask bench`'s telemetry pair.
-                let mut c = cargo();
-                c.args([
-                    "build",
-                    "--workspace",
-                    "--all-targets",
-                    "--no-default-features",
-                ]);
-                run_step("build (--no-default-features, all targets)", c)
-            }),
-        ),
-        (
-            "test --no-default-features",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args(["test", "--workspace", "--no-default-features", "-q"]);
-                run_step("test (--no-default-features)", c)
-            }),
-        ),
-        (
-            "chaos smoke",
-            Box::new(|| {
-                // Crash-proof-runner drill: the quick chaos sweep under
-                // strict-invariants, results to a temp dir so CI never
-                // pollutes the tracked results/.
-                let tmp = std::env::temp_dir().join("ecnsharp-ci-chaos");
-                let mut c = cargo();
-                c.args([
-                    "run",
-                    "--release",
-                    "-p",
-                    "ecnsharp-experiments",
-                    "--features",
-                    "strict-invariants",
-                    "--bin",
-                    "chaos",
-                ]);
-                c.env("ECNSHARP_SCALE", "quick");
-                c.env("ECNSHARP_RESULTS", &tmp);
-                run_step("chaos smoke (quick, strict-invariants)", c)
-            }),
+        // Crash-proof-runner drill: the quick chaos sweep under
+        // strict-invariants, results to a temp dir so CI never pollutes
+        // the tracked results/.
+        cargo_step(
+            "chaos smoke (quick, strict-invariants)",
+            "run --release -p ecnsharp-experiments --features strict-invariants --bin chaos",
+            vec![
+                ("ECNSHARP_SCALE", "quick".into()),
+                ("ECNSHARP_RESULTS", chaos_tmp.into_os_string()),
+            ],
         ),
         (
             "chaos panic drill",
@@ -460,14 +350,10 @@ fn ci() -> ExitCode {
             // serial run loop's progress guard instead of spinning.
             Box::new(|| chaos_drill("livelock", "1", "Livelock")),
         ),
-        (
-            "doc",
-            Box::new(|| {
-                let mut c = cargo();
-                c.args(["doc", "--workspace", "--no-deps"]);
-                c.env("RUSTDOCFLAGS", "-Dwarnings");
-                run_step("doc --no-deps (-Dwarnings)", c)
-            }),
+        cargo_step(
+            "doc --no-deps (-Dwarnings)",
+            "doc --workspace --no-deps",
+            vec![("RUSTDOCFLAGS", "-Dwarnings".into())],
         ),
     ];
 

@@ -1,8 +1,8 @@
 //! Line-level preprocessing for the lint pass: a lightweight Rust lexer
-//! that separates each line into *code text* (string/char literals and
-//! comments blanked out) and *comment text* (where waivers live), plus a
-//! region tracker that follows brace depth and `#[cfg(test)]`/`mod tests`
-//! regions so rules can scope themselves to production code.
+//! that reduces each line to its *code text* (string/char literals and
+//! comments blanked out), plus a region tracker that follows brace depth
+//! and `#[cfg(test)]`/`mod tests` regions so rules can scope themselves to
+//! production code.
 //!
 //! The lexer is deliberately approximate — it understands line comments,
 //! nested block comments, string/raw-string/char literals and skips
@@ -10,14 +10,10 @@
 //! to be reliable on this workspace's sources.
 
 /// One source line after lexing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ScannedLine {
     /// The line with comments and literal contents replaced by spaces.
     pub code: String,
-    /// Concatenated comment text of the line (line + block comments).
-    pub comment: String,
-    /// Brace depth at the start of the line (0 = file top level).
-    pub depth: u32,
     /// Line belongs to a `#[cfg(test)]` item or a `mod tests { .. }`
     /// body (including the attribute/declaration lines themselves).
     pub in_test: bool,
@@ -105,7 +101,7 @@ fn is_mod_tests_header(code: &str) -> bool {
     }
 }
 
-/// Lex a whole file into per-line code/comment views with region info.
+/// Lex a whole file into per-line code views with region info.
 pub fn scan_lines(source: &str) -> Vec<ScannedLine> {
     let mut state = LexState::default();
     let mut regions = RegionState::default();
@@ -113,7 +109,6 @@ pub fn scan_lines(source: &str) -> Vec<ScannedLine> {
         .lines()
         .map(|line| {
             let mut scanned = scan_line(line, &mut state);
-            scanned.depth = regions.depth;
             let test_before = regions.test_active();
             regions.advance(&scanned.code);
             // A header whose pending marker is consumed on its own line
@@ -131,7 +126,6 @@ pub fn scan_lines(source: &str) -> Vec<ScannedLine> {
 fn scan_line(line: &str, state: &mut LexState) -> ScannedLine {
     let bytes: Vec<char> = line.chars().collect();
     let mut code = String::with_capacity(line.len());
-    let mut comment = String::new();
     let mut i = 0usize;
 
     while i < bytes.len() {
@@ -146,7 +140,6 @@ fn scan_line(line: &str, state: &mut LexState) -> ScannedLine {
                 code.push_str("  ");
                 i += 2;
             } else {
-                comment.push(bytes[i]);
                 code.push(' ');
                 i += 1;
             }
@@ -201,7 +194,6 @@ fn scan_line(line: &str, state: &mut LexState) -> ScannedLine {
         match c {
             '/' if bytes.get(i + 1) == Some(&'/') => {
                 // Line comment (incl. doc comments) — rest of line.
-                comment.push_str(&bytes[i..].iter().collect::<String>());
                 while i < bytes.len() {
                     code.push(' ');
                     i += 1;
@@ -278,8 +270,7 @@ fn scan_line(line: &str, state: &mut LexState) -> ScannedLine {
 
     ScannedLine {
         code,
-        comment,
-        ..ScannedLine::default()
+        in_test: false,
     }
 }
 
@@ -332,39 +323,15 @@ fn is_ident_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// Waiver slugs declared on a comment via `lint: allow(<slug>) <reason>`,
-/// in order. Only kebab-case slugs (`[a-z0-9-]+`) count as declarations,
-/// so prose that merely quotes the syntax (e.g. a literal `<slug>`
-/// placeholder) is not a waiver.
-pub fn waiver_slugs(comment: &str) -> Vec<String> {
-    const NEEDLE: &str = "lint: allow(";
-    let mut out = Vec::new();
-    let mut rest = comment;
-    while let Some(pos) = rest.find(NEEDLE) {
-        let after = &rest[pos + NEEDLE.len()..];
-        let Some(close) = after.find(')') else { break };
-        let slug = after[..close].trim();
-        if !slug.is_empty()
-            && slug
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-        {
-            out.push(slug.to_string());
-        }
-        rest = &after[close..];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn blanks_line_comments_but_keeps_them_as_comment_text() {
+    fn blanks_line_comments() {
         let s = scan_lines("let x = 1; // HashMap here");
         assert!(!s[0].code.contains("HashMap"));
-        assert!(s[0].comment.contains("HashMap"));
+        assert!(s[0].code.contains("let x = 1;"));
     }
 
     #[test]
@@ -413,48 +380,22 @@ mod tests {
     }
 
     #[test]
-    fn waiver_parsing() {
-        let slugs = waiver_slugs("// lint: allow(shared-state) host-side counter");
-        assert_eq!(slugs, vec!["shared-state".to_string()]);
-        let two = waiver_slugs("lint: allow(a) and lint: allow(b)");
-        assert_eq!(two, vec!["a".to_string(), "b".to_string()]);
-        assert!(waiver_slugs("plain comment").is_empty());
-    }
-
-    #[test]
     fn multiline_strings_do_not_leak_into_later_lines() {
-        let src = "let s = \"first \\\n // lint: allow(shared-state) not a waiver\";\nlet t = 1;";
+        let src = "let s = \"first \\\n // static N: AtomicU64\";\nlet t = 1;";
         let s = scan_lines(src);
-        assert!(
-            s[1].comment.is_empty(),
-            "string content is not comment text"
-        );
-        assert!(!s[1].code.contains("lint"), "string content is not code");
+        assert!(!s[1].code.contains("static"), "string content is not code");
         assert!(s[2].code.contains("let t = 1"));
     }
 
     #[test]
-    fn placeholder_slugs_are_not_waiver_declarations() {
-        assert!(waiver_slugs("doc says `lint: allow(<slug>) <reason>`").is_empty());
-        assert!(waiver_slugs("lint: allow() empty slug").is_empty());
-        assert!(waiver_slugs("lint: allow(Uppercase) wrong case").is_empty());
-    }
-
-    #[test]
-    fn brace_depth_is_tracked() {
-        let s = scan_lines("fn f() {\n    if x {\n        y();\n    }\n}\nfn g() {}");
-        assert_eq!(s[0].depth, 0);
-        assert_eq!(s[1].depth, 1);
-        assert_eq!(s[2].depth, 2);
-        assert_eq!(s[3].depth, 2);
-        assert_eq!(s[4].depth, 1);
-        assert_eq!(s[5].depth, 0);
-    }
-
-    #[test]
     fn braces_in_strings_and_comments_do_not_count() {
-        let s = scan_lines("let a = \"{{{\"; // }}}\nlet b = 2;");
-        assert_eq!(s[1].depth, 0);
+        let src = "#[cfg(test)]\nmod tests {\n    let a = \"}}}\"; // }}}\n}\nfn prod() {}";
+        let s = scan_lines(src);
+        assert!(
+            s[2].in_test && s[3].in_test,
+            "the literal braces close nothing"
+        );
+        assert!(!s[4].in_test);
     }
 
     #[test]
@@ -594,25 +535,6 @@ mod tests {
                     "leaked into code view: {:?}",
                     s.code
                 );
-            }
-        }
-
-        /// Waiver round-trip: any sequence of kebab-case declarations
-        /// formatted with the documented syntax parses back exactly.
-        #[test]
-        fn waiver_declarations_round_trip(
-            slugs in collection::vec(0usize..5usize, 1..4),
-        ) {
-            const WORDS: [&str; 5] =
-                ["shared-state", "float-comparator", "env-read", "no-such-rule", "r9"];
-            let mut comment = String::from("//");
-            for (k, &i) in slugs.iter().enumerate() {
-                comment.push_str(&format!(" lint: allow({}) reason number {k}", WORDS[i]));
-            }
-            let parsed = waiver_slugs(&comment);
-            prop_assert_eq!(parsed.len(), slugs.len());
-            for (&i, slug) in slugs.iter().zip(&parsed) {
-                prop_assert_eq!(slug.as_str(), WORDS[i]);
             }
         }
     }

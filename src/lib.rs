@@ -26,9 +26,6 @@
 //! assert_eq!(decision, MarkReason::Instantaneous);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Discrete-event engine: time, rates, RNG, event queue.
 pub use ecnsharp_sim as sim;
 
