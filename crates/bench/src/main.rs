@@ -83,17 +83,18 @@ const PAIRED_GATES: [PairedGate; 4] = [
         pairs: 150,
         budget: 1.05,
     },
-    // Calendar-lane storage follows occupancy: 50x the bucket density
-    // costs the refill sort's log factor (centre 1.73-1.76x measured)
-    // and nothing that scales with the lane ring (2.31-2.70x with every
-    // lane's buffer parked in its slot).
+    // Calendar lanes hold 16-byte keys and follow occupancy: 50x the
+    // bucket density costs the refill sort's log factor over keys
+    // (1.16-1.33x over seven runs, median 1.29) and nothing that scales
+    // with the lane ring. Sorting the 88-byte events themselves read
+    // 1.60-1.86x, so 1.5 fails a return to by-value sorting.
     PairedGate {
         name: "event_queue",
         what: "1 M calendar pops at ~400 / ~8 events per bucket",
         control: Some(|| calendar_steady_state(160)),
         subject: || calendar_steady_state(8_000),
         pairs: 12,
-        budget: 2.0,
+        budget: 1.5,
     },
     // Port rings rewind on drain and start small: one packet in flight
     // per port costs the same over 384 ports as over 16 (1.58-4.04x with
@@ -595,6 +596,6 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), PAIRED_GATES.len());
         let budgets: Vec<f64> = PAIRED_GATES.iter().map(|g| g.budget).collect();
-        assert_eq!(format!("{budgets:?}"), "[1.05, 2.0, 1.25, 1.03]");
+        assert_eq!(format!("{budgets:?}"), "[1.05, 1.5, 1.25, 1.03]");
     }
 }

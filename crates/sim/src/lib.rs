@@ -57,8 +57,7 @@ const _: () = {
     assert_send_sync::<SimError>();
     // Cache-layout pins: the time types must stay word-sized — they are
     // embedded in every queue entry, wheel cell, and (downstream) packet.
-    // The calendar-lane header pin lives next to `Lane` in `queue.rs`
-    // (the type is private to the module).
+    // The batch-key layout pin sits next to `CELL_BITS` in `queue.rs`.
     assert!(std::mem::size_of::<SimTime>() == 8);
     assert!(std::mem::size_of::<Duration>() == 8);
 };

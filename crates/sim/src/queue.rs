@@ -24,15 +24,30 @@
 //!   lane with a couple of word scans;
 //! - events beyond that horizon wait in a [`BinaryHeap`] (counted as
 //!   [`QueuePerf::heap_spills`]);
-//! - the lane whose bucket is being drained (the *current* batch) is kept
-//!   sorted by `(time, seq)` descending, so popping the earliest event is
-//!   a `Vec::pop`. When the batch empties, the next bucket is chosen as
-//!   the earlier of the next occupied lane and the heap head; heap events
-//!   that have come inside that bucket are merged in before the sort.
+//! - the lane whose bucket is being drained (the *current* batch) is
+//!   sorted once, descending, when it becomes the batch, so popping the
+//!   earliest event is a `Vec::pop`. When the batch empties, the next
+//!   bucket is chosen as the earliest of the next occupied lane, the heap
+//!   head and the wheel; heap and wheel events due in that bucket join
+//!   the batch before the sort.
+//!
+//! # Keys in the lanes, payloads in one slab
+//!
+//! A lane, the batch and the inbox never hold an event itself. Each
+//! near-future event is parked once in a slab cell when it is scheduled
+//! and taken out once when it pops; what gets pushed, sorted and
+//! recycled is a 16-byte key, `offset | tag | cell` (the event's offset
+//! inside its bucket, its 64-bit tie-break tag, its slab cell). The lane
+//! or the cursor implies the bucket, so within a bucket key order *is*
+//! `(time, tag)` order and the sort needs no second pass for ties. The
+//! far heap and the timer wheel keep their events by value — a set-up
+//! backlog of flow arrivals is cheaper stored once in the heap than
+//! parked behind a second key — and their events are parked when a
+//! refill brings them into the batch.
 //!
 //! # Buffers follow occupancy
 //!
-//! A lane owns a buffer only while it holds events. The buffer of a
+//! A lane owns a key buffer only while it holds events. The buffer of a
 //! bucket that has just been drained goes onto a LIFO pool, and a lane
 //! that becomes occupied takes the most recently freed one. Two
 //! invariants follow:
@@ -45,8 +60,11 @@
 //!   `LANE_COUNT` × peak bucket — and the buffer a schedule pushes into
 //!   was written a few buckets ago, not a ring revolution ago.
 //!
-//! Recycling only changes *which allocation* a slot's events sit in,
-//! never their order.
+//! The slab reuses its most recently freed cell first, so it is as long
+//! as the most events ever parked at once, never longer.
+//!
+//! Recycling only changes *which allocation* a slot's keys or an event
+//! sit in, never their order.
 //!
 //! The observable order is exactly the `(time, seq)` total order of the
 //! plain-heap implementation — the `strict-invariants` feature rechecks it
@@ -63,7 +81,7 @@
 
 use crate::time::SimTime;
 use crate::wheel::{Cancelled, TimerToken, TimerWheel};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// log2 of the lane width in nanoseconds (1024 ns per lane). Shared with
@@ -74,11 +92,31 @@ const LANE_COUNT: usize = 1024;
 const LANE_MASK: u64 = LANE_COUNT as u64 - 1;
 /// Words in the lane-occupancy bitmap.
 const WORDS: usize = LANE_COUNT / 64;
+/// Bits of a batch key below the tag: the slab cell.
+const CELL_BITS: u32 = 32;
+/// Position of the bucket offset in a batch key, above the 64-bit tag.
+const OFFSET_SHIFT: u32 = 64 + CELL_BITS;
+// A batch key holds a bucket offset, a whole tag and a slab cell.
+const _: () = assert!(LANE_BITS + 64 + CELL_BITS <= 128);
 
 /// Absolute calendar bucket of a timestamp.
 #[inline]
 fn bucket(t: SimTime) -> u64 {
     t.as_nanos() >> LANE_BITS
+}
+
+/// Batch key of an event at `at` with tag `tag`, parked in slab `cell`.
+#[inline]
+fn key(at: SimTime, tag: u64, cell: u32) -> u128 {
+    let offset = at.as_nanos() & ((1 << LANE_BITS) - 1);
+    (u128::from(offset) << OFFSET_SHIFT) | (u128::from(tag) << CELL_BITS) | u128::from(cell)
+}
+
+/// `(time, tag, cell)` of key `k` in bucket `b`.
+#[inline]
+fn unkey(b: u64, k: u128) -> (SimTime, u64, u32) {
+    let time = SimTime::from_nanos((b << LANE_BITS) | (k >> OFFSET_SHIFT) as u64);
+    (time, (k >> CELL_BITS) as u64, k as u32)
 }
 
 struct Entry<E> {
@@ -140,48 +178,87 @@ pub struct QueuePerf {
     pub heap_spills: u64,
 }
 
-/// A buffer of `(time, key, event)` entries: one bucket's events, in a
-/// lane, the drain batch or the recycle pool.
-type Batch<E> = Vec<(SimTime, u64, E)>;
+/// A buffer of batch keys (see [`key`]): one bucket's events, in a lane,
+/// the drain batch or the recycle pool.
+type Batch = Vec<u128>;
 
 /// The most recently recycled buffer, or a fresh unallocated one.
 #[inline]
-fn take_buf<E>(pool: &mut Vec<Batch<E>>) -> Batch<E> {
+fn take_buf(pool: &mut Vec<Batch>) -> Batch {
     pool.pop().unwrap_or_default()
 }
 
 /// Return an emptied buffer to the pool (unallocated ones are dropped).
 #[inline]
-fn recycle<E>(pool: &mut Vec<Batch<E>>, buf: Batch<E>) {
-    debug_assert!(buf.is_empty(), "recycling a buffer that still holds events");
+fn recycle(pool: &mut Vec<Batch>, buf: Batch) {
+    debug_assert!(buf.is_empty(), "recycling a buffer that still holds keys");
     if buf.capacity() > 0 {
         pool.push(buf);
     }
 }
 
+/// The payloads of every event in the lanes, the batch and the inbox.
+struct Slab<E> {
+    cells: Vec<Option<E>>,
+    /// Vacant cells, most recently freed last.
+    free: Vec<u32>,
+}
+
+impl<E> Slab<E> {
+    /// Park `event` in the most recently freed cell (or a new one).
+    #[inline]
+    fn park(&mut self, event: E) -> u32 {
+        if let Some(cell) = self.free.pop() {
+            if let Some(slot) = self.cells.get_mut(cell as usize) {
+                *slot = Some(event);
+            }
+            return cell;
+        }
+        crate::invariant!(self.cells.len() < u32::MAX as usize, "slab cells exhausted");
+        self.cells.push(Some(event));
+        (self.cells.len() - 1) as u32
+    }
+
+    /// Take the event out of `cell`, freeing the cell.
+    #[inline]
+    fn take(&mut self, cell: u32) -> Option<E> {
+        let event = self.cells.get_mut(cell as usize)?.take()?;
+        self.free.push(cell);
+        Some(event)
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.free.clear();
+    }
+}
+
 /// A time-ordered event queue with FIFO tie-breaking.
 pub struct EventQueue<E> {
-    /// Entries of the bucket currently being drained (`cursor`), sorted
-    /// by `(time, seq)` **descending** so the earliest is at the back.
-    current: Batch<E>,
+    /// Keys of the bucket currently being drained (`cursor`), sorted
+    /// **descending** so the earliest is at the back.
+    current: Batch,
     /// Events scheduled *into* the draining bucket mid-drain (the ACK
-    /// turnaround pattern: a sub-lane tx-done lands in the same bucket).
-    /// A sorted-`Vec::insert` into `current` would memmove O(batch) per
-    /// arrival, so these overlay entries live in a small min-heap instead;
-    /// [`pop`] takes whichever of `current.last()` / `inbox.peek()` is
-    /// earlier, preserving the exact `(time, seq)` total order.
+    /// turnaround pattern: a sub-lane tx-done lands in the same bucket),
+    /// as `(time, tag, cell)`. A sorted-`Vec::insert` into `current` would
+    /// memmove O(batch) per arrival, so these overlay entries live in a
+    /// small min-heap instead; [`pop`] takes whichever of
+    /// `current.last()` / `inbox.peek()` is earlier, preserving the exact
+    /// `(time, seq)` total order. Times are whole, not bucket offsets:
+    /// a peek can move the cursor past `now`, and an event then scheduled
+    /// at `now` lands here from an earlier bucket.
     ///
     /// [`pop`]: EventQueue::pop
-    inbox: BinaryHeap<Entry<E>>,
+    inbox: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     /// Absolute bucket index `current` belongs to. All pending lane
     /// entries have strictly greater buckets; the heap head's bucket is
     /// also strictly greater whenever `current` is non-empty.
     cursor: u64,
-    /// Near-future ring: slot `b & LANE_MASK` holds bucket `b`'s events,
+    /// Near-future ring: slot `b & LANE_MASK` holds bucket `b`'s keys,
     /// unsorted, for buckets within `(cursor, cursor + LANE_COUNT)`. A
     /// slot has zero capacity whenever it is empty (see "Buffers follow
     /// occupancy" in the module docs).
-    lanes: Vec<Batch<E>>,
+    lanes: Vec<Batch>,
     /// One bit per lane slot: slot non-empty.
     occupied: [u64; WORDS],
     /// Total entries across all lanes (excluding `current` and the heap).
@@ -193,8 +270,12 @@ pub struct EventQueue<E> {
     /// global sequence counter so fired timers replay in exactly the
     /// `(time, seq)` order a plain `schedule` would have given them.
     wheel: TimerWheel<E>,
+    /// Payloads behind the keys of `current`, the inbox and the lanes.
+    slab: Slab<E>,
+    /// Timers a refill drains from the wheel, on their way to the slab.
+    due: Vec<(SimTime, u64, E)>,
     /// Emptied buffers awaiting reuse, most recently freed last.
-    pool: Vec<Batch<E>>,
+    pool: Vec<Batch>,
     next_seq: u64,
     now: SimTime,
     len: usize,
@@ -230,6 +311,11 @@ impl<E> EventQueue<E> {
             lanes_len: 0,
             heap: BinaryHeap::new(),
             wheel: TimerWheel::new(),
+            slab: Slab {
+                cells: Vec::new(),
+                free: Vec::new(),
+            },
+            due: Vec::new(),
             pool: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
@@ -326,14 +412,11 @@ impl<E> EventQueue<E> {
         let seq = key;
         let b = bucket(at);
         if b <= self.cursor {
-            // The bucket being drained (b < cursor is impossible for
-            // at >= now; handled identically for robustness): overlay
-            // heap, merged with the sorted batch at pop time.
-            self.inbox.push(Entry {
-                time: at,
-                seq,
-                event,
-            });
+            // The bucket being drained, or (after a peek moved the cursor
+            // past `now`) an earlier one: overlay heap, merged with the
+            // sorted batch at pop time.
+            let cell = self.slab.park(event);
+            self.inbox.push(Reverse((at, seq, cell)));
         } else if b - self.cursor < LANE_COUNT as u64 {
             self.insert_lane(b, at, seq, event);
         } else {
@@ -354,18 +437,19 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Insert an entry into its lane, maintaining the occupancy bit.
-    /// Caller guarantees `cursor < b < cursor + LANE_COUNT` and owns
-    /// `len`/perf attribution.
+    /// Park an event and push its key into its lane, maintaining the
+    /// occupancy bit. Caller guarantees `cursor < b < cursor + LANE_COUNT`
+    /// and owns `len`/perf attribution.
     #[inline]
     fn insert_lane(&mut self, b: u64, at: SimTime, seq: u64, event: E) {
+        let cell = self.slab.park(event);
         let slot = (b & LANE_MASK) as usize;
         let lane = &mut self.lanes[slot];
         if lane.is_empty() {
             self.occupied[slot >> 6] |= 1u64 << (slot & 63);
             *lane = take_buf(&mut self.pool);
         }
-        lane.push((at, seq, event));
+        lane.push(key(at, seq, cell));
         self.lanes_len += 1;
     }
 
@@ -423,11 +507,8 @@ impl<E> EventQueue<E> {
             // Expiry inside the bucket being drained (sub-lane timers,
             // e.g. zero-delay deadlines): the payload goes straight into
             // the drain overlay; the wheel only keeps a cancel marker.
-            self.inbox.push(Entry {
-                time: at,
-                seq,
-                event,
-            });
+            let cell = self.slab.park(event);
+            self.inbox.push(Reverse((at, seq, cell)));
             // Counted as fired on delivery to the pop path (mirroring the
             // refill drain); a cancel that catches it first decrements.
             self.perf.timers_fired += 1;
@@ -480,30 +561,50 @@ impl<E> EventQueue<E> {
                 // path (armed into the draining batch, or drained from
                 // the wheel by an eager refill — the sharded engine's
                 // barrier peeks do this routinely). If it is still there
-                // (sorted batch or inbox overlay), remove it and undo the
-                // delivery-time fired count; otherwise it already popped
-                // and the cancel is stale. The batch is sorted
-                // descending, so a binary search finds the entry and the
-                // order-preserving `remove` shifts only what is due
-                // before it — little for a soon-due timer, however large
-                // the bucket.
-                if let Ok(pos) = self.current.binary_search_by(|e| (t, s).cmp(&(e.0, e.1))) {
-                    self.current.remove(pos);
-                    self.len -= 1;
-                    self.perf.timers_fired -= 1;
-                    true
-                } else if self.inbox.iter().any(|e| (e.time, e.seq) == (t, s)) {
-                    let mut entries = std::mem::take(&mut self.inbox).into_vec();
-                    entries.retain(|e| (e.time, e.seq) != (t, s));
-                    self.inbox = entries.into();
-                    self.len -= 1;
-                    self.perf.timers_fired -= 1;
-                    true
-                } else {
-                    false
-                }
+                // (sorted batch or inbox overlay), remove it, free its
+                // cell and undo the delivery-time fired count; otherwise
+                // it already popped and the cancel is stale.
+                let Some(cell) = self.unbatch(t, s) else {
+                    return false;
+                };
+                self.slab.take(cell);
+                self.len -= 1;
+                self.perf.timers_fired -= 1;
+                true
             }
         }
+    }
+
+    /// Remove the batch or inbox entry of `(t, s)`, returning its cell.
+    fn unbatch(&mut self, t: SimTime, s: u64) -> Option<u32> {
+        if bucket(t) == self.cursor {
+            // The batch is sorted descending, so a binary search finds
+            // the key and the order-preserving `remove` shifts only what
+            // is due before it — little for a soon-due timer, however
+            // large the bucket.
+            let want = key(t, s, 0) >> CELL_BITS;
+            if let Ok(pos) = self
+                .current
+                .binary_search_by(|&k| want.cmp(&(k >> CELL_BITS)))
+            {
+                return Some(self.current.remove(pos) as u32);
+            }
+        }
+        let mut entries = std::mem::take(&mut self.inbox).into_vec();
+        let cell = entries
+            .iter()
+            .position(|&Reverse((et, es, _))| (et, es) == (t, s))
+            .map(|i| entries.swap_remove(i).0 .2);
+        self.inbox = entries.into();
+        cell
+    }
+
+    /// Absolute bucket that lane `slot` holds: the one in
+    /// `(cursor, cursor + LANE_COUNT)` congruent to it.
+    #[inline]
+    fn slot_bucket(&self, slot: usize) -> u64 {
+        let first = self.cursor + 1;
+        first + ((slot as u64).wrapping_sub(first) & LANE_MASK)
     }
 
     /// Absolute bucket of the earliest non-empty lane, scanning the
@@ -535,14 +636,15 @@ impl<E> EventQueue<E> {
             }
             found?
         };
-        // Ring distance from the slot just past the cursor.
-        let delta = (slot + LANE_COUNT - start) as u64 & LANE_MASK;
-        Some(self.cursor + 1 + delta)
+        Some(self.slot_bucket(slot))
     }
 
     /// Refill `current` with the earliest pending bucket's events (lanes,
     /// heap and/or timer wheel), advancing the cursor. Caller guarantees
-    /// `len > 0`.
+    /// `len > 0`. Kept out of line: [`head`](EventQueue::head) is its
+    /// only caller and runs on every pop, so inlining this once-a-bucket
+    /// body there would put its stack frame on every pop.
+    #[inline(never)]
     fn refill(&mut self) {
         let heap_bucket = self.heap.peek().map(|e| bucket(e.time));
         let lane_bucket = self.next_occupied_bucket();
@@ -586,19 +688,45 @@ impl<E> EventQueue<E> {
                 break;
             }
             if let Some(Entry { time, seq, event }) = self.heap.pop() {
-                self.current.push((time, seq, event));
+                let cell = self.slab.park(event);
+                self.current.push(key(time, seq, cell));
             }
         }
         // Keep the wheel's base glued to the cursor (sound: `b` is the
         // global minimum pending bucket), then deliver its due timers.
         self.wheel.advance_to(b);
         if wheel_due {
-            let fired = self.wheel.drain_bucket(b, &mut self.current);
+            let fired = self.wheel.drain_bucket(b, &mut self.due);
             self.perf.timers_fired += fired as u64;
+            for (time, seq, event) in self.due.drain(..) {
+                let cell = self.slab.park(event);
+                self.current.push(key(time, seq, cell));
+            }
         }
-        // Descending, so the earliest (time, seq) pops from the back.
-        self.current
-            .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
+        // Descending, so the earliest key pops from the back.
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// `(time, tag)` of the next event and whether it waits in the
+    /// inbox, refilling the batch first when it and the inbox are empty.
+    #[inline]
+    fn head(&mut self) -> Option<(SimTime, u64, bool)> {
+        if self.current.is_empty() && self.inbox.is_empty() {
+            if self.len == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let batch = self.current.last().map(|&k| unkey(self.cursor, k));
+        // Tags are unique, so the comparison is never a tie.
+        match (batch, self.inbox.peek()) {
+            (Some((t, s, _)), Some(&Reverse((it, is, _)))) if (it, is) < (t, s) => {
+                Some((it, is, true))
+            }
+            (Some((t, s, _)), _) => Some((t, s, false)),
+            (None, Some(&Reverse((it, is, _)))) => Some((it, is, true)),
+            (None, None) => None,
+        }
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.
@@ -614,25 +742,13 @@ impl<E> EventQueue<E> {
     ///
     /// [`pop`]: EventQueue::pop
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.current.is_empty() && self.inbox.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill();
-        }
-        // Earliest of the sorted batch tail and the overlay top; sequence
-        // numbers are unique, so the comparison is never a tie.
-        let take_inbox = match (self.current.last(), self.inbox.peek()) {
-            (Some(c), Some(i)) => (i.time, i.seq) < (c.0, c.1),
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        let (time, seq, event) = if take_inbox {
-            let e = self.inbox.pop()?;
-            (e.time, e.seq, e.event)
+        let (time, seq, in_inbox) = self.head()?;
+        let cell = if in_inbox {
+            self.inbox.pop()?.0 .2
         } else {
-            self.current.pop()?
+            self.current.pop()? as u32
         };
+        let event = self.slab.take(cell)?;
         self.len -= 1;
         self.perf.popped += 1;
         crate::invariant!(time >= self.now, "time went backwards");
@@ -655,22 +771,7 @@ impl<E> EventQueue<E> {
     /// from the earliest pending bucket — the same work the next `pop`
     /// would do, just done early (the observable pop order is unchanged).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.current.is_empty() && self.inbox.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill();
-        }
-        match (self.current.last(), self.inbox.peek()) {
-            (Some(c), Some(i)) => Some(if (i.time, i.seq) < (c.0, c.1) {
-                i.time
-            } else {
-                c.0
-            }),
-            (Some(c), None) => Some(c.0),
-            (None, Some(i)) => Some(i.time),
-            (None, None) => None,
-        }
+        self.head().map(|(t, _, _)| t)
     }
 
     /// `(time, key)` of the next event without popping it — the ordering
@@ -684,22 +785,7 @@ impl<E> EventQueue<E> {
     /// [`pop`]: EventQueue::pop
     /// [`peek_time`]: EventQueue::peek_time
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if self.current.is_empty() && self.inbox.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill();
-        }
-        match (self.current.last(), self.inbox.peek()) {
-            (Some(c), Some(i)) => Some(if (i.time, i.seq) < (c.0, c.1) {
-                (i.time, i.seq)
-            } else {
-                (c.0, c.1)
-            }),
-            (Some(c), None) => Some((c.0, c.1)),
-            (None, Some(i)) => Some((i.time, i.seq)),
-            (None, None) => None,
-        }
+        self.head().map(|(t, s, _)| (t, s))
     }
 
     /// Remove and return **all** pending events as `(time, key, event)`
@@ -716,18 +802,23 @@ impl<E> EventQueue<E> {
     /// this queue's wheel and cannot be migrated. Shard a network before
     /// arming timers (in practice: before the first `run_*` call).
     pub fn drain_entries(&mut self) -> Vec<(SimTime, u64, E)> {
-        let mut out: Vec<(SimTime, u64, E)> = Vec::with_capacity(self.len);
-        out.append(&mut self.current);
-        out.extend(
-            std::mem::take(&mut self.inbox)
-                .into_iter()
-                .map(|e| (e.time, e.seq, e.event)),
-        );
+        let mut parked: Vec<(SimTime, u64, u32)> = Vec::with_capacity(self.len);
+        parked.extend(self.current.drain(..).map(|k| unkey(self.cursor, k)));
+        parked.extend(std::mem::take(&mut self.inbox).into_iter().map(|r| r.0));
         if self.lanes_len > 0 {
-            for lane in &mut self.lanes {
-                out.extend(std::mem::take(lane));
+            for slot in 0..LANE_COUNT {
+                let b = self.slot_bucket(slot);
+                parked.extend(
+                    std::mem::take(&mut self.lanes[slot])
+                        .into_iter()
+                        .map(|k| unkey(b, k)),
+                );
             }
         }
+        let mut out: Vec<(SimTime, u64, E)> = parked
+            .into_iter()
+            .filter_map(|(t, s, cell)| Some((t, s, self.slab.take(cell)?)))
+            .collect();
         out.extend(
             std::mem::take(&mut self.heap)
                 .into_iter()
@@ -738,6 +829,7 @@ impl<E> EventQueue<E> {
             "drain_entries with {} armed timer(s): timers cannot migrate across shards",
             self.len - out.len()
         );
+        self.slab.clear();
         self.occupied = [0; WORDS];
         self.lanes_len = 0;
         self.len = 0;
@@ -794,6 +886,7 @@ impl<E> EventQueue<E> {
                 *lane = Batch::new();
             }
         }
+        self.slab.clear();
         self.occupied = [0; WORDS];
         self.lanes_len = 0;
         self.wheel.clear();
@@ -813,6 +906,12 @@ impl<E> EventQueue<E> {
     #[cfg(test)]
     fn occupied_slots(&self) -> usize {
         self.occupied.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Events parked in the slab right now.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.slab.cells.len() - self.slab.free.len()
     }
 }
 
@@ -1565,5 +1664,137 @@ mod tests {
             }
             prop_assert!(q.pop().is_none());
         }
+    }
+
+    // ── keys and the slab ─────────────────────────────────────────────
+
+    /// Pop everything, checking each `(time, tag, payload)` against a
+    /// plain binary heap fed the same schedule.
+    fn drain_against(
+        q: &mut EventQueue<u64>,
+        mut oracle: BinaryHeap<std::cmp::Reverse<(u64, u64, u64)>>,
+    ) {
+        while let Some(std::cmp::Reverse(want)) = oracle.pop() {
+            let (t, k, e) = q.pop_keyed().expect("queue ran dry before the oracle");
+            assert_eq!((t.as_nanos(), k, e), want);
+        }
+        assert!(q.pop().is_none());
+        assert_eq!(q.parked(), 0);
+    }
+
+    /// The key's fields do not bleed into each other: both ends of a
+    /// bucket's offset range, the extreme tags at one instant (in the
+    /// lanes, the batch and the inbox), and more cells than 16 bits hold.
+    #[test]
+    fn key_packing_edges_match_heap_oracle() {
+        use std::cmp::Reverse;
+        const TAGS: [u64; 4] = [u64::MAX, 1 << 63, 1, 0];
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut oracle = BinaryHeap::new();
+        let mut id = 0u64;
+        let mut push = |q: &mut EventQueue<u64>, oracle: &mut BinaryHeap<_>, at: u64, tag: u64| {
+            q.schedule_tagged(SimTime::from_nanos(at), tag, id);
+            oracle.push(Reverse((at, tag, id)));
+            id += 1;
+        };
+        // Bucket 5, first and last nanosecond, tags at the extremes, in
+        // scrambled order; bucket 6 holds a tag-0 event that must sort
+        // after bucket 5's `u64::MAX` tag.
+        for &at in &[5 * 1024 + 1023, 5 * 1024, 6 * 1024] {
+            for &tag in &TAGS {
+                push(&mut q, &mut oracle, at, tag);
+            }
+        }
+        // More than 65 536 live cells, tags counting down from the top.
+        for i in 0..70_000u64 {
+            push(&mut q, &mut oracle, 7 * 1024 + i * 13, u64::MAX - 4 - i);
+        }
+        assert!(q.parked() > 65_536);
+        // Pop into bucket 5, then schedule into it: the inbox's extreme
+        // tags race the batch's at one instant.
+        let Reverse(first) = oracle.pop().expect("scheduled above");
+        let (t, k, e) = q.pop_keyed().expect("scheduled above");
+        assert_eq!((t.as_nanos(), k, e), first);
+        assert_eq!(t.as_nanos(), 5 * 1024);
+        for &tag in &[2, (1 << 63) + 1, u64::MAX - 1] {
+            push(&mut q, &mut oracle, 5 * 1024 + 1023, tag);
+            push(&mut q, &mut oracle, 5 * 1024, tag);
+        }
+        assert!(!q.inbox.is_empty());
+        drain_against(&mut q, oracle);
+    }
+
+    /// At a steady 8 000 pending over 1 M pops (a sliver into the
+    /// draining bucket, a sliver past the horizon), the slab stays as
+    /// long as the most events ever pending, and the pop order matches
+    /// the heap. `clear` and `drain_entries` leave nothing parked.
+    #[test]
+    fn slab_follows_occupancy() {
+        use std::cmp::Reverse;
+        const PENDING: u64 = 8_000;
+        let run = |q: &mut EventQueue<u64>, pops: u64| {
+            let mut rng = crate::rng::Rng::seed_from_u64(0x51AB);
+            let mut oracle = BinaryHeap::new();
+            let delay = |rng: &mut crate::rng::Rng| match rng.below(64) {
+                0..=3 => rng.below(500),
+                4 => rng.range_u64(2_000_000, 3_000_000),
+                _ => rng.range_u64(1_000, 40_000),
+            };
+            for id in 0..PENDING {
+                let at = delay(&mut rng);
+                q.schedule(SimTime::from_nanos(at), id);
+                oracle.push(Reverse((at, id)));
+            }
+            for id in PENDING..PENDING + pops {
+                let Reverse(want) = oracle.pop().expect("steady state");
+                let (t, e) = q.pop().expect("steady state");
+                assert_eq!((t.as_nanos(), e), want);
+                let at = t.as_nanos() + delay(&mut rng);
+                q.schedule(SimTime::from_nanos(at), id);
+                oracle.push(Reverse((at, id)));
+                assert!(q.slab.cells.len() as u64 <= q.perf().peak_pending);
+            }
+            assert!(q.perf().heap_spills > 0 && !q.slab.free.is_empty());
+        };
+        let mut q: EventQueue<u64> = EventQueue::new();
+        run(&mut q, 1_000_000);
+        assert_eq!(q.parked() as u64, PENDING - q.heap.len() as u64);
+        q.clear();
+        assert_eq!(q.parked(), 0);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        run(&mut q, 50_000);
+        assert_eq!(q.drain_entries().len() as u64, PENDING);
+        assert_eq!(q.parked(), 0);
+    }
+
+    /// A cancel that catches a timer already drained into the batch, or
+    /// already armed into the inbox, frees the timer's cell for the next
+    /// event.
+    #[test]
+    fn cancelling_a_batched_timer_frees_its_cell() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 0);
+        q.schedule(SimTime::from_nanos(1_100), 1);
+        q.schedule(SimTime::from_nanos(1_900), 2);
+        let in_batch = q.rearm_timer(None, SimTime::from_nanos(1_500), 3);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(0));
+        // Bucket 0 is draining: this timer goes straight to the inbox.
+        let in_inbox = q.rearm_timer(None, SimTime::from_nanos(500), 4);
+        assert_eq!(q.inbox.len(), 1);
+        assert!(q.cancel_timer(in_inbox));
+        assert_eq!((q.parked(), q.inbox.len()), (2, 0));
+        // Popping into bucket 1 drains the wheel's timer into the batch.
+        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
+        assert_eq!((q.parked(), q.current.len()), (2, 2));
+        assert!(q.cancel_timer(in_batch));
+        assert_eq!((q.parked(), q.current.len()), (1, 1));
+        // The freed cells are reused before the slab grows.
+        let cells = q.slab.cells.len();
+        q.schedule(SimTime::from_nanos(1_950), 5);
+        q.schedule(SimTime::from_nanos(2_000), 6);
+        assert_eq!(q.slab.cells.len(), cells);
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, vec![2, 5, 6]);
+        assert_eq!(q.parked(), 0);
     }
 }
