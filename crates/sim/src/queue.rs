@@ -272,8 +272,6 @@ pub struct EventQueue<E> {
     wheel: TimerWheel<E>,
     /// Payloads behind the keys of `current`, the inbox and the lanes.
     slab: Slab<E>,
-    /// Timers a refill drains from the wheel, on their way to the slab.
-    due: Vec<(SimTime, u64, E)>,
     /// Emptied buffers awaiting reuse, most recently freed last.
     pool: Vec<Batch>,
     next_seq: u64,
@@ -315,7 +313,6 @@ impl<E> EventQueue<E> {
                 cells: Vec::new(),
                 free: Vec::new(),
             },
-            due: Vec::new(),
             pool: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
@@ -696,12 +693,11 @@ impl<E> EventQueue<E> {
         // global minimum pending bucket), then deliver its due timers.
         self.wheel.advance_to(b);
         if wheel_due {
-            let fired = self.wheel.drain_bucket(b, &mut self.due);
+            let (slab, current) = (&mut self.slab, &mut self.current);
+            let fired = self.wheel.drain_bucket(b, |time, seq, event| {
+                current.push(key(time, seq, slab.park(event)));
+            });
             self.perf.timers_fired += fired as u64;
-            for (time, seq, event) in self.due.drain(..) {
-                let cell = self.slab.park(event);
-                self.current.push(key(time, seq, cell));
-            }
         }
         // Descending, so the earliest key pops from the back.
         self.current.sort_unstable_by(|a, b| b.cmp(a));

@@ -487,9 +487,9 @@ impl<E> TimerWheel<E> {
     }
 
     /// Drain every timer expiring in bucket `b` (which must be inside the
-    /// level-0 window, i.e. after `advance_to(b)`) into `out` as
-    /// `(time, seq, event)` triples, unordered. Returns the number drained.
-    pub fn drain_bucket(&mut self, b: u64, out: &mut Vec<(SimTime, u64, E)>) -> usize {
+    /// level-0 window, i.e. after `advance_to(b)`), handing each to `fire`
+    /// as `(time, seq, event)`, unordered. Returns the number drained.
+    pub fn drain_bucket(&mut self, b: u64, mut fire: impl FnMut(SimTime, u64, E)) -> usize {
         if b >> SLOT_BITS != self.base >> SLOT_BITS {
             return 0;
         }
@@ -505,7 +505,7 @@ impl<E> TimerWheel<E> {
             let i = idx as usize;
             let next = self.slab[i].next;
             if let Some(ev) = self.slab[i].event.take() {
-                out.push((self.slab[i].time, self.slab[i].seq, ev));
+                fire(self.slab[i].time, self.slab[i].seq, ev);
                 n += 1;
             }
             self.len -= 1;
@@ -592,7 +592,7 @@ mod tests {
         while let Some(b) = w.min_bucket() {
             w.advance_to(b);
             let mut batch = Vec::new();
-            let n = w.drain_bucket(b, &mut batch);
+            let n = w.drain_bucket(b, |tt, s, e| batch.push((tt, s, e)));
             assert_eq!(n, batch.len());
             assert!(n > 0, "min_bucket pointed at an empty bucket");
             batch.sort_unstable_by_key(|&(tt, s, _)| (tt, s));
@@ -729,7 +729,7 @@ mod tests {
         let b = w.min_bucket().expect("non-empty");
         w.advance_to(b);
         let mut batch = Vec::new();
-        assert_eq!(w.drain_bucket(b, &mut batch), 2);
+        assert_eq!(w.drain_bucket(b, |tt, s, e| batch.push((tt, s, e))), 2);
         assert!(w.is_empty());
     }
 
@@ -774,7 +774,7 @@ mod tests {
             let b = w.min_bucket().expect("live token pending");
             w.advance_to(b);
             let mut batch = Vec::new();
-            assert_eq!(w.drain_bucket(b, &mut batch), 1);
+            assert_eq!(w.drain_bucket(b, |tt, s, e| batch.push((tt, s, e))), 1);
             let (tt, _, e) = batch[0];
             assert_eq!(tt, t(deadline), "fired at the armed deadline");
             fired.push(e);
@@ -858,7 +858,7 @@ mod tests {
                             w.advance_to(b);
                             floor = b + 1;
                             let mut batch = Vec::new();
-                            w.drain_bucket(b, &mut batch);
+                            w.drain_bucket(b, |tt, s, e| batch.push((tt, s, e)));
                             batch.sort_unstable_by_key(|&(tt, s, _)| (tt, s));
                             let mut want: Vec<(u64, u64, u32)> = oracle
                                 .live

@@ -1,35 +1,19 @@
 //! # xtask
 //!
-//! Workspace automation for the ECN♯ reproduction. The simulator's
-//! determinism + shard-safety contract has one enforcer per rule:
-//!
-//! | rule | enforced by |
-//! |------|-------------|
-//! | no wall clock (`Instant::now`, `SystemTime::now`/`elapsed`) | clippy `disallowed_methods` (`clippy.toml`) |
-//! | no OS entropy (`RandomState`) | clippy `disallowed_types` |
-//! | no default-hasher `HashMap`/`HashSet` | clippy `disallowed_types` |
-//! | no `.unwrap()`/`.expect()`/`panic!`/`unreachable!` on hot paths | clippy `unwrap_used`/`expect_used`/`panic`/`unreachable`, `#![deny]` in aqm/core/sched/telemetry and six net/sim files |
-//! | no float `==`/`!=` | clippy `float_cmp` |
-//! | no `unsafe` | rustc `unsafe_code = "forbid"` |
-//! | every public item documented | rustc `missing_docs = "warn"` |
-//! | every suppression is an `#[expect]` with a reason | clippy `allow_attributes` (outer `#[allow]`) + `allow_attributes_without_reason`, rustc `unfulfilled_lint_expectations` |
-//! | shard-boundary types stay `Send` | the `assert_send` proofs in each crate root |
-//! | R6: every member `Cargo.toml` inherits `[workspace.lints]` | `cargo xtask lint` |
-//! | R7: no `static mut` / interior-mutability `static`s | `cargo xtask lint` (sim-facing + harness, non-test) |
-//! | R9: no `partial_cmp().unwrap()` comparators | `cargo xtask lint` (sim-facing + harness, non-test) |
-//! | R10: `std::env::var` only in the crate's `env.rs` | `cargo xtask lint` (sim-facing + harness, non-test) |
-//! | R11: no inner `#![allow]`; waivers of deny-level lints match `WAIVERS.budget` | `cargo xtask lint` |
-//!
-//! The first three groups live in the root `Cargo.toml`'s
-//! `[workspace.lints]`, which R6 keeps every crate inheriting. The
-//! `cargo xtask lint` rules cannot be waived. A deny-level compiler lint is waived with
-//! `#[expect(<lint>, reason = "..")]`; rustc fails the build once one
-//! suppresses nothing. `WAIVERS.budget` at the workspace root holds their
-//! count per lint, and the lint fails when the counts drift from it, so
-//! waiver growth is always a reviewed diff. `cargo xtask ci` chains fmt →
-//! clippy (both feature sets) → lint → build → tests.
+//! Workspace automation for the ECN♯ reproduction. Each determinism and
+//! shard-safety rule has one enforcer, and README.md "Static analysis &
+//! invariants" is the one table of them. The compiler takes every rule a
+//! lint can express (the root `[workspace.lints]`, `clippy.toml`, the
+//! hot-path `#![deny]`s, the `assert_send` proofs); `cargo xtask lint`
+//! holds the rest: R6, R7, R9, R10 and R11 in [`rules`], and R12 in
+//! [`docs`]. None of those can be waived. A deny-level compiler lint is
+//! waived with `#[expect(<lint>, reason = "..")]`, which rustc rejects
+//! once it suppresses nothing, and `WAIVERS.budget` at the workspace root
+//! holds their exact count per lint, so waiver growth is always a
+//! reviewed diff.
 
 pub mod bench;
+pub mod docs;
 pub mod rules;
 pub mod scan;
 
@@ -81,24 +65,80 @@ pub struct WorkspaceReport {
     pub waivers: BTreeMap<String, usize>,
 }
 
-/// Walk the workspace and lint every Rust source file and member
-/// manifest, returning the full report.
-pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
-    Ok(analyze_sources(&read_sources(root)?))
+/// A `cargo xtask` subcommand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subcommand {
+    /// `lint`
+    Lint,
+    /// `ci`
+    Ci,
+    /// `bench`
+    Bench,
+    /// `loc`
+    Loc,
+    /// `help`
+    Help,
 }
 
-/// Every Rust source file and `Cargo.toml` the walk reaches, as
-/// `(workspace-relative path, text)` in path order.
+/// Every subcommand by name: what `main` dispatches on, and what R12
+/// resolves `cargo xtask <word>` against.
+pub const SUBCOMMANDS: [(&str, Subcommand); 5] = [
+    ("lint", Subcommand::Lint),
+    ("ci", Subcommand::Ci),
+    ("bench", Subcommand::Bench),
+    ("loc", Subcommand::Loc),
+    ("help", Subcommand::Help),
+];
+
+/// Walk the workspace and lint every Rust source file and member
+/// manifest, then check the root docs against the tracked tree (R12),
+/// returning the full report.
+pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
+    let mut report = analyze_sources(&read_sources(root)?);
+    let paths = tracked_files(root)?;
+    let rust = paths
+        .iter()
+        .filter(|p| p.ends_with(".rs"))
+        .map(|p| fs::read_to_string(root.join(p)))
+        .collect::<io::Result<Vec<_>>>()?;
+    let tree = docs::Tree::new(&paths, rust.iter().map(String::as_str));
+    for doc in docs::CHECKED_DOCS {
+        let text = fs::read_to_string(root.join(doc))?;
+        report.violations.extend(docs::check_doc(doc, &text, &tree));
+    }
+    Ok(report)
+}
+
+/// Every file on disk that git tracks or would track (untracked, not
+/// ignored), workspace-relative and in path order.
+pub fn tracked_files(root: &Path) -> io::Result<Vec<String>> {
+    let out = Command::new("git")
+        .args(["ls-files", "--cached", "--others", "--exclude-standard"])
+        .current_dir(root)
+        .output()?;
+    if !out.status.success() {
+        return Err(io::Error::other("`git ls-files` failed"));
+    }
+    Ok(String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|rel| root.join(rel).is_file())
+        .map(String::from)
+        .collect())
+}
+
+/// Every Rust source file and `Cargo.toml` of the workspace, as
+/// `(workspace-relative path, text)` in path order. `benchmark/` is a
+/// workspace of its own with its own lint table, so the root's deny-level
+/// lints do not describe it.
 fn read_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
-    let mut files = Vec::new();
-    collect_files(root, root, &mut files)?;
-    files.sort();
-    files
+    let linted = |rel: &String| {
+        (rel.ends_with(".rs") || rel.rsplit('/').next() == Some("Cargo.toml"))
+            && !rel.starts_with("benchmark/")
+    };
+    tracked_files(root)?
         .into_iter()
-        .map(|rel| {
-            let source = fs::read_to_string(root.join(&rel))?;
-            Ok((rel, source))
-        })
+        .filter(linted)
+        .map(|rel| fs::read_to_string(root.join(&rel)).map(|text| (rel, text)))
         .collect()
 }
 
@@ -190,40 +230,10 @@ pub fn check_waiver_budget(root: &Path, report: &WorkspaceReport) -> Result<(), 
     }
 }
 
-/// Directories never descended into. `benchmark/` is a workspace of its
-/// own with its own lint table, so the root's deny-level lints do not
-/// describe it.
-const SKIP_DIRS: [&str; 5] = ["target", ".git", ".github", "results", "benchmark"];
-
 /// Is this `Cargo.toml` a workspace member's (`members = ["crates/*"]`)
 /// or the root's, the manifests R6 checks?
 fn is_member_manifest(rel: &str) -> bool {
     rel == "Cargo.toml" || (rel.starts_with("crates/") && rel.matches('/').count() == 2)
-}
-
-fn collect_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
-                continue;
-            }
-            collect_files(root, &path, out)?;
-        } else if name.ends_with(".rs") || name == "Cargo.toml" {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                .collect::<Vec<_>>()
-                .join("/");
-            out.push(rel);
-        }
-    }
-    Ok(())
 }
 
 /// The workspace root, derived from this crate's manifest directory.

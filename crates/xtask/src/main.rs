@@ -4,23 +4,15 @@
 //!
 //! - `lint` — run the lint rules no compiler lint expresses (R6, R7, R9,
 //!   R10, and R11's inner `#![allow]`, which clippy's `allow_attributes`
-//!   skips) over the workspace, and the `WAIVERS.budget` exact-count
-//!   check (R11); non-zero exit on any finding.
-//! - `ci` — fmt-check → clippy, default features then
-//!   `--no-default-features` (both required: clippy is the only enforcer
-//!   of the wall-clock, entropy, hash-order, float-equality, hot-path
-//!   panic and suppression rules) → lint → release build → `benchmark/`
-//!   package tests (release) → tests (default features, then
-//!   `strict-invariants`)
-//!   → race harness (release) → sharded-determinism gate (the
-//!   serial-vs-sharded byte-equivalence suite under `strict-invariants`;
-//!   see CONCURRENCY.md) → `--no-default-features` build and tests
-//!   → quick-scale chaos smoke run under
-//!   `strict-invariants` → chaos fault drills (injected worker panic,
-//!   barrier stall and livelock must each fail loudly with a structured
-//!   JSONL error line naming point 0 and its seed, and partial CSVs) →
-//!   rustdoc gate (`cargo doc --no-deps` with `-Dwarnings`; the doctests
-//!   already ran in each of the three test steps).
+//!   skips) over the workspace, the `WAIVERS.budget` exact-count check
+//!   (R11), and R12: every path, knob, `cargo xtask` subcommand, metric
+//!   key and Rust name a checked root doc backticks must exist in the
+//!   tracked tree; non-zero exit on any finding.
+//! - `ci` — the one-command gate, every step required: fmt-check →
+//!   clippy (both feature sets; clippy is the only enforcer of the rules
+//!   it holds) → lint → build → tests → race harness → sharded
+//!   determinism → chaos smoke and drills → rustdoc; `ci` below lists
+//!   each step.
 //! - `bench` — build `ecnsharp-bench` in its default and its
 //!   `--no-default-features` build and run the former against the latter:
 //!   four same-run pairs, each gated on the median of its interleaved
@@ -32,7 +24,7 @@
 
 use std::ffi::OsString;
 use std::process::{Command, ExitCode};
-use xtask::cargo;
+use xtask::{cargo, Subcommand, SUBCOMMANDS};
 
 #[expect(
     clippy::disallowed_methods,
@@ -49,17 +41,18 @@ mod timing {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => exit_for(lint()),
-        Some("ci") => ci(),
-        Some("bench") => exit_for(xtask::bench::run(&xtask::workspace_root())),
-        Some("loc") => exit_for(loc()),
-        Some("help") | None => {
+    let word = args.first().map_or("help", String::as_str);
+    match SUBCOMMANDS.iter().find(|(name, _)| *name == word) {
+        Some((_, Subcommand::Lint)) => exit_for(lint()),
+        Some((_, Subcommand::Ci)) => ci(),
+        Some((_, Subcommand::Bench)) => exit_for(xtask::bench::run(&xtask::workspace_root())),
+        Some((_, Subcommand::Loc)) => exit_for(loc()),
+        Some((_, Subcommand::Help)) => {
             print_help();
             ExitCode::SUCCESS
         }
-        Some(other) => {
-            eprintln!("unknown xtask subcommand `{other}`\n");
+        None => {
+            eprintln!("unknown xtask subcommand `{word}`\n");
             print_help();
             ExitCode::FAILURE
         }
@@ -71,14 +64,15 @@ fn print_help() {
         "cargo xtask <command>\n\n\
          commands:\n  \
          lint        the rules clippy cannot express (R6 R7 R9 R10, and R11's\n              \
-         #![allow] ban) and the WAIVERS.budget count (R11)\n  \
+         #![allow] ban), the WAIVERS.budget count (R11), and R12: a\n              \
+         checked root doc names only what the tree has\n  \
          ci          fmt-check -> clippy (both feature sets) -> lint -> build ->\n              \
          tests -> race harness -> sharded determinism ->\n              \
          chaos smoke -> chaos drills -> rustdoc gate\n  \
          bench       run the four paired microbench gates; fail when a pair's\n              \
          median same-run ratio misses its budget\n  \
-         loc         non-test lines per crate and in total (tracked crates/**/*.rs\n              \
-         outside tests/ directories, less #[cfg(test)] regions)"
+         loc         non-test lines per crate and in total (crates/**/*.rs that git\n              \
+         lists, outside tests/ directories, less #[cfg(test)] regions)"
     );
 }
 
@@ -100,7 +94,7 @@ fn lint() -> bool {
                 return false;
             }
             println!(
-                "lint: workspace clean (rules R6 R7 R9 R10 R11, {} waiver(s) within budget, \
+                "lint: workspace clean (rules R6 R7 R9 R10 R11 R12, {} waiver(s) within budget, \
                  {secs:.2}s)",
                 report.waivers.values().sum::<usize>()
             );
@@ -120,22 +114,21 @@ fn lint() -> bool {
     }
 }
 
-/// Print the non-test line count per crate and the total: every tracked
-/// `crates/**/*.rs` outside a `tests/` directory, less the lines
+/// Print the non-test line count per crate and the total: every
+/// `crates/**/*.rs` [`xtask::tracked_files`] lists outside a `tests/`
+/// directory, less the lines
 /// [`xtask::scan::scan_lines`] puts in a test region.
 fn loc() -> bool {
     let root = xtask::workspace_root();
-    let git = Command::new("git")
-        .args(["ls-files", "crates/*.rs"])
-        .current_dir(&root)
-        .output();
-    let Some(out) = git.ok().filter(|out| out.status.success()) else {
+    let Ok(files) = xtask::tracked_files(&root) else {
         eprintln!("loc: `git ls-files` failed");
         return false;
     };
     let mut per_crate = std::collections::BTreeMap::new();
-    let files = String::from_utf8_lossy(&out.stdout);
-    for rel in files.lines().filter(|rel| !rel.contains("/tests/")) {
+    let crate_sources = files
+        .iter()
+        .filter(|rel| rel.starts_with("crates/") && rel.ends_with(".rs"));
+    for rel in crate_sources.filter(|rel| !rel.contains("/tests/")) {
         let Ok(source) = std::fs::read_to_string(root.join(rel)) else {
             eprintln!("loc: cannot read {rel}");
             return false;
@@ -155,20 +148,13 @@ fn loc() -> bool {
 fn run_step(name: &str, mut cmd: Command) -> Result<(), ()> {
     print!("ci: {name} ... ");
     let (status, secs) = timing::timed(|| cmd.status());
-    match status {
-        Ok(s) if s.success() => {
-            println!("ok ({secs:.1}s)");
-            Ok(())
-        }
-        Ok(s) => {
-            println!("FAILED ({s})");
-            Err(())
-        }
-        Err(e) => {
-            println!("FAILED to launch: {e}");
-            Err(())
-        }
+    let status = status.map_err(|e| println!("FAILED to launch: {e}"))?;
+    if !status.success() {
+        println!("FAILED ({status})");
+        return Err(());
     }
+    println!("ok ({secs:.1}s)");
+    Ok(())
 }
 
 /// Run the quick chaos sweep on `shards` shards with `ECNSHARP_DRILL` set
@@ -182,26 +168,13 @@ fn chaos_drill(drill: &str, shards: &str, expect_type: &str) -> Result<(), ()> {
     let tmp = std::env::temp_dir().join("ecnsharp-ci-chaos-drill");
     let _ = std::fs::remove_dir_all(&tmp);
     let mut c = cargo();
-    c.args([
-        "run",
-        "--release",
-        "-p",
-        "ecnsharp-experiments",
-        "--bin",
-        "chaos",
-    ]);
+    c.args("run --release -p ecnsharp-experiments --bin chaos".split_whitespace());
     c.env("ECNSHARP_SCALE", "quick");
     c.env("ECNSHARP_RESULTS", &tmp);
     c.env("ECNSHARP_DRILL", drill);
     c.env("ECNSHARP_SHARDS", shards);
     let (out, secs) = timing::timed(|| c.output());
-    let out = match out {
-        Ok(o) => o,
-        Err(e) => {
-            println!("FAILED to launch: {e}");
-            return Err(());
-        }
-    };
+    let out = out.map_err(|e| println!("FAILED to launch: {e}"))?;
     if out.status.success() {
         println!("FAILED (drill run exited 0; the injected fault never surfaced)");
         return Err(());

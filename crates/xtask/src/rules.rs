@@ -1,16 +1,8 @@
-//! The lint rules no compiler lint expresses, and the per-file checking
-//! engine.
-//!
-//! Wall clock, OS entropy, hash collections, float `==`, hot-path panics,
-//! unsafe code, missing docs, outer `#[allow]`s, unreasoned or unchecked
-//! suppressions and non-`Send` shard-boundary types are the compiler's job
-//! (`[workspace.lints]`, `#![deny]` in the hot crates, the `assert_send`
-//! proofs). What is left: R6 every member manifest inherits that table,
-//! R7 shared mutable statics, R9 `partial_cmp` comparators, R10 env reads
-//! outside `env.rs`, and R11 inner `#![allow]`s, which clippy's
-//! `allow_attributes` does not check. None of them can be waived. The
-//! engine also counts each `#[expect]` of a deny-level lint, the waivers
-//! `WAIVERS.budget` holds (R11).
+//! The source-level lint rules no compiler lint expresses — R6, R7, R9,
+//! R10 and R11; README.md "Static analysis & invariants" has the table —
+//! and the per-file checking engine, which also counts each `#[expect]`
+//! of a deny-level lint: the waivers `WAIVERS.budget` holds. R12, on the
+//! root docs, is [`crate::docs`].
 
 use crate::scan::{find_keyword, find_word, has_word, scan_lines, ScannedLine};
 use crate::FileClass;
@@ -37,6 +29,9 @@ pub enum Rule {
     /// only the outer form, so an inner one would switch a lint off for a
     /// whole module with no budget entry and no staleness check.
     InnerAllow,
+    /// R12: a checked root doc names only what the tree has (see
+    /// [`crate::docs`]).
+    DocNames,
 }
 
 impl Rule {
@@ -48,6 +43,7 @@ impl Rule {
             Rule::FloatComparator => "R9",
             Rule::EnvOutsideEnvModule => "R10",
             Rule::InnerAllow => "R11",
+            Rule::DocNames => "R12",
         }
     }
 }
@@ -361,16 +357,9 @@ fn shared_state_problem(decl: &str) -> Option<&'static str> {
         }
     }
     // Atomic* family by prefix: AtomicU64, AtomicUsize, AtomicBool, …
-    let b = decl.as_bytes();
-    let mut from = 0;
-    while let Some(p) = decl[from..].find("Atomic") {
-        let start = from + p;
-        if start == 0 || !(b[start - 1].is_ascii_alphanumeric() || b[start - 1] == b'_') {
-            return Some("`static` atomic is shared mutable state");
-        }
-        from = start + 1;
-    }
-    None
+    decl.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .any(|word| word.starts_with("Atomic"))
+        .then_some("`static` atomic is shared mutable state")
 }
 
 #[cfg(test)]

@@ -17,10 +17,13 @@ pub struct ScannedLine {
     /// Line belongs to a `#[cfg(test)]` item or a `mod tests { .. }`
     /// body (including the attribute/declaration lines themselves).
     pub in_test: bool,
+    /// The contents of the string literals that close on this line, a
+    /// `\`-escape reduced to the escaped character.
+    pub literals: Vec<String>,
 }
 
 /// Lexer state carried across lines.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct LexState {
     /// Depth of nested `/* */` comments (rust block comments nest).
     block_comment_depth: u32,
@@ -29,6 +32,8 @@ struct LexState {
     /// Inside an ordinary `"…"` string that continues past a line break
     /// (multi-line literals and `\`-continuations).
     in_string: bool,
+    /// Contents so far of the string literal being lexed.
+    literal: String,
 }
 
 /// Region-tracking state carried across lines (operates on lexed code
@@ -126,6 +131,7 @@ pub fn scan_lines(source: &str) -> Vec<ScannedLine> {
 fn scan_line(line: &str, state: &mut LexState) -> ScannedLine {
     let bytes: Vec<char> = line.chars().collect();
     let mut code = String::with_capacity(line.len());
+    let mut literals = Vec::new();
     let mut i = 0usize;
 
     while i < bytes.len() {
@@ -147,23 +153,15 @@ fn scan_line(line: &str, state: &mut LexState) -> ScannedLine {
         }
         if let Some(hashes) = state.raw_string_hashes {
             // Look for `"###...` with the right number of hashes.
-            if bytes[i] == '"' {
-                let mut ok = true;
-                for k in 0..hashes as usize {
-                    if bytes.get(i + 1 + k) != Some(&'#') {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    state.raw_string_hashes = None;
-                    for _ in 0..=hashes as usize {
-                        code.push(' ');
-                    }
-                    i += 1 + hashes as usize;
-                    continue;
-                }
+            let hashes = hashes as usize;
+            if bytes[i] == '"' && (1..=hashes).all(|k| bytes.get(i + k) == Some(&'#')) {
+                state.raw_string_hashes = None;
+                literals.push(std::mem::take(&mut state.literal));
+                code.push_str(&" ".repeat(1 + hashes));
+                i += 1 + hashes;
+                continue;
             }
+            state.literal.push(bytes[i]);
             code.push(' ');
             i += 1;
             continue;
@@ -176,14 +174,17 @@ fn scan_line(line: &str, state: &mut LexState) -> ScannedLine {
                 code.push(' ');
                 i += 1;
                 if i < bytes.len() {
+                    state.literal.push(bytes[i]);
                     code.push(' ');
                     i += 1;
                 }
             } else if bytes[i] == '"' {
                 state.in_string = false;
+                literals.push(std::mem::take(&mut state.literal));
                 code.push(' ');
                 i += 1;
             } else {
+                state.literal.push(bytes[i]);
                 code.push(' ');
                 i += 1;
             }
@@ -271,6 +272,7 @@ fn scan_line(line: &str, state: &mut LexState) -> ScannedLine {
     ScannedLine {
         code,
         in_test: false,
+        literals,
     }
 }
 
@@ -286,37 +288,25 @@ pub fn has_word(code: &str, word: &str) -> bool {
 
 /// Find the byte offset of `word` as a standalone identifier in `code`.
 pub fn find_word(code: &str, word: &str) -> Option<usize> {
-    let b = code.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(word) {
-        let start = from + pos;
-        let end = start + word.len();
-        let before_ok = start == 0 || !is_ident_byte(b[start - 1]);
-        let after_ok = end >= b.len() || !is_ident_byte(b[end]);
-        if before_ok && after_ok {
-            return Some(start);
-        }
-        from = start + 1;
-    }
-    None
+    word_starts(code, word).next()
 }
 
 /// [`find_word`] excluding matches directly preceded by a lifetime tick:
 /// `'static` is a lifetime, `static X: …` is an item.
 pub fn find_keyword(code: &str, word: &str) -> Option<usize> {
+    word_starts(code, word).find(|&start| !code[..start].ends_with('\''))
+}
+
+/// The byte offsets at which `word` occurs as a standalone identifier.
+fn word_starts<'a>(code: &'a str, word: &'a str) -> impl Iterator<Item = usize> + 'a {
     let b = code.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(word) {
-        let start = from + pos;
-        let end = start + word.len();
-        let before_ok = start == 0 || (!is_ident_byte(b[start - 1]) && b[start - 1] != b'\'');
-        let after_ok = end >= b.len() || !is_ident_byte(b[end]);
-        if before_ok && after_ok {
-            return Some(start);
-        }
-        from = start + 1;
-    }
-    None
+    code.match_indices(word)
+        .map(|(start, _)| start)
+        .filter(move |&start| {
+            let end = start + word.len();
+            (start == 0 || !is_ident_byte(b[start - 1]))
+                && (end >= b.len() || !is_ident_byte(b[end]))
+        })
 }
 
 fn is_ident_byte(c: u8) -> bool {
@@ -363,6 +353,15 @@ mod tests {
         let s = scan_lines(r##"let q = r#"thread_rng in raw"#; let y = 2;"##);
         assert!(!s[0].code.contains("thread_rng"));
         assert!(s[0].code.contains("let y = 2"));
+        assert_eq!(s[0].literals, ["thread_rng in raw"]);
+    }
+
+    #[test]
+    fn literals_are_collected_where_they_close() {
+        let s = scan_lines("f('\"', \"a\\\"b\", \"c\"); // \"no\"\nlet m = \"x \\\ny\";");
+        assert_eq!(s[0].literals, ["a\"b", "c"]);
+        assert!(s[1].literals.is_empty());
+        assert_eq!(s[2].literals, ["x y"]);
     }
 
     #[test]
