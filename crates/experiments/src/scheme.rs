@@ -5,7 +5,6 @@ use ecnsharp_aqm::{params, CoDel, DctcpRed, DropTail, Tcn};
 use ecnsharp_core::{EcnSharp, EcnSharpConfig};
 use ecnsharp_net::PortConfig;
 use ecnsharp_sim::{Duration, Rate};
-use ecnsharp_tofino::{TofinoEcnSharp, WrapCmp};
 use ecnsharp_workload::RttVariation;
 
 /// One of the compared switch configurations.
@@ -27,9 +26,6 @@ pub enum Scheme {
     Tcn(Option<Duration>),
     /// ECN♯ with the §3.4 rule-of-thumb (or an explicit config).
     EcnSharp(Option<EcnSharpConfig>),
-    /// ECN♯ as the Tofino match-action pipeline (ablation: quantized time,
-    /// LUT sqrt).
-    EcnSharpTofino,
     /// Plain tail-drop.
     DropTail,
 }
@@ -45,7 +41,6 @@ impl Scheme {
             Scheme::CoDelDrop => "CoDel-drop".into(),
             Scheme::Tcn(_) => "TCN".into(),
             Scheme::EcnSharp(_) => "ECN#".into(),
-            Scheme::EcnSharpTofino => "ECN#-Tofino".into(),
             Scheme::DropTail => "DropTail".into(),
         }
     }
@@ -146,12 +141,6 @@ impl SchemeParams {
             Scheme::EcnSharp(cfg) => {
                 Box::new(EcnSharp::new(cfg.unwrap_or_else(|| self.ecnsharp())))
             }
-            Scheme::EcnSharpTofino => Box::new(TofinoEcnSharp::new(
-                self.ecnsharp(),
-                1,
-                0,
-                WrapCmp::CorrectedLt,
-            )),
             Scheme::DropTail => Box::new(DropTail::new()),
         };
         PortConfig::fifo(buffer, aqm)
@@ -180,10 +169,9 @@ mod tests {
         assert!((10.0..30.0).contains(&tgt), "pst_target {tgt}us");
     }
 
-    #[test]
-    fn every_scheme_builds_a_port() {
-        let p = SchemeParams::derive(&RttVariation::paper_3x(), Rate::from_gbps(10));
-        for s in [
+    /// Every `Scheme` variant, once.
+    fn all_schemes() -> [Scheme; 8] {
+        [
             Scheme::DctcpRedTail,
             Scheme::DctcpRedAvg,
             Scheme::DctcpRedK(100_000),
@@ -191,19 +179,24 @@ mod tests {
             Scheme::CoDelDrop,
             Scheme::Tcn(None),
             Scheme::EcnSharp(None),
-            Scheme::EcnSharpTofino,
             Scheme::DropTail,
-        ] {
+        ]
+    }
+
+    #[test]
+    fn every_scheme_builds_a_port() {
+        let p = SchemeParams::derive(&RttVariation::paper_3x(), Rate::from_gbps(10));
+        for s in all_schemes() {
             let cfg = p.port(&s, 1_000_000, 7);
             assert_eq!(cfg.capacity_bytes, 1_000_000, "{}", s.label());
         }
     }
 
+    /// Labels key the CSV rows and fig10's per-scheme series file names.
     #[test]
     fn labels_unique() {
-        let labels: Vec<String> = Scheme::testbed_set().iter().map(|s| s.label()).collect();
-        let mut dedup = labels.clone();
-        dedup.dedup();
-        assert_eq!(labels, dedup);
+        let labels: std::collections::BTreeSet<String> =
+            all_schemes().iter().map(Scheme::label).collect();
+        assert_eq!(labels.len(), all_schemes().len());
     }
 }

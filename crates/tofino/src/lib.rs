@@ -22,7 +22,7 @@ pub mod pipeline;
 pub mod register;
 pub mod time_emu;
 
-pub use pipeline::{ResourceReport, TofinoEcnSharp, SQRT_TABLE_ENTRIES};
+pub use pipeline::{ResourceReport, TofinoEcnSharp};
 pub use register::{RegId, RegisterFile};
 pub use time_emu::{reference_ticks, TimeEmulator, WrapCmp};
 

@@ -20,18 +20,14 @@
 //!
 //! The per-port state is one slot of each array (the paper provisions all
 //! 128 ports). The pipeline is differential-tested against the reference
-//! `ecnsharp_core::EcnSharp` in this module and in `tests/`.
+//! `ecnsharp_core::EcnSharp` in this module, and shadowed packet by packet
+//! on the figures' traffic by `crates/experiments/tests/tofino_shadow.rs`.
 
 use crate::register::{RegId, RegisterFile};
 use crate::time_emu::{TimeEmulator, WrapCmp};
 use ecnsharp_aqm::{mark_or_drop, Aqm, DequeueVerdict, EnqueueVerdict, PacketView, QueueState};
 use ecnsharp_core::EcnSharpConfig;
 use ecnsharp_sim::SimTime;
-
-/// Size of the `interval/sqrt(count)` lookup table. Counts beyond the
-/// table clamp to the last entry (the marking interval has shrunk ~32× by
-/// then; further precision is noise).
-pub const SQRT_TABLE_ENTRIES: usize = 1024;
 
 /// Static resource usage of the pipeline, for the §4 comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +37,7 @@ pub struct ResourceReport {
     pub match_action_tables: usize,
     /// 32-bit register arrays.
     pub reg32_arrays: usize,
-    /// Entries in the sqrt lookup table.
+    /// Entries in the sqrt range-match table.
     pub sqrt_table_entries: usize,
     /// Packet metadata bits carried between stages.
     pub metadata_bits: usize,
@@ -63,8 +59,9 @@ pub struct TofinoEcnSharp {
     marking_state: RegId,
     marking_count: RegId,
     marking_next: RegId,
-    /// count → interval/sqrt(count), in ticks (the MAT of stage 6).
-    sqrt_lut: Vec<u32>,
+    /// The MAT of stage 6, a range match: `(first count, delta)` in count
+    /// order, one entry per rounded `interval/sqrt(count + 1)` in ticks.
+    sqrt_lut: Vec<(u64, u32)>,
 }
 
 fn to_ticks(d: ecnsharp_sim::Duration) -> u32 {
@@ -82,12 +79,16 @@ impl TofinoEcnSharp {
         let marking_count = rf.alloc("marking_count", ports);
         let marking_next = rf.alloc("marking_next", ports);
         let interval = to_ticks(cfg.pst_interval).max(1);
-        let sqrt_lut = (0..SQRT_TABLE_ENTRIES)
-            .map(|c| {
-                let count = (c + 1) as f64;
-                ((interval as f64 / count.sqrt()).round() as u32).max(1)
-            })
+        // delta(c) <= v exactly when interval/sqrt(c + 1) < v + 1/2, i.e.
+        // c >= floor(4 interval² / (2v + 1)²): the entry for delta v starts
+        // there. Count 1 takes the largest delta, round(interval/sqrt 2).
+        let i2 = 4 * u64::from(interval).pow(2);
+        let top = ((f64::from(interval) / 2f64.sqrt()).round() as u32).max(1);
+        let mut sqrt_lut: Vec<(u64, u32)> = (1..=top)
+            .map(|v| ((i2 / (2 * u64::from(v) + 1).pow(2)).max(1), v))
             .collect();
+        sqrt_lut.dedup_by_key(|e| e.0);
+        sqrt_lut.reverse();
         TofinoEcnSharp {
             rf,
             time,
@@ -153,33 +154,16 @@ impl TofinoEcnSharp {
             (new, old == 1)
         });
 
-        // Stage 5: marking_count (single access). The increment condition
-        // (now > marking_next) is only known after stage 7 on hardware;
-        // the P4 implementation solves the circularity by having stage 7's
-        // ALU output feed next packet. We reproduce the paper's exact
-        // semantics by splitting: count resets to 1 on episode entry and
-        // increments when the *next* register fires; to keep one access
-        // per register we read marking_next's value through metadata
-        // computed last pass. Simpler and semantically identical: do the
-        // compare on marking_next first via its own access in stage 7 and
-        // carry the increment back on the following packet. Here we fold
-        // both into the architecturally-equivalent form: stage 5 computes
-        // the candidate count, stage 7 validates it.
-        let candidate_count = self.rf.access(self.marking_count, self.port, move |old| {
-            if !detected {
-                (old, old) // untouched outside episodes
-            } else if !was_marking {
-                (1, 1) // fresh episode
-            } else {
-                // Tentatively advance; stage 7 confirms via marking_next.
-                (old, old)
-            }
+        // Stage 5: marking_count (single access): reset to 1 on episode
+        // entry, else read. Its increment depends on stage 7's compare, so
+        // it is committed after the pass (`bump_count`).
+        let count = self.rf.access(self.marking_count, self.port, move |old| {
+            let new = if detected && !was_marking { 1 } else { old };
+            (new, new)
         });
 
         // Stage 6: sqrt lookup MAT.
-        let delta = self.sqrt_lut[(candidate_count as usize)
-            .saturating_sub(0)
-            .min(self.sqrt_lut.len() - 1)];
+        let delta = self.sqrt_delta(count);
 
         // Stage 7: marking_next (single access) — the actual decision.
         let pst_mark = self.rf.access(self.marking_next, self.port, move |old| {
@@ -217,9 +201,13 @@ impl TofinoEcnSharp {
         });
     }
 
-    /// The delta the sqrt MAT returns for a given count (test hook).
+    /// The delta, in ticks, the sqrt MAT returns for `count`: the
+    /// schedule push when the count advances to `count + 1`.
     pub fn sqrt_delta(&self, count: u32) -> u32 {
-        self.sqrt_lut[(count as usize).min(self.sqrt_lut.len() - 1)]
+        let i = self
+            .sqrt_lut
+            .partition_point(|&(first, _)| first <= u64::from(count));
+        self.sqrt_lut[i.saturating_sub(1)].1
     }
 }
 
@@ -356,14 +344,24 @@ mod tests {
     #[test]
     fn sqrt_lut_matches_formula() {
         // sqrt_delta(old_count) is the schedule push applied when the
-        // count advances to old_count + 1: interval / sqrt(old_count + 1).
-        let p = pipeline();
-        for old_count in [1u32, 2, 4, 9, 100, 1022] {
-            let want = ((200.0 / ((old_count + 1) as f64).sqrt()).round() as u32).max(1);
-            assert_eq!(p.sqrt_delta(old_count), want, "old_count {old_count}");
+        // count advances to old_count + 1: interval / sqrt(old_count + 1),
+        // rounded, at least one tick. Real episodes run past 1 024 marks
+        // (the shadow differential in crates/experiments/tests saw 1 445 on
+        // fig6's star), so every count up to where the push bottoms out
+        // at 1 tick must be right.
+        for interval in [1u64, 7, 195, 200] {
+            let mut c = cfg();
+            c.pst_interval = Duration::from_nanos(interval * TICK);
+            let p = TofinoEcnSharp::new(c, 1, 0, WrapCmp::CorrectedLt);
+            for old_count in 1..=(4 * interval * interval + 10) as u32 {
+                let exact = interval as f64 / f64::from(old_count + 1).sqrt();
+                let got = f64::from(p.sqrt_delta(old_count));
+                assert!(
+                    (got - exact.max(1.0)).abs() <= 0.5,
+                    "interval {interval}, old_count {old_count}: {got} ticks for {exact:.3}"
+                );
+            }
         }
-        // Beyond the table: clamps.
-        assert_eq!(p.sqrt_delta(5_000), p.sqrt_delta(1023));
     }
 
     #[test]

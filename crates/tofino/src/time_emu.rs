@@ -8,12 +8,16 @@
 //! value wraps. The resulting 32-bit tick counter wraps only every ~73 min.
 //!
 //! **Reproduction note.** Algorithm 2 as printed detects a wrap with
-//! `time_low <= register_low`. Two packets inside the same 1024 ns tick
-//! then *both* match the condition, spuriously bumping the high bits by
-//! one tick-epoch (+2²² ticks ≈ 4.3 s) — at 10 Gbps line rate, back-to-back
-//! packets are ~120 ns apart, so this fires constantly. The hardware code
-//! surely used strict `<`; we implement both ([`WrapCmp`]), default to the
-//! corrected one, and unit-test the discrepancy.
+//! `time_low <= register_low`. The second of two packets inside the same
+//! 1024 ns tick then matches the condition, spuriously bumping the high
+//! bits by one tick-epoch (+2²² ticks ≈ 4.3 s). One port's back-to-back
+//! MTUs are ~1 230 ns apart at 10 Gbps, but small frames (64 B: ~51 ns)
+//! and the pipe's other ports share ticks: both registers have one slot,
+//! so they are one clock for every port. On the figures' switch traffic
+//! the printed `<=` bumps 2–6×10⁵ times per simulated second
+//! (EXPERIMENTS.md D4). The hardware code surely used strict `<`; we
+//! implement both ([`WrapCmp`]), default to the corrected one, and
+//! unit-test the discrepancy.
 
 use crate::register::{RegId, RegisterFile};
 
