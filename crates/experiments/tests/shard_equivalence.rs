@@ -68,12 +68,11 @@ fn fat_tree_fct_is_shard_invariant() {
     );
 }
 
-/// The same TCP fat-tree (k=4) compared record by record and port by
-/// port, with the step count: an FCT aggregate could hide two flows
-/// trading completion times, or a port trading drops for marks.
-#[test]
-fn fat_tree_records_and_ports_are_shard_invariant() {
-    let run = |shards: u32| {
+/// The TCP fat-tree (k=4) run on `shards` shards, as its step count, each
+/// record and each port's statistics. `shuffle` lists the flows in a
+/// fixed scrambled order instead of by start time.
+fn fat_tree_records_and_ports(shards: u32, shuffle: bool) -> Vec<String> {
+    {
         let sc = FctScenario::testbed(Scheme::EcnSharp(None), dists::web_search(), 0.2, 30, 6);
         let params = SchemeParams::derive(&sc.rtt, sc.rate);
         let ft = fat_tree(
@@ -100,7 +99,17 @@ fn fat_tree_records_and_ports_are_shard_invariant() {
             start: SimTime::ZERO,
         };
         let mut rng = Rng::seed_from_u64(sc.seed);
-        for (at, cmd) in spec.generate(sc.n_flows, 1, &mut rng) {
+        let mut flows = spec.generate(sc.n_flows, 1, &mut rng);
+        if shuffle {
+            let mut times: Vec<SimTime> = flows.iter().map(|f| f.0).collect();
+            times.sort_unstable();
+            times.dedup();
+            assert_eq!(times.len(), flows.len(), "start times must be distinct");
+            let third = flows.len() / 3;
+            flows.reverse();
+            flows.rotate_left(third);
+        }
+        for (at, cmd) in flows {
             net.schedule_flow(at, cmd);
         }
         match &plan {
@@ -117,13 +126,38 @@ fn fat_tree_records_and_ports_are_shard_invariant() {
             }
         }
         out
-    };
+    }
+}
+
+/// [`fat_tree_records_and_ports`] compared record by record and port by
+/// port, with the step count: an FCT aggregate could hide two flows
+/// trading completion times, or a port trading drops for marks.
+#[test]
+fn fat_tree_records_and_ports_are_shard_invariant() {
+    let run = |shards| fat_tree_records_and_ports(shards, false);
     let serial = run(1);
     for shards in [2, 4] {
         let sharded = run(shards);
         assert_eq!(serial.len(), sharded.len(), "{shards} shards");
         for (a, b) in serial.iter().zip(&sharded) {
             assert_eq!(a, b, "{shards} shards");
+        }
+    }
+}
+
+/// The same run with its flows scheduled out of start-time order: the
+/// network sorts its arrival list, and the split hands each shard, in
+/// order, the arrivals its hosts send. Every flow starts at a distinct
+/// time, so the shuffle changes no tie order and the run on any shard
+/// count must match the serial run of the sorted schedule.
+#[test]
+fn fat_tree_shuffled_schedule_is_shard_invariant() {
+    let serial = fat_tree_records_and_ports(1, false);
+    for shards in [1, 2, 4] {
+        let shuffled = fat_tree_records_and_ports(shards, true);
+        assert_eq!(serial.len(), shuffled.len(), "{shards} shards");
+        for (a, b) in serial.iter().zip(&shuffled) {
+            assert_eq!(a, b, "{shards} shards, shuffled");
         }
     }
 }

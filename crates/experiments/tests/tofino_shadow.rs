@@ -10,10 +10,11 @@
 //!    equal the run's, packet for packet, and the port must have no
 //!    dequeue-side AQM drop, since a dropped packet emits no sojourn
 //!    sample. Together these prove the stream is the one the AQM saw;
-//! 2. the same `EcnSharp` on tick-quantized inputs and config: `now`, `enq`
-//!    and the three durations truncated to 1 024 ns, as the pipeline's
-//!    `to_ticks` does. It runs the same code as 1, so every difference
-//!    between 1 and 2 is time quantization (class 2);
+//! 2. the same `EcnSharp` on tick-quantized inputs and config, as the
+//!    pipeline quantizes them: `now` and `enq` truncated to 1 024 ns, the
+//!    three durations rounded to the nearest 1 024 ns. It runs the same
+//!    code as 1, so every difference between 1 and 2 is time quantization
+//!    (class 2);
 //! 3. the pipeline, `TofinoEcnSharp` with `WrapCmp::CorrectedLt`, on the
 //!    raw `(now, enq)` nanoseconds.
 //!
@@ -135,12 +136,14 @@ struct Counts {
     unexplained: u64,
 }
 
+/// A timestamp truncated to its tick.
 fn ticked(ns: u64) -> u64 {
     ns / TICK * TICK
 }
 
+/// A threshold rounded to the nearest tick.
 fn ticked_d(d: Duration) -> Duration {
-    Duration::from_nanos(ticked(d.as_nanos()))
+    Duration::from_nanos(ticked(d.as_nanos() + TICK / 2))
 }
 
 /// Replay `stream` through the three deciders and classify every

@@ -52,6 +52,7 @@ macro_rules! emit {
 
 pub mod agent;
 pub mod arena;
+mod arrival;
 pub mod fault;
 pub mod ids;
 pub mod network;

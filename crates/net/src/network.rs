@@ -12,12 +12,13 @@
 //! rather than a global push counter: an event pushed while node `g`'s
 //! event was being processed gets `tag = (g + 1) << 40 | k`, with `k` that
 //! node's private push counter. Pushes outside any node's event (topology
-//! setup, scheduled flows, fault application) share the reserved base `0`
-//! and one setup counter. Because a node's tag sequence depends only on
-//! the events *that node* processes, the global `(time, tag)` order is
-//! identical no matter how the network is partitioned into shards — this
-//! is the determinism contract the sharded engine (see [`crate::shard`]
-//! and `CONCURRENCY.md`) is built on.
+//! setup, fault application) share the reserved base `0` and one setup
+//! counter, and so do the flows [`Network::schedule_flow`] lists and the
+//! fault plan's entries, which wait outside the queue. Because a node's
+//! tag sequence depends only on the events *that node* processes, the
+//! global `(time, tag)` order is identical no matter how the network is
+//! partitioned into shards — this is the determinism contract the sharded
+//! engine (see [`crate::shard`] and `CONCURRENCY.md`) is built on.
 //!
 //! A tag that has been drawn need not be pushed at once, or at all. Every
 //! transmission draws its `TxDone` tag and then its `Arrive` tag, in that
@@ -31,6 +32,7 @@
 //! pop, not the key of any event that does.
 
 use crate::agent::{Action, Agent, Ctx, FlowCmd, FlowOutcome, FlowRecord, FlowState};
+use crate::arrival::Arrivals;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{FlowId, NodeId};
 use crate::node::{Node, NodeKind};
@@ -159,8 +161,6 @@ pub(crate) enum Event {
     TxDone { node: NodeId, port: usize },
     /// Agent timer.
     Timer { node: NodeId, key: u64 },
-    /// Deliver a flow command to its source agent.
-    FlowStart(FlowCmd),
     /// A packet emerges from a host's artificial processing delay and
     /// enters the NIC queue.
     NicSend {
@@ -209,6 +209,9 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     /// Network seed: drives the ECMP salt and every port's fault dice.
     pub(crate) seed: u64,
     ecmp_salt: u64,
+    /// Flows scheduled but not yet started, in start order; each steps
+    /// in at its `(time, tag)` key, merged with the queue's events.
+    pub(crate) arrivals: Arrivals,
     /// Flows started but not yet completed: flow → (cmd, start time).
     pub(crate) pending: BTreeMap<FlowId, (FlowCmd, SimTime)>,
     /// Live cancellable timers: `(node, key)` → wheel token plus the armed
@@ -304,6 +307,7 @@ impl<S: Subscriber> Network<S> {
             events: EventQueue::new(),
             seed,
             ecmp_salt,
+            arrivals: Arrivals::default(),
             pending: BTreeMap::new(),
             timer_tokens: DetMap::default(),
             records: Vec::new(),
@@ -774,27 +778,52 @@ impl<S: Subscriber> Network<S> {
 
     // ── driving ────────────────────────────────────────────────────────
 
-    /// Schedule `cmd` to start at `at`. Flow ids are unique per
-    /// `Network`, for its whole life: a finished flow's id stays taken
-    /// (its receiver's closed state answers to it), and starting an id
-    /// that is still in progress is a bug caught by a debug assertion.
+    /// Schedule `cmd` to start at `at`, under the next set-up tag. The
+    /// flow waits in the arrival list, not the event queue, and starts at
+    /// the `(time, tag)` position a queued start event would have had.
+    /// Flow ids are unique per `Network`, for its whole life: a finished
+    /// flow's id stays taken (its receiver's closed state answers to it),
+    /// and starting an id that is still in progress is a bug caught by a
+    /// debug assertion.
+    ///
+    /// # Panics
+    /// When `cmd` does not fit the arrival list's packed fields: a source
+    /// node id of 2^24 or more, a destination node id or extra delay (in
+    /// ns) of 2^32 or more; or after 2^32 set-up tags have been drawn since
+    /// the first flow still to start was listed. Debug-panics when `at` is
+    /// in the past.
     pub fn schedule_flow(&mut self, at: SimTime, cmd: FlowCmd) {
+        ecnsharp_sim::invariant!(
+            at >= self.now(),
+            "scheduling a flow into the past: {at} < {}",
+            self.now()
+        );
+        let tag = self.next_tag();
+        self.arrivals.push(at, tag, cmd);
         self.flows_to_record += 1;
-        self.push_event(at, Event::FlowStart(cmd));
     }
 
-    /// The `(time, tag)` key of the next step — the minimum over the event
-    /// queue and the fault list. `None` when both are exhausted.
-    pub(crate) fn next_key(&mut self) -> Option<(SimTime, u64)> {
-        let ev = self.events.peek_key();
+    /// The next item kept outside the event queue — a flow arrival or a
+    /// fault — as its `(time, tag)` key and whether it is a fault. Both
+    /// carry set-up tags, so they never tie.
+    fn out_of_queue(&mut self) -> Option<((SimTime, u64), bool)> {
+        let arrival = self.arrivals.next_key().map(|k| (k, false));
         let fault = self
             .fault_queue
             .get(self.next_fault)
-            .map(|&(at, tag, _)| (at, tag));
-        match (ev, fault) {
-            (Some(e), Some(f)) => Some(e.min(f)),
-            (e, f) => e.or(f),
+            .map(|&(at, tag, _)| ((at, tag), true));
+        match (arrival, fault) {
+            (Some(a), Some(f)) => Some(a.min(f)),
+            (a, f) => a.or(f),
         }
+    }
+
+    /// The `(time, tag)` key of the next step — the minimum over the event
+    /// queue, the arrival list and the fault list (a shard engine holds no
+    /// faults). `None` when all three are exhausted.
+    pub(crate) fn next_key(&mut self) -> Option<(SimTime, u64)> {
+        let limit = self.out_of_queue().map(|(key, _)| key);
+        self.events.peek_key_before(limit).or(limit)
     }
 
     /// Give `records` (and a shard engine's `record_keys`) room for every
@@ -903,72 +932,48 @@ impl<S: Subscriber> Network<S> {
             time_ns: self.events.now().as_nanos(),
             events_at_instant: g.events_at_instant(),
             budget: g.budget(),
-            pending: self.events.len() as u64,
-            oldest_key: self.events.peek_key().map(|(t, k)| (t.as_nanos(), k)),
+            pending: (self.events.len() + self.arrivals.len()) as u64,
+            oldest_key: self.next_key().map(|(t, k)| (t.as_nanos(), k)),
         }
     }
 
-    /// Process queued events with `time < hi` — the body of one
-    /// conservative parallel window — with the same per-event trip checks
-    /// as [`Network::try_run_until_idle`]. The guard lives with the caller
-    /// (one per shard worker) so a zero-delay cycle inside a window, which
-    /// would otherwise spin without ever reaching the barrier, trips
-    /// exactly like its serial counterpart. Faults are untouched: sharded
-    /// runs apply them cross-shard at epoch boundaries, outside the
-    /// windows.
+    /// Process queued events and flow arrivals with `time < hi` — the
+    /// body of one conservative parallel window — with the same per-event
+    /// trip checks as [`Network::try_run_until_idle`]. The guard lives with
+    /// the caller (one per shard worker) so a zero-delay cycle inside a
+    /// window, which would otherwise spin without ever reaching the
+    /// barrier, trips exactly like its serial counterpart. A shard engine
+    /// holds no faults: sharded runs apply them at epoch boundaries,
+    /// outside the windows.
     pub(crate) fn run_window(
         &mut self,
         hi: SimTime,
         guard: &mut Option<ProgressGuard>,
     ) -> Result<(), SimError> {
-        while let Some((t, _)) = self.events.peek_key() {
+        while let Some((t, _)) = self.next_key() {
             if t >= hi {
                 break;
             }
-            self.step_queued();
+            self.step();
             self.check_trips(guard)?;
         }
         Ok(())
     }
 
-    /// Process a single event or due fault. Returns `false` when both the
-    /// queue and the fault list are exhausted.
+    /// Process a single event, flow arrival or due fault, whichever has
+    /// the smallest `(time, tag)` key. Returns `false` when the queue, the
+    /// arrival list and the fault list are all exhausted.
     pub fn step(&mut self) -> bool {
-        // Interleave faults by the same global (time, tag) order as queued
-        // events. Fault tags come from the setup range, which sorts below
-        // every runtime tag, so a fault wins ties at its own timestamp.
-        if let Some(&(at, tag, _)) = self.fault_queue.get(self.next_fault) {
-            let due = match self.events.peek_key() {
-                Some(key) => (at, tag) < key,
-                None => true,
-            };
-            if due {
-                self.step_fault();
-                return true;
+        // Arrivals and faults carry set-up tags, which sort below every
+        // runtime tag, so either wins a tie with an event at its instant.
+        let next = self.out_of_queue();
+        let Some((now, tag, ev)) = self.events.pop_keyed_before(next.map(|(key, _)| key)) else {
+            match next {
+                None => return false,
+                Some((_, true)) => self.step_fault(),
+                Some((_, false)) => self.step_arrival(),
             }
-        }
-        self.step_queued()
-    }
-
-    /// Apply the next fault of the plan as one step. The serial loop calls
-    /// this when the fault's key is the smallest pending one; the sharded
-    /// runner calls it with every node home, between epochs.
-    pub(crate) fn step_fault(&mut self) {
-        let (at, tag, action) = self.fault_queue[self.next_fault];
-        self.next_fault += 1;
-        self.steps += 1;
-        self.events.advance_now(at);
-        // The fault is the step in progress: a link-up kick compares this
-        // key with the port's reserved one.
-        self.cur_tag = tag;
-        self.apply_fault_at(at, action);
-    }
-
-    /// Pop and process one queued event (never a fault). Returns `false`
-    /// on an empty queue.
-    fn step_queued(&mut self) -> bool {
-        let Some((now, tag, ev)) = self.events.pop_keyed() else {
-            return false;
+            return true;
         };
         self.steps += 1;
         // Tag context for everything this event pushes: `cur_node` selects
@@ -1000,15 +1005,6 @@ impl<S: Subscriber> Network<S> {
                     agent.on_timer(ctx, key);
                 })
             }
-            Event::FlowStart(cmd) => {
-                let src = cmd.src;
-                self.cur_node = src.0;
-                let prev = self.pending.insert(cmd.flow, (cmd.clone(), now));
-                debug_assert!(prev.is_none(), "duplicate flow id {}", cmd.flow);
-                self.agent_callback(now, src, |agent, ctx| {
-                    agent.on_flow_cmd(ctx, cmd);
-                });
-            }
             Event::NicSend { node, pkt } => {
                 self.cur_node = node.0;
                 let n = &mut self.nodes[node.0];
@@ -1020,11 +1016,55 @@ impl<S: Subscriber> Network<S> {
                 self.push_event(now, Event::LivelockDrill { node });
             }
         }
+        self.end_step(now);
+        true
+    }
+
+    /// Start the next flow of the arrival list as one step: its source
+    /// agent gets the command at the flow's `(time, tag)` key. Out of
+    /// line: one step in thousands is a flow start, so it stays off the
+    /// per-event path of [`Self::step`].
+    #[inline(never)]
+    fn step_arrival(&mut self) {
+        let Some((now, tag, cmd)) = self.arrivals.pop() else {
+            return;
+        };
+        self.steps += 1;
+        self.events.advance_now(now);
+        self.cur_tag = tag;
+        self.rec_sub = 0;
+        let src = cmd.src;
+        self.cur_node = src.0;
+        let prev = self.pending.insert(cmd.flow, (cmd.clone(), now));
+        debug_assert!(prev.is_none(), "duplicate flow id {}", cmd.flow);
+        self.agent_callback(now, src, |agent, ctx| {
+            agent.on_flow_cmd(ctx, cmd);
+        });
+        self.end_step(now);
+    }
+
+    /// Close a step attributed to `cur_node`: poll the memory ceilings
+    /// (when armed) and return to the set-up push context.
+    #[inline]
+    fn end_step(&mut self, now: SimTime) {
         if self.mem_armed {
             self.poll_mem_breach(now);
         }
         self.cur_node = SETUP_CTX;
-        true
+    }
+
+    /// Apply the next fault of the plan as one step. The serial loop calls
+    /// this when the fault's key is the smallest pending one; the sharded
+    /// runner calls it with every node home, between epochs.
+    pub(crate) fn step_fault(&mut self) {
+        let (at, tag, action) = self.fault_queue[self.next_fault];
+        self.next_fault += 1;
+        self.steps += 1;
+        self.events.advance_now(at);
+        // The fault is the step in progress: a link-up kick compares this
+        // key with the port's reserved one.
+        self.cur_tag = tag;
+        self.apply_fault_at(at, action);
     }
 
     /// Poll the latched memory-breach flags after one event (only when a
@@ -1504,8 +1544,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flow_records_capture_fct() {
+    /// Host a ([`OneShot`]) -- switch -- host b ([`EchoAgent`]), 10 Gbps,
+    /// 1 us links: a one-packet flow from a completes one round trip
+    /// (~5.8 us) after it starts.
+    fn one_shot_rig() -> (Network, NodeId, NodeId) {
         let mut net = Network::new(2);
         let a = net.add_host(Box::new(OneShot));
         let b = net.add_host(Box::new(EchoAgent));
@@ -1528,17 +1570,25 @@ mod tests {
             Duration::from_micros(1),
         );
         net.compute_routes();
-        net.schedule_flow(
-            SimTime::from_micros(10),
-            FlowCmd {
-                flow: FlowId(7),
-                src: a,
-                dst: b,
-                size: 1460,
-                class: 0,
-                extra_delay: Duration::ZERO,
-            },
-        );
+        (net, a, b)
+    }
+
+    /// A one-packet flow `flow` from `src` to `dst`.
+    fn one_packet(flow: u64, src: NodeId, dst: NodeId) -> FlowCmd {
+        FlowCmd {
+            flow: FlowId(flow),
+            src,
+            dst,
+            size: 1460,
+            class: 0,
+            extra_delay: Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn flow_records_capture_fct() {
+        let (mut net, a, b) = one_shot_rig();
+        net.schedule_flow(SimTime::from_micros(10), one_packet(7, a, b));
         net.run_until_idle();
         assert_eq!(net.records().len(), 1);
         let r = &net.records()[0];
@@ -1595,6 +1645,121 @@ mod tests {
         assert_eq!(net.records().len(), flows as usize - early);
         assert_eq!(net.records.capacity(), again, "no growth mid-run");
         assert_eq!(net.flows_to_record, 0);
+    }
+
+    // ── the arrival list ───────────────────────────────────────────────
+
+    /// `(flow, start ns, finish ns)` of every record, in record order.
+    fn record_times<S: Subscriber>(net: &Network<S>) -> Vec<(u64, u64, u64)> {
+        net.records()
+            .iter()
+            .map(|r| (r.flow.0, r.start.as_nanos(), r.finish.as_nanos()))
+            .collect()
+    }
+
+    #[test]
+    fn flows_scheduled_out_of_order_start_in_time_order() {
+        // 40 flows 1.5 us apart, so several are in flight at once; one
+        // run lists them in time order, the other shuffled.
+        let run = |order: &[u64]| {
+            let (mut net, a, b) = one_shot_rig();
+            for &f in order {
+                net.schedule_flow(SimTime::from_nanos(1_500 * f + 700), one_packet(f, a, b));
+            }
+            net.run_until_idle();
+            (record_times(&net), net.steps(), net.now(), net.perf())
+        };
+        let in_order: Vec<u64> = (0..40).collect();
+        let shuffled: Vec<u64> = (0..40).map(|i| (i * 17 + 5) % 40).collect();
+        let want = run(&in_order);
+        assert_eq!(want.0.len(), 40);
+        assert_eq!(run(&shuffled), want);
+    }
+
+    #[test]
+    fn a_flow_scheduled_between_runs_starts_at_its_own_time() {
+        let (mut net, a, b) = one_shot_rig();
+        net.schedule_flow(SimTime::from_micros(10), one_packet(1, a, b));
+        net.schedule_flow(SimTime::from_micros(200), one_packet(4, a, b));
+        net.run_until(SimTime::from_micros(50));
+        assert_eq!(net.records().len(), 1);
+        // Flow 4 has not started; these two are listed behind it, out of
+        // order, one of them at the present instant.
+        net.schedule_flow(SimTime::from_micros(80), one_packet(3, a, b));
+        let now = net.now();
+        net.schedule_flow(now, one_packet(2, a, b));
+        net.run_until_idle();
+        let starts: Vec<(u64, u64)> = record_times(&net).iter().map(|r| (r.0, r.1)).collect();
+        assert_eq!(
+            starts,
+            [(1, 10_000), (2, now.as_nanos()), (3, 80_000), (4, 200_000)]
+        );
+        // And once every listed flow has started, a new one still does.
+        net.schedule_flow(SimTime::from_micros(300), one_packet(5, a, b));
+        net.run_until_idle();
+        assert_eq!(net.records()[4].start, SimTime::from_micros(300));
+    }
+
+    #[test]
+    fn event_ceiling_counts_queued_events_not_scheduled_flows() {
+        // 20 one-packet flows 100 us apart never queue more than a couple
+        // of events at once: a ceiling of 4 holds, though 20 flows wait.
+        let build = |ceiling| {
+            let (mut net, a, b) = one_shot_rig();
+            for f in 0..20 {
+                net.schedule_flow(SimTime::from_micros(10 + 100 * f), one_packet(f, a, b));
+            }
+            net.set_supervision(Supervision {
+                event_ceiling: Some(ceiling),
+                ..Supervision::default()
+            });
+            net
+        };
+        let mut net = build(4);
+        assert_eq!(net.events.len(), 0);
+        net.try_run_until_idle()
+            .expect("a few queued events at most");
+        assert_eq!(net.records().len(), 20);
+        // A ceiling of 0 trips on the first event the run pushes: the
+        // first flow's packet, at its start.
+        match build(0).try_run_until_idle() {
+            Err(SimError::MemBudgetExceeded { breach, time_ns }) => {
+                assert_eq!((time_ns, breach.node, breach.live), (10_000, Some(0), 1));
+            }
+            other => panic!("expected MemBudgetExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "source node n16777216 does not fit")]
+    fn arrival_rejects_a_source_past_24_bits() {
+        let (mut net, _, b) = one_shot_rig();
+        net.schedule_flow(SimTime::ZERO, one_packet(1, NodeId(1 << 24), b));
+    }
+
+    #[test]
+    #[should_panic(expected = "destination node n4294967296 does not fit")]
+    fn arrival_rejects_a_destination_past_32_bits() {
+        let (mut net, a, _) = one_shot_rig();
+        net.schedule_flow(SimTime::ZERO, one_packet(1, a, NodeId(1 << 32)));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^32 past the arrival list's base")]
+    fn arrival_rejects_a_tag_offset_past_32_bits() {
+        let (mut net, a, b) = one_shot_rig();
+        net.schedule_flow(SimTime::ZERO, one_packet(1, a, b));
+        net.setup_k += 1 << 32;
+        net.schedule_flow(SimTime::ZERO, one_packet(2, a, b));
+    }
+
+    #[test]
+    #[should_panic(expected = "extra delay")]
+    fn arrival_rejects_an_extra_delay_past_32_bits() {
+        let (mut net, a, b) = one_shot_rig();
+        let mut cmd = one_packet(1, a, b);
+        cmd.extra_delay = Duration::from_nanos(1 << 32);
+        net.schedule_flow(SimTime::ZERO, cmd);
     }
 
     #[test]

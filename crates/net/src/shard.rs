@@ -223,9 +223,13 @@ impl<S: ShardSubscriber> Network<S> {
         let backlog = std::mem::take(&mut self.events).drain_entries();
         self.events.set_mem_ceiling(sup.event_ceiling);
         Self::route(&mut shards, &owner, backlog);
-        // Each engine records the flows its own hosts start: one
-        // reservation for its share, as a serial run makes for the total.
-        for shard in &mut shards {
+        // Each engine starts, and records, the flows its own hosts send:
+        // their arrivals in order, and one reservation for its share, as a
+        // serial run makes for the total.
+        let lists = self.arrivals.split(&owner, n_shards);
+        for (shard, arrivals) in shards.iter_mut().zip(lists) {
+            shard.flows_to_record = arrivals.len();
+            shard.arrivals = arrivals;
             shard.reserve_records();
         }
         self.flows_to_record = 0;
@@ -325,17 +329,14 @@ impl<S: ShardSubscriber> Network<S> {
     /// it, keeping its canonical key.
     fn route(shards: &mut [Network<S>], owner: &[u32], entries: Vec<(SimTime, u64, Event)>) {
         for (at, tag, ev) in entries {
-            let s = match &ev {
-                Event::Arrive { node, .. }
-                | Event::TxDone { node, .. }
-                | Event::Timer { node, .. }
-                | Event::NicSend { node, .. }
-                | Event::LivelockDrill { node } => owner[node.0],
-                Event::FlowStart(cmd) => owner[cmd.src.0],
-            };
-            let shard = &mut shards[s as usize];
-            shard.flows_to_record += usize::from(matches!(ev, Event::FlowStart(_)));
-            shard.events.schedule_tagged(at, tag, ev);
+            let (Event::Arrive { node, .. }
+            | Event::TxDone { node, .. }
+            | Event::Timer { node, .. }
+            | Event::NicSend { node, .. }
+            | Event::LivelockDrill { node }) = &ev;
+            shards[owner[node.0] as usize]
+                .events
+                .schedule_tagged(at, tag, ev);
         }
     }
 }
@@ -407,7 +408,7 @@ fn run_windows<S: ShardSubscriber>(
             let (failed, errors, stall_diags) = (&failed, &errors, &stall_diags);
             scope.spawn(move || {
                 let next =
-                    |sh: &mut Network<S>| sh.events.peek_time().map_or(u64::MAX, |t| t.as_nanos());
+                    |sh: &mut Network<S>| sh.next_key().map_or(u64::MAX, |(t, _)| t.as_nanos());
                 let mut guard = sup.livelock_budget.map(ProgressGuard::new);
                 // Stall detector state: same inputs on every worker, so
                 // the counters advance in lockstep across threads.
@@ -438,8 +439,8 @@ fn run_windows<S: ShardSubscriber>(
                         lock(stall_diags).push(ShardDiag {
                             shard: i as u32,
                             clock_ns: next(shard),
-                            pending: shard.events.len() as u64,
-                            oldest_key: shard.events.peek_key().map(|(t, k)| (t.as_nanos(), k)),
+                            pending: (shard.events.len() + shard.arrivals.len()) as u64,
+                            oldest_key: shard.next_key().map(|(t, k)| (t.as_nanos(), k)),
                         });
                         break;
                     }
@@ -525,9 +526,10 @@ fn panic_payload_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Serially process every queued event with key strictly below `bound`,
-/// across all shards in global `(time, tag)` order, delivering cross-shard
-/// sends immediately. Stops at the first event that latches a trip.
+/// Serially process every queued event and flow arrival with key strictly
+/// below `bound`, across all shards in global `(time, tag)` order,
+/// delivering cross-shard sends immediately. Stops at the first step that
+/// latches a trip.
 fn drain_serial<S: ShardSubscriber>(
     shards: &mut [Network<S>],
     bound: (SimTime, u64),
@@ -535,7 +537,7 @@ fn drain_serial<S: ShardSubscriber>(
     loop {
         let mut best: Option<(usize, (SimTime, u64))> = None;
         for (i, sh) in shards.iter_mut().enumerate() {
-            if let Some(k) = sh.events.peek_key() {
+            if let Some(k) = sh.next_key() {
                 if best.is_none_or(|(_, bk)| k < bk) {
                     best = Some((i, k));
                 }
@@ -583,8 +585,9 @@ mod tests {
     use ecnsharp_sim::{Duration, Rate};
 
     /// Sends its flow as back-to-back MTU packets immediately, counts the
-    /// echoed per-packet ACKs, and completes on the last one. Stateless
-    /// congestion control keeps the test about the engine, not transport.
+    /// echoed per-packet ACKs, and completes on the last one — a zero-size
+    /// flow at once, inside its start step. Stateless congestion control
+    /// keeps the test about the engine, not transport.
     struct Blaster {
         want: std::collections::BTreeMap<u64, u64>,
     }
@@ -610,6 +613,9 @@ mod tests {
                 ctx.send(Packet::data(cmd.flow, cmd.src, cmd.dst, seq, bytes));
                 seq += bytes;
                 pkts += 1;
+            }
+            if pkts == 0 {
+                ctx.flow_done(cmd.flow, 0);
             }
             self.want.insert(cmd.flow.0, pkts);
         }
@@ -725,12 +731,17 @@ mod tests {
         );
         let mut net = ft.net;
         let n = ft.hosts.len() as u64;
-        // The last flow starts past the 1 ms lane horizon: a set-up heap
-        // spill, which the split must not count twice. It stays under one
-        // edge switch, so no shard sees it arrive on a lagging clock (a
-        // real, shard-only spill).
-        let flows = (0..2 * n)
-            .map(|f| (211 * f, f % n, (f * 7 + 5) % n))
+        // The first flow starts on host 4, in pod 1 — shard 1 under both
+        // plans — so a split that handed the arrival list out by position
+        // instead of by source would start it on the wrong shard. The last
+        // starts after a quiet gap longer than the 1 ms lane horizon: its
+        // shard's capped peek must move the lane cursor to it, or what it
+        // sends spills into the far heap on that shard only. It stays
+        // under one edge switch, so no shard sees it arrive on a lagging
+        // clock (a real, shard-only spill).
+        let flows = [(0, 4, 9)]
+            .into_iter()
+            .chain((1..2 * n).map(|f| (211 * f, f % n, (f * 7 + 5) % n)))
             .chain([(2_000_000, 0, 1)]);
         for (f, (at, src, dst)) in flows.enumerate() {
             if src == dst {
@@ -800,6 +811,70 @@ mod tests {
     /// Four shards: each leaf's hosts, then leaves, then spines.
     fn plan_4way() -> ShardPlan {
         ShardPlan::new(vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 3, 3])
+    }
+
+    /// A zero-size flow completes inside its start step, so the record's
+    /// provenance is the arrival's own `(time, tag)`. Three such flows at
+    /// one instant, from hosts on both shards and listed in their serial
+    /// order, keep that order when the shards' records merge, while other
+    /// flows keep both shards busy.
+    #[test]
+    fn zero_size_flows_keep_their_record_order_across_shards() {
+        let run = |plan: Option<&ShardPlan>| {
+            let ls = topology::leaf_spine(
+                42,
+                2,
+                2,
+                4,
+                Rate::from_gbps(10),
+                Rate::from_gbps(10),
+                Duration::from_micros(1),
+                |_| {
+                    Box::new(Blaster {
+                        want: Default::default(),
+                    })
+                },
+                cfg,
+                cfg,
+            );
+            let mut net = ls.net;
+            let flows = [
+                (10, 0, 6, 1460 * 20),
+                (11, 5, 1, 1460 * 20),
+                (1, 5, 0, 0),
+                (2, 0, 5, 0),
+                (3, 4, 1, 0),
+            ];
+            for (flow, src, dst, size) in flows {
+                let at = if size == 0 { 7_000 } else { 0 };
+                net.schedule_flow(
+                    SimTime::from_nanos(at),
+                    FlowCmd {
+                        flow: crate::ids::FlowId(flow),
+                        src: ls.hosts[src],
+                        dst: ls.hosts[dst],
+                        size,
+                        class: 0,
+                        extra_delay: Duration::ZERO,
+                    },
+                );
+            }
+            match plan {
+                Some(plan) => net.run_sharded_until_idle(plan),
+                None => net.run_until_idle(),
+            };
+            let zero: Vec<(u64, SimTime)> = net
+                .records()
+                .iter()
+                .filter(|r| r.size == 0)
+                .map(|r| (r.flow.0, r.finish))
+                .collect();
+            let at = SimTime::from_nanos(7_000);
+            assert_eq!(zero, [(1, at), (2, at), (3, at)]);
+            fingerprint(&net)
+        };
+        let serial = run(None);
+        assert_eq!(serial, run(Some(&plan_for(2))), "2 shards");
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! Almost every event a packet simulator schedules lands a few link-delays
 //! into the future (serialization ≈ 1.2 µs, propagation 1–5 µs). The only
 //! things that reach further out are cancellable deadlines (RTOs, delayed
-//! ACKs), which live on the timer wheel, and flow arrivals pushed at
-//! set-up. The queue exploits that skew with a calendar-queue front end:
+//! ACKs), which live on the timer wheel, and flow arrivals, which the
+//! network keeps in a sorted list of its own and merges with the queue
+//! through [`EventQueue::pop_keyed_before`]. The queue exploits that skew
+//! with a calendar-queue front end:
 //!
 //! - the near future (`LANE_COUNT` buckets of `1 << LANE_BITS` ns each,
 //!   ≈ 1 ms of horizon) is a ring of *lanes*; scheduling into it is an
@@ -29,7 +31,11 @@
 //!   earliest event is a `Vec::pop`. When the batch empties, the next
 //!   bucket is chosen as the earliest of the next occupied lane, the heap
 //!   head and the wheel; heap and wheel events due in that bucket join
-//!   the batch before the sort.
+//!   the batch before the sort. A capped refill
+//!   ([`EventQueue::pop_keyed_before`]) stops at the caller's next
+//!   out-of-queue item: when nothing queued is due by its bucket, the
+//!   cursor moves there instead, so what the item schedules lands in the
+//!   lanes.
 //!
 //! # Keys in the lanes, payloads in one slab
 //!
@@ -40,10 +46,8 @@
 //! inside its bucket, its 64-bit tie-break tag, its slab cell). The lane
 //! or the cursor implies the bucket, so within a bucket key order *is*
 //! `(time, tag)` order and the sort needs no second pass for ties. The
-//! far heap and the timer wheel keep their events by value — a set-up
-//! backlog of flow arrivals is cheaper stored once in the heap than
-//! parked behind a second key — and their events are parked when a
-//! refill brings them into the batch.
+//! far heap and the timer wheel keep their events by value, and their
+//! events are parked when a refill brings them into the batch.
 //!
 //! # Buffers follow occupancy
 //!
@@ -98,6 +102,9 @@ const CELL_BITS: u32 = 32;
 const OFFSET_SHIFT: u32 = 64 + CELL_BITS;
 // A batch key holds a bucket offset, a whole tag and a slab cell.
 const _: () = assert!(LANE_BITS + 64 + CELL_BITS <= 128);
+
+/// [`EventQueue::refill`]'s cap when the caller has no out-of-queue item.
+const NO_CAP: u64 = u64::MAX;
 
 /// Absolute calendar bucket of a timestamp.
 #[inline]
@@ -637,12 +644,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Refill `current` with the earliest pending bucket's events (lanes,
-    /// heap and/or timer wheel), advancing the cursor. Caller guarantees
-    /// `len > 0`. Kept out of line: [`head`](EventQueue::head) is its
-    /// only caller and runs on every pop, so inlining this once-a-bucket
-    /// body there would put its stack frame on every pop.
+    /// heap and/or timer wheel), advancing the cursor — but never past
+    /// bucket `cap` ([`NO_CAP`]: no limit). When nothing queued is due by
+    /// `cap`, the caller's out-of-queue item is next: the cursor and the
+    /// wheel's base move to `cap`, as a refill would move them if that item
+    /// were queued, so what it schedules lands in the lanes. Kept out of
+    /// line: [`head`](EventQueue::head) is its only caller and runs on
+    /// every pop, so inlining this once-a-bucket body there would put its
+    /// stack frame on every pop.
     #[inline(never)]
-    fn refill(&mut self) {
+    fn refill(&mut self, cap: u64) {
         let heap_bucket = self.heap.peek().map(|e| bucket(e.time));
         let lane_bucket = self.next_occupied_bucket();
         let near = match (lane_bucket, heap_bucket) {
@@ -666,7 +677,12 @@ impl<E> EventQueue<E> {
             (Some(nb), None) => Some((nb, false)),
             (None, None) => None,
         };
-        let Some((b, wheel_due)) = resolved else {
+        let Some((b, wheel_due)) = resolved.filter(|&(b, _)| b <= cap) else {
+            if cap != NO_CAP && cap > self.cursor {
+                // Sound: every pending bucket is past `cap`.
+                self.cursor = cap;
+                self.wheel.advance_to(cap);
+            }
             return;
         };
         self.cursor = b;
@@ -703,26 +719,29 @@ impl<E> EventQueue<E> {
         self.current.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// `(time, tag)` of the next event and whether it waits in the
-    /// inbox, refilling the batch first when it and the inbox are empty.
+    /// `(time, tag)` of the next event, when it is below `limit`, and
+    /// whether it waits in the inbox. When the batch and the inbox are
+    /// empty, refills the batch first from no bucket past `limit`'s.
     #[inline]
-    fn head(&mut self) -> Option<(SimTime, u64, bool)> {
+    fn head(&mut self, limit: Option<(SimTime, u64)>) -> Option<(SimTime, u64, bool)> {
         if self.current.is_empty() && self.inbox.is_empty() {
-            if self.len == 0 {
-                return None;
+            match limit {
+                None if self.len == 0 => return None,
+                None => self.refill(NO_CAP),
+                Some((t, _)) => self.refill(bucket(t)),
             }
-            self.refill();
         }
         let batch = self.current.last().map(|&k| unkey(self.cursor, k));
         // Tags are unique, so the comparison is never a tie.
-        match (batch, self.inbox.peek()) {
+        let head = match (batch, self.inbox.peek()) {
             (Some((t, s, _)), Some(&Reverse((it, is, _)))) if (it, is) < (t, s) => {
                 Some((it, is, true))
             }
             (Some((t, s, _)), _) => Some((t, s, false)),
             (None, Some(&Reverse((it, is, _)))) => Some((it, is, true)),
             (None, None) => None,
-        }
+        };
+        head.filter(|&(t, s, _)| limit.is_none_or(|l| (t, s) < l))
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.
@@ -738,7 +757,21 @@ impl<E> EventQueue<E> {
     ///
     /// [`pop`]: EventQueue::pop
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let (time, seq, in_inbox) = self.head()?;
+        self.pop_keyed_before(None)
+    }
+
+    /// [`pop_keyed`], but only an event whose `(time, key)` is below
+    /// `limit`: the key of the caller's next out-of-queue item (the
+    /// network's next flow arrival or fault), which the two merge by.
+    /// `None` when nothing queued sorts before it — the caller then
+    /// applies its own item, and the queue has moved its cursor up to
+    /// that item's bucket if nothing else was due by then (see the module
+    /// docs), so what the item schedules lands in the lanes, not the far
+    /// heap. `limit = None` is [`pop_keyed`].
+    ///
+    /// [`pop_keyed`]: EventQueue::pop_keyed
+    pub fn pop_keyed_before(&mut self, limit: Option<(SimTime, u64)>) -> Option<(SimTime, u64, E)> {
+        let (time, seq, in_inbox) = self.head(limit)?;
         let cell = if in_inbox {
             self.inbox.pop()?.0 .2
         } else {
@@ -761,27 +794,26 @@ impl<E> EventQueue<E> {
         Some((time, seq, event))
     }
 
-    /// Timestamp of the next event without popping it.
+    /// `(time, key)` of the next event without popping it — the ordering
+    /// key the next [`pop`] will honour.
     ///
     /// Takes `&mut self` because peeking past an exhausted batch refills
     /// from the earliest pending bucket — the same work the next `pop`
     /// would do, just done early (the observable pop order is unchanged).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.head().map(|(t, _, _)| t)
-    }
-
-    /// `(time, key)` of the next event without popping it — the ordering
-    /// key the next [`pop`] will honour. The serial engine uses this to
-    /// interleave out-of-queue work (fault application) at its exact
-    /// `(time, tag)` position; the sharded engine uses it to publish each
-    /// shard's next-event time at window barriers.
-    ///
-    /// Takes `&mut self` for the same refill reason as [`peek_time`].
     ///
     /// [`pop`]: EventQueue::pop
-    /// [`peek_time`]: EventQueue::peek_time
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.head().map(|(t, s, _)| (t, s))
+        self.peek_key_before(None)
+    }
+
+    /// [`peek_key`], but only a key below `limit`, refilling no further
+    /// than [`pop_keyed_before`] with the same `limit` would: the key the
+    /// next such pop returns, or `None` when the caller's own item is next.
+    ///
+    /// [`peek_key`]: EventQueue::peek_key
+    /// [`pop_keyed_before`]: EventQueue::pop_keyed_before
+    pub fn peek_key_before(&mut self, limit: Option<(SimTime, u64)>) -> Option<(SimTime, u64)> {
+        self.head(limit).map(|(time, seq, _)| (time, seq))
     }
 
     /// Remove and return **all** pending events as `(time, key, event)`
@@ -1042,7 +1074,7 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert!(q.pop().is_none());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key().map(|k| k.0), None);
     }
 
     #[test]
@@ -1059,10 +1091,10 @@ mod tests {
     fn peek_matches_pop() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(4), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(4)));
+        assert_eq!(q.peek_key().map(|k| k.0), Some(SimTime::from_nanos(4)));
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_nanos(4));
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key().map(|k| k.0), None);
     }
 
     #[test]
@@ -1392,7 +1424,7 @@ mod tests {
         q.rearm_timer(None, SimTime::from_secs(2), "rto");
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.peek_key().map(|k| k.0), Some(SimTime::from_secs(2)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("rto"));
     }
 
@@ -1570,9 +1602,12 @@ mod tests {
         /// Fig9-like density — a steady ~200 events per 1 µs bucket for
         /// over 3 000 buckets — against a plain binary heap: identical
         /// pop order through mid-drain inserts into the draining bucket,
-        /// heap spills at two far distances and a mid-run `drain_entries`
-        /// + re-schedule, while buffer capacity follows the occupied
-        /// slots instead of growing on all `LANE_COUNT` lanes.
+        /// heap spills at two far distances, a mid-run `drain_entries`
+        /// + re-schedule, and a sorted stream of external keys (flow
+        /// arrivals, in the dense stretch and across the sparse tail's
+        /// quiet gaps) merged in through `pop_keyed_before`, while buffer
+        /// capacity follows the occupied slots instead of growing on all
+        /// `LANE_COUNT` lanes.
         #[test]
         fn prop_dense_buckets_match_heap_order_and_recycle_buffers(
             seed in any::<u64>(),
@@ -1609,12 +1644,23 @@ mod tests {
                 heap.push(Reverse((at, seq)));
                 seq += 1;
             }
+            // External keys, tagged above every queue key: half inside the
+            // dense stretch, half out to 30 ms.
+            let mut ext: Vec<(u64, u64)> = (0..400u64)
+                .map(|j| {
+                    let span = if j % 2 == 0 { 3_500_000.0 } else { 30_000_000.0 };
+                    ((rng.f64() * span) as u64, (1 << 63) | j)
+                })
+                .collect();
+            ext.sort_unstable();
+            heap.extend(ext.iter().map(|&k| Reverse(k)));
+            let mut next_ext = 0;
             let (mut peak_slots, mut peak_bucket) = (0usize, 0usize);
             let first_bucket = q.cursor;
             for n in 0..POPS {
                 let Some(Reverse((at, key))) = heap.pop() else { break };
-                let (t, e) = q.pop().expect("queue ran dry before the reference");
-                prop_assert_eq!((t.as_nanos(), e), (at, key));
+                let got = merged_pop(&mut q, &ext, &mut next_ext);
+                prop_assert_eq!(got, Some((at, key)));
                 peak_bucket = peak_bucket.max(q.current.len() + 1);
                 let next = at + delay(&mut rng);
                 q.schedule(SimTime::from_nanos(next), seq);
@@ -1622,10 +1668,12 @@ mod tests {
                 seq += 1;
                 peak_slots = peak_slots.max(q.occupied_slots());
                 if n == drain_at {
-                    // The shard-split primitive, mid-drain: everything
-                    // comes out in order and goes back in under its key.
+                    // The shard-split primitive, mid-drain: every queued
+                    // event comes out in order and goes back in under its
+                    // key; the external keys stay where they are.
                     let all = q.drain_entries();
-                    let mut want: Vec<(u64, u64)> = heap.iter().map(|r| r.0).collect();
+                    let mut want: Vec<(u64, u64)> =
+                        heap.iter().map(|r| r.0).filter(|&(_, k)| k < 1 << 63).collect();
                     want.sort_unstable();
                     prop_assert_eq!(
                         all.iter().map(|e| (e.0.as_nanos(), e.2)).collect::<Vec<_>>(),
@@ -1655,11 +1703,32 @@ mod tests {
             );
             // And the tail drains in order too.
             while let Some(Reverse((at, key))) = heap.pop() {
-                let (t, e) = q.pop().expect("queue ran dry before the reference");
-                prop_assert_eq!((t.as_nanos(), e), (at, key));
+                let got = merged_pop(&mut q, &ext, &mut next_ext);
+                prop_assert_eq!(got, Some((at, key)));
             }
             prop_assert!(q.pop().is_none());
+            prop_assert_eq!(next_ext, ext.len());
         }
+    }
+
+    /// The next `(time ns, key)` of `q` merged with the sorted external
+    /// keys `ext[*next..]`, the way the network merges its arrival list:
+    /// a queued event below the next external key pops, otherwise that
+    /// key is taken and the clock moves to it.
+    fn merged_pop(
+        q: &mut EventQueue<u64>,
+        ext: &[(u64, u64)],
+        next: &mut usize,
+    ) -> Option<(u64, u64)> {
+        let limit = ext.get(*next).map(|&(t, k)| (SimTime::from_nanos(t), k));
+        if let Some((t, k, e)) = q.pop_keyed_before(limit) {
+            assert_eq!(e, k, "payload and key travel together");
+            return Some((t.as_nanos(), k));
+        }
+        let (t, k) = *ext.get(*next)?;
+        *next += 1;
+        q.advance_now(SimTime::from_nanos(t));
+        Some((t, k))
     }
 
     // ── keys and the slab ─────────────────────────────────────────────
@@ -1792,5 +1861,45 @@ mod tests {
         let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(rest, vec![2, 5, 6]);
         assert_eq!(q.parked(), 0);
+    }
+
+    // ── out-of-queue items ────────────────────────────────────────────
+
+    /// What an out-of-queue item (a flow arrival) schedules must land in a
+    /// lane however far the queue's own next event is. After a quiet gap
+    /// longer than the lane horizon, with a wheel timer armed behind the
+    /// item, the capped pop leaves the timer in the wheel and moves the
+    /// cursor to the item's bucket, so an event 10 µs past the item lands
+    /// in a lane, not the far heap. With a lane event behind the item, the
+    /// capped pop must not pull that lane into the batch either: a push
+    /// between the two would then land in the inbox.
+    #[test]
+    fn capped_pop_glues_the_cursor_to_an_out_of_queue_item() {
+        let mut q: EventQueue<&str> = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), "first");
+        q.rearm_timer(None, SimTime::from_millis(5), "timer");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("first"));
+        let arrival = (SimTime::from_millis(3), 1 << 40);
+        assert_eq!(q.peek_key_before(Some(arrival)), None);
+        assert!(q.pop_keyed_before(Some(arrival)).is_none());
+        assert_eq!(q.cursor, bucket(arrival.0));
+        q.advance_now(arrival.0);
+        q.schedule(arrival.0 + crate::time::Duration::from_micros(10), "sent");
+        assert_eq!(q.occupied_slots(), 1);
+        assert_eq!((q.inbox.len(), q.perf().heap_spills), (0, 0));
+
+        // A lane event 300 µs behind the next item.
+        q.schedule(SimTime::from_micros(3_310), "behind");
+        let arrival = (SimTime::from_micros(3_020), 1 << 41);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("sent"));
+        assert!(q.pop_keyed_before(Some(arrival)).is_none());
+        assert_eq!(q.cursor, bucket(arrival.0));
+        q.advance_now(arrival.0);
+        q.schedule(arrival.0 + crate::time::Duration::from_micros(10), "sent2");
+        assert_eq!((q.occupied_slots(), q.inbox.len()), (2, 0));
+        let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, ["sent2", "behind", "timer"]);
+        let p = q.perf();
+        assert_eq!((p.heap_spills, p.timers_fired), (0, 1));
     }
 }

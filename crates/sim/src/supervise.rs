@@ -89,9 +89,10 @@ pub struct ShardDiag {
     pub shard: u32,
     /// The shard's next-event time in nanoseconds (`u64::MAX` = idle).
     pub clock_ns: u64,
-    /// Pending events in the shard's queue.
+    /// The shard's queued events plus its unstarted flow arrivals.
     pub pending: u64,
-    /// Oldest pending `(time_ns, tag)` key, when the queue is non-empty.
+    /// The shard's next `(time_ns, tag)` key — a queued event or a flow
+    /// arrival, whichever is earlier — when anything is pending.
     pub oldest_key: Option<(u64, u64)>,
 }
 
@@ -112,9 +113,9 @@ pub enum SimError {
         events_at_instant: u64,
         /// The configured budget (events per instant).
         budget: u64,
-        /// Pending events in the queue at trip time.
+        /// Queued events plus unstarted flow arrivals at trip time.
         pending: u64,
-        /// Oldest pending `(time_ns, tag)` key, when non-empty.
+        /// The next step's `(time_ns, tag)` key, when anything is pending.
         oldest_key: Option<(u64, u64)>,
     },
     /// No shard advanced the global minimum next-event time across the
@@ -388,6 +389,10 @@ pub struct Supervision {
     /// (`None` = guard off).
     pub stall_rounds: Option<u64>,
     /// Event-queue admission ceiling in live events (`None` = unbounded).
+    /// It counts queued events and armed timers only: the flows a network
+    /// has scheduled but not started wait in its arrival list, outside the
+    /// queue, so however many there are, nothing trips before the first
+    /// event the run itself pushes.
     pub event_ceiling: Option<u64>,
     /// Pooled-ring overflow ceiling in live spilled packets per switch
     /// (`None` = unbounded).

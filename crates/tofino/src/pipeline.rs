@@ -50,7 +50,7 @@ pub struct TofinoEcnSharp {
     rf: RegisterFile,
     time: TimeEmulator,
     port: usize,
-    // Thresholds in 1024 ns ticks.
+    // Thresholds in 1024 ns ticks, each rounded to the nearest tick.
     ins_target_ticks: u32,
     pst_target_ticks: u32,
     pst_interval_ticks: u32,
@@ -64,8 +64,12 @@ pub struct TofinoEcnSharp {
     sqrt_lut: Vec<(u64, u32)>,
 }
 
+/// A threshold in 1024 ns ticks, rounded to the nearest: truncating took
+/// up to a tick off each, and Algorithm 1 is sensitive to a lower
+/// `pst_target` (EXPERIMENTS.md "§4 shadow"). Timestamps stay truncated,
+/// as the hardware's tick counter is.
 fn to_ticks(d: ecnsharp_sim::Duration) -> u32 {
-    (d.as_nanos() >> 10) as u32
+    ((d.as_nanos() + 512) >> 10) as u32
 }
 
 impl TofinoEcnSharp {
@@ -246,6 +250,24 @@ mod tests {
 
     fn pipeline() -> TofinoEcnSharp {
         TofinoEcnSharp::new(cfg(), 128, 5, WrapCmp::CorrectedLt)
+    }
+
+    #[test]
+    fn thresholds_round_to_the_nearest_tick() {
+        let p = TofinoEcnSharp::new(
+            EcnSharpConfig::new(
+                Duration::from_nanos(200 * TICK + 511),
+                Duration::from_nanos(17 * TICK + 512),
+                Duration::from_nanos(200 * TICK - 1),
+            ),
+            1,
+            0,
+            WrapCmp::CorrectedLt,
+        );
+        assert_eq!(
+            (p.ins_target_ticks, p.pst_target_ticks, p.pst_interval_ticks),
+            (200, 18, 200)
+        );
     }
 
     #[test]
