@@ -2,7 +2,7 @@
 //!
 //! A run knows its flow arrivals before it starts, and most of them lie
 //! far beyond the event queue's 1 ms lane horizon: queued, each would wait
-//! in the queue's far heap as a whole event. Here each is one packed
+//! on the queue's timer wheel as a whole event. Here each is one packed
 //! [`Arrival`] in a list read front to back, and [`crate::Network`] merges
 //! the list with the queue by `(time, tag)` — the key a queued arrival
 //! would have had, so the total order is the same.

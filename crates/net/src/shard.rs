@@ -545,7 +545,7 @@ fn drain_serial<S: ShardSubscriber>(
         }
         match best {
             Some((i, k)) if k < bound => {
-                shards[i].step();
+                shards[i].step_before(None);
                 if let Some(e) = shards[i].tripped.take() {
                     return Err(e);
                 }
@@ -736,7 +736,7 @@ mod tests {
         // instead of by source would start it on the wrong shard. The last
         // starts after a quiet gap longer than the 1 ms lane horizon: its
         // shard's capped peek must move the lane cursor to it, or what it
-        // sends spills into the far heap on that shard only. It stays
+        // sends spills past the lanes on that shard only. It stays
         // under one edge switch, so no shard sees it arrive on a lagging
         // clock (a real, shard-only spill).
         let flows = [(0, 4, 9)]

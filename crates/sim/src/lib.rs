@@ -31,14 +31,14 @@ pub mod rate;
 pub mod rng;
 pub mod supervise;
 pub mod time;
-pub mod wheel;
+mod wheel;
 
 pub use queue::EventQueue;
 pub use rate::{bytes, Rate};
 pub use rng::{hash_mix, DetHasher, DetMap, DetState, Rng};
 pub use supervise::{MemBreach, MemComponent, ProgressGuard, ShardDiag, SimError, Supervision};
 pub use time::{Duration, SimTime};
-pub use wheel::{TimerToken, TimerWheel};
+pub use wheel::TimerToken;
 
 // Compile-time shard-safety proofs: the sharded engine (ROADMAP item 1)
 // moves these values across worker threads, so losing `Send`/`Sync` must
@@ -48,7 +48,6 @@ const fn assert_send<T: Send>() {}
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send::<EventQueue<u64>>();
-    assert_send::<TimerWheel<u64>>();
     assert_send_sync::<Rng>();
     assert_send_sync::<Duration>();
     assert_send_sync::<SimTime>();

@@ -10,7 +10,7 @@
 //! integration tests assert end-to-end (same seed ⇒ bit-identical flow
 //! completion times).
 //!
-//! # Implementation: calendar lanes in front of a heap
+//! # Implementation: calendar lanes in front of a timer wheel
 //!
 //! Almost every event a packet simulator schedules lands a few link-delays
 //! into the future (serialization ≈ 1.2 µs, propagation 1–5 µs). The only
@@ -24,14 +24,15 @@
 //!   ≈ 1 ms of horizon) is a ring of *lanes*; scheduling into it is an
 //!   O(1) `Vec::push`, and an occupancy bitmap finds the next non-empty
 //!   lane with a couple of word scans;
-//! - events beyond that horizon wait in a [`BinaryHeap`] (counted as
+//! - an event beyond that horizon waits on the timer wheel as a far
+//!   entry, a timer without a token (counted as
 //!   [`QueuePerf::heap_spills`]);
 //! - the lane whose bucket is being drained (the *current* batch) is
 //!   sorted once, descending, when it becomes the batch, so popping the
 //!   earliest event is a `Vec::pop`. When the batch empties, the next
-//!   bucket is chosen as the earliest of the next occupied lane, the heap
-//!   head and the wheel; heap and wheel events due in that bucket join
-//!   the batch before the sort. A capped refill
+//!   bucket is chosen as the earlier of the next occupied lane and the
+//!   wheel; wheel entries due in that bucket join the batch before the
+//!   sort. A capped refill
 //!   ([`EventQueue::pop_keyed_before`]) stops at the caller's next
 //!   out-of-queue item: when nothing queued is due by its bucket, the
 //!   cursor moves there instead, so what the item schedules lands in the
@@ -39,15 +40,14 @@
 //!
 //! # Keys in the lanes, payloads in one slab
 //!
-//! A lane, the batch and the inbox never hold an event itself. Each
-//! near-future event is parked once in a slab cell when it is scheduled
-//! and taken out once when it pops; what gets pushed, sorted and
-//! recycled is a 16-byte key, `offset | tag | cell` (the event's offset
-//! inside its bucket, its 64-bit tie-break tag, its slab cell). The lane
-//! or the cursor implies the bucket, so within a bucket key order *is*
-//! `(time, tag)` order and the sort needs no second pass for ties. The
-//! far heap and the timer wheel keep their events by value, and their
-//! events are parked when a refill brings them into the batch.
+//! A lane, the batch, the inbox and the wheel never hold an event
+//! itself. Every event and armed timer is parked once in a slab cell when
+//! it is scheduled and taken out once when it pops or is cancelled; what
+//! gets pushed, sorted and recycled is a 16-byte key, `offset | tag |
+//! cell` (the event's offset inside its bucket, its 64-bit tie-break tag,
+//! its slab cell), and a wheel entry holds the cell. The lane or the
+//! cursor implies the bucket, so within a bucket key order *is* `(time,
+//! tag)` order and the sort needs no second pass for ties.
 //!
 //! # Buffers follow occupancy
 //!
@@ -73,7 +73,7 @@
 //! The observable order is exactly the `(time, seq)` total order of the
 //! plain-heap implementation — the `strict-invariants` feature rechecks it
 //! on every pop — and the unit + property tests below drive lane
-//! boundaries, cursor wraparound and the heap fallback explicitly.
+//! boundaries, cursor wraparound and the far tier explicitly.
 
 // Hot path (per packet or per event): a panic aborts a whole figure run.
 #![deny(
@@ -85,7 +85,7 @@
 
 use crate::time::SimTime;
 use crate::wheel::{Cancelled, TimerToken, TimerWheel};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// log2 of the lane width in nanoseconds (1024 ns per lane). Shared with
@@ -126,35 +126,6 @@ fn unkey(b: u64, k: u128) -> (SimTime, u64, u32) {
     (time, (k >> CELL_BITS) as u64, k as u32)
 }
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Scheduling/pop counters of one [`EventQueue`].
 ///
 /// Maintained unconditionally — each is a single integer add (plus one
@@ -180,8 +151,8 @@ pub struct QueuePerf {
     /// epoch-filtering design would have pushed through (and popped from)
     /// the queue.
     pub timers_stale_suppressed: u64,
-    /// Events scheduled beyond the 1 ms lane horizon, which wait in the
-    /// `BinaryHeap`.
+    /// Events scheduled beyond the 1 ms lane horizon, which wait on the
+    /// timer wheel as far entries.
     pub heap_spills: u64,
 }
 
@@ -204,7 +175,7 @@ fn recycle(pool: &mut Vec<Batch>, buf: Batch) {
     }
 }
 
-/// The payloads of every event in the lanes, the batch and the inbox.
+/// The payloads of every pending event and armed timer.
 struct Slab<E> {
     cells: Vec<Option<E>>,
     /// Vacant cells, most recently freed last.
@@ -258,8 +229,8 @@ pub struct EventQueue<E> {
     /// [`pop`]: EventQueue::pop
     inbox: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     /// Absolute bucket index `current` belongs to. All pending lane
-    /// entries have strictly greater buckets; the heap head's bucket is
-    /// also strictly greater whenever `current` is non-empty.
+    /// entries have strictly greater buckets; so do all wheel entries
+    /// whenever `current` is non-empty.
     cursor: u64,
     /// Near-future ring: slot `b & LANE_MASK` holds bucket `b`'s keys,
     /// unsorted, for buckets within `(cursor, cursor + LANE_COUNT)`. A
@@ -268,16 +239,16 @@ pub struct EventQueue<E> {
     lanes: Vec<Batch>,
     /// One bit per lane slot: slot non-empty.
     occupied: [u64; WORDS],
-    /// Total entries across all lanes (excluding `current` and the heap).
+    /// Total entries across all lanes (excluding `current`).
     lanes_len: usize,
-    /// Far-future fallback (beyond the lane horizon at scheduling time);
-    /// each push here is counted as a [`QueuePerf::heap_spills`].
-    heap: BinaryHeap<Entry<E>>,
-    /// Cancellable timers (see [`EventQueue::rearm_timer`]); shares the
-    /// global sequence counter so fired timers replay in exactly the
-    /// `(time, seq)` order a plain `schedule` would have given them.
-    wheel: TimerWheel<E>,
-    /// Payloads behind the keys of `current`, the inbox and the lanes.
+    /// Cancellable timers (see [`EventQueue::rearm_timer`]) and events
+    /// beyond the lane horizon at scheduling time (each counted as a
+    /// [`QueuePerf::heap_spills`]). Timers share the global sequence
+    /// counter, so they replay in exactly the `(time, seq)` order a plain
+    /// `schedule` would have given them.
+    wheel: TimerWheel,
+    /// Payloads behind the keys of `current`, the inbox and the lanes, and
+    /// behind the wheel's entries.
     slab: Slab<E>,
     /// Emptied buffers awaiting reuse, most recently freed last.
     pool: Vec<Batch>,
@@ -314,7 +285,6 @@ impl<E> EventQueue<E> {
             lanes: (0..LANE_COUNT).map(|_| Batch::new()).collect(),
             occupied: [0; WORDS],
             lanes_len: 0,
-            heap: BinaryHeap::new(),
             wheel: TimerWheel::new(),
             slab: Slab {
                 cells: Vec::new(),
@@ -424,11 +394,8 @@ impl<E> EventQueue<E> {
         } else if b - self.cursor < LANE_COUNT as u64 {
             self.insert_lane(b, at, seq, event);
         } else {
-            self.heap.push(Entry {
-                time: at,
-                seq,
-                event,
-            });
+            let cell = self.slab.park(event);
+            self.wheel.arm_far(at, seq, cell);
             self.perf.heap_spills += 1;
         }
         self.len += 1;
@@ -518,7 +485,8 @@ impl<E> EventQueue<E> {
             self.perf.timers_fired += 1;
             self.wheel.arm_external(at, seq)
         } else {
-            self.wheel.arm(at, seq, event)
+            let cell = self.slab.park(event);
+            self.wheel.arm(at, seq, cell)
         };
         self.len += 1;
         self.perf.timers_armed += 1;
@@ -556,7 +524,8 @@ impl<E> EventQueue<E> {
     fn take_live(&mut self, tok: TimerToken) -> bool {
         match self.wheel.cancel(tok) {
             Cancelled::Stale => false,
-            Cancelled::Live(_) => {
+            Cancelled::Live(cell) => {
+                self.slab.take(cell);
                 self.len -= 1;
                 true
             }
@@ -643,8 +612,8 @@ impl<E> EventQueue<E> {
         Some(self.slot_bucket(slot))
     }
 
-    /// Refill `current` with the earliest pending bucket's events (lanes,
-    /// heap and/or timer wheel), advancing the cursor — but never past
+    /// Refill `current` with the earliest pending bucket's events (a lane
+    /// and/or the timer wheel), advancing the cursor — but never past
     /// bucket `cap` ([`NO_CAP`]: no limit). When nothing queued is due by
     /// `cap`, the caller's out-of-queue item is next: the cursor and the
     /// wheel's base move to `cap`, as a refill would move them if that item
@@ -654,15 +623,10 @@ impl<E> EventQueue<E> {
     /// stack frame on every pop.
     #[inline(never)]
     fn refill(&mut self, cap: u64) {
-        let heap_bucket = self.heap.peek().map(|e| bucket(e.time));
-        let lane_bucket = self.next_occupied_bucket();
-        let near = match (lane_bucket, heap_bucket) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        let near = self.next_occupied_bucket();
         // The wheel's exact minimum can require walking a higher-level
-        // slot's cell list, so first rule it out with the bitmap-only
-        // lower bound; the exact scan only runs when a timer might
+        // slot's entry list, so first rule it out with the bitmap-only
+        // lower bound; the exact scan only runs when a wheel entry might
         // actually own this batch (typically: the engine has gone quiet
         // and an RTO is the next thing to happen).
         let resolved = match (near, self.wheel.min_bucket_lower_bound()) {
@@ -686,7 +650,7 @@ impl<E> EventQueue<E> {
             return;
         };
         self.cursor = b;
-        if lane_bucket == Some(b) {
+        if near == Some(b) {
             let slot = (b & LANE_MASK) as usize;
             // The lane's buffer becomes the batch; the drained batch's
             // goes to the pool rather than being parked in this slot.
@@ -696,23 +660,15 @@ impl<E> EventQueue<E> {
             self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
             self.lanes_len -= self.current.len();
         }
-        while let Some(head) = self.heap.peek() {
-            if bucket(head.time) != b {
-                break;
-            }
-            if let Some(Entry { time, seq, event }) = self.heap.pop() {
-                let cell = self.slab.park(event);
-                self.current.push(key(time, seq, cell));
-            }
-        }
         // Keep the wheel's base glued to the cursor (sound: `b` is the
-        // global minimum pending bucket), then deliver its due timers.
+        // global minimum pending bucket), then key its due entries where
+        // they are parked.
         self.wheel.advance_to(b);
         if wheel_due {
-            let (slab, current) = (&mut self.slab, &mut self.current);
-            let fired = self.wheel.drain_bucket(b, |time, seq, event| {
-                current.push(key(time, seq, slab.park(event)));
-            });
+            let current = &mut self.current;
+            let fired = self
+                .wheel
+                .drain_bucket(b, |time, seq, cell| current.push(key(time, seq, cell)));
             self.perf.timers_fired += fired as u64;
         }
         // Descending, so the earliest key pops from the back.
@@ -767,7 +723,7 @@ impl<E> EventQueue<E> {
     /// applies its own item, and the queue has moved its cursor up to
     /// that item's bucket if nothing else was due by then (see the module
     /// docs), so what the item schedules lands in the lanes, not the far
-    /// heap. `limit = None` is [`pop_keyed`].
+    /// tier. `limit = None` is [`pop_keyed`].
     ///
     /// [`pop_keyed`]: EventQueue::pop_keyed
     pub fn pop_keyed_before(&mut self, limit: Option<(SimTime, u64)>) -> Option<(SimTime, u64, E)> {
@@ -843,15 +799,11 @@ impl<E> EventQueue<E> {
                 );
             }
         }
+        self.wheel.drain_far(|t, s, cell| parked.push((t, s, cell)));
         let mut out: Vec<(SimTime, u64, E)> = parked
             .into_iter()
             .filter_map(|(t, s, cell)| Some((t, s, self.slab.take(cell)?)))
             .collect();
-        out.extend(
-            std::mem::take(&mut self.heap)
-                .into_iter()
-                .map(|e| (e.time, e.seq, e.event)),
-        );
         assert!(
             out.len() == self.len,
             "drain_entries with {} armed timer(s): timers cannot migrate across shards",
@@ -908,7 +860,6 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.current.clear();
         self.inbox.clear();
-        self.heap.clear();
         if self.lanes_len > 0 {
             for lane in &mut self.lanes {
                 *lane = Batch::new();
@@ -1002,7 +953,7 @@ mod tests {
         q.schedule_tagged(t, 30, "c");
         q.schedule_tagged(t, 10, "a");
         q.schedule_tagged(t, 20, "b");
-        // Across buckets too: far-future heap entry with a small key.
+        // Across buckets too: a far entry on the wheel with a small key.
         q.schedule_tagged(SimTime::from_millis(50), 1, "far");
         let order: Vec<(u64, &str)> =
             std::iter::from_fn(|| q.pop_keyed().map(|(_, k, e)| (k, e))).collect();
@@ -1025,7 +976,7 @@ mod tests {
     #[test]
     fn drain_entries_returns_sorted_and_empties_queue() {
         let mut q = EventQueue::new();
-        // One in each region: near lane, current bucket, far heap.
+        // One in each region: near lane, current bucket, far (wheel).
         q.schedule_tagged(SimTime::from_nanos(2_000), 3, "lane");
         q.schedule_tagged(SimTime::from_nanos(1), 2, "near");
         q.schedule_tagged(SimTime::from_millis(900), 1, "far");
@@ -1036,6 +987,11 @@ mod tests {
         let labels: Vec<&str> = drained.iter().map(|e| e.2).collect();
         assert_eq!(labels, vec!["inbox", "lane", "far"]);
         assert!(q.is_empty());
+        assert_eq!(
+            (q.wheel.live(), q.parked()),
+            (0, 0),
+            "the far entry left the wheel"
+        );
         assert_eq!(q.pop(), None);
         // The queue is reusable after a drain.
         q.schedule_tagged(SimTime::from_millis(901), 5, "again");
@@ -1047,6 +1003,18 @@ mod tests {
     fn drain_entries_rejects_armed_timers() {
         let mut q = EventQueue::new();
         q.rearm_timer(None, SimTime::from_micros(10), ());
+        let _ = q.drain_entries();
+    }
+
+    /// A far entry next to an armed timer on the same wheel does not hide
+    /// the timer: the drain still refuses.
+    #[test]
+    #[should_panic(expected = "1 armed timer")]
+    fn drain_entries_rejects_a_timer_beside_far_entries() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(50), ());
+        q.rearm_timer(None, SimTime::from_millis(50), ());
+        q.schedule(SimTime::from_secs(200), ());
         let _ = q.drain_entries();
     }
 
@@ -1067,12 +1035,13 @@ mod tests {
         assert!(q.is_empty());
         q.schedule(SimTime::from_nanos(1), ());
         q.schedule(SimTime::from_nanos(2), ());
-        // One near (lane), one at the current bucket, one far (heap).
+        // One near (lane), one at the current bucket, one far (wheel).
         q.schedule(SimTime::from_nanos(5_000), ());
         q.schedule(SimTime::from_millis(50), ());
         assert_eq!(q.len(), 4);
         q.clear();
         assert!(q.is_empty());
+        assert_eq!((q.wheel.live(), q.parked()), (0, 0));
         assert!(q.pop().is_none());
         assert_eq!(q.peek_key().map(|k| k.0), None);
     }
@@ -1161,7 +1130,7 @@ mod tests {
             }
         }
         // Schedule the nearest first so every later one is in range of the
-        // not-yet-advanced cursor only via the heap, then pop interleaved.
+        // not-yet-advanced cursor only via the wheel, then pop interleaved.
         for &t in &scheduled {
             q.schedule(SimTime::from_nanos(t), t);
         }
@@ -1181,13 +1150,13 @@ mod tests {
         assert_eq!(popped, scheduled);
     }
 
-    /// Events beyond the lane horizon land in the heap, are counted as
+    /// Events beyond the lane horizon wait on the wheel, are counted as
     /// spills, and merge back in time order when the cursor reaches them.
     #[test]
-    fn heap_fallback_beyond_horizon() {
+    fn far_tier_beyond_horizon() {
         let mut q = EventQueue::new();
         let horizon = (1u64 << LANE_BITS) * LANE_COUNT as u64;
-        // Far events first (heap), then near events (lanes).
+        // Far events first (wheel), then near events (lanes).
         q.schedule(SimTime::from_nanos(3 * horizon), "far2");
         q.schedule(SimTime::from_nanos(2 * horizon + 5), "far1");
         q.schedule(SimTime::from_nanos(100), "near1");
@@ -1197,25 +1166,54 @@ mod tests {
         assert_eq!(order, vec!["near1", "near2", "far1", "far2"]);
     }
 
-    /// A heap event and a lane event in the *same* bucket (possible when
+    /// A far event and a lane event in the *same* bucket (possible when
     /// the far event was scheduled before the cursor advanced) interleave
     /// correctly, including FIFO on exact ties.
     #[test]
-    fn heap_and_lane_merge_within_bucket() {
+    fn far_and_lane_merge_within_bucket() {
         let mut q = EventQueue::new();
         let horizon = (1u64 << LANE_BITS) * LANE_COUNT as u64;
         let far = 2 * horizon + 500;
-        q.schedule(SimTime::from_nanos(far), "heap-first"); // beyond horizon ⇒ heap
+        q.schedule(SimTime::from_nanos(far), "far-first"); // beyond horizon ⇒ wheel
         q.schedule(SimTime::from_nanos(10), "near");
-        q.pop(); // "near": cursor at bucket 0 still, heap event pending
-                 // Drain to the far bucket via an intermediate event, then add a
-                 // lane event in the same bucket as the heap one.
-        q.schedule(SimTime::from_nanos(horizon), "mid");
+        q.pop(); // "near": cursor at bucket 0 still, far event pending
+                 // Move the cursor to within a horizon of the far bucket through an
+                 // intermediate (also far) event, then add lane events in the same
+                 // bucket as the far one.
+        q.schedule(SimTime::from_nanos(horizon + 1024), "mid");
         q.pop(); // "mid": cursor advanced; `far` now within lane horizon
         q.schedule(SimTime::from_nanos(far), "lane-second"); // same time, later seq
         q.schedule(SimTime::from_nanos(far - 1), "lane-earlier");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["lane-earlier", "heap-first", "lane-second"]);
+        assert_eq!(order, vec!["lane-earlier", "far-first", "lane-second"]);
+        assert_eq!(q.perf().heap_spills, 2, "the lane events spilled");
+    }
+
+    /// A far event that pops is no fired timer, and it leaves nothing
+    /// behind: its wheel entry and its slab cell are free again (a timer
+    /// keeps a marker until its owner releases it).
+    #[test]
+    fn far_event_pops_without_firing_a_timer() {
+        for far in [
+            SimTime::from_millis(50), // wheel level 1
+            SimTime::from_secs(20),   // level 2
+            SimTime::from_secs(200),  // past level 2: the overflow list
+        ] {
+            let mut q = EventQueue::new();
+            q.schedule(far, "far");
+            assert_eq!((q.wheel.live(), q.parked()), (1, 1));
+            assert_eq!(q.pop(), Some((far, "far")));
+            let p = q.perf();
+            assert_eq!((p.heap_spills, p.timers_fired, p.popped), (1, 0, 1));
+            assert_eq!((q.wheel.live(), q.parked()), (0, 0), "{far}");
+            // A timer on the same path keeps its marker once it pops.
+            let later = SimTime::from_nanos(2 * far.as_nanos());
+            let tok = q.rearm_timer(None, later, "timer");
+            assert_eq!(q.pop(), Some((later, "timer")));
+            assert_eq!((q.perf().timers_fired, q.wheel.live()), (1, 1));
+            q.timer_fired(tok);
+            assert_eq!((q.wheel.live(), q.parked()), (0, 0));
+        }
     }
 
     /// Far-future events must not populate the calendar's buffers. Steady
@@ -1495,7 +1493,7 @@ mod tests {
         }
 
         /// Same properties at calendar scale: times spanning several lane
-        /// widths, the full ring, and the heap horizon, with interleaved
+        /// widths, the full ring, and the wheel's far tier, with interleaved
         /// pops.
         #[test]
         fn prop_total_order_across_horizons(
@@ -1602,7 +1600,8 @@ mod tests {
         /// Fig9-like density — a steady ~200 events per 1 µs bucket for
         /// over 3 000 buckets — against a plain binary heap: identical
         /// pop order through mid-drain inserts into the draining bucket,
-        /// heap spills at two far distances, a mid-run `drain_entries`
+        /// far events on every wheel level past the lane horizon and on
+        /// its overflow list, a mid-run `drain_entries`
         /// + re-schedule, and a sorted stream of external keys (flow
         /// arrivals, in the dense stretch and across the sparse tail's
         /// quiet gaps) merged in through `pop_keyed_before`, while buffer
@@ -1617,6 +1616,8 @@ mod tests {
             use std::cmp::Reverse;
             const PENDING: u64 = 200;
             const POPS: u64 = 3_300 * PENDING;
+            /// The wheel's three levels span 2^27 buckets.
+            const LEVEL2_SPAN: u64 = 1 << (27 + LANE_BITS);
             let mut q: EventQueue<u64> = EventQueue::new();
             let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
             let mut rng = crate::rng::Rng::seed_from_u64(seed);
@@ -1625,7 +1626,9 @@ mod tests {
             // 0..spread µs ahead (mean spread/2), so `PENDING * spread / 2`
             // events in flight put ~PENDING in every bucket. A sliver of
             // the successors land in the draining bucket (inbox) or past
-            // the lane horizon (heap), a few ms and ~80 ms out.
+            // the lane horizon on the wheel: a few ms and ~80 ms out
+            // (level 1), 1–100 s out (level 2), and past its 137 s span
+            // (the overflow list).
             let delay = |rng: &mut crate::rng::Rng| -> u64 {
                 let r = rng.f64();
                 if r < 0.02 {
@@ -1634,6 +1637,10 @@ mod tests {
                     2_000_000 + (rng.f64() * 20_000_000.0) as u64
                 } else if r < 0.0211 {
                     80_000_000 + (rng.f64() * 5_000_000.0) as u64
+                } else if r < 0.0213 {
+                    1_000_000_000 + (rng.f64() * 99e9) as u64
+                } else if r < 0.0215 {
+                    LEVEL2_SPAN + (rng.f64() * 60e9) as u64
                 } else {
                     (rng.f64() * (spread_us * 1_000) as f64) as u64
                 }
@@ -1687,7 +1694,9 @@ mod tests {
             }
             prop_assert!(q.cursor - first_bucket >= 3_000, "run too short");
             prop_assert!(peak_bucket >= PENDING as usize, "buckets too sparse");
-            prop_assert!(q.perf().heap_spills > 0, "no event reached the heap tier");
+            let far_at = |lo: u64, hi: u64| heap.iter().filter(|r| (lo..hi).contains(&r.0 .0)).count();
+            prop_assert!(far_at(1_000_000_000, LEVEL2_SPAN) > 0, "no event on wheel level 2");
+            prop_assert!(far_at(LEVEL2_SPAN, u64::MAX) > 0, "no event past the wheel's levels");
             // `Vec` growth doubles, so a buffer holds at most twice the
             // largest bucket it ever carried; a handful of buffers beyond
             // the occupied slots are in flight (the batch, the pool).
@@ -1819,11 +1828,13 @@ mod tests {
                 oracle.push(Reverse((at, id)));
                 assert!(q.slab.cells.len() as u64 <= q.perf().peak_pending);
             }
-            assert!(q.perf().heap_spills > 0 && !q.slab.free.is_empty());
+            // Every pending event, far ones too, holds exactly one cell.
+            assert!(q.perf().heap_spills > 0 && q.slab.cells.len() as u64 == PENDING);
         };
         let mut q: EventQueue<u64> = EventQueue::new();
         run(&mut q, 1_000_000);
-        assert_eq!(q.parked() as u64, PENDING - q.heap.len() as u64);
+        // One slab: far events are parked like near ones.
+        assert_eq!(q.parked() as u64, PENDING);
         q.clear();
         assert_eq!(q.parked(), 0);
         let mut q: EventQueue<u64> = EventQueue::new();
@@ -1847,7 +1858,8 @@ mod tests {
         let in_inbox = q.rearm_timer(None, SimTime::from_nanos(500), 4);
         assert_eq!(q.inbox.len(), 1);
         assert!(q.cancel_timer(in_inbox));
-        assert_eq!((q.parked(), q.inbox.len()), (2, 0));
+        // Events 1 and 2, and the wheel timer's payload.
+        assert_eq!((q.parked(), q.inbox.len()), (3, 0));
         // Popping into bucket 1 drains the wheel's timer into the batch.
         assert_eq!(q.pop().map(|(_, e)| e), Some(1));
         assert_eq!((q.parked(), q.current.len()), (2, 2));

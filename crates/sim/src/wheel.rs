@@ -1,5 +1,6 @@
 //! Hierarchical timing wheel: O(1) arm and **true O(1) cancel/re-arm**
-//! for the engine's timer population.
+//! for the engine's timer population, and the home of every event
+//! scheduled past the calendar's lane horizon.
 //!
 //! The calendar queue in [`crate::queue`] is ideal for events that always
 //! fire (packet arrivals, tx-done), but timers are different: a TCP RTO is
@@ -23,12 +24,22 @@
 //! - level 2: 512 × 268 ms ≈ 137 s (max-RTO tail, experiment bookkeeping)
 //! - overflow list beyond that (never hit by the shipped experiments)
 //!
-//! Entries live in a slab; a [`TimerToken`] is `(slab index, generation)`,
-//! and the generation is bumped every time a slab cell is freed, so a
-//! stale token can never cancel an unrelated later timer (ABA guard).
-//! Slots are intrusive doubly-linked lists threaded through the slab, so
-//! cancel unlinks in O(1) without touching neighbours' cache lines more
-//! than necessary.
+//! Entries live in a slab of their own; a [`TimerToken`] is `(index,
+//! generation)`, and the generation is bumped every time an entry is
+//! freed, so a stale token can never cancel an unrelated later timer (ABA
+//! guard). Slots are intrusive doubly-linked lists threaded through that
+//! slab, so cancel unlinks in O(1).
+//!
+//! # Cells, not payloads
+//!
+//! An entry holds `(time, seq, cell)`: `seq` comes from the owning
+//! queue's global sequence counter and `cell` is where the queue parked
+//! the payload in its one slab. A refill drains a due entry into the
+//! queue's sorted batch as a key, so replay order is exactly the `(time,
+//! seq)` total order of a plain event. An entry is either a *timer*, which
+//! has a token, or a *far event* (scheduled beyond the lane horizon),
+//! which has none: a drained far event frees its entry at once, since no
+//! token can come back for it, and it does not count as a fired timer.
 //!
 //! # Cascading without a tick
 //!
@@ -39,13 +50,8 @@
 //! calls [`TimerWheel::advance_to`] from its refill path with the chosen
 //! global-minimum bucket; the wheel moves its base there and cascades the
 //! (provably at most one per level) higher-level slot covering the new
-//! window. All skipped slots are provably empty because every live timer
+//! window. All skipped slots are provably empty because every live entry
 //! expires at or after the global minimum.
-//!
-//! The wheel stores `(time, seq, event)` triples where `seq` comes from
-//! the owning queue's global sequence counter; fired timers are drained
-//! into the queue's sorted batch, so replay order is exactly the same
-//! `(time, seq)` total order as if the timer had been a plain event.
 
 // Hot path (per packet or per event): a panic aborts a whole figure run.
 #![deny(
@@ -80,7 +86,7 @@ fn bucket(t: SimTime) -> u64 {
 ///
 /// Tokens are cheap `Copy` values. A token goes stale once the timer
 /// fires, is cancelled, or is replaced by a re-arm; using a stale token
-/// is safe and reports [`Cancelled::Stale`].
+/// is safe and reports nothing to cancel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerToken {
     idx: u32,
@@ -96,8 +102,8 @@ enum Loc {
     Wheel(u8, u16),
     /// In the overflow list (beyond the level-2 horizon).
     Overflow,
-    /// Armed into the bucket the owning queue is already draining: the
-    /// payload was handed to the queue's batch at arm time and only this
+    /// A timer whose payload is already in the queue's batch or inbox
+    /// (armed into the draining bucket, or drained by a refill): only this
     /// `(time, seq)` marker remains for cancellation.
     External,
 }
@@ -110,53 +116,52 @@ enum Placement {
     Overflow,
 }
 
-struct Entry<E> {
+struct Entry {
     time: SimTime,
     seq: u64,
     gen: u32,
     prev: u32,
     next: u32,
     loc: Loc,
-    event: Option<E>,
+    /// The owning queue's slab cell holding the payload.
+    cell: u32,
+    /// A timer (it has a token) rather than a far event.
+    timer: bool,
 }
 
 /// Outcome of [`TimerWheel::cancel`].
 #[derive(Debug, PartialEq, Eq)]
-pub enum Cancelled<E> {
+pub(crate) enum Cancelled {
     /// The token was stale (timer already fired, cancelled, or re-armed).
     Stale,
-    /// The timer was live in the wheel; its payload is returned.
-    Live(E),
-    /// The timer had been armed into the queue's draining batch; the
-    /// caller owns the payload and can locate it by this `(time, seq)`.
+    /// The timer was live in the wheel; its payload's slab cell is
+    /// returned.
+    Live(u32),
+    /// The timer's payload is in the queue's batch or inbox, where the
+    /// caller can locate it by this `(time, seq)`.
     External(SimTime, u64),
 }
 
 /// The hierarchical timing wheel. See the module docs for the design.
-pub struct TimerWheel<E> {
-    slab: Vec<Entry<E>>,
+pub(crate) struct TimerWheel {
+    slab: Vec<Entry>,
     free_head: u32,
     /// Intrusive list heads, `heads[level][slot]`.
     heads: Vec<[u32; SLOTS]>,
     /// Slot-occupancy bitmaps, one per level.
     occ: [[u64; OCC_WORDS]; LEVELS],
     overflow_head: u32,
-    /// Current minimum possible bucket: every resident timer expires in a
+    /// Current minimum possible bucket: every resident entry expires in a
     /// bucket `>= base`, and the level windows are aligned pages around it.
     base: u64,
-    /// Wheel-resident timers (excludes [`Loc::External`] markers).
+    /// Wheel-resident entries, timers and far events (excludes
+    /// [`Loc::External`] markers).
     len: usize,
 }
 
-impl<E> Default for TimerWheel<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> TimerWheel<E> {
+impl TimerWheel {
     /// Create an empty wheel based at bucket 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimerWheel {
             slab: Vec::new(),
             free_head: NIL,
@@ -168,36 +173,17 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Number of wheel-resident timers.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no timers are resident.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The wheel's current base bucket (advanced by [`advance_to`]).
-    ///
-    /// [`advance_to`]: TimerWheel::advance_to
-    #[inline]
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    fn alloc(&mut self, time: SimTime, seq: u64, event: Option<E>) -> u32 {
+    fn alloc(&mut self, time: SimTime, seq: u64, cell: u32, timer: bool) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
-            let cell = &mut self.slab[idx as usize];
-            self.free_head = cell.next;
-            cell.time = time;
-            cell.seq = seq;
-            cell.prev = NIL;
-            cell.next = NIL;
-            cell.event = event;
+            let e = &mut self.slab[idx as usize];
+            self.free_head = e.next;
+            e.time = time;
+            e.seq = seq;
+            e.prev = NIL;
+            e.next = NIL;
+            e.cell = cell;
+            e.timer = timer;
             idx
         } else {
             let idx = self.slab.len() as u32;
@@ -208,22 +194,22 @@ impl<E> TimerWheel<E> {
                 prev: NIL,
                 next: NIL,
                 loc: Loc::Free,
-                event,
+                cell,
+                timer,
             });
             idx
         }
     }
 
-    /// Return a cell to the freelist, bumping its generation so every
+    /// Return an entry to the freelist, bumping its generation so every
     /// outstanding token for it goes stale.
     fn free(&mut self, idx: u32) {
         let head = self.free_head;
-        let cell = &mut self.slab[idx as usize];
-        cell.gen = cell.gen.wrapping_add(1);
-        cell.loc = Loc::Free;
-        cell.event = None;
-        cell.prev = NIL;
-        cell.next = head;
+        let e = &mut self.slab[idx as usize];
+        e.gen = e.gen.wrapping_add(1);
+        e.loc = Loc::Free;
+        e.prev = NIL;
+        e.next = head;
         self.free_head = idx;
     }
 
@@ -267,7 +253,7 @@ impl<E> TimerWheel<E> {
         self.len += 1;
     }
 
-    /// O(1) removal of a wheel-resident cell from its intrusive list.
+    /// O(1) removal of a wheel-resident entry from its intrusive list.
     fn unlink(&mut self, idx: u32) {
         let i = idx as usize;
         let (prev, next, loc) = (self.slab[i].prev, self.slab[i].next, self.slab[i].loc);
@@ -286,39 +272,51 @@ impl<E> TimerWheel<E> {
                     }
                 }
                 Loc::Overflow => self.overflow_head = next,
-                // Free/External cells are never linked; nothing to detach.
+                // Free/External entries are never linked; nothing to detach.
                 Loc::Free | Loc::External => return,
             }
         }
         self.len -= 1;
     }
 
-    /// Arm a timer expiring at `time` with the queue-issued sequence
-    /// number `seq`. The bucket of `time` must be `>= base` (the owning
-    /// queue routes earlier arms through [`arm_external`]).
-    ///
-    /// [`arm_external`]: TimerWheel::arm_external
-    pub fn arm(&mut self, time: SimTime, seq: u64, event: E) -> TimerToken {
+    /// Link a new entry for `(time, seq, cell)`. The bucket of `time` must
+    /// be `>= base` (the owning queue routes earlier arms through
+    /// [`arm_external`](TimerWheel::arm_external)).
+    fn insert(&mut self, time: SimTime, seq: u64, cell: u32, timer: bool) -> u32 {
         crate::invariant!(
             bucket(time) >= self.base,
             "arming below the wheel base: bucket {} < {}",
             bucket(time),
             self.base
         );
-        let idx = self.alloc(time, seq, Some(event));
+        let idx = self.alloc(time, seq, cell, timer);
         self.link(idx);
+        idx
+    }
+
+    /// Arm a timer expiring at `time` with the queue-issued sequence
+    /// number `seq`, its payload parked in the queue's slab `cell`.
+    pub(crate) fn arm(&mut self, time: SimTime, seq: u64, cell: u32) -> TimerToken {
+        let idx = self.insert(time, seq, cell, true);
         TimerToken {
             idx,
             gen: self.slab[idx as usize].gen,
         }
     }
 
+    /// Hold a far event — one scheduled beyond the queue's lane horizon —
+    /// until its bucket comes due. It has no token and cannot be
+    /// cancelled.
+    pub(crate) fn arm_far(&mut self, time: SimTime, seq: u64, cell: u32) {
+        self.insert(time, seq, cell, false);
+    }
+
     /// Register a timer whose payload the owning queue already placed into
     /// its draining batch (expiry bucket at or before the queue cursor).
     /// Only the `(time, seq)` marker is kept so a later cancel can locate
     /// and remove the batched event.
-    pub fn arm_external(&mut self, time: SimTime, seq: u64) -> TimerToken {
-        let idx = self.alloc(time, seq, None);
+    pub(crate) fn arm_external(&mut self, time: SimTime, seq: u64) -> TimerToken {
+        let idx = self.alloc(time, seq, NIL, true);
         self.slab[idx as usize].loc = Loc::External;
         TimerToken {
             idx,
@@ -327,7 +325,7 @@ impl<E> TimerWheel<E> {
     }
 
     /// Cancel the timer behind `tok`. O(1) for wheel-resident timers.
-    pub fn cancel(&mut self, tok: TimerToken) -> Cancelled<E> {
+    pub(crate) fn cancel(&mut self, tok: TimerToken) -> Cancelled {
         let i = tok.idx as usize;
         if i >= self.slab.len() || self.slab[i].gen != tok.gen {
             return Cancelled::Stale;
@@ -336,13 +334,8 @@ impl<E> TimerWheel<E> {
             Loc::Free => Cancelled::Stale,
             Loc::Wheel(..) | Loc::Overflow => {
                 self.unlink(tok.idx);
-                let ev = self.slab[i].event.take();
                 self.free(tok.idx);
-                match ev {
-                    Some(e) => Cancelled::Live(e),
-                    // Defensive: resident cells always carry a payload.
-                    None => Cancelled::Stale,
-                }
+                Cancelled::Live(self.slab[i].cell)
             }
             Loc::External => {
                 let (t, s) = (self.slab[i].time, self.slab[i].seq);
@@ -352,13 +345,13 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Earliest bucket holding a resident timer, or `None` when empty.
+    /// Earliest bucket holding a resident entry, or `None` when empty.
     ///
-    /// Exact even when the earliest timer sits in a higher level: level-0
+    /// Exact even when the earliest entry sits in a higher level: level-0
     /// slots map 1:1 onto buckets, and a higher level's first occupied
     /// slot is scanned for its minimum (a short list, and only reached
     /// when no nearer event exists anywhere in the engine).
-    pub fn min_bucket(&self) -> Option<u64> {
+    pub(crate) fn min_bucket(&self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -373,16 +366,16 @@ impl<E> TimerWheel<E> {
         self.list_min_bucket(self.overflow_head)
     }
 
-    /// Cheap lower bound on [`min_bucket`]: exact when the earliest timer
+    /// Cheap lower bound on [`min_bucket`]: exact when the earliest entry
     /// sits in level 0, otherwise the first bucket covered by the first
     /// occupied higher-level slot (or the level-2 page end when only the
     /// overflow list is populated). Costs only occupancy-bitmap word
-    /// scans — no cell-list walk — so the owning queue's refill can rule
-    /// the wheel out against a nearer lane/heap event without touching
-    /// timer cells. Never returns a value greater than [`min_bucket`].
+    /// scans — no list walk — so the owning queue's refill can rule the
+    /// wheel out against a nearer lane without touching entries. Never
+    /// returns a value greater than [`min_bucket`].
     ///
     /// [`min_bucket`]: TimerWheel::min_bucket
-    pub fn min_bucket_lower_bound(&self) -> Option<u64> {
+    pub(crate) fn min_bucket_lower_bound(&self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -408,10 +401,10 @@ impl<E> TimerWheel<E> {
     fn list_min_bucket(&self, mut idx: u32) -> Option<u64> {
         let mut best: Option<u64> = None;
         while idx != NIL {
-            let cell = &self.slab[idx as usize];
-            let b = bucket(cell.time);
+            let e = &self.slab[idx as usize];
+            let b = bucket(e.time);
             best = Some(best.map_or(b, |x| x.min(b)));
-            idx = cell.next;
+            idx = e.next;
         }
         best
     }
@@ -420,10 +413,10 @@ impl<E> TimerWheel<E> {
     /// now fall inside lower-level windows.
     ///
     /// Caller contract (upheld by the queue's refill): `b` is at most the
-    /// engine's global minimum pending bucket, so every resident timer
+    /// engine's global minimum pending bucket, so every resident entry
     /// expires at or after `b` — which is what makes skipping the
     /// intermediate slots sound (they are provably empty).
-    pub fn advance_to(&mut self, b: u64) {
+    pub(crate) fn advance_to(&mut self, b: u64) {
         if b <= self.base {
             return;
         }
@@ -445,11 +438,12 @@ impl<E> TimerWheel<E> {
         );
         if l2_turn {
             // Re-place the overflow list against the new page windows.
-            self.replant_overflow();
+            let head = std::mem::replace(&mut self.overflow_head, NIL);
+            self.relink(head);
         }
         if l1_turn {
             // The level-2 slot covering b's level-1 page holds exactly the
-            // timers whose bucket >> 18 equals b's; cascade them down.
+            // entries whose bucket >> 18 equals b's; cascade them down.
             self.cascade_slot(2, ((b >> (2 * SLOT_BITS)) & SLOT_MASK) as usize);
         }
         if l0_turn {
@@ -457,16 +451,18 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Detach every cell in `(level, slot)` and re-place it under the
-    /// (just-advanced) base. Entries keep their `(time, seq)` identity and
-    /// generation: cascading is invisible to tokens and replay order.
+    /// Detach every entry in `(level, slot)` and re-place it under the
+    /// (just-advanced) base.
     fn cascade_slot(&mut self, l: usize, s: usize) {
-        let mut idx = self.heads[l][s];
-        if idx == NIL {
-            return;
-        }
-        self.heads[l][s] = NIL;
+        let head = std::mem::replace(&mut self.heads[l][s], NIL);
         self.occ[l][s >> 6] &= !(1u64 << (s & 63));
+        self.relink(head);
+    }
+
+    /// Re-place every entry of the detached list starting at `idx`.
+    /// Entries keep their `(time, seq)` identity and generation: cascading
+    /// is invisible to tokens and replay order.
+    fn relink(&mut self, mut idx: u32) {
         while idx != NIL {
             let next = self.slab[idx as usize].next;
             self.len -= 1; // link() re-increments
@@ -475,62 +471,67 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    fn replant_overflow(&mut self) {
-        let mut idx = self.overflow_head;
-        self.overflow_head = NIL;
-        while idx != NIL {
-            let next = self.slab[idx as usize].next;
-            self.len -= 1;
-            self.link(idx);
-            idx = next;
-        }
-    }
-
-    /// Drain every timer expiring in bucket `b` (which must be inside the
+    /// Drain every entry expiring in bucket `b` (which must be inside the
     /// level-0 window, i.e. after `advance_to(b)`), handing each to `fire`
-    /// as `(time, seq, event)`, unordered. Returns the number drained.
-    pub fn drain_bucket(&mut self, b: u64, mut fire: impl FnMut(SimTime, u64, E)) -> usize {
+    /// as `(time, seq, cell)`, unordered. Returns the number of *timers*
+    /// drained; far events are handed over too but not counted.
+    pub(crate) fn drain_bucket(
+        &mut self,
+        b: u64,
+        mut fire: impl FnMut(SimTime, u64, u32),
+    ) -> usize {
         if b >> SLOT_BITS != self.base >> SLOT_BITS {
             return 0;
         }
         let s = (b & SLOT_MASK) as usize;
-        let mut idx = self.heads[0][s];
-        if idx == NIL {
-            return 0;
-        }
-        self.heads[0][s] = NIL;
+        let mut idx = std::mem::replace(&mut self.heads[0][s], NIL);
         self.occ[0][s >> 6] &= !(1u64 << (s & 63));
-        let mut n = 0usize;
+        let mut timers = 0usize;
         while idx != NIL {
-            let i = idx as usize;
-            let next = self.slab[i].next;
-            if let Some(ev) = self.slab[i].event.take() {
-                fire(self.slab[i].time, self.slab[i].seq, ev);
-                n += 1;
-            }
+            let e = &mut self.slab[idx as usize];
+            let next = e.next;
+            fire(e.time, e.seq, e.cell);
             self.len -= 1;
-            // Keep the cell as an External marker instead of freeing it:
-            // the drained event now sits in the owning queue's batch, and
-            // a cancel/re-arm racing ahead of the pop (the queue peeked
-            // into this bucket before a causally-earlier event arrived —
-            // the conservative-window engine does exactly that at
-            // barriers) must still find and remove it by `(time, seq)`.
-            // The marker is freed on cancel or via [`release_external`]
-            // once the event pops and fires.
-            //
-            // [`release_external`]: TimerWheel::release_external
-            self.slab[i].loc = Loc::External;
-            self.slab[i].prev = NIL;
-            self.slab[i].next = NIL;
+            if e.timer {
+                // Keep a timer as an External marker instead of freeing
+                // it: its event now sits in the owning queue's batch, and
+                // a cancel/re-arm racing ahead of the pop (the queue
+                // peeked into this bucket before a causally-earlier event
+                // arrived — the conservative-window engine does exactly
+                // that at barriers) must still find and remove it by
+                // `(time, seq)`. The marker is freed on cancel or via
+                // [`release_external`] once the event pops and fires.
+                //
+                // [`release_external`]: TimerWheel::release_external
+                e.loc = Loc::External;
+                e.prev = NIL;
+                e.next = NIL;
+                timers += 1;
+            } else {
+                self.free(idx);
+            }
             idx = next;
         }
-        n
+        timers
+    }
+
+    /// Take every far event off the wheel, handing each to `take` as
+    /// `(time, seq, cell)`, unordered. Timers stay where they are.
+    pub(crate) fn drain_far(&mut self, mut take: impl FnMut(SimTime, u64, u32)) {
+        for idx in 0..self.slab.len() as u32 {
+            let e = &self.slab[idx as usize];
+            if !e.timer && matches!(e.loc, Loc::Wheel(..) | Loc::Overflow) {
+                take(e.time, e.seq, e.cell);
+                self.unlink(idx);
+                self.free(idx);
+            }
+        }
     }
 
     /// Free the External marker behind `tok` after its drained event
     /// popped and fired. No-op on stale tokens and on wheel-resident
-    /// cells.
-    pub fn release_external(&mut self, tok: TimerToken) {
+    /// entries.
+    pub(crate) fn release_external(&mut self, tok: TimerToken) {
         let i = tok.idx as usize;
         if i < self.slab.len()
             && self.slab[i].gen == tok.gen
@@ -540,25 +541,27 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Drop every timer (resident and external markers), invalidating all
+    /// Drop every entry (resident and external markers), invalidating all
     /// outstanding tokens. The base is kept: it tracks the owning queue's
     /// cursor, which `clear` does not rewind.
-    pub fn clear(&mut self) {
-        for i in 0..self.slab.len() {
-            if !matches!(self.slab[i].loc, Loc::Free) {
-                let cell = &mut self.slab[i];
-                cell.gen = cell.gen.wrapping_add(1);
-                cell.loc = Loc::Free;
-                cell.event = None;
-                cell.prev = NIL;
-                cell.next = self.free_head;
-                self.free_head = i as u32;
+    pub(crate) fn clear(&mut self) {
+        for idx in 0..self.slab.len() as u32 {
+            if !matches!(self.slab[idx as usize].loc, Loc::Free) {
+                self.free(idx);
             }
         }
         self.heads = vec![[NIL; SLOTS]; LEVELS];
         self.occ = [[0; OCC_WORDS]; LEVELS];
         self.overflow_head = NIL;
         self.len = 0;
+    }
+}
+
+#[cfg(test)]
+impl TimerWheel {
+    /// Entries not on the freelist: resident ones and External markers.
+    pub(crate) fn live(&self) -> usize {
+        self.slab.iter().filter(|e| e.loc != Loc::Free).count()
     }
 }
 
@@ -587,7 +590,7 @@ mod tests {
     /// Drain the wheel to completion in engine order: repeatedly advance
     /// to the min bucket and drain it, collecting `(time, seq)` pairs
     /// sorted within each bucket (as the queue's refill sort would).
-    fn drain_all(w: &mut TimerWheel<u32>) -> Vec<(u64, u64, u32)> {
+    fn drain_all(w: &mut TimerWheel) -> Vec<(u64, u64, u32)> {
         let mut out = Vec::new();
         while let Some(b) = w.min_bucket() {
             w.advance_to(b);
@@ -601,7 +604,7 @@ mod tests {
                 out.push((tt.as_nanos(), s, e));
             }
         }
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
         out
     }
 
@@ -631,12 +634,12 @@ mod tests {
         let a = w.arm(t(10_000), 0, 0);
         let b = w.arm(t(20_000), 1, 1);
         let c = w.arm(t(20_000), 2, 2);
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.len, 3);
         assert!(matches!(w.cancel(b), Cancelled::Live(1)));
-        assert_eq!(w.len(), 2);
+        assert_eq!(w.len, 2);
         // Double-cancel is stale, not a second removal.
         assert_eq!(w.cancel(b), Cancelled::Stale);
-        assert_eq!(w.len(), 2);
+        assert_eq!(w.len, 2);
         let fired = drain_all(&mut w);
         assert_eq!(
             fired.iter().map(|&(_, _, e)| e).collect::<Vec<_>>(),
@@ -668,9 +671,9 @@ mod tests {
 
     #[test]
     fn external_markers_round_trip() {
-        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let mut w = TimerWheel::new();
         let tok = w.arm_external(t(500), 42);
-        assert_eq!(w.len(), 0, "external markers are not wheel-resident");
+        assert_eq!(w.len, 0, "external markers are not wheel-resident");
         assert_eq!(w.min_bucket(), None);
         match w.cancel(tok) {
             Cancelled::External(tt, s) => {
@@ -709,7 +712,7 @@ mod tests {
             SLOTS.pow(3) as u64 * BUCKET_NS * 2,         // overflow
         ];
         for &ns in &far_times {
-            let mut w: TimerWheel<u32> = TimerWheel::new();
+            let mut w = TimerWheel::new();
             assert_eq!(w.min_bucket_lower_bound(), None);
             w.arm(t(ns), 0, 0);
             let lb = w.min_bucket_lower_bound().unwrap();
@@ -730,7 +733,7 @@ mod tests {
         w.advance_to(b);
         let mut batch = Vec::new();
         assert_eq!(w.drain_bucket(b, |tt, s, e| batch.push((tt, s, e))), 2);
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
     }
 
     #[test]
@@ -769,7 +772,7 @@ mod tests {
             for d in decoys {
                 assert!(matches!(w.cancel(d), Cancelled::Live(_)));
             }
-            assert_eq!(w.len(), 1, "only the live token remains");
+            assert_eq!(w.len, 1, "only the live token remains");
             // Fire the live token.
             let b = w.min_bucket().expect("live token pending");
             w.advance_to(b);
@@ -789,7 +792,7 @@ mod tests {
         }
         assert_eq!(fired, vec![0, 1, 2, 3, 4], "one firing per deadline");
         assert!(matches!(w.cancel(tok), Cancelled::Live(5)));
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
     }
 
     #[test]
@@ -798,7 +801,7 @@ mod tests {
         let a = w.arm(t(10_000), 0, 0);
         let b = w.arm(t(9_000_000_000), 1, 1);
         w.clear();
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
         assert_eq!(w.min_bucket(), None);
         assert_eq!(w.cancel(a), Cancelled::Stale);
         assert_eq!(w.cancel(b), Cancelled::Stale);
@@ -817,7 +820,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_matches_oracle(ops in proptest::collection::vec((0u8..4, 0u64..4_000_000_000u64, 0u32..24), 1..120)) {
-            let mut w: TimerWheel<u32> = TimerWheel::new();
+            let mut w = TimerWheel::new();
             let mut oracle = Oracle::default();
             let mut tokens: BTreeMap<u32, TimerToken> = BTreeMap::new();
             let mut seq = 0u64;
@@ -892,7 +895,7 @@ mod tests {
         /// Pure arm/fire churn across all horizons keeps (time, seq) order.
         #[test]
         fn prop_fire_order_across_horizons(times in proptest::collection::vec(0u64..200_000_000_000u64, 1..80)) {
-            let mut w: TimerWheel<u32> = TimerWheel::new();
+            let mut w = TimerWheel::new();
             for (i, &ns) in times.iter().enumerate() {
                 w.arm(SimTime::from_nanos(ns), i as u64, i as u32);
             }

@@ -1,7 +1,7 @@
 //! Flow-completion-time statistics with the paper's size breakdown:
 //! short flows `(0, 100 KB]`, large flows `[10 MB, ∞)`, plus overall.
 
-use crate::percentile::{mean, percentile};
+use crate::percentile::{mean, percentile_sorted};
 use ecnsharp_net::{FlowOutcome, FlowRecord};
 
 /// The paper's short-flow boundary.
@@ -34,13 +34,17 @@ impl FctSummary {
         p99: f64::NAN,
     };
 
-    /// Summarize a set of FCTs in seconds. `None` when empty.
-    pub fn from_secs(xs: &[f64]) -> Option<FctSummary> {
+    /// Summarize a set of FCTs in seconds, sorting them in place: the
+    /// mean is summed in the given order first, then both percentiles are
+    /// read off the one sort. `None` when empty.
+    fn summarize(xs: &mut [f64]) -> Option<FctSummary> {
+        let avg = mean(xs)?;
+        xs.sort_unstable_by(f64::total_cmp);
         Some(FctSummary {
             count: xs.len(),
-            avg: mean(xs)?,
-            p50: percentile(xs, 0.50)?,
-            p99: percentile(xs, 0.99)?,
+            avg,
+            p50: percentile_sorted(xs, 0.50)?,
+            p99: percentile_sorted(xs, 0.99)?,
         })
     }
 }
@@ -75,34 +79,31 @@ impl FctBreakdown {
     /// population is *not* a panic: counts survive, timings are NaN.)
     pub fn from_records(records: &[FlowRecord]) -> FctBreakdown {
         assert!(!records.is_empty(), "no completed flows to summarize");
-        let completed: Vec<&FlowRecord> = records
-            .iter()
-            .filter(|r| r.outcome == FlowOutcome::Completed)
-            .collect();
-        let fct = |r: &&FlowRecord| r.fct().as_secs_f64();
-        let all: Vec<f64> = completed.iter().map(fct).collect();
-        let short: Vec<f64> = completed
-            .iter()
-            .filter(|r| r.size <= SHORT_MAX)
-            .map(fct)
-            .collect();
-        let large: Vec<f64> = completed
-            .iter()
-            .filter(|r| r.size >= LARGE_MIN)
-            .map(fct)
-            .collect();
-        let medium: Vec<f64> = completed
-            .iter()
-            .filter(|r| r.size > SHORT_MAX && r.size < LARGE_MIN)
-            .map(fct)
-            .collect();
+        // One pass, in record order: each completed flow's FCT goes to the
+        // overall population and to its size class.
+        let mut all = Vec::with_capacity(records.len());
+        let (mut short, mut medium, mut large) = (vec![], vec![], vec![]);
+        let mut timeouts = 0;
+        for r in records {
+            timeouts += u64::from(r.timeouts);
+            if r.outcome != FlowOutcome::Completed {
+                continue;
+            }
+            let fct = r.fct().as_secs_f64();
+            all.push(fct);
+            match r.size {
+                s if s <= SHORT_MAX => short.push(fct),
+                s if s >= LARGE_MIN => large.push(fct),
+                _ => medium.push(fct),
+            }
+        }
         FctBreakdown {
-            overall: FctSummary::from_secs(&all).unwrap_or(FctSummary::EMPTY),
-            short: FctSummary::from_secs(&short),
-            large: FctSummary::from_secs(&large),
-            medium: FctSummary::from_secs(&medium),
-            timeouts: records.iter().map(|r| r.timeouts as u64).sum(),
-            failed: (records.len() - completed.len()) as u64,
+            failed: (records.len() - all.len()) as u64,
+            overall: FctSummary::summarize(&mut all).unwrap_or(FctSummary::EMPTY),
+            short: FctSummary::summarize(&mut short),
+            large: FctSummary::summarize(&mut large),
+            medium: FctSummary::summarize(&mut medium),
+            timeouts,
         }
     }
 }
@@ -235,6 +236,62 @@ mod tests {
         assert!((b.overall.avg - 100e-6).abs() < 1e-12);
         assert_eq!(b.short.unwrap().count, 1);
         assert_eq!(b.timeouts, 8, "failed flows' timeouts still counted");
+    }
+
+    /// The one-pass summary is bit for bit what [`mean`] and
+    /// [`percentile`] give per class, on a mixed population with failed
+    /// flows interleaved.
+    #[test]
+    fn one_pass_matches_per_class_mean_and_percentile() {
+        use crate::percentile::percentile;
+        let mut rng = ecnsharp_sim::Rng::seed_from_u64(7);
+        let records: Vec<FlowRecord> = (0..2_000)
+            .map(|i| {
+                let size = match rng.below(3) {
+                    0 => rng.range_u64(1, SHORT_MAX + 1),
+                    1 => rng.range_u64(SHORT_MAX + 1, LARGE_MIN),
+                    _ => rng.range_u64(LARGE_MIN, 4 * LARGE_MIN),
+                };
+                let fct_us = rng.range_u64(10, 1_000_000);
+                if rng.below(10) == 0 {
+                    failed_rec(i, size, fct_us, 3)
+                } else {
+                    rec(i, size, fct_us)
+                }
+            })
+            .collect();
+        let b = FctBreakdown::from_records(&records);
+        let want = |keep: &dyn Fn(u64) -> bool| {
+            let xs: Vec<f64> = records
+                .iter()
+                .filter(|r| r.outcome == FlowOutcome::Completed && keep(r.size))
+                .map(|r| r.fct().as_secs_f64())
+                .collect();
+            let bits = |x: Option<f64>| x.map(f64::to_bits);
+            (
+                xs.len(),
+                bits(mean(&xs)),
+                bits(percentile(&xs, 0.5)),
+                bits(percentile(&xs, 0.99)),
+            )
+        };
+        let got = |s: Option<FctSummary>| {
+            s.map_or((0, None, None, None), |s| {
+                (
+                    s.count,
+                    Some(s.avg.to_bits()),
+                    Some(s.p50.to_bits()),
+                    Some(s.p99.to_bits()),
+                )
+            })
+        };
+        assert_eq!(got(Some(b.overall)), want(&|_| true));
+        assert_eq!(got(b.short), want(&|s| s <= SHORT_MAX));
+        assert_eq!(got(b.medium), want(&|s| s > SHORT_MAX && s < LARGE_MIN));
+        assert_eq!(got(b.large), want(&|s| s >= LARGE_MIN));
+        let failed = records.len() - b.overall.count;
+        assert!(failed > 100 && b.failed == failed as u64);
+        assert_eq!(b.timeouts, 3 * b.failed);
     }
 
     #[test]

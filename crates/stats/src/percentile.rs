@@ -3,14 +3,16 @@
 /// The `p`-quantile (0 ≤ p ≤ 1) of `xs` using nearest-rank on a sorted
 /// copy. Returns `None` for empty input.
 pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let p = p.clamp(0.0, 1.0);
     let mut v: Vec<f64> = xs.to_vec();
     v.sort_by(f64::total_cmp);
-    let idx = ((v.len() as f64 - 1.0) * p).round() as usize;
-    Some(v[idx])
+    percentile_sorted(&v, p)
+}
+
+/// [`percentile`] of samples already sorted by [`f64::total_cmp`].
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
+    let p = p.clamp(0.0, 1.0);
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted.get(idx).copied()
 }
 
 /// Arithmetic mean; `None` for empty input.
