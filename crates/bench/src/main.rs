@@ -30,7 +30,7 @@
 use ecnsharp_aqm::{DctcpRed, DropTail};
 use ecnsharp_net::topology::{dumbbell, Dumbbell};
 use ecnsharp_net::{
-    EgressPort, FlowCmd, FlowId, NodeId, NoopSubscriber, Packet, PortConfig, RingArena, Supervision,
+    CellSlab, EgressPort, FlowCmd, FlowId, NodeId, NoopSubscriber, Packet, PortConfig, Supervision,
 };
 use ecnsharp_sim::{Duration, EventQueue, Rate, Rng, SimTime};
 use ecnsharp_transport::{TcpConfig, TcpStack};
@@ -96,14 +96,15 @@ const PAIRED_GATES: [PairedGate; 4] = [
         pairs: 12,
         budget: 1.5,
     },
-    // Port rings rewind on drain and start small: one packet in flight
-    // per port costs the same over 384 ports as over 16 (1.58-4.04x with
-    // pre-sized windows walked cyclically).
+    // Every FIFO port queues in one packet-cell slab, and a drained cell
+    // is the next enqueue's: one packet in flight per port costs the same
+    // over 384 ports as over 16 (1.58-4.04x with pre-sized per-port
+    // windows walked cyclically).
     PairedGate {
         name: "cache_pressure",
-        what: "200 k packets over 384 / 16 pooled ports",
-        control: Some(|| port_ring_sparse(16)),
-        subject: || port_ring_sparse(384),
+        what: "200 k packets over 384 / 16 ports on one slab",
+        control: Some(|| port_cells_sparse(16)),
+        subject: || port_cells_sparse(384),
         pairs: 40,
         budget: 1.25,
     },
@@ -374,20 +375,14 @@ fn churn_port() -> EgressPort {
     ))
 }
 
-/// 200 k packets through `count` pooled ports of one switch, round-robin,
-/// each transmitted before the next arrives: one packet in flight per
-/// port, the regime ECN# keeps a lightly loaded fabric in. A ring that
-/// drains rewinds to slot 0, so 384 ports touch 384 lines, not 384
-/// buffer-sized windows.
-fn port_ring_sparse(count: usize) -> u64 {
-    let mut arena = RingArena::new();
-    let mut ports: Vec<EgressPort> = (0..count)
-        .map(|_| {
-            let mut port = churn_port();
-            port.bench_pool_ring(&mut arena);
-            port
-        })
-        .collect();
+/// 200 k packets through `count` ports sharing one cell slab,
+/// round-robin, each transmitted before the next arrives: one packet in
+/// flight per port, the regime ECN# keeps a lightly loaded fabric in.
+/// Each drained cell is the next enqueue's, so 384 ports touch one line,
+/// not 384 buffer-sized windows.
+fn port_cells_sparse(count: usize) -> u64 {
+    let mut cells = CellSlab::new();
+    let mut ports: Vec<EgressPort> = (0..count).map(|_| churn_port()).collect();
     time(|| {
         let (src, dst) = (NodeId(0), NodeId(1));
         let mut sub = NoopSubscriber;
@@ -396,8 +391,8 @@ fn port_ring_sparse(count: usize) -> u64 {
         for i in 0..200_000u64 {
             let port = &mut ports[i as usize % count];
             let pkt = Packet::data(FlowId(i % 512), src, dst, i * 1_460, 1_460);
-            port.bench_enqueue(now, pkt, &mut arena, &mut sub);
-            if let Some((_, tx)) = port.bench_next_tx(now, || 0.5, &mut arena, &mut sub) {
+            port.bench_enqueue(now, pkt, &mut cells, &mut sub);
+            if let Some((_, tx)) = port.bench_next_tx(now, || 0.5, &mut cells, &mut sub) {
                 now += tx;
                 sent += 1;
             }
@@ -413,8 +408,8 @@ fn port_ring_sparse(count: usize) -> u64 {
 /// pair reads 1.25-1.30x — the inliner's verdict on this harness, not
 /// the cost of an emission site.
 #[inline(never)]
-fn enqueue(port: &mut EgressPort, now: SimTime, pkt: Packet, arena: &mut RingArena) {
-    port.bench_enqueue(now, pkt, arena, &mut NoopSubscriber);
+fn enqueue(port: &mut EgressPort, now: SimTime, pkt: Packet, cells: &mut CellSlab) {
+    port.bench_enqueue(now, pkt, cells, &mut NoopSubscriber);
 }
 
 /// The port's dequeue path (see [`enqueue`]).
@@ -422,9 +417,9 @@ fn enqueue(port: &mut EgressPort, now: SimTime, pkt: Packet, arena: &mut RingAre
 fn next_tx(
     port: &mut EgressPort,
     now: SimTime,
-    arena: &mut RingArena,
+    cells: &mut CellSlab,
 ) -> Option<(Packet, Duration)> {
-    port.bench_next_tx(now, || 0.5, arena, &mut NoopSubscriber)
+    port.bench_next_tx(now, || 0.5, cells, &mut NoopSubscriber)
 }
 
 /// One egress port through 40 k enqueue/drain cycles with only the no-op
@@ -432,25 +427,25 @@ fn next_tx(
 /// allocation-free in the timed region to keep a 3 % budget above noise.
 fn port_churn_40k_noop() -> u64 {
     let mut port = churn_port();
-    let mut arena = RingArena::new();
+    let mut cells = CellSlab::new();
     time(|| {
         let (src, dst) = (NodeId(0), NodeId(1));
         let mut now = SimTime::ZERO;
         let mut popped = 0u64;
         for i in 0..black_box(40_000u64) {
             let pkt = Packet::data(FlowId(1), src, dst, i * 1_500, 1_500);
-            enqueue(&mut port, now, pkt, &mut arena);
+            enqueue(&mut port, now, pkt, &mut cells);
             // Drain in small batches so both the enqueue and dequeue
             // emission sites run with a non-trivial standing queue.
             if i % 8 == 7 {
-                while let Some((_, tx)) = next_tx(&mut port, now, &mut arena) {
+                while let Some((_, tx)) = next_tx(&mut port, now, &mut cells) {
                     now += tx;
                     popped += 1;
                 }
             }
             now += Duration::from_nanos(100);
         }
-        while let Some((_, tx)) = next_tx(&mut port, now, &mut arena) {
+        while let Some((_, tx)) = next_tx(&mut port, now, &mut cells) {
             now += tx;
             popped += 1;
         }

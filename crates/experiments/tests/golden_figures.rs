@@ -80,7 +80,7 @@ fn engine_output_matches_prepass_golden() {
 
     // The pinned outputs: fig2 (testbed star threshold sweep) with
     // per-segment and with delayed ACKs, fig9 serial and under the sharded
-    // engine (leaf-spine grid — the pooled rings' main consumer), fig10
+    // engine (leaf-spine grid, whose switches queue the most packets), fig10
     // (the incast queue microscope's summary), and one
     // adversarial chaos point (flapping link + 1% GE burst loss crossing
     // shard cuts).

@@ -5,8 +5,8 @@
 //! both: bit-exact FCT floats plus the `[perf]` mark/drop counters).
 //! And each guard must actually fire: a synthetic zero-delay event
 //! cycle trips the `ProgressGuard`, a withheld shard window trips the
-//! barrier-stall detector, and a 1-event memory budget trips the
-//! admission guard. DESIGN.md "Run supervision" carries the contract;
+//! barrier-stall detector, and a 1-event or 1-packet memory budget trips
+//! its admission guard. DESIGN.md "Run supervision" carries the contract;
 //! these tests pin it.
 
 use ecnsharp_aqm::DropTail;
@@ -143,6 +143,33 @@ fn mem_budget_trips_sharded_too() {
         matches!(err, SimError::MemBudgetExceeded { .. }),
         "got {err:?}"
     );
+}
+
+#[test]
+fn mem_budget_trips_on_queued_packet_ceiling() {
+    // A second packet queued anywhere in an engine's ports crosses a
+    // ceiling of 1: serially, and on each shard of a 2-way cut.
+    let sup = Supervision {
+        queued_packet_ceiling: Some(1),
+        ..Supervision::default()
+    };
+    for shards in [1u32, 2] {
+        let err = chaos_row(7, shards, sup).expect_err("a 1-packet ceiling must trip");
+        match err {
+            SimError::MemBudgetExceeded { breach, .. } => {
+                assert_eq!(
+                    breach.component,
+                    MemComponent::QueuedPackets,
+                    "{shards} shard(s)"
+                );
+                assert_eq!(breach.ceiling, 1);
+                assert!(breach.live > 1);
+                assert!(breach.node.is_some(), "the enqueuing node is named");
+            }
+            other => panic!("expected MemBudgetExceeded on {shards} shard(s), got {other:?}"),
+        }
+        assert!(err.to_jsonl().contains("\"queued_packets\""));
+    }
 }
 
 /// Four 500 kB flows from leaf 0's hosts into host 4 on leaf 1 (its own

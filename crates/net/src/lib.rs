@@ -51,8 +51,8 @@ macro_rules! emit {
 }
 
 pub mod agent;
-pub mod arena;
 mod arrival;
+pub mod cell;
 pub mod fault;
 pub mod ids;
 pub mod network;
@@ -65,13 +65,17 @@ pub mod topology;
 pub use agent::{
     Action, Agent, Ctx, EchoAgent, FlowCmd, FlowOutcome, FlowRecord, FlowState, NullAgent,
 };
-pub use arena::RingArena;
+pub use cell::CellSlab;
 pub use fault::{FaultAction, FaultEvent, FaultPlan, GilbertElliott};
 pub use ids::{FlowId, NodeId, PortId};
 pub use network::{Network, PerfCounters};
 pub use packet::{Ecn, Flags, Packet};
 pub use port::{EgressPort, PortConfig, PortSched, PortStats};
 pub use shard::ShardPlan;
+
+/// The former name of [`CellSlab`], under which the benchmark harness's
+/// port probes still take their storage.
+pub type RingArena = CellSlab;
 
 // Re-export the subscriber vocabulary so downstream crates can attach
 // telemetry without depending on `ecnsharp-telemetry` directly.
@@ -101,15 +105,15 @@ const _: () = {
     // the plan's owner map behind an Arc.
     assert_send::<network::OutMsg>();
     assert_send_sync::<ShardPlan>();
-    // Pooled ring storage moves with its node across shard threads.
-    assert_send::<RingArena>();
+    // Each shard engine owns its packet cells.
+    assert_send::<CellSlab>();
     // Supervision config is copied into every shard engine; guard trips
     // cross the worker scope back to the caller.
     assert_send_sync::<Supervision>();
     assert_send_sync::<SimError>();
     // Cache-layout pin alongside the shard-safety proofs: the packed
-    // Packet (and therefore every pooled arena slot) must stay within one
-    // 64-byte cache line, or the host-path working set regresses.
-    assert!(std::mem::size_of::<Packet>() <= 64);
-    assert!(std::mem::size_of::<Option<(u64, Packet)>>() <= 72);
+    // Packet must leave a queued-packet cell room for its link and byte
+    // count within one 64-byte cache line (`cell.rs` pins the cell), or
+    // the host-path working set regresses.
+    assert!(std::mem::size_of::<Packet>() <= 56);
 };

@@ -33,10 +33,11 @@
 
 use crate::agent::{Action, Agent, Ctx, FlowCmd, FlowOutcome, FlowRecord, FlowState};
 use crate::arrival::Arrivals;
+use crate::cell::CellSlab;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{FlowId, NodeId};
 use crate::node::{Node, NodeKind};
-use crate::port::{EgressPort, PortConfig, PortStats, WireFree};
+use crate::port::{EgressPort, PortConfig, PortSched, PortStats, WireFree};
 use ecnsharp_sim::supervise::{MemBreach, MemComponent, ProgressGuard, SimError, Supervision};
 use ecnsharp_sim::{hash_mix, DetMap, Duration, EventQueue, Rate, Rng, SimTime, TimerToken};
 #[cfg(feature = "telemetry")]
@@ -205,6 +206,9 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     #[cfg(feature = "telemetry")]
     scratch_events: Vec<TransportEvent>,
     pub(crate) nodes: Vec<Node>,
+    /// Every packet queued in a FIFO port of this engine's nodes (see
+    /// [`crate::cell`]).
+    pub(crate) cells: CellSlab,
     pub(crate) events: EventQueue<Event>,
     /// Network seed: drives the ECMP salt and every port's fault dice.
     pub(crate) seed: u64,
@@ -270,7 +274,7 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     rec_sub: u32,
     // ── run supervision ───────────────────────────────────────────────
     /// Watchdog/budget configuration (see [`Supervision`]). Applied to
-    /// the queue and node arenas by [`Network::set_supervision`].
+    /// the queue and the packet cells by [`Network::set_supervision`].
     pub(crate) supervision: Supervision,
     /// `supervision` has at least one memory ceiling armed — gates the
     /// per-event breach poll so runs without a ceiling skip it.
@@ -304,6 +308,7 @@ impl<S: Subscriber> Network<S> {
             #[cfg(feature = "telemetry")]
             scratch_events: Vec::new(),
             nodes: Vec::new(),
+            cells: CellSlab::new(),
             events: EventQueue::new(),
             seed,
             ecmp_salt,
@@ -397,17 +402,13 @@ impl<S: Subscriber> Network<S> {
 
     /// Install a [`Supervision`] configuration: arms the livelock guard
     /// for the `try_run_*` entry points and applies the memory ceilings
-    /// to the event queue and every node's ring arena.
-    ///
-    /// Call **after** topology construction — nodes added later start
-    /// with an unbounded arena. Re-installing clears any latched trip.
+    /// to the event queue and the queued-packet cells. Re-installing
+    /// clears any latched trip.
     pub fn set_supervision(&mut self, sup: Supervision) {
         self.supervision = sup;
         self.events.set_mem_ceiling(sup.event_ceiling);
-        for n in &mut self.nodes {
-            n.arena.set_overflow_ceiling(sup.ring_overflow_ceiling);
-        }
-        self.mem_armed = sup.event_ceiling.is_some() || sup.ring_overflow_ceiling.is_some();
+        self.cells.set_ceiling(sup.queued_packet_ceiling);
+        self.mem_armed = sup.event_ceiling.is_some() || sup.queued_packet_ceiling.is_some();
         self.tripped = None;
     }
 
@@ -459,23 +460,12 @@ impl<S: Subscriber> Network<S> {
         port_a.owner = a;
         port_a.owner_port = pa as u64;
         port_a.seed_dice(hash_mix(self.seed ^ ((a.0 as u64 + 1) << 24) ^ pa as u64));
-        // Switch FIFOs migrate onto the node's shared ring arena so all
-        // of a switch's queues live in one contiguous block; hosts keep
-        // their inline NIC FIFO (one port, nothing to pool).
-        let na = &mut self.nodes[a.0];
-        if !na.is_host() {
-            port_a.pool_ring(&mut na.arena);
-        }
-        na.ports.push(port_a);
+        self.nodes[a.0].ports.push(port_a);
         let mut port_b = EgressPort::new(a, pa, rate, delay, cfg_b);
         port_b.owner = b;
         port_b.owner_port = pb as u64;
         port_b.seed_dice(hash_mix(self.seed ^ ((b.0 as u64 + 1) << 24) ^ pb as u64));
-        let nb = &mut self.nodes[b.0];
-        if !nb.is_host() {
-            port_b.pool_ring(&mut nb.arena);
-        }
-        nb.ports.push(port_b);
+        self.nodes[b.0].ports.push(port_b);
         (pa, pb)
     }
 
@@ -723,14 +713,34 @@ impl<S: Subscriber> Network<S> {
         total
     }
 
-    /// Idle-time check of the flow-state lifecycle: a sender outlives
-    /// its flow's report by nothing, so with every started flow finished
-    /// no agent may still hold one.
-    pub(crate) fn check_idle_flow_state(&self) {
+    /// Idle-time checks. Flow state: a sender outlives its flow's report
+    /// by nothing, so with every started flow finished no agent may still
+    /// hold one. Queues: the live cells are exactly the packets the FIFO
+    /// ports hold, and a port whose link is up holds none, since its
+    /// backlog would have kept a `TxDone` queued.
+    pub(crate) fn check_idle(&self) {
         ecnsharp_sim::invariant!(
             !self.pending.is_empty() || self.flow_state().live_senders == 0,
             "idle with no unfinished flow but {:?}",
             self.flow_state()
+        );
+        let ports = || self.nodes.iter().flat_map(|n| &n.ports);
+        let fifo: u64 = ports()
+            .filter(|p| matches!(p.sched, PortSched::Fifo(_)))
+            .map(EgressPort::backlog_pkts)
+            .sum();
+        ecnsharp_sim::invariant!(
+            self.cells.live() == fifo,
+            "idle with {} live packet cells but {fifo} packets queued in FIFO ports",
+            self.cells.live()
+        );
+        let stuck: u64 = ports()
+            .filter(|p| p.link_up)
+            .map(EgressPort::backlog_pkts)
+            .sum();
+        ecnsharp_sim::invariant!(
+            stuck == 0,
+            "idle with {stuck} packets queued behind links that are up"
         );
     }
 
@@ -925,7 +935,7 @@ impl<S: Subscriber> Network<S> {
         match self.tripped.take() {
             Some(e) => Err(e),
             None => {
-                self.check_idle_flow_state();
+                self.check_idle();
                 Ok(self.now())
             }
         }
@@ -1016,8 +1026,7 @@ impl<S: Subscriber> Network<S> {
             }
             Event::NicSend { node, pkt } => {
                 self.cur_node = node.0;
-                let n = &mut self.nodes[node.0];
-                n.ports[0].enqueue(now, pkt, &mut n.arena, &mut self.sub);
+                self.nodes[node.0].ports[0].enqueue(now, pkt, &mut self.cells, &mut self.sub);
                 self.kick(now, node, 0);
             }
             Event::LivelockDrill { node } => {
@@ -1077,7 +1086,7 @@ impl<S: Subscriber> Network<S> {
     }
 
     /// Poll the latched memory-breach flags after one event (only when a
-    /// ceiling is armed). All arena mutations of an event belong to its
+    /// ceiling is armed). Every enqueue of an event is onto a port of its
     /// `cur_node`, so attribution is exact; the breach converts into the
     /// run's first [`SimError::MemBudgetExceeded`].
     #[inline]
@@ -1098,18 +1107,16 @@ impl<S: Subscriber> Network<S> {
             });
             return;
         }
-        if self.cur_node != SETUP_CTX {
-            if let Some((live, ceiling)) = self.nodes[self.cur_node].arena.overflow_breach() {
-                self.tripped = Some(SimError::MemBudgetExceeded {
-                    breach: MemBreach {
-                        component: MemComponent::RingOverflow,
-                        live,
-                        ceiling,
-                        node,
-                    },
-                    time_ns: now.as_nanos(),
-                });
-            }
+        if let Some((live, ceiling)) = self.cells.breach() {
+            self.tripped = Some(SimError::MemBudgetExceeded {
+                breach: MemBreach {
+                    component: MemComponent::QueuedPackets,
+                    live,
+                    ceiling,
+                    node,
+                },
+                time_ns: now.as_nanos(),
+            });
         }
     }
 
@@ -1174,8 +1181,7 @@ impl<S: Subscriber> Network<S> {
                     };
                     hops[idx as usize] as usize
                 };
-                let n = &mut self.nodes[node.0];
-                n.ports[port].enqueue(now, pkt, &mut n.arena, &mut self.sub);
+                self.nodes[node.0].ports[port].enqueue(now, pkt, &mut self.cells, &mut self.sub);
                 self.kick(now, node, port);
             }
         }
@@ -1200,8 +1206,7 @@ impl<S: Subscriber> Network<S> {
     /// the key, it would have with one `TxDone` per transmission.
     pub(crate) fn kick(&mut self, now: SimTime, node: NodeId, port: usize) {
         let sub = &mut self.sub;
-        let n = &mut self.nodes[node.0];
-        let p = &mut n.ports[port];
+        let p = &mut self.nodes[node.0].ports[port];
         if !p.link_up {
             return;
         }
@@ -1218,7 +1223,7 @@ impl<S: Subscriber> Network<S> {
             }
             WireFree::At(..) => {}
         }
-        if let Some(tx) = p.next_tx_dice(now, &mut n.arena, sub) {
+        if let Some(tx) = p.next_tx_dice(now, &mut self.cells, sub) {
             #[cfg(feature = "strict-invariants")]
             p.audit_tx_start(now, tx.tx_time);
             let peer = p.peer;
@@ -1323,8 +1328,12 @@ impl<S: Subscriber> Network<S> {
             match action {
                 Action::Send(pkt, delay) => {
                     if delay.is_zero() {
-                        let n = &mut self.nodes[node.0];
-                        n.ports[0].enqueue(now, pkt, &mut n.arena, &mut self.sub);
+                        self.nodes[node.0].ports[0].enqueue(
+                            now,
+                            pkt,
+                            &mut self.cells,
+                            &mut self.sub,
+                        );
                         self.kick(now, node, 0);
                     } else {
                         self.push_event(now + delay, Event::NicSend { node, pkt });

@@ -1,7 +1,6 @@
 //! Nodes: hosts (with agents) and switches (with routing tables).
 
 use crate::agent::Agent;
-use crate::arena::RingArena;
 use crate::port::EgressPort;
 
 /// What kind of node this is.
@@ -29,10 +28,6 @@ pub struct Node {
     /// contiguous reads. Only switches read it; hosts always use port 0.
     pub(crate) route_off: Vec<u32>,
     pub(crate) route_hops: Vec<u16>,
-    /// Pooled ring storage shared by this node's switch-port FIFOs: one
-    /// contiguous slot block instead of a heap `VecDeque` per port (see
-    /// [`crate::arena`]). Empty for hosts and DWRR-scheduled ports.
-    pub(crate) arena: RingArena,
 }
 
 impl Node {
@@ -42,7 +37,6 @@ impl Node {
             ports: Vec::new(),
             route_off: Vec::new(),
             route_hops: Vec::new(),
-            arena: RingArena::new(),
         }
     }
 
@@ -52,7 +46,6 @@ impl Node {
             ports: Vec::new(),
             route_off: Vec::new(),
             route_hops: Vec::new(),
-            arena: RingArena::new(),
         }
     }
 

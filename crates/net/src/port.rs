@@ -10,12 +10,12 @@
     clippy::unreachable
 )]
 
-use crate::arena::{PooledRing, RingArena};
+use crate::cell::{CellList, CellSlab};
 use crate::fault::GilbertElliott;
 use crate::ids::NodeId;
 use crate::packet::{Ecn, Packet};
 use ecnsharp_aqm::{Aqm, DequeueVerdict, EnqueueVerdict, PacketView, QueueState};
-use ecnsharp_sched::{Dwrr, Fifo};
+use ecnsharp_sched::Dwrr;
 use ecnsharp_sim::{Duration, Rate, Rng, SimTime};
 use ecnsharp_telemetry::Subscriber;
 #[cfg(feature = "telemetry")]
@@ -29,12 +29,11 @@ use ecnsharp_telemetry::{
 /// per-packet hot path — so the set is closed and every call is a `match`,
 /// with the rarely used DWRR (§5.4) boxed to keep the slot small.
 pub enum PortSched {
-    /// Inline single-queue FIFO (private ring).
-    Fifo(Fifo<Packet>),
-    /// Single-queue FIFO whose slots live in the owning node's shared
-    /// [`RingArena`] (switch ports; see [`crate::arena`]).
-    Pooled(PooledRing),
-    /// Deficit Weighted Round Robin over the packet classes.
+    /// Single-queue FIFO whose packets sit in the engine's [`CellSlab`]
+    /// (see [`crate::cell`]).
+    Fifo(CellList),
+    /// Deficit Weighted Round Robin over the packet classes, in its own
+    /// per-class storage.
     Dwrr(Box<Dwrr<Packet>>),
 }
 
@@ -42,28 +41,26 @@ impl PortSched {
     #[inline]
     fn classes(&self) -> usize {
         match self {
-            PortSched::Fifo(_) | PortSched::Pooled(_) => 1,
+            PortSched::Fifo(_) => 1,
             PortSched::Dwrr(d) => d.classes(),
         }
     }
 
     /// Append `item` to `class`, which is below [`Self::classes`].
     #[inline]
-    fn enqueue(&mut self, arena: &mut RingArena, class: usize, bytes: u64, item: Packet) {
+    fn enqueue(&mut self, cells: &mut CellSlab, class: usize, bytes: u64, item: Packet) {
         debug_assert!(class < self.classes(), "class {class} out of range");
         match self {
-            PortSched::Fifo(f) => f.enqueue(bytes, item),
-            PortSched::Pooled(r) => r.enqueue(arena, bytes, item),
+            PortSched::Fifo(q) => q.push(cells, bytes, item),
             PortSched::Dwrr(d) => d.enqueue(class, bytes, item),
         }
     }
 
     /// The next packet to transmit as `(class, bytes, packet)`.
     #[inline]
-    fn dequeue(&mut self, arena: &mut RingArena) -> Option<(usize, u64, Packet)> {
+    fn dequeue(&mut self, cells: &mut CellSlab) -> Option<(usize, u64, Packet)> {
         match self {
-            PortSched::Fifo(f) => f.dequeue().map(|(bytes, item)| (0, bytes, item)),
-            PortSched::Pooled(r) => r.dequeue(arena).map(|(bytes, item)| (0, bytes, item)),
+            PortSched::Fifo(q) => q.pop(cells).map(|(bytes, item)| (0, bytes, item)),
             PortSched::Dwrr(d) => d.dequeue(),
         }
     }
@@ -71,8 +68,7 @@ impl PortSched {
     #[inline]
     fn backlog_bytes(&self) -> u64 {
         match self {
-            PortSched::Fifo(f) => f.backlog_bytes(),
-            PortSched::Pooled(r) => r.backlog_bytes(),
+            PortSched::Fifo(q) => q.backlog_bytes(),
             PortSched::Dwrr(d) => d.backlog_bytes(),
         }
     }
@@ -80,25 +76,10 @@ impl PortSched {
     #[inline]
     fn backlog_pkts(&self) -> u64 {
         match self {
-            PortSched::Fifo(f) => f.backlog_pkts(),
-            PortSched::Pooled(r) => r.backlog_pkts(),
+            PortSched::Fifo(q) => q.backlog_pkts(),
             PortSched::Dwrr(d) => d.backlog_pkts(),
         }
     }
-}
-
-/// Most slots a pooled ring's window grows to: one buffer's worth of MTU
-/// packets (wire MTU ≈ 1538 B) plus a thin slack margin. The slack
-/// matters — a queue held at byte capacity by tail drop packs slightly
-/// more sub-MTU packets than the MTU estimate predicts, and a window that
-/// is even one slot too small routes every enqueue through the overflow
-/// deque exactly when the port is hottest (each packet then gets copied
-/// twice). Windows start far below this and double on demand (see
-/// [`crate::arena`]), so the ceiling costs nothing until a port really
-/// queues that deep.
-pub(crate) fn pooled_ring_slots(capacity_bytes: u64) -> usize {
-    let est = (capacity_bytes / 1538).clamp(16, 4096) as usize;
-    est + est / 8 + 8
 }
 
 /// Static configuration of an egress port.
@@ -121,10 +102,7 @@ impl PortConfig {
         PortConfig {
             capacity_bytes,
             aqm,
-            // Unallocated until the first packet: switch ports trade this
-            // FIFO for a pooled ring at `connect`, and a NIC queue grows
-            // to what its backlog actually needs.
-            sched: PortSched::Fifo(Fifo::new()),
+            sched: PortSched::Fifo(CellList::default()),
             ge: None,
         }
     }
@@ -346,16 +324,12 @@ impl EgressPort {
         self.dice = Rng::seed_from_u64(seed);
     }
 
-    /// Migrate an inline-FIFO port onto the owning node's shared
-    /// [`RingArena`]. Called at [`crate::Network::connect`] time (the
-    /// queue is necessarily empty); ports with a [`PortSched::Dwrr`]
-    /// scheduler keep their own storage.
-    pub(crate) fn pool_ring(&mut self, arena: &mut RingArena) {
-        if let PortSched::Fifo(f) = &self.sched {
-            debug_assert_eq!(f.backlog_pkts(), 0, "ring pooling requires an empty queue");
-            let cap = pooled_ring_slots(self.capacity_bytes);
-            let off = arena.alloc(cap);
-            self.sched = PortSched::Pooled(PooledRing::new(off, cap));
+    /// Move this port's queued packets, oldest first, from `from` into
+    /// `to`: its node is changing engines. A DWRR port's queues travel
+    /// inside the port.
+    pub(crate) fn migrate_cells(&mut self, from: &mut CellSlab, to: &mut CellSlab) {
+        if let PortSched::Fifo(q) = &mut self.sched {
+            q.migrate(from, to);
         }
     }
 
@@ -366,17 +340,17 @@ impl EgressPort {
     pub(crate) fn next_tx_dice<S: Subscriber>(
         &mut self,
         now: SimTime,
-        arena: &mut RingArena,
+        cells: &mut CellSlab,
         sub: &mut S,
     ) -> Option<TxStart> {
         if self.ge.is_some() {
             let mut rng = std::mem::replace(&mut self.dice, Rng::seed_from_u64(0));
-            let tx = self.next_tx(now, || rng.f64(), arena, sub);
+            let tx = self.next_tx(now, || rng.f64(), cells, sub);
             self.dice = rng;
             tx
         } else {
             // Never called: the one dice site is behind the check above.
-            self.next_tx(now, || 0.0, arena, sub)
+            self.next_tx(now, || 0.0, cells, sub)
         }
     }
 
@@ -488,7 +462,7 @@ impl EgressPort {
         &mut self,
         now: SimTime,
         mut pkt: Packet,
-        arena: &mut RingArena,
+        cells: &mut CellSlab,
         sub: &mut S,
     ) -> bool {
         let wire = pkt.wire_bytes();
@@ -559,7 +533,7 @@ impl EgressPort {
                 self.audit.filled_at = now;
             }
         }
-        self.sched.enqueue(arena, class, wire, pkt);
+        self.sched.enqueue(cells, class, wire, pkt);
         self.stats.enqueued += 1;
         #[cfg(feature = "strict-invariants")]
         {
@@ -584,13 +558,13 @@ impl EgressPort {
         &mut self,
         now: SimTime,
         mut dice: impl FnMut() -> f64,
-        arena: &mut RingArena,
+        cells: &mut CellSlab,
         sub: &mut S,
     ) -> Option<TxStart> {
         loop {
             #[cfg(feature = "strict-invariants")]
             self.audit_backlog(now);
-            let (class, bytes, mut pkt) = self.sched.dequeue(arena)?;
+            let (class, bytes, mut pkt) = self.sched.dequeue(cells)?;
             #[cfg(feature = "strict-invariants")]
             {
                 self.audit.bytes_out += bytes;
@@ -698,10 +672,10 @@ impl EgressPort {
         &mut self,
         now: SimTime,
         pkt: Packet,
-        arena: &mut RingArena,
+        cells: &mut CellSlab,
         sub: &mut S,
     ) -> bool {
-        self.enqueue(now, pkt, arena, sub)
+        self.enqueue(now, pkt, cells, sub)
     }
 
     /// Bench-support wrapper around the crate-private [`Self::next_tx`]:
@@ -711,20 +685,19 @@ impl EgressPort {
         &mut self,
         now: SimTime,
         dice: impl FnMut() -> f64,
-        arena: &mut RingArena,
+        cells: &mut CellSlab,
         sub: &mut S,
     ) -> Option<(Packet, Duration)> {
-        self.next_tx(now, dice, arena, sub)
+        self.next_tx(now, dice, cells, sub)
             .map(|t| (t.pkt, t.tx_time))
     }
 
-    /// Bench-support wrapper around the crate-private [`Self::pool_ring`]:
-    /// migrates this port's FIFO onto `arena`. Not part of the public API
-    /// surface.
+    /// Kept for the benchmark harness, which pools a port before
+    /// driving it: every FIFO port already queues in the [`CellSlab`] its
+    /// caller passes, so there is nothing to do. Not part of the public
+    /// API surface.
     #[doc(hidden)]
-    pub fn bench_pool_ring(&mut self, arena: &mut RingArena) {
-        self.pool_ring(arena);
-    }
+    pub fn bench_pool_ring(&mut self, _cells: &mut CellSlab) {}
 }
 
 /// Bench-support constructor for a standalone port not owned by a
@@ -747,11 +720,29 @@ mod tests {
     use ecnsharp_aqm::{DctcpRed, DropTail, Tcn};
     use ecnsharp_telemetry::NoopSubscriber;
 
-    fn pooled(cfg: PortConfig) -> (EgressPort, RingArena) {
-        let mut p = port(cfg);
-        let mut arena = RingArena::new();
-        p.pool_ring(&mut arena);
-        (p, arena)
+    /// A standalone port and the slab its FIFO queues in.
+    struct Rig {
+        p: EgressPort,
+        cells: CellSlab,
+    }
+
+    impl Rig {
+        fn new(cfg: PortConfig) -> Self {
+            Rig {
+                p: port(cfg),
+                cells: CellSlab::new(),
+            }
+        }
+
+        fn enqueue(&mut self, now: SimTime, pkt: Packet) -> bool {
+            self.p
+                .enqueue(now, pkt, &mut self.cells, &mut NoopSubscriber)
+        }
+
+        fn next_tx(&mut self, now: SimTime, dice: impl FnMut() -> f64) -> Option<TxStart> {
+            self.p
+                .next_tx(now, dice, &mut self.cells, &mut NoopSubscriber)
+        }
     }
 
     fn port(cfg: PortConfig) -> EgressPort {
@@ -769,251 +760,120 @@ mod tests {
     }
 
     #[test]
-    fn pooled_port_matches_fifo_behaviour() {
-        // The pooled ring must be observationally identical to the inline
-        // FIFO: same admissions, same tail drops, same dequeue order.
-        let (mut p, mut arena) = pooled(PortConfig::fifo(4_000, Box::new(DropTail::new())));
-        assert!(matches!(p.sched, PortSched::Pooled(_)));
-        assert!(p.enqueue(SimTime::ZERO, pkt(1460), &mut arena, &mut NoopSubscriber));
-        assert!(p.enqueue(SimTime::ZERO, pkt(1460), &mut arena, &mut NoopSubscriber));
-        assert!(!p.enqueue(SimTime::ZERO, pkt(1460), &mut arena, &mut NoopSubscriber));
-        assert_eq!(p.stats().tail_drops, 1);
-        assert_eq!(p.backlog_pkts(), 2);
-        assert_eq!(p.backlog_bytes(), 3076);
-        let a = p
-            .next_tx(SimTime::ZERO, || 1.0, &mut arena, &mut NoopSubscriber)
-            .unwrap();
-        // 1538 B at 10 Gbps, same as the inline-FIFO tx_time test.
-        assert_eq!(a.tx_time, Duration::from_nanos(1230));
-        assert!(p
-            .next_tx(SimTime::ZERO, || 1.0, &mut arena, &mut NoopSubscriber)
-            .is_some());
-        assert!(p
-            .next_tx(SimTime::ZERO, || 1.0, &mut arena, &mut NoopSubscriber)
-            .is_none());
-        assert_eq!(p.backlog_bytes(), 0);
+    fn tail_drop_at_capacity() {
+        let mut r = Rig::new(PortConfig::fifo(4_000, Box::new(DropTail::new())));
+        assert!(r.enqueue(SimTime::ZERO, pkt(1460))); // 1538 wire
+        assert!(r.enqueue(SimTime::ZERO, pkt(1460))); // 3076
+        assert!(!r.enqueue(SimTime::ZERO, pkt(1460))); // would be 4614 > 4000
+        assert_eq!(r.p.stats().tail_drops, 1);
+        assert_eq!((r.p.backlog_pkts(), r.p.backlog_bytes()), (2, 3076));
+        assert_eq!(r.cells.live(), 2, "a refused packet takes no cell");
+        assert!(r.next_tx(SimTime::ZERO, || 1.0).is_some());
+        assert!(r.next_tx(SimTime::ZERO, || 1.0).is_some());
+        assert!(r.next_tx(SimTime::ZERO, || 1.0).is_none());
+        assert_eq!((r.p.backlog_bytes(), r.cells.live()), (0, 0));
     }
 
     #[test]
-    fn pooled_port_marks_at_enqueue_like_fifo() {
-        let (mut p, mut arena) = pooled(PortConfig::fifo(
-            1_000_000,
-            Box::new(DctcpRed::with_threshold(3_500)),
-        ));
-        for _ in 0..3 {
-            assert!(p.enqueue(SimTime::ZERO, pkt(1460), &mut arena, &mut NoopSubscriber));
-        }
-        assert_eq!(p.stats().enq_marks, 1);
-        let mut last = None;
-        while let Some(tx) = p.next_tx(SimTime::ZERO, || 1.0, &mut arena, &mut NoopSubscriber) {
-            last = Some(tx.pkt.ecn());
-        }
-        assert_eq!(last, Some(Ecn::Ce), "marked packet dequeues last");
-    }
-
-    #[test]
-    fn pooled_port_and_private_fifo_agree_on_a_mixed_trace() {
-        // Same arrivals and service opportunities through both storage
-        // kinds: bursts that wrap, grow and (with tiny packets under a
-        // byte-capacity buffer) spill the pooled window, drains that
-        // rewind it. Every observable must match at every step.
+    fn ports_sharing_a_slab_behave_as_on_their_own() {
+        // Port `a` sees the same arrivals and service opportunities twice:
+        // alone on its own slab, and on a slab it shares with a busy
+        // neighbour whose cells interleave with its own. Bursts saturate
+        // the 20 kB buffer with mixed sizes; drains run it dry. Every
+        // observable of `a` must match at every step.
         let cfg = || PortConfig::fifo(20_000, Box::new(DctcpRed::with_threshold(6_000)));
-        let mut private = port(cfg());
-        let (mut pooled, mut arena) = pooled(cfg());
-        let mut none = RingArena::new();
+        let mut alone = Rig::new(cfg());
+        let (mut a, mut b, mut shared) = (port(cfg()), port(cfg()), CellSlab::new());
         let mut rng = Rng::seed_from_u64(0xF1F0);
         let mut now = SimTime::ZERO;
-        let mut spilled = false;
+        let sub = &mut NoopSubscriber;
         for step in 0..4_000u64 {
-            // Phases of mostly-arrivals and mostly-service, so the queue
-            // both saturates and drains dry.
             let arrive = rng.f64() < if (step / 400) % 2 == 0 { 0.7 } else { 0.3 };
-            if arrive {
-                let payload = [1, 100, 1460][(rng.f64() * 3.0) as usize];
-                let mut p = Packet::data(FlowId(1), NodeId(0), NodeId(2), step, payload);
-                p.set_ecn(Ecn::Ect);
-                let a = private.enqueue(now, p.clone(), &mut none, &mut NoopSubscriber);
-                let b = pooled.enqueue(now, p, &mut arena, &mut NoopSubscriber);
-                assert_eq!(a, b, "admission differs at step {step}");
+            let mut p = Packet::data(
+                FlowId(1),
+                NodeId(0),
+                NodeId(2),
+                step,
+                [1, 100, 1460][(step % 3) as usize],
+            );
+            p.set_ecn(Ecn::Ect);
+            if rng.f64() < 0.6 {
+                b.enqueue(now, p.clone(), &mut shared, sub);
             } else {
-                let a = private.next_tx(now, || 1.0, &mut none, &mut NoopSubscriber);
-                let b = pooled.next_tx(now, || 1.0, &mut arena, &mut NoopSubscriber);
+                let _ = b.next_tx(now, || 1.0, &mut shared, sub);
+            }
+            if arrive {
+                let x = alone.enqueue(now, p.clone());
+                let y = a.enqueue(now, p, &mut shared, sub);
+                assert_eq!(x, y, "admission differs at step {step}");
+            } else {
+                let x = alone.next_tx(now, || 1.0);
+                let y = a.next_tx(now, || 1.0, &mut shared, sub);
                 assert_eq!(
-                    a.map(|t| (t.pkt.seq(), t.pkt.ecn(), t.tx_time)),
-                    b.map(|t| (t.pkt.seq(), t.pkt.ecn(), t.tx_time)),
+                    x.map(|t| (t.pkt.seq(), t.pkt.ecn(), t.tx_time)),
+                    y.map(|t| (t.pkt.seq(), t.pkt.ecn(), t.tx_time)),
                     "transmission differs at step {step}"
                 );
             }
-            assert_eq!(private.backlog_pkts(), pooled.backlog_pkts());
-            assert_eq!(private.backlog_bytes(), pooled.backlog_bytes());
-            spilled |= pooled.backlog_pkts() > pooled_ring_slots(20_000) as u64;
+            assert_eq!(alone.p.backlog_pkts(), a.backlog_pkts());
+            assert_eq!(alone.p.backlog_bytes(), a.backlog_bytes());
+            assert_eq!(shared.live(), a.backlog_pkts() + b.backlog_pkts());
             now += Duration::from_nanos(500);
         }
-        assert_eq!(private.stats(), pooled.stats());
-        let st = pooled.stats();
+        assert_eq!(alone.p.stats(), a.stats());
+        let st = a.stats();
         assert!(st.tail_drops > 0 && st.enq_marks > 0 && st.dequeued > 1_000);
-        assert!(
-            spilled,
-            "trace never pushed the pooled ring past its window"
-        );
-        assert!(arena.overflow_breach().is_none());
-    }
-
-    #[test]
-    fn tail_drop_at_capacity() {
-        let mut p = port(PortConfig::fifo(4_000, Box::new(DropTail::new())));
-        assert!(p.enqueue(
-            SimTime::ZERO,
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber
-        )); // 1538 wire
-        assert!(p.enqueue(
-            SimTime::ZERO,
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber
-        )); // 3076
-        assert!(!p.enqueue(
-            SimTime::ZERO,
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber
-        )); // would be 4614 > 4000
-        assert_eq!(p.stats().tail_drops, 1);
-        assert_eq!(p.backlog_pkts(), 2);
+        assert!(shared.breach().is_none());
     }
 
     #[test]
     fn dctcp_red_marks_at_enqueue() {
-        let mut p = port(PortConfig::fifo(
+        let mut r = Rig::new(PortConfig::fifo(
             1_000_000,
             Box::new(DctcpRed::with_threshold(3_500)),
         ));
-        assert!(p.enqueue(
-            SimTime::ZERO,
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber
-        )); // occupancy 1538
-        assert!(p.enqueue(
-            SimTime::ZERO,
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber
-        )); // occupancy 3076
-            // Third packet pushes occupancy to 4614 > 3500: marked.
-        assert!(p.enqueue(
-            SimTime::ZERO,
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber
-        ));
-        assert_eq!(p.stats().enq_marks, 1);
+        assert!(r.enqueue(SimTime::ZERO, pkt(1460))); // occupancy 1538
+        assert!(r.enqueue(SimTime::ZERO, pkt(1460))); // occupancy 3076
+                                                      // Third packet pushes occupancy to 4614 > 3500: marked.
+        assert!(r.enqueue(SimTime::ZERO, pkt(1460)));
+        assert_eq!(r.p.stats().enq_marks, 1);
         // The marked packet is the last one out.
-        let mut dice = || 1.0;
-        let a = p
-            .next_tx(
-                SimTime::ZERO,
-                &mut dice,
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            )
-            .unwrap();
-        let b = p
-            .next_tx(
-                SimTime::ZERO,
-                &mut dice,
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            )
-            .unwrap();
-        let c = p
-            .next_tx(
-                SimTime::ZERO,
-                &mut dice,
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            )
-            .unwrap();
-        assert_eq!(a.pkt.ecn(), Ecn::Ect);
-        assert_eq!(b.pkt.ecn(), Ecn::Ect);
-        assert_eq!(c.pkt.ecn(), Ecn::Ce);
+        let order: Vec<Ecn> = std::iter::from_fn(|| r.next_tx(SimTime::ZERO, || 1.0))
+            .map(|t| t.pkt.ecn())
+            .collect();
+        assert_eq!(order, vec![Ecn::Ect, Ecn::Ect, Ecn::Ce]);
     }
 
     #[test]
     fn tcn_marks_at_dequeue_based_on_sojourn() {
-        let mut p = port(PortConfig::fifo(
+        let mut r = Rig::new(PortConfig::fifo(
             1_000_000,
             Box::new(Tcn::new(Duration::from_micros(100))),
         ));
-        assert!(p.enqueue(
-            SimTime::from_micros(0),
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber
-        ));
+        assert!(r.enqueue(SimTime::from_micros(0), pkt(1460)));
         // Dequeued 150 us later: sojourn above threshold, marked.
-        let tx = p
-            .next_tx(
-                SimTime::from_micros(150),
-                &mut || 1.0,
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            )
-            .unwrap();
+        let tx = r.next_tx(SimTime::from_micros(150), || 1.0).unwrap();
         assert_eq!(tx.pkt.ecn(), Ecn::Ce);
-        assert_eq!(p.stats().deq_marks, 1);
+        assert_eq!(r.p.stats().deq_marks, 1);
         // Fast path: no mark.
-        assert!(p.enqueue(
-            SimTime::from_micros(200),
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber
-        ));
-        let tx = p
-            .next_tx(
-                SimTime::from_micros(250),
-                &mut || 1.0,
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            )
-            .unwrap();
+        assert!(r.enqueue(SimTime::from_micros(200), pkt(1460)));
+        let tx = r.next_tx(SimTime::from_micros(250), || 1.0).unwrap();
         assert_eq!(tx.pkt.ecn(), Ecn::Ect);
     }
 
     #[test]
     fn tx_time_uses_wire_bytes() {
-        let mut p = port(PortConfig::fifo(1_000_000, Box::new(DropTail::new())));
-        p.enqueue(
-            SimTime::ZERO,
-            pkt(1460),
-            &mut RingArena::new(),
-            &mut NoopSubscriber,
-        );
-        let tx = p
-            .next_tx(
-                SimTime::ZERO,
-                &mut || 1.0,
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            )
-            .unwrap();
+        let mut r = Rig::new(PortConfig::fifo(1_000_000, Box::new(DropTail::new())));
+        r.enqueue(SimTime::ZERO, pkt(1460));
+        let tx = r.next_tx(SimTime::ZERO, || 1.0).unwrap();
         // 1538 B at 10 Gbps = 1230.4 ns
         assert_eq!(tx.tx_time, Duration::from_nanos(1230));
     }
 
     #[test]
     fn empty_queue_yields_none() {
-        let mut p = port(PortConfig::fifo(1_000, Box::new(DropTail::new())));
-        assert!(p
-            .next_tx(
-                SimTime::ZERO,
-                || 1.0,
-                &mut RingArena::new(),
-                &mut NoopSubscriber
-            )
-            .is_none());
+        let mut r = Rig::new(PortConfig::fifo(1_000, Box::new(DropTail::new())));
+        assert!(r.next_tx(SimTime::ZERO, || 1.0).is_none());
     }
 
     #[test]
@@ -1036,29 +896,19 @@ mod tests {
         // Always-bad GE chain: every packet dropped as a burst loss, and
         // each surviving/attempted packet costs exactly two draws.
         let ge = GilbertElliott::new(1.0, 0.0, 1.0, 0.0);
-        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_ge(ge);
-        let mut p = port(cfg);
+        let mut r = Rig::new(PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_ge(ge));
         for _ in 0..3 {
-            p.enqueue(
-                SimTime::ZERO,
-                pkt(1460),
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            );
+            r.enqueue(SimTime::ZERO, pkt(1460));
         }
         let mut draws = 0u64;
-        let tx = p.next_tx(
-            SimTime::ZERO,
-            || {
-                draws += 1;
-                0.0
-            },
-            &mut RingArena::new(),
-            &mut NoopSubscriber,
-        );
+        let tx = r.next_tx(SimTime::ZERO, || {
+            draws += 1;
+            0.0
+        });
         assert!(tx.is_none(), "all packets lost to the burst");
-        assert_eq!(p.stats().burst_drops, 3);
+        assert_eq!(r.p.stats().burst_drops, 3);
         assert_eq!(draws, 6, "two draws per packet");
+        assert_eq!(r.cells.live(), 0, "a wire drop frees its cell");
     }
 
     #[test]
@@ -1068,31 +918,19 @@ mod tests {
         // (under the default build the invariant! calls are debug_asserts —
         // the test still exercises the same code path).
         let ge = GilbertElliott::new(0.5, 0.5, 1.0, 0.0);
-        let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_ge(ge);
-        let mut p = port(cfg);
+        let mut r = Rig::new(PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_ge(ge));
         let mut rng = ecnsharp_sim::Rng::seed_from_u64(99);
         let mut sent = 0u64;
-        let mut dropped = 0u64;
         for _ in 0..50 {
-            assert!(p.enqueue(
-                SimTime::ZERO,
-                pkt(1460),
-                &mut RingArena::new(),
-                &mut NoopSubscriber
-            ));
-            while let Some(_tx) = p.next_tx(
-                SimTime::ZERO,
-                || rng.f64(),
-                &mut RingArena::new(),
-                &mut NoopSubscriber,
-            ) {
+            assert!(r.enqueue(SimTime::ZERO, pkt(1460)));
+            while r.next_tx(SimTime::ZERO, || rng.f64()).is_some() {
                 sent += 1;
             }
         }
-        dropped += p.stats().burst_drops;
+        let dropped = r.p.stats().burst_drops;
         assert_eq!(sent + dropped, 50, "every admitted packet is accounted");
         assert!(dropped > 0, "seeded run should see some wire loss");
-        assert_eq!(p.backlog_pkts(), 0);
+        assert_eq!(r.p.backlog_pkts(), 0);
     }
 
     #[test]
@@ -1102,27 +940,14 @@ mod tests {
         // must produce identical drop counts.
         let run = |seed: u64| {
             let ge = GilbertElliott::new(0.0, 1.0, 0.0, 0.3);
-            let cfg = PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_ge(ge);
-            let mut p = port(cfg);
+            let mut r =
+                Rig::new(PortConfig::fifo(1_000_000, Box::new(DropTail::new())).with_ge(ge));
             let mut rng = ecnsharp_sim::Rng::seed_from_u64(seed);
             for _ in 0..100 {
-                assert!(p.enqueue(
-                    SimTime::ZERO,
-                    pkt(1460),
-                    &mut RingArena::new(),
-                    &mut NoopSubscriber
-                ));
-                while p
-                    .next_tx(
-                        SimTime::ZERO,
-                        || rng.f64(),
-                        &mut RingArena::new(),
-                        &mut NoopSubscriber,
-                    )
-                    .is_some()
-                {}
+                assert!(r.enqueue(SimTime::ZERO, pkt(1460)));
+                while r.next_tx(SimTime::ZERO, || rng.f64()).is_some() {}
             }
-            p.stats().burst_drops
+            r.p.stats().burst_drops
         };
         let a = run(7);
         assert!(a > 0, "p=0.3 over 100 packets must drop some");

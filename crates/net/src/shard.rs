@@ -234,7 +234,7 @@ impl<S: ShardSubscriber> Network<S> {
         }
         self.flows_to_record = 0;
         // Arm each shard's guards after its nodes and backlog are in
-        // place (ceilings attach to the queue and the owned arenas).
+        // place (ceilings attach to the queue and the packet cells).
         for shard in &mut shards {
             shard.set_supervision(sup);
         }
@@ -301,26 +301,35 @@ impl<S: ShardSubscriber> Network<S> {
             .extend(keyed_records.into_iter().map(|(_, record)| record));
         self.events.advance_now(last_key.0);
         self.cur_tag = last_key.1;
-        self.check_idle_flow_state();
+        self.check_idle();
         Ok(self.now())
     }
 
-    /// Move every node out to its owning shard, leaving `self.nodes`
-    /// empty. The shards' slots hold placeholders until then.
+    /// Move every node out to its owning shard, its queued packets into
+    /// that shard's cells, leaving `self.nodes` empty. The shards' slots
+    /// hold placeholders until then.
     fn scatter(&mut self, shards: &mut [Network<S>], owner: &[u32]) {
-        for (i, node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
-            shards[owner[i] as usize].nodes[i] = node;
+        for (i, mut node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
+            let shard = &mut shards[owner[i] as usize];
+            for p in &mut node.ports {
+                p.migrate_cells(&mut self.cells, &mut shard.cells);
+            }
+            shard.nodes[i] = node;
         }
     }
 
-    /// Bring every node home from its owning shard, with its tag counter,
-    /// leaving a placeholder in the shard's slot.
+    /// Bring every node home from its owning shard, with its tag counter
+    /// and its queued packets, leaving a placeholder in the shard's slot.
     fn gather(&mut self, shards: &mut [Network<S>], owner: &[u32]) {
         self.nodes = (0..owner.len())
             .map(|i| {
                 let shard = &mut shards[owner[i] as usize];
                 self.tag_k[i] = shard.tag_k[i];
-                std::mem::replace(&mut shard.nodes[i], Node::switch())
+                let mut node = std::mem::replace(&mut shard.nodes[i], Node::switch());
+                for p in &mut node.ports {
+                    p.migrate_cells(&mut shard.cells, &mut self.cells);
+                }
+                node
             })
             .collect();
     }

@@ -1,17 +1,15 @@
 //! # ecnsharp-sched
 //!
-//! Packet schedulers for switch egress ports, generic over the queued item
-//! type so the crate has no dependency on the network model.
+//! Multi-class packet schedulers for switch egress ports, generic over the
+//! queued item type so the crate has no dependency on the network model.
 //!
-//! A scheduler owns one or more FIFO sub-queues ("classes"/"services") and
-//! decides which class supplies the next packet for transmission. The set
-//! is closed — the network's `PortSched` enum names each one, with no
-//! trait between:
-//!
-//! - [`Fifo`] — a single queue (the degenerate scheduler every basic port
-//!   uses);
-//! - [`Dwrr`] — Deficit Weighted Round Robin (Shreedhar & Varghese), the
-//!   scheduler of the paper's §5.4 experiment (3 services, weights 2:1:1).
+//! A scheduler owns several FIFO sub-queues ("classes"/"services") and
+//! decides which class supplies the next packet for transmission. The
+//! network's `PortSched` enum names the two port kinds, with no trait
+//! between: a single FIFO, whose packets sit in the engine's packet slab
+//! (`ecnsharp_net::cell`), and this crate's [`Dwrr`] — Deficit Weighted
+//! Round Robin (Shreedhar & Varghese), the scheduler of the paper's §5.4
+//! experiment (3 services, weights 2:1:1).
 //!
 //! Sojourn-time AQMs (TCN, ECN♯) are scheduler-agnostic by design: the AQM
 //! sits at the port and sees packets in whatever order the scheduler
@@ -26,10 +24,8 @@
 )]
 
 pub mod dwrr;
-pub mod fifo;
 
 pub use dwrr::Dwrr;
-pub use fifo::Fifo;
 
 // Compile-time shard-safety proofs: schedulers sit on ports inside the
 // `Network` a sharded engine moves across worker threads. Lint rule R7
@@ -37,5 +33,4 @@ pub use fifo::Fifo;
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<Dwrr<u64>>();
-    assert_send_sync::<Fifo<u64>>();
 };

@@ -197,6 +197,15 @@ impl<E> Slab<E> {
         (self.cells.len() - 1) as u32
     }
 
+    /// Overwrite the event parked in `cell`, keeping the cell.
+    #[inline]
+    fn replace(&mut self, cell: u32, event: E) -> u32 {
+        if let Some(slot) = self.cells.get_mut(cell as usize) {
+            *slot = Some(event);
+        }
+        cell
+    }
+
     /// Take the event out of `cell`, freeing the cell.
     #[inline]
     fn take(&mut self, cell: u32) -> Option<E> {
@@ -462,10 +471,11 @@ impl<E> EventQueue<E> {
         key: u64,
         event: E,
     ) -> TimerToken {
-        if let Some(t) = tok {
-            if self.take_live(t) {
-                self.perf.timers_stale_suppressed += 1;
-            }
+        // A live old timer's cell carries the new payload: the per-ACK RTO
+        // re-arm never touches the free list.
+        let old = tok.and_then(|t| self.unlink_live(t));
+        if old.is_some() {
+            self.perf.timers_stale_suppressed += 1;
         }
         crate::invariant!(
             at >= self.now,
@@ -474,18 +484,20 @@ impl<E> EventQueue<E> {
         );
         let seq = key;
         let b = bucket(at);
+        let cell = match old {
+            Some(cell) => self.slab.replace(cell, event),
+            None => self.slab.park(event),
+        };
         let tok = if b <= self.cursor {
             // Expiry inside the bucket being drained (sub-lane timers,
             // e.g. zero-delay deadlines): the payload goes straight into
             // the drain overlay; the wheel only keeps a cancel marker.
-            let cell = self.slab.park(event);
             self.inbox.push(Reverse((at, seq, cell)));
             // Counted as fired on delivery to the pop path (mirroring the
             // refill drain); a cancel that catches it first decrements.
             self.perf.timers_fired += 1;
             self.wheel.arm_external(at, seq)
         } else {
-            let cell = self.slab.park(event);
             self.wheel.arm(at, seq, cell)
         };
         self.len += 1;
@@ -522,28 +534,34 @@ impl<E> EventQueue<E> {
     /// Remove a live timer (wheel-resident or already in the drain batch)
     /// without perf attribution; `false` on a stale token.
     fn take_live(&mut self, tok: TimerToken) -> bool {
+        let Some(cell) = self.unlink_live(tok) else {
+            return false;
+        };
+        self.slab.take(cell);
+        true
+    }
+
+    /// Unlink a live timer from the wheel or the drain batch and return
+    /// its slab cell, still holding the payload; `None` on a stale token.
+    fn unlink_live(&mut self, tok: TimerToken) -> Option<u32> {
         match self.wheel.cancel(tok) {
-            Cancelled::Stale => false,
+            Cancelled::Stale => None,
             Cancelled::Live(cell) => {
-                self.slab.take(cell);
                 self.len -= 1;
-                true
+                Some(cell)
             }
             Cancelled::External(t, s) => {
                 // The timer's payload was already delivered to the pop
                 // path (armed into the draining batch, or drained from
                 // the wheel by an eager refill — the sharded engine's
                 // barrier peeks do this routinely). If it is still there
-                // (sorted batch or inbox overlay), remove it, free its
-                // cell and undo the delivery-time fired count; otherwise
-                // it already popped and the cancel is stale.
-                let Some(cell) = self.unbatch(t, s) else {
-                    return false;
-                };
-                self.slab.take(cell);
+                // (sorted batch or inbox overlay), remove it and undo the
+                // delivery-time fired count; otherwise it already popped
+                // and the cancel is stale.
+                let cell = self.unbatch(t, s)?;
                 self.len -= 1;
                 self.perf.timers_fired -= 1;
-                true
+                Some(cell)
             }
         }
     }
@@ -1027,6 +1045,28 @@ mod tests {
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["mid", "new"]);
         assert_eq!(q.perf().timers_stale_suppressed, 1);
+    }
+
+    #[test]
+    fn rearm_keeps_the_timers_slab_cell() {
+        let mut q = EventQueue::new();
+        // A freed cell on the free list, and a timer in another cell.
+        q.schedule(SimTime::from_micros(1), 0u64);
+        let mut tok = q.rearm_timer(None, SimTime::from_micros(50), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(1), 0)));
+        let (cells, free) = (q.slab.cells.len(), q.slab.free.clone());
+        assert_eq!((cells, free.len()), (2, 1));
+        for i in 0..10_000u64 {
+            // Near (lanes), far (wheel levels) and in-bucket deadlines.
+            let ahead = [30, 700, 40_000, 3_000_000][i as usize % 4];
+            let at = q.now() + crate::time::Duration::from_nanos(ahead);
+            tok = q.rearm_timer(Some(tok), at, i);
+            assert_eq!(q.slab.cells.len(), cells, "re-arm {i} grew the slab");
+            assert_eq!(q.slab.free, free, "re-arm {i} touched the free list");
+        }
+        assert_eq!(q.perf().timers_stale_suppressed, 10_000);
+        assert_eq!(q.pop().map(|e| e.1), Some(9_999));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -47,10 +47,8 @@ use std::fmt;
 pub enum MemComponent {
     /// The central event queue (live scheduled events + armed timers).
     EventQueue,
-    /// The pooled switch-ring overflow deques ([`RingArena`] spill space).
-    ///
-    /// [`RingArena`]: https://docs.rs/
-    RingOverflow,
+    /// The packets queued in an engine's FIFO ports (its packet cells).
+    QueuedPackets,
     /// Transport receiver out-of-order reassembly state.
     TransportOoo,
 }
@@ -60,7 +58,7 @@ impl MemComponent {
     pub fn name(self) -> &'static str {
         match self {
             MemComponent::EventQueue => "event_queue",
-            MemComponent::RingOverflow => "ring_overflow",
+            MemComponent::QueuedPackets => "queued_packets",
             MemComponent::TransportOoo => "transport_ooo",
         }
     }
@@ -370,7 +368,7 @@ pub const DEFAULT_LIVELOCK_BUDGET: u64 = 1_000_000;
 pub const DEFAULT_STALL_ROUNDS: u64 = 8;
 
 /// Default admission ceiling for live events (queue + timers) per
-/// engine instance, and for pooled-ring overflow entries per switch.
+/// engine instance, and for queued packets per engine instance.
 /// Sized so a healthy full-scale run never approaches it while a
 /// runaway still fails fast long before the OOM killer.
 pub const DEFAULT_MEM_CEILING: u64 = 50_000_000;
@@ -394,9 +392,9 @@ pub struct Supervision {
     /// queue, so however many there are, nothing trips before the first
     /// event the run itself pushes.
     pub event_ceiling: Option<u64>,
-    /// Pooled-ring overflow ceiling in live spilled packets per switch
-    /// (`None` = unbounded).
-    pub ring_overflow_ceiling: Option<u64>,
+    /// Ceiling on the packets queued in an engine's FIFO ports at once
+    /// (`None` = unbounded). A sharded run applies it to each shard.
+    pub queued_packet_ceiling: Option<u64>,
     /// Drill: freeze every shard's window processing so the barrier-stall
     /// detector trips. Sharded runs only. With `stall_rounds` unset the
     /// drill arms the detector at [`DEFAULT_STALL_ROUNDS`] itself, since a
@@ -411,7 +409,7 @@ impl Supervision {
             livelock_budget: Some(DEFAULT_LIVELOCK_BUDGET),
             stall_rounds: Some(DEFAULT_STALL_ROUNDS),
             event_ceiling: Some(DEFAULT_MEM_CEILING),
-            ring_overflow_ceiling: Some(DEFAULT_MEM_CEILING),
+            queued_packet_ceiling: Some(DEFAULT_MEM_CEILING),
             inject_stall: false,
         }
     }
@@ -466,7 +464,7 @@ mod tests {
             },
             SimError::MemBudgetExceeded {
                 breach: MemBreach {
-                    component: MemComponent::RingOverflow,
+                    component: MemComponent::QueuedPackets,
                     live: 9,
                     ceiling: 8,
                     node: Some(4),
